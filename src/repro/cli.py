@@ -38,6 +38,7 @@ server computes straight off the memmap.  See ``docs/corpus.md``.
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 from typing import Dict, Optional, Sequence
@@ -64,6 +65,19 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for --shard-timeout: fail at start-up, not per request."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
     return value
 
 
@@ -197,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shard-timeout",
-        type=float,
+        type=_positive_float,
         default=120.0,
         help="seconds to wait for one shard's pool result before "
         "treating its worker as lost and recovering (default 120)",

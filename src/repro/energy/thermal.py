@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import erfc, erfcinv
-
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -89,6 +87,11 @@ def error_probability(margin: float) -> float:
     """
     if margin < 0:
         raise ConfigurationError(f"margin must be non-negative, got {margin}")
+    # Imported here: the experiment registry imports this module, so a
+    # top-level scipy.special would be paid by the CLI and inherited by
+    # every forked serving worker.
+    from scipy.special import erfc
+
     return 0.5 * float(erfc(margin / math.sqrt(2.0)))
 
 
@@ -98,6 +101,8 @@ def margin_for_error(probability: float) -> float:
         raise ConfigurationError(
             f"probability must lie in (0, 0.5), got {probability}"
         )
+    from scipy.special import erfcinv  # deferred: see error_probability
+
     return math.sqrt(2.0) * float(erfcinv(2.0 * probability))
 
 

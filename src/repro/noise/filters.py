@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
-from scipy import signal
 
 from ..errors import ConfigurationError
 from ..spikes.train import SpikeTrain
@@ -57,6 +56,11 @@ def design_bandpass(
         )
     low = band.f_low / nyquist
     high = band.f_high / nyquist
+    # Imported here: scipy.signal is tens of MB resident and the slowest
+    # import in the package; the serving pool forks after module
+    # imports, so a top-level import would be inherited by every worker.
+    from scipy import signal
+
     return signal.butter(order, [low, high], btype="bandpass", output="sos")
 
 
@@ -74,6 +78,8 @@ class IirNoiseShaper:
         self.grid = grid
         self._sos = design_bandpass(band, grid, order=order)
         self._state = np.zeros((self._sos.shape[0], 2))
+        from scipy import signal  # deferred: see design_bandpass
+
         # Normalisation: the filtered process's std depends on the band;
         # estimate it once from the filter's frequency response so every
         # block can be scaled without looking at the data (data-dependent
@@ -95,6 +101,8 @@ class IirNoiseShaper:
         white = np.asarray(white, dtype=float)
         if white.ndim != 1:
             raise ConfigurationError(f"block must be 1-D, got shape {white.shape}")
+        from scipy import signal  # deferred: see design_bandpass
+
         shaped, self._state = signal.sosfilt(self._sos, white, zi=self._state)
         return shaped * self._scale
 

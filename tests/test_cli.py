@@ -32,6 +32,16 @@ class TestParser:
             build_parser().parse_args(["run", "identify", "--jobs", "0"])
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_shard_timeout_rejects_nonpositive(self, capsys, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--shard-timeout", value])
+        assert "must be a finite number > 0" in capsys.readouterr().err
+
+    def test_shard_timeout_accepts_fraction(self):
+        args = build_parser().parse_args(["serve", "--shard-timeout", "0.5"])
+        assert args.shard_timeout == 0.5
+
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nonsense"])
