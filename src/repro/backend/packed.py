@@ -356,8 +356,9 @@ def _pair_chunk(n_refs: int, n_words: int) -> int:
 def row_chunk_bounds(n_rows: int, n_chunks: int) -> Tuple[Tuple[int, int], ...]:
     """Contiguous ``[lo, hi)`` row ranges splitting ``n_rows`` evenly.
 
-    The canonical row-axis split of every dispatch tier (serving shards
-    and the pool-parallel kernel layer both use it): ``linspace``-based
+    The only row-axis split in the repo (serving shards and corpus
+    chunks, logicnet network ranges, the pool-parallel kernel layer
+    and the experiments' shard plans all use it): ``linspace``-based
     so ranges differ by at most one row, empty ranges dropped, and the
     split is a pure function of ``(n_rows, n_chunks)`` — the property
     that makes a parallel run's concatenated results bit-identical to

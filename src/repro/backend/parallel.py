@@ -33,13 +33,11 @@ dispatch.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import PipelineError
 from ..testing import faults
 from . import packed
 from .shared import HAVE_SHARED_MEMORY, SharedArena, SharedArraySpec, attach_array
@@ -103,7 +101,7 @@ def _pool_ready(runner, n_rows: int, min_rows: int) -> bool:
     """Should this call attempt pool dispatch at all?"""
     return (
         runner is not None
-        and getattr(runner, "jobs", 1) >= 2
+        and runner.jobs >= 2
         and n_rows >= max(2, min_rows)
         and HAVE_SHARED_MEMORY
     )
@@ -146,46 +144,16 @@ def _dispatch(
         tasks = [
             _RowTask(kernel, a_spec, b_spec, lo, hi) for lo, hi in bounds
         ]
-        try:
-            handles = runner.submit_many(_run_row_task, tasks)
-        except PipelineError:
-            return None
-        return _gather_supervised(runner, handles, tasks)
+        # A slice whose worker is lost re-runs down the runner's
+        # supervision ladder while the arena is still alive, so the
+        # recovered slice attaches the same operands and the row-order
+        # concatenation stays bit-identical to the undisturbed run.
+        getters = runner.gather(
+            _run_row_task, tasks, timeout=_RESULT_TIMEOUT_S
+        )
+        return [get() for get in getters]
     finally:
         arena.close()
-
-
-def _gather_supervised(runner, handles, tasks) -> List[Any]:
-    """Await the fan-out's results, recovering any lost slice.
-
-    A slice whose result times out (or whose result channel broke) lost
-    its worker; it re-runs through the runner's supervision ladder —
-    resubmit, pool restart, in-process floor — while the arena is still
-    alive, so the recovered slice attaches the *same* operands and the
-    row-order concatenation stays bit-identical to the undisturbed run.
-    """
-    await_result = getattr(runner, "await_result", None)
-    baseline = runner.worker_pids() if await_result is not None else None
-    results: List[Any] = []
-    for handle, task in zip(handles, tasks):
-        try:
-            if await_result is not None:
-                results.append(
-                    await_result(
-                        handle, timeout=_RESULT_TIMEOUT_S, baseline=baseline
-                    )
-                )
-            else:
-                results.append(handle.get(_RESULT_TIMEOUT_S))
-        except (multiprocessing.TimeoutError, OSError, EOFError):
-            recover = getattr(runner, "submit_supervised", None)
-            if recover is None:
-                results.append(_run_row_task(task))
-            else:
-                results.append(
-                    recover(_run_row_task, task, timeout=_RESULT_TIMEOUT_S)
-                )
-    return results
 
 
 def pairwise_counts(

@@ -81,6 +81,24 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type for timing flags where 0 means off.
+
+    NaN and infinity are rejected at start-up: a NaN idle timer fires
+    at once and drops every connection, an infinite coalescing window
+    never flushes a bucket below ``--coalesce-max-wires``.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (0.0 <= value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -175,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--coalesce-window-ms",
-        type=float,
+        type=_nonnegative_float,
         default=0.0,
         help="stack compatible small requests arriving within this "
         "window into one wide batch; 0 disables coalescing (default 0)",
@@ -204,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--idle-timeout",
-        type=float,
+        type=_nonnegative_float,
         default=0.0,
         help="close connections idle for this many seconds; 0 keeps "
         "them forever (default 0)",

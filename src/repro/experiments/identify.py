@@ -30,6 +30,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..backend import packed
 from ..backend.batch import SharedBatchHandle, SpikeTrainBatch
 from ..backend.shared import SharedArena, SharedArraySpec, attach_array
 from ..hyperspace.basis import BasisArtifact, HyperspaceBasis
@@ -159,12 +160,9 @@ def _workload(
 
 def _shards(config: IdentifyConfig) -> Tuple[IdentifyShard, ...]:
     """Split the wire rows into ``n_shards`` contiguous ranges."""
-    n_shards = max(1, min(config.n_shards, config.n_wires))
-    bounds = np.linspace(0, config.n_wires, n_shards + 1).astype(np.int64)
     return tuple(
-        IdentifyShard(config, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
+        IdentifyShard(config, lo, hi)
+        for lo, hi in packed.row_chunk_bounds(config.n_wires, config.n_shards)
     )
 
 

@@ -27,6 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..backend import packed
 from ..backend.batch import SpikeTrainBatch
 from ..backend.shared import SharedArena
 from ..hyperspace.basis import BasisArtifact, HyperspaceBasis
@@ -131,12 +132,11 @@ def _basis(config: LogicNetConfig) -> HyperspaceBasis:
 
 def _shards(config: LogicNetConfig) -> Tuple[LogicNetShard, ...]:
     """Split the network axis into ``n_shards`` contiguous ranges."""
-    n_shards = max(1, min(config.n_shards, max(1, config.n_networks)))
-    bounds = np.linspace(0, config.n_networks, n_shards + 1).astype(np.int64)
     return tuple(
-        LogicNetShard(config, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
+        LogicNetShard(config, lo, hi)
+        for lo, hi in packed.row_chunk_bounds(
+            config.n_networks, config.n_shards
+        )
     )
 
 

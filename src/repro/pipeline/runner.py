@@ -31,24 +31,26 @@ One :class:`Runner` drives every experiment through the same path:
   fancier than JSON-ready data ever crosses the process boundary;
 * failures never abort a multi-experiment run: each report carries its
   own status and traceback, and the store archives error records too;
-* **non-experiment dispatch** — :meth:`Runner.submit` and
+* **non-experiment dispatch** — :meth:`Runner.gather` (the one
+  supervised fan-out), :meth:`Runner.submit` and
   :meth:`Runner.broadcast` expose the persistent pool to callers with
   their own task shapes.  The serving front-end (:mod:`repro.serving`)
-  drives per-request ``(handle, row_range)`` shard tasks and its basis
-  install/discard broadcasts through them, and ends each serving
-  session with the same end-of-run attachment release broadcast the
-  shared-dispatch experiments use.
+  drives per-request shard tasks and its basis install/discard
+  broadcasts through them, and ends each serving session with the
+  same end-of-run attachment release broadcast the shared-dispatch
+  experiments use.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import threading
 import time
 import traceback
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena, process_cache
 from ..errors import PipelineError
@@ -450,10 +452,11 @@ class Runner:
     # ------------------------------------------------------------------
     #
     # The registry/spec machinery above is the experiment pipeline's
-    # entry point; these three methods are the *pool's* public surface
+    # entry point; the methods below are the *pool's* public surface
     # for callers with their own task shapes — the serving front-end
-    # (:mod:`repro.serving`) dispatches per-request shard tasks and its
-    # basis install/discard broadcasts through them, reusing the
+    # (:mod:`repro.serving`) and the parallel kernel layer
+    # (:mod:`repro.backend.parallel`) fan their shard tasks out through
+    # :meth:`gather` and broadcast through :meth:`broadcast`, reusing the
     # persistent workers, the attachment cache and the release barrier
     # instead of growing a second pool implementation.
 
@@ -482,15 +485,46 @@ class Runner:
             )
         return pool.apply_async(fn, (task,))
 
-    def submit_many(self, fn, tasks) -> List[Any]:
-        """``submit`` every task and return the ``AsyncResult`` list.
+    def gather(
+        self,
+        fn,
+        tasks,
+        *,
+        timeout: float = SUPERVISED_TIMEOUT_S,
+        retries: int = 2,
+    ) -> List[Callable[[], Any]]:
+        """Fan ``fn`` out over ``tasks``; one supervised getter per task.
 
-        The fan-out half of the parallel kernel layer's dispatch: all
-        tasks enter the pool before any result is awaited, so workers
-        overlap.  Same contract as :meth:`submit` (module-level ``fn``,
-        ``jobs >= 2``).
+        The one supervised fan-out every pool caller shares (serving
+        shards, logicnet shards, the parallel kernel layer): every task
+        enters the pool before any result is awaited, so workers
+        overlap, and the worker-pid snapshot is taken once, right after
+        the last submit.  The getters come back in task order; calling
+        one blocks for its task's result (:meth:`await_result` against
+        that snapshot) and, when the task's worker was lost or the
+        result timed out, re-runs the task down the
+        :meth:`submit_supervised` ladder — so a caller that keeps the
+        task's operands alive until its getters return always gets the
+        undisturbed result.  Same contract as :meth:`submit`
+        (module-level ``fn``, ``jobs >= 2``).
         """
-        return [self.submit(fn, task) for task in tasks]
+        handles = [self.submit(fn, task) for task in tasks]
+        baseline = self.worker_pids()
+
+        def get(handle, task):
+            try:
+                return self.await_result(
+                    handle, timeout=timeout, baseline=baseline
+                )
+            except (multiprocessing.TimeoutError, OSError, EOFError):
+                return self.submit_supervised(
+                    fn, task, timeout=timeout, retries=retries
+                )
+
+        return [
+            functools.partial(get, handle, task)
+            for handle, task in zip(handles, tasks)
+        ]
 
     def broadcast(self, fn, payload=None, *, sticky: bool = True) -> Optional[List[Any]]:
         """Run ``fn(payload)`` exactly once on every pool worker.

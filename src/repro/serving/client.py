@@ -15,11 +15,16 @@ bitset), frame its ``packbits`` transport form — packed straight from
 the CSR, no raster, and handed to the socket as buffer views without
 an intermediate concatenation copy — and merge the per-shard response
 frames the server streams back into whole-batch result arrays.  By
-default requests are stamped the current protocol version (3), so
-results return as binary frames
+default requests are stamped the current protocol version
+(:data:`~repro.serving.protocol.PROTOCOL_VERSION`, 5), so results
+return as binary frames
 (:func:`~repro.serving.protocol.parse_result_frame`); ``version=1``
 selects the JSON response encoding, and the merged replies are
 bit-identical either way.
+
+The request API is written once (``_ClientCore``) over an I/O-free
+response accumulator; the two clients are thin transports that only
+connect, send, receive and retry.
 
 Version 3 adds the *corpus* methods (``corpus_identify`` /
 ``corpus_membership``): instead of shipping a bitset, they name a
@@ -47,8 +52,8 @@ import random
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -163,18 +168,22 @@ class LogicNetReply:
     summary: dict
 
 
-def _parse_response(frame: protocol.Frame) -> dict:
-    """Decode one response frame's payload, either encoding."""
-    if frame.frame_type == protocol.FRAME_RESULT:
-        return protocol.parse_result_frame(frame)
-    return protocol.parse_json_frame(frame)
-
-
-def _raise_server_error(payload: dict) -> None:
-    raise ServingError(
+def _server_error(frame: protocol.Frame) -> ServingError:
+    """The typed error an ERROR frame carries."""
+    payload = protocol.parse_json_frame(frame)
+    return ServingError(
         int(payload.get("code", protocol.ERR_INTERNAL)),
         f"server error {payload.get('error', 'UNKNOWN')}: "
         f"{payload.get('message', '')}",
+    )
+
+
+def _merged(shards: List[dict], key: str) -> np.ndarray:
+    """Concatenate one per-shard array field in row order."""
+    if not shards:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(
+        [np.asarray(shard[key], dtype=np.int64) for shard in shards]
     )
 
 
@@ -220,33 +229,83 @@ def _logicnet_reply(shards: List[dict], summary: dict) -> LogicNetReply:
     )
 
 
-class ServingClient:
-    """Blocking client for one serving endpoint.
+def _summary_only(_shards: List[dict], summary: dict) -> dict:
+    """Reply of the one-frame exchanges (PING, STATS): the JSON payload."""
+    return summary
 
-    One TCP connection, reused across requests; close with
-    :meth:`close` or a ``with`` block.  Not thread-safe — use one
-    client per thread (the benchmark does exactly that).  ``version``
-    selects the response encoding the server answers with (2+: binary
-    result frames — 3 also unlocks corpus queries; 4, the default,
-    adds request deadlines).
 
-    ``retry`` opts into re-issuing failed requests per
-    :class:`RetryPolicy` — every retry reconnects first, so a crashed
-    (and respawned) serving worker is transparent to the caller.
-    ``deadline_ms`` stamps every compute request with a server-side
-    deadline (0: none; needs version 4).
+def _transport_form(wires, grid):
+    """``(packed bitset, grid)`` of the caller's batch."""
+    if isinstance(wires, SpikeTrainBatch):
+        return wires.packbits(), wires.grid
+    if grid is None:
+        raise ServingError(
+            protocol.ERR_BAD_FRAME,
+            "a raw packed array needs an explicit grid",
+        )
+    return np.asarray(wires, dtype=np.uint8), grid
+
+
+class _Response:
+    """One request's response stream, merged without any I/O.
+
+    Both transports drive one per request — the blocking client from
+    its socket loop, the async client from its demux — so the reply
+    semantics cannot drift apart.  :meth:`feed` takes the request's
+    frames in arrival order and returns True once the ``expect``\\ ed
+    terminal frame (``DONE``, ``PONG`` or ``STATS_REPLY``) ends the
+    request; an ``ERROR`` frame raises the server's typed
+    :class:`~repro.errors.ServingError`, and any other frame is a
+    protocol violation.
+    """
+
+    def __init__(self, expect: int) -> None:
+        self.expect = expect
+        self.shards: List[dict] = []
+        self.summary: Optional[dict] = None
+
+    def feed(self, frame: protocol.Frame) -> bool:
+        """Absorb one frame; True when it completed the response."""
+        if frame.frame_type == protocol.FRAME_ERROR:
+            raise _server_error(frame)
+        if frame.frame_type == self.expect:
+            self.summary = protocol.parse_json_frame(frame)
+            self.shards.sort(key=lambda shard: shard["row_start"])
+            return True
+        if self.expect == protocol.FRAME_DONE:
+            if frame.frame_type == protocol.FRAME_RESULT:
+                self.shards.append(protocol.parse_result_frame(frame))
+                return False
+            if frame.frame_type == protocol.FRAME_SHARD:
+                self.shards.append(protocol.parse_json_frame(frame))
+                return False
+        raise ProtocolError(
+            protocol.ERR_BAD_TYPE,
+            f"unexpected frame type 0x{frame.frame_type:02x} "
+            f"(awaiting 0x{self.expect:02x})",
+        )
+
+
+class _ClientCore:
+    """The request API, written once for both transports.
+
+    Each method builds its request encoder, names the terminal frame
+    it expects and the reply builder, and hands all three to the
+    transport's ``_call(encode, expect, finish)``.  ``encode`` maps a
+    fresh request id to the frame's buffer parts (run per attempt, so
+    a retried request is a brand-new request); ``finish`` maps the
+    merged ``(shards, summary)`` to the reply.  :class:`ServingClient`
+    returns the reply; on :class:`AsyncServingClient` every method
+    returns an awaitable of it.
     """
 
     def __init__(
         self,
-        host: str,
-        port: int,
         *,
-        timeout: float = 60.0,
-        max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
-        version: int = protocol.PROTOCOL_VERSION,
-        retry: Optional[RetryPolicy] = None,
-        deadline_ms: int = 0,
+        version: int,
+        max_frame_bytes: int,
+        retry: Optional[RetryPolicy],
+        deadline_ms: int,
     ) -> None:
         if version not in protocol.SUPPORTED_VERSIONS:
             raise ProtocolError(
@@ -256,65 +315,8 @@ class ServingClient:
         self._version = int(version)
         self._deadline_ms = protocol._check_deadline_ms(deadline_ms, version)
         self._retry = retry
-        self._host = host
-        self._port = int(port)
-        self._timeout = float(timeout)
         self._max_frame_bytes = int(max_frame_bytes)
-        self._sock: Optional[socket.socket] = None
-        self._reader = protocol.FrameReader(self._max_frame_bytes)
-        self._pending: Deque[protocol.Frame] = deque()
         self._request_ids = itertools.count(1)
-        self._connect()
-
-    def _connect(self) -> None:
-        """(Re)establish the TCP connection with a fresh frame parser."""
-        self._sock = socket.create_connection(
-            (self._host, self._port), timeout=self._timeout
-        )
-        # Request/response frames are latency-bound: never Nagle them,
-        # and let a whole multi-megabyte request enter the send buffer
-        # in one call instead of draining it in scheduler round trips.
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock.setsockopt(
-            socket.SOL_SOCKET, socket.SO_SNDBUF, 4 * 1024 * 1024
-        )
-        self._reader = protocol.FrameReader(self._max_frame_bytes)
-        self._pending = deque()
-
-    def _retrying(self, issue):
-        """Run ``issue`` under the retry policy (reconnect per retry).
-
-        ``issue`` must be self-contained — it draws a fresh request id
-        each call, so a retried request is a brand-new request on a
-        brand-new connection, never a replay into a half-dead stream.
-        Only typed-retryable failures loop; anything else propagates
-        on the spot.
-        """
-        attempts = self._retry.attempts if self._retry is not None else 1
-        for attempt in range(attempts):
-            if attempt:
-                time.sleep(self._retry.delay(attempt - 1))
-                try:
-                    self.close()
-                    self._connect()
-                except OSError as exc:
-                    if attempt + 1 >= attempts:
-                        raise ConnectionLostError(
-                            protocol.ERR_RETRYABLE,
-                            f"reconnect failed after {attempts} attempts: "
-                            f"{exc}",
-                        ) from exc
-                    continue
-            try:
-                return issue()
-            except Exception as exc:  # noqa: BLE001 - classified below
-                if attempt + 1 >= attempts or not _retryable(exc):
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    # Request API
-    # ------------------------------------------------------------------
 
     def identify(
         self,
@@ -325,12 +327,10 @@ class ServingClient:
         n_shards: int = 0,
     ) -> IdentifyReply:
         """Identify every wire in ``wires`` against the server's basis."""
-        packed, grid = self._transport_form(wires, grid)
-        shards, summary = self._round_trip(
-            packed, grid, mode="identify",
-            start_slot=start_slot, n_shards=n_shards,
+        return self._bitset_call(
+            wires, grid, _identify_reply,
+            mode="identify", start_slot=start_slot, n_shards=n_shards,
         )
-        return _identify_reply(shards, summary)
 
     def membership(
         self,
@@ -341,12 +341,10 @@ class ServingClient:
         n_shards: int = 0,
     ) -> MembershipReply:
         """Set-membership readout of every wire against the basis."""
-        packed, grid = self._transport_form(wires, grid)
-        shards, summary = self._round_trip(
-            packed, grid, mode="membership",
-            limit=until_slot, n_shards=n_shards,
+        return self._bitset_call(
+            wires, grid, _membership_reply,
+            mode="membership", limit=until_slot, n_shards=n_shards,
         )
-        return _membership_reply(shards, summary)
 
     def corpus_identify(
         self,
@@ -363,13 +361,13 @@ class ServingClient:
         and the row range, the server computes chunk-at-a-time off its
         memmap, and the merged reply is bit-identical to fetching those
         rows locally and calling :meth:`identify`.  Needs protocol
-        version 3 (the client default).
+        version 3 or later (the client default is
+        :data:`~repro.serving.protocol.PROTOCOL_VERSION`).
         """
-        shards, summary = self._corpus_round_trip(
-            corpus, row_start, row_stop, mode="identify",
-            start_slot=start_slot, n_shards=n_shards,
+        return self._corpus_call(
+            corpus, row_start, row_stop, _identify_reply,
+            mode="identify", start_slot=start_slot, n_shards=n_shards,
         )
-        return _identify_reply(shards, summary)
 
     def corpus_membership(
         self,
@@ -381,11 +379,10 @@ class ServingClient:
         n_shards: int = 0,
     ) -> MembershipReply:
         """Set-membership readout of a server-hosted corpus row range."""
-        shards, summary = self._corpus_round_trip(
-            corpus, row_start, row_stop, mode="membership",
-            limit=until_slot, n_shards=n_shards,
+        return self._corpus_call(
+            corpus, row_start, row_stop, _membership_reply,
+            mode="membership", limit=until_slot, n_shards=n_shards,
         )
-        return _membership_reply(shards, summary)
 
     def logicnet(
         self,
@@ -407,11 +404,23 @@ class ServingClient:
         evaluating the same range locally.  Needs protocol version 5
         (the client default).
         """
-        shards, summary = self._logicnet_round_trip(
-            seed, net_start, net_stop,
-            n_gates=n_gates, depth=depth, n_shards=n_shards,
+        return self._call(
+            lambda request_id: [
+                protocol.encode_logicnet_query(
+                    seed,
+                    net_start,
+                    net_stop,
+                    n_gates=n_gates,
+                    depth=depth,
+                    n_shards=n_shards,
+                    request_id=request_id,
+                    version=self._version,
+                    deadline_ms=self._deadline_ms,
+                )
+            ],
+            protocol.FRAME_DONE,
+            _logicnet_reply,
         )
-        return _logicnet_reply(shards, summary)
 
     def ping(self) -> dict:
         """One PING/PONG health round-trip (the load-balancer probe).
@@ -421,27 +430,13 @@ class ServingClient:
         The cheapest possible liveness check: no compute, no STATS
         aggregation.
         """
-        def issue():
-            request_id = next(self._request_ids)
-            self._sock.sendall(
+        return self._call(
+            lambda request_id: [
                 protocol.encode_ping(request_id, version=self._version)
-            )
-            frame = self._next_frame()
-            payload = protocol.parse_json_frame(frame)
-            if frame.frame_type == protocol.FRAME_ERROR:
-                _raise_server_error(payload)
-            if (
-                frame.frame_type != protocol.FRAME_PONG
-                or frame.request_id != request_id
-            ):
-                raise ProtocolError(
-                    protocol.ERR_BAD_TYPE,
-                    f"unexpected frame type 0x{frame.frame_type:02x} "
-                    f"answering a ping",
-                )
-            return payload
-
-        return self._retrying(issue)
+            ],
+            protocol.FRAME_PONG,
+            _summary_only,
+        )
 
     def stats(self, scope: Optional[str] = None) -> dict:
         """The server's :class:`~repro.serving.server.ServerStats` snapshot.
@@ -452,29 +447,186 @@ class ServingClient:
         aggregated counters and ``"local"`` answers only the worker
         this connection landed on.  Single servers ignore it.
         """
-        def issue():
-            request_id = next(self._request_ids)
-            self._sock.sendall(
+        return self._call(
+            lambda request_id: [
                 protocol.encode_stats_request(
                     request_id, version=self._version, scope=scope
                 )
-            )
-            frame = self._next_frame()
-            payload = protocol.parse_json_frame(frame)
-            if frame.frame_type == protocol.FRAME_ERROR:
-                _raise_server_error(payload)
-            if (
-                frame.frame_type != protocol.FRAME_STATS_REPLY
-                or frame.request_id != request_id
-            ):
-                raise ProtocolError(
-                    protocol.ERR_BAD_TYPE,
-                    f"unexpected frame type 0x{frame.frame_type:02x} "
-                    f"answering a stats request",
-                )
-            return payload
+            ],
+            protocol.FRAME_STATS_REPLY,
+            _summary_only,
+        )
 
-        return self._retrying(issue)
+    def _bitset_call(self, wires, grid, finish, **scan):
+        """One identify/membership request over the caller's bitset."""
+
+        def encode(request_id):
+            packed, wire_grid = _transport_form(wires, grid)
+            # Two parts — header and the caller's own bitset buffer —
+            # so no transport ever concatenates (copies) the payload.
+            return protocol.encode_request_parts(
+                packed,
+                wire_grid.n_samples,
+                wire_grid.dt,
+                request_id=request_id,
+                version=self._version,
+                deadline_ms=self._deadline_ms,
+                **scan,
+            )
+
+        return self._call(encode, protocol.FRAME_DONE, finish)
+
+    def _corpus_call(self, corpus, row_start, row_stop, finish, **scan):
+        """One corpus query over a server-hosted row range."""
+        return self._call(
+            lambda request_id: [
+                protocol.encode_corpus_query(
+                    corpus,
+                    row_start,
+                    row_stop,
+                    request_id=request_id,
+                    version=self._version,
+                    deadline_ms=self._deadline_ms,
+                    **scan,
+                )
+            ],
+            protocol.FRAME_DONE,
+            finish,
+        )
+
+
+class ServingClient(_ClientCore):
+    """Blocking client for one serving endpoint.
+
+    One TCP connection, reused across requests; close with
+    :meth:`close` or a ``with`` block.  Not thread-safe — use one
+    client per thread (the benchmark does exactly that).  ``version``
+    selects the protocol version requests are stamped with (2+: binary
+    result frames; 3 adds corpus queries, 4 request deadlines, 5 — the
+    default — logicnet queries; 1 answers with JSON shard frames).
+
+    ``retry`` opts into re-issuing failed requests per
+    :class:`RetryPolicy` — every retry reconnects first, so a crashed
+    (and respawned) serving worker is transparent to the caller.
+    ``deadline_ms`` stamps every compute request with a server-side
+    deadline (0: none; needs version 4).
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        timeout: float = 60.0,
+        max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
+        version: int = protocol.PROTOCOL_VERSION,
+        retry: Optional[RetryPolicy] = None,
+        deadline_ms: int = 0,
+    ) -> None:
+        super().__init__(
+            version=version,
+            max_frame_bytes=max_frame_bytes,
+            retry=retry,
+            deadline_ms=deadline_ms,
+        )
+        self._host = host
+        self._port = int(port)
+        self._timeout = float(timeout)
+        self._sock: Optional[socket.socket] = None
+        self._connect()
+
+    def _connect(self) -> None:
+        """(Re)establish the TCP connection with a fresh frame parser."""
+        self._sock = socket.create_connection(
+            (self._host, self._port), timeout=self._timeout
+        )
+        # Request/response frames are latency-bound: never Nagle them,
+        # and let a whole multi-megabyte request enter the send buffer
+        # in few calls instead of draining it in scheduler round trips.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4 * 1024 * 1024
+        )
+        self._reader = protocol.FrameReader(self._max_frame_bytes)
+        self._pending: Deque[protocol.Frame] = deque()
+
+    def _call(self, encode, expect, finish):
+        """Issue one request under the retry policy; return its reply.
+
+        Each attempt draws a fresh request id, so a retried request is
+        a brand-new request on a brand-new connection (every retry
+        reconnects first), never a replay into a half-dead stream.
+        Only typed-retryable failures loop; anything else propagates
+        on the spot.
+        """
+        attempts = self._retry.attempts if self._retry is not None else 1
+        for attempt in range(attempts):
+            if attempt:
+                time.sleep(self._retry.delay(attempt - 1))
+                try:
+                    self.close()
+                    self._connect()
+                except OSError as exc:
+                    if attempt + 1 >= attempts:
+                        raise ConnectionLostError(
+                            protocol.ERR_RETRYABLE,
+                            f"reconnect failed after {attempts} attempts: "
+                            f"{exc}",
+                        ) from exc
+                    continue
+            try:
+                request_id = next(self._request_ids)
+                self._send(encode(request_id))
+                response = _Response(expect)
+                while not response.feed(self._next_frame(request_id)):
+                    pass
+                return finish(response.shards, response.summary)
+            except Exception as exc:  # noqa: BLE001 - classified below
+                if attempt + 1 >= attempts or not _retryable(exc):
+                    raise
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def _send(self, parts) -> None:
+        """Send every byte of ``parts``, scatter-gathered from the
+        callers' own buffers.
+
+        One ``sendmsg`` sends only what fits the kernel's send buffer
+        (a timeout-mode socket never loops for us), so a large request
+        takes several calls: each resumes at the first unsent byte by
+        slicing memoryviews — no payload copy on the way out.
+        """
+        views = [memoryview(part).cast("B") for part in parts]
+        while views:
+            sent = self._sock.sendmsg(views)
+            while views and sent >= views[0].nbytes:
+                sent -= views.pop(0).nbytes
+            if views:
+                views[0] = views[0][sent:]
+
+    def _next_frame(self, request_id: int) -> protocol.Frame:
+        """Read from the socket until one complete frame arrives.
+
+        ``feed`` may complete several frames from one ``recv``; the
+        surplus queues in ``_pending`` for the following calls.  Only
+        this request's frames (or a connection-scope one, id 0) may
+        arrive on a blocking connection.
+        """
+        while not self._pending:
+            data = self._sock.recv(1024 * 1024)
+            if not data:
+                raise ConnectionLostError(
+                    protocol.ERR_RETRYABLE,
+                    "connection closed mid-response",
+                )
+            self._pending.extend(self._reader.feed(data))
+        frame = self._pending.popleft()
+        if frame.request_id not in (0, request_id):
+            raise ProtocolError(
+                protocol.ERR_BAD_FRAME,
+                f"response for request {frame.request_id}, "
+                f"expected {request_id}",
+            )
+        return frame
 
     def close(self) -> None:
         """Close the connection (idempotent)."""
@@ -491,154 +643,8 @@ class ServingClient:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # Wire mechanics
-    # ------------------------------------------------------------------
 
-    @staticmethod
-    def _transport_form(wires, grid):
-        """``(packed bitset, grid)`` of the caller's batch."""
-        if isinstance(wires, SpikeTrainBatch):
-            return wires.packbits(), wires.grid
-        if grid is None:
-            raise ServingError(
-                protocol.ERR_BAD_FRAME,
-                "a raw packed array needs an explicit grid",
-            )
-        return np.asarray(wires, dtype=np.uint8), grid
-
-    def _round_trip(
-        self, packed, grid, *, mode, start_slot=0, limit=None, n_shards=0
-    ):
-        """Send one request, collect shard frames until done/error."""
-
-        def issue():
-            request_id = next(self._request_ids)
-            # sendmsg scatter-gathers the header and the caller's
-            # bitset straight from their own buffers — no concatenation
-            # copy of the payload on the way out.
-            self._sock.sendmsg(
-                protocol.encode_request_parts(
-                    packed,
-                    grid.n_samples,
-                    grid.dt,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            return self._collect(request_id)
-
-        return self._retrying(issue)
-
-    def _corpus_round_trip(
-        self, corpus, row_start, row_stop, *, mode,
-        start_slot=0, limit=None, n_shards=0,
-    ):
-        """Send one corpus query, collect shard frames until done/error."""
-
-        def issue():
-            request_id = next(self._request_ids)
-            self._sock.sendall(
-                protocol.encode_corpus_query(
-                    corpus,
-                    row_start,
-                    row_stop,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            return self._collect(request_id)
-
-        return self._retrying(issue)
-
-    def _logicnet_round_trip(
-        self, seed, net_start, net_stop, *, n_gates, depth, n_shards=0
-    ):
-        """Send one logicnet query, collect shard frames until done/error."""
-
-        def issue():
-            request_id = next(self._request_ids)
-            self._sock.sendall(
-                protocol.encode_logicnet_query(
-                    seed,
-                    net_start,
-                    net_stop,
-                    n_gates=n_gates,
-                    depth=depth,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            return self._collect(request_id)
-
-        return self._retrying(issue)
-
-    def _collect(self, request_id):
-        """Collect one request's response stream until DONE (or error)."""
-        shards: List[dict] = []
-        while True:
-            frame = self._next_frame()
-            if frame.request_id not in (0, request_id):
-                raise ProtocolError(
-                    protocol.ERR_BAD_FRAME,
-                    f"response for request {frame.request_id}, "
-                    f"expected {request_id}",
-                )
-            payload = _parse_response(frame)
-            if frame.frame_type == protocol.FRAME_ERROR:
-                _raise_server_error(payload)
-            if frame.frame_type in (
-                protocol.FRAME_SHARD,
-                protocol.FRAME_RESULT,
-            ):
-                shards.append(payload)
-                continue
-            if frame.frame_type == protocol.FRAME_DONE:
-                shards.sort(key=lambda shard: shard["row_start"])
-                return shards, payload
-            raise ProtocolError(
-                protocol.ERR_BAD_TYPE,
-                f"unexpected frame type 0x{frame.frame_type:02x}",
-            )
-
-    def _next_frame(self) -> protocol.Frame:
-        """Read from the socket until one complete frame arrives.
-
-        ``feed`` may complete several frames from one ``recv``; the
-        surplus queues in ``_pending`` for the following calls.
-        """
-        while not self._pending:
-            data = self._sock.recv(1024 * 1024)
-            if not data:
-                raise ConnectionLostError(
-                    protocol.ERR_RETRYABLE,
-                    "connection closed mid-response",
-                )
-            self._pending.extend(self._reader.feed(data))
-        return self._pending.popleft()
-
-
-@dataclass
-class _Inflight:
-    """One pipelined request awaiting its DONE (or STATS reply)."""
-
-    future: asyncio.Future
-    shards: List[dict] = field(default_factory=list)
-
-
-class AsyncServingClient:
+class AsyncServingClient(_ClientCore):
     """Pipelined asyncio client: many requests in flight per connection.
 
     A background reader task demuxes the server's interleaved response
@@ -653,9 +659,10 @@ class AsyncServingClient:
 
     This is what makes the server's coalescing window reachable from a
     single process: requests issued together arrive together.  The
-    request API mirrors :class:`ServingClient` (same replies, same
-    defaults — including ``retry`` / ``deadline_ms``); ``version``
-    picks the response encoding, binary result frames by default.
+    request API is :class:`ServingClient`'s (same replies, same
+    defaults — including ``retry`` / ``deadline_ms``), each method
+    returning an awaitable; ``version`` picks the response encoding,
+    binary result frames by default.
 
     A retried request reconnects first; because the connection is
     shared, one reconnect serves every concurrent coroutine whose
@@ -673,20 +680,18 @@ class AsyncServingClient:
         retry: Optional[RetryPolicy] = None,
         deadline_ms: int = 0,
     ) -> None:
-        if version not in protocol.SUPPORTED_VERSIONS:
-            raise ProtocolError(
-                protocol.ERR_BAD_VERSION,
-                f"cannot speak protocol version {version}",
-            )
-        self._version = int(version)
-        self._deadline_ms = protocol._check_deadline_ms(deadline_ms, version)
-        self._retry = retry
-        self._max_frame_bytes = int(max_frame_bytes)
+        super().__init__(
+            version=version,
+            max_frame_bytes=max_frame_bytes,
+            retry=retry,
+            deadline_ms=deadline_ms,
+        )
         self._host: Optional[str] = None
         self._port: Optional[int] = None
         self._frames = protocol.FrameReader(self._max_frame_bytes)
-        self._request_ids = itertools.count(1)
-        self._inflight: Dict[int, _Inflight] = {}
+        #: request id → (its response accumulator, the future resolved
+        #: when the accumulator completes or fails).
+        self._inflight: Dict[int, Tuple[_Response, asyncio.Future]] = {}
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
@@ -738,31 +743,40 @@ class AsyncServingClient:
         async with self._conn_lock:
             if self._generation != seen_generation:
                 return  # a sibling coroutine already reconnected
-            if self._reader_task is not None:
-                self._reader_task.cancel()
-                try:
-                    await self._reader_task
-                except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                    pass
-                self._reader_task = None
-            if self._writer is not None:
-                self._writer.close()
-                try:
-                    await self._writer.wait_closed()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
-                self._writer = None
+            await self._teardown()
             await self._establish()
 
-    async def _retrying(self, issue):
-        """Async twin of :meth:`ServingClient._retrying`."""
+    async def _teardown(self) -> None:
+        """Stop the demux reader and close the connection."""
+        if self._reader_task is not None:
+            self._reader_task.cancel()
+            try:
+                await self._reader_task
+            except (asyncio.CancelledError, Exception):  # noqa: BLE001
+                pass
+            self._reader_task = None
+        if self._writer is not None:
+            self._writer.close()
+            try:
+                await self._writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass
+            self._writer = None
+
+    async def _call(self, encode, expect, finish):
+        """Issue one request under the retry policy; return its reply.
+
+        A typed-retryable failure reconnects (once per connection
+        generation, shared with every sibling whose request died on the
+        same connection) and re-issues with a fresh request id.
+        """
         attempts = self._retry.attempts if self._retry is not None else 1
         for attempt in range(attempts):
             if attempt:
                 await asyncio.sleep(self._retry.delay(attempt - 1))
             generation = self._generation
             try:
-                return await issue()
+                return finish(*await self._issue(encode, expect))
             except Exception as exc:  # noqa: BLE001 - classified below
                 if attempt + 1 >= attempts or not _retryable(exc):
                     raise
@@ -772,159 +786,15 @@ class AsyncServingClient:
                     continue  # next attempt backs off and retries
         raise AssertionError("unreachable")  # pragma: no cover
 
-    # ------------------------------------------------------------------
-    # Request API
-    # ------------------------------------------------------------------
+    async def _issue(self, encode, expect):
+        """One attempt: send the request, await its merged response.
 
-    async def identify(
-        self,
-        wires: Union[SpikeTrainBatch, np.ndarray],
-        grid: Optional[SimulationGrid] = None,
-        *,
-        start_slot: int = 0,
-        n_shards: int = 0,
-    ) -> IdentifyReply:
-        """Identify every wire in ``wires`` against the server's basis."""
-        packed, grid = ServingClient._transport_form(wires, grid)
-        shards, summary = await self._round_trip(
-            packed, grid, mode="identify",
-            start_slot=start_slot, n_shards=n_shards,
-        )
-        return _identify_reply(shards, summary)
-
-    async def membership(
-        self,
-        wires: Union[SpikeTrainBatch, np.ndarray],
-        grid: Optional[SimulationGrid] = None,
-        *,
-        until_slot: Optional[int] = None,
-        n_shards: int = 0,
-    ) -> MembershipReply:
-        """Set-membership readout of every wire against the basis."""
-        packed, grid = ServingClient._transport_form(wires, grid)
-        shards, summary = await self._round_trip(
-            packed, grid, mode="membership",
-            limit=until_slot, n_shards=n_shards,
-        )
-        return _membership_reply(shards, summary)
-
-    async def corpus_identify(
-        self,
-        corpus: str,
-        row_start: int,
-        row_stop: int,
-        *,
-        start_slot: int = 0,
-        n_shards: int = 0,
-    ) -> IdentifyReply:
-        """Identify a server-hosted corpus row range (pipelined)."""
-        shards, summary = await self._corpus_round_trip(
-            corpus, row_start, row_stop, mode="identify",
-            start_slot=start_slot, n_shards=n_shards,
-        )
-        return _identify_reply(shards, summary)
-
-    async def corpus_membership(
-        self,
-        corpus: str,
-        row_start: int,
-        row_stop: int,
-        *,
-        until_slot: Optional[int] = None,
-        n_shards: int = 0,
-    ) -> MembershipReply:
-        """Membership readout of a server-hosted corpus range (pipelined)."""
-        shards, summary = await self._corpus_round_trip(
-            corpus, row_start, row_stop, mode="membership",
-            limit=until_slot, n_shards=n_shards,
-        )
-        return _membership_reply(shards, summary)
-
-    async def logicnet(
-        self,
-        seed: int,
-        net_start: int,
-        net_stop: int,
-        *,
-        n_gates: int,
-        depth: int,
-        n_shards: int = 0,
-    ) -> LogicNetReply:
-        """Evaluate a seeded network family's range (pipelined)."""
-        shards, summary = await self._logicnet_round_trip(
-            seed, net_start, net_stop,
-            n_gates=n_gates, depth=depth, n_shards=n_shards,
-        )
-        return _logicnet_reply(shards, summary)
-
-    async def ping(self) -> dict:
-        """One PING/PONG health round-trip (shares the pipelined demux)."""
-
-        async def issue():
-            request_id = next(self._request_ids)
-            entry = self._register(request_id)
-            self._writer.write(
-                protocol.encode_ping(request_id, version=self._version)
-            )
-            await self._writer.drain()
-            _, payload = await entry.future
-            return payload
-
-        return await self._retrying(issue)
-
-    async def stats(self, scope: Optional[str] = None) -> dict:
-        """The server's stats snapshot (shares the pipelined demux).
-
-        ``scope`` as in :meth:`ServingClient.stats` — cluster-wide by
-        default against a multi-worker server, ``"local"`` for the one
-        worker holding this connection.
+        The request is encoded *before* it is registered in flight, so
+        a request the encoder rejects leaves nothing behind for
+        :meth:`aclose` to fail.
         """
-
-        async def issue():
-            request_id = next(self._request_ids)
-            entry = self._register(request_id)
-            self._writer.write(
-                protocol.encode_stats_request(
-                    request_id, version=self._version, scope=scope
-                )
-            )
-            await self._writer.drain()
-            _, payload = await entry.future
-            return payload
-
-        return await self._retrying(issue)
-
-    async def aclose(self) -> None:
-        """Stop the reader, fail anything still pending, close the socket."""
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            self._reader_task = None
-        self._fail_all(
-            ProtocolError(protocol.ERR_BAD_FRAME, "client closed")
-        )
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._writer = None
-
-    async def __aenter__(self) -> "AsyncServingClient":
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.aclose()
-
-    # ------------------------------------------------------------------
-    # Wire mechanics
-    # ------------------------------------------------------------------
-
-    def _register(self, request_id: int) -> _Inflight:
+        request_id = next(self._request_ids)
+        parts = encode(request_id)
         if self._writer is None:
             raise ServingError(
                 protocol.ERR_INTERNAL,
@@ -937,97 +807,40 @@ class AsyncServingClient:
             raise ConnectionLostError(
                 protocol.ERR_RETRYABLE, "connection lost while idle"
             )
-        entry = _Inflight(future=asyncio.get_running_loop().create_future())
-        self._inflight[request_id] = entry
-        return entry
-
-    async def _round_trip(
-        self, packed, grid, *, mode, start_slot=0, limit=None, n_shards=0
-    ):
-        async def issue():
-            request_id = next(self._request_ids)
-            entry = self._register(request_id)
-            # writelines hands the header and the caller's bitset to
-            # the transport as separate buffers — no concatenation copy
-            # — and both parts enqueue in one synchronous call, so
-            # concurrent requests cannot interleave their bytes.
-            self._writer.writelines(
-                protocol.encode_request_parts(
-                    packed,
-                    grid.n_samples,
-                    grid.dt,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
+        response = _Response(expect)
+        future = asyncio.get_running_loop().create_future()
+        self._inflight[request_id] = (response, future)
+        try:
+            # writelines enqueues every part in one synchronous call,
+            # so concurrent requests cannot interleave their bytes.
+            self._writer.writelines(parts)
             await self._writer.drain()
-            shards, summary = await entry.future
-            shards.sort(key=lambda shard: shard["row_start"])
-            return shards, summary
+            await future
+        finally:
+            # An abandoned request (send failed, caller cancelled) stays
+            # registered so its late frames are absorbed, but nothing
+            # awaits its future any more: settle it quietly.
+            if not future.done():
+                future.cancel()
+            elif not future.cancelled():
+                future.exception()
+        return response.shards, response.summary
 
-        return await self._retrying(issue)
+    async def aclose(self) -> None:
+        """Stop the reader, close the socket, fail anything still pending."""
+        await self._teardown()
+        self._fail_all(
+            ProtocolError(protocol.ERR_BAD_FRAME, "client closed")
+        )
 
-    async def _corpus_round_trip(
-        self, corpus, row_start, row_stop, *, mode,
-        start_slot=0, limit=None, n_shards=0,
-    ):
-        async def issue():
-            request_id = next(self._request_ids)
-            entry = self._register(request_id)
-            self._writer.write(
-                protocol.encode_corpus_query(
-                    corpus,
-                    row_start,
-                    row_stop,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            await self._writer.drain()
-            shards, summary = await entry.future
-            shards.sort(key=lambda shard: shard["row_start"])
-            return shards, summary
+    async def __aenter__(self) -> "AsyncServingClient":
+        return self
 
-        return await self._retrying(issue)
-
-    async def _logicnet_round_trip(
-        self, seed, net_start, net_stop, *, n_gates, depth, n_shards=0
-    ):
-        async def issue():
-            request_id = next(self._request_ids)
-            entry = self._register(request_id)
-            self._writer.write(
-                protocol.encode_logicnet_query(
-                    seed,
-                    net_start,
-                    net_stop,
-                    n_gates=n_gates,
-                    depth=depth,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            await self._writer.drain()
-            shards, summary = await entry.future
-            shards.sort(key=lambda shard: shard["row_start"])
-            return shards, summary
-
-        return await self._retrying(issue)
+    async def __aexit__(self, exc_type, exc, tb) -> None:
+        await self.aclose()
 
     async def _read_loop(self) -> None:
-        """Demux every inbound frame to its request's inflight entry."""
+        """Demux every inbound frame to its request's accumulator."""
         try:
             while True:
                 data = await self._reader.read(1024 * 1024)
@@ -1047,57 +860,30 @@ class AsyncServingClient:
             self._fail_all(exc)
 
     def _dispatch(self, frame: protocol.Frame) -> None:
-        if frame.frame_type == protocol.FRAME_ERROR:
-            payload = protocol.parse_json_frame(frame)
-            error = ServingError(
-                int(payload.get("code", protocol.ERR_INTERNAL)),
-                f"server error {payload.get('error', 'UNKNOWN')}: "
-                f"{payload.get('message', '')}",
-            )
-            if frame.request_id == 0:
-                # Connection-scope error: the stream is done for.
-                self._fail_all(error)
-                return
-            entry = self._inflight.pop(frame.request_id, None)
-            if entry is not None and not entry.future.done():
-                entry.future.set_exception(error)
-            return
+        """Feed one frame to its request; resolve it once complete."""
+        if frame.request_id == 0 and frame.frame_type == protocol.FRAME_ERROR:
+            # Connection-scope error: the stream is done for.
+            raise _server_error(frame)
         entry = self._inflight.get(frame.request_id)
         if entry is None:
             raise ProtocolError(
                 protocol.ERR_BAD_FRAME,
                 f"response for unknown request {frame.request_id}",
             )
-        if frame.frame_type in (protocol.FRAME_SHARD, protocol.FRAME_RESULT):
-            entry.shards.append(_parse_response(frame))
-            return
-        if frame.frame_type in (
-            protocol.FRAME_DONE,
-            protocol.FRAME_STATS_REPLY,
-            protocol.FRAME_PONG,
-        ):
-            self._inflight.pop(frame.request_id, None)
-            if not entry.future.done():
-                entry.future.set_result(
-                    (entry.shards, protocol.parse_json_frame(frame))
-                )
-            return
-        raise ProtocolError(
-            protocol.ERR_BAD_TYPE,
-            f"unexpected frame type 0x{frame.frame_type:02x}",
-        )
+        response, future = entry
+        try:
+            if not response.feed(frame):
+                return
+        except ServingError as exc:
+            if not future.done():
+                future.set_exception(exc)
+        else:
+            if not future.done():
+                future.set_result(None)
+        del self._inflight[frame.request_id]
 
     def _fail_all(self, exc: Exception) -> None:
         inflight, self._inflight = self._inflight, {}
-        for entry in inflight.values():
-            if not entry.future.done():
-                entry.future.set_exception(exc)
-
-
-def _merged(shards: List[dict], key: str) -> np.ndarray:
-    """Concatenate one per-shard array field in row order."""
-    if not shards:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(
-        [np.asarray(shard[key], dtype=np.int64) for shard in shards]
-    )
+        for _response, future in inflight.values():
+            if not future.done():
+                future.set_exception(exc)

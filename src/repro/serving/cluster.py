@@ -45,7 +45,7 @@ import socket
 import sys
 import threading
 from dataclasses import replace
-from typing import List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -383,6 +383,7 @@ class _FrontProxy:
         self._stop: Optional[asyncio.Event] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
+        self._splices: Set[asyncio.Task] = set()
         self.port: Optional[int] = None
 
     def start(self) -> "_FrontProxy":
@@ -417,11 +418,20 @@ class _FrontProxy:
             await self._stop.wait()
         finally:
             server.close()
+            # A splice still open at shutdown would outlive the loop as
+            # a pending task holding two sockets: cancel every one and
+            # wait for its cleanup to close both ends.
+            for task in list(self._splices):
+                task.cancel()
+            await asyncio.gather(*self._splices, return_exceptions=True)
             await server.wait_closed()
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._splices.add(task)
+        task.add_done_callback(self._splices.discard)
         up_reader = up_writer = None
         for _ in range(max(1, len(self._ports))):
             target = int(self._ports[next(self._rr) % len(self._ports)])
@@ -439,8 +449,6 @@ class _FrontProxy:
             await asyncio.gather(
                 self._pump(reader, up_writer), self._pump(up_reader, writer)
             )
-        except asyncio.CancelledError:
-            pass  # proxy shutting down with the splice still open
         finally:
             for stream in (writer, up_writer):
                 stream.close()

@@ -60,6 +60,7 @@ __all__ = [
     "compute_shard",
     "run_logicnet_shard",
     "compute_logicnet_shard",
+    "residency",
 ]
 
 
@@ -237,11 +238,7 @@ def compute_shard(
         row_start=int(row_start),
         row_stop=int(row_stop),
         wall_seconds=time.perf_counter() - started,
-        residency={
-            "packed": rows.packed_materialised,
-            "csr": rows.csr_materialised,
-            "raster": rows.raster_materialised,
-        },
+        residency=residency(rows),
     )
     return body
 
@@ -303,9 +300,14 @@ def compute_logicnet_shard(
         "row_start": int(net_start),
         "row_stop": int(net_stop),
         "wall_seconds": time.perf_counter() - started,
-        "residency": {
-            "packed": inputs.packed_materialised,
-            "csr": inputs.csr_materialised,
-            "raster": inputs.raster_materialised,
-        },
+        "residency": residency(inputs),
+    }
+
+
+def residency(batch: SpikeTrainBatch) -> dict:
+    """The representations ``batch`` holds right now (the residency block)."""
+    return {
+        "packed": batch.packed_materialised,
+        "csr": batch.csr_materialised,
+        "raster": batch.raster_materialised,
     }

@@ -14,18 +14,27 @@ four existing layers without the payload ever unpacking to a raster:
    (``to_shared`` ships the word-aligned bitset; the row offsets come
    from a popcount pass, still no decode);
 3. contiguous row-range :class:`~repro.serving.dispatch.ShardTask`\\ s
-   dispatch onto the :class:`~repro.pipeline.runner.Runner`'s
-   persistent pool (``Runner.submit``), where workers attach the
-   mapped bitset and run the packed receiver kernels on it;
-4. each shard's result streams back to the client as one JSON frame,
+   fan out over the :class:`~repro.pipeline.runner.Runner`'s
+   persistent pool (``Runner.gather``, supervised), where workers
+   attach the mapped bitset and run the packed receiver kernels on it;
+4. each shard's result streams back to the client as one result frame
+   (binary ``RESULT``; a JSON ``SHARD`` frame for version-1 clients),
    in shard order as results complete (a slow early shard delays the
-   later shards' *frames*, never their compute), followed by a summary
-   frame recording wall time and the server batch's representation
-   residency.
+   later shards' *frames*, never their compute), followed by a DONE
+   summary frame recording wall time and the server batch's
+   representation residency.
 
 Single-job servers (or hosts without shared memory) run the same
 shards in-process on a worker thread — bit-identical results, one code
 path for the compute (:func:`~repro.serving.dispatch.compute_shard`).
+
+Every compute frame — identify, membership, corpus query, logicnet
+query — takes that one path.  A frame-type table picks the parser and
+the *plan builder*; the plan carries only what differs between
+workloads (validation, shard ranges, lazy shard callables, transport
+name, extra DONE keys, budget bytes), and one serving loop owns the
+rest: deadlines, budget admission and release, shard streaming,
+residency, the DONE summary, the stats record and the error frame.
 
 Three hot-path optimisations sit in front of that sharded pipeline,
 all serving bit-identical results through the same
@@ -73,18 +82,20 @@ behind ``repro serve``.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
+import contextlib
+import functools
 import pathlib
 import socket
 import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..backend.batch import SpikeTrainBatch
+from ..backend.packed import row_chunk_bounds
 from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena
 from ..errors import ProtocolError, ServingError
 from ..hyperspace.basis import HyperspaceBasis
@@ -266,6 +277,48 @@ class ServerStats:
         )
 
 
+@dataclass
+class _Plan:
+    """What one served workload does differently from the others.
+
+    Built per request by the workload's plan builder (which also
+    validates the request); :meth:`SpikeServer._serve` owns everything
+    the workloads share.  ``shards`` runs once the request is admitted,
+    with the request's resource stack — a shared-arena plan opens its
+    arena there, so the arena closes before the DONE frame — and
+    returns one zero-argument callable per shard, in row order.
+    ``inline`` plans call theirs on the event loop (a callable may
+    return a coroutine: the coalescer's micro-batch slice) and write
+    every result frame behind the DONE frame's single drain; the others
+    run each callable off-loop.  ``budget`` is the byte count charged to
+    the in-flight budget (0: not charged).  ``done`` holds the
+    workload's own DONE keys; the DONE residency is ``batch``'s, or the
+    union of the shard residencies when there is no server-side batch.
+    """
+
+    transport: str
+    done: dict
+    shards: Callable[[contextlib.ExitStack], List[Callable[[], Any]]]
+    budget: int = 0
+    inline: bool = False
+    batch: Optional[SpikeTrainBatch] = None
+
+
+def _shard_ranges(
+    start: int, n_rows: int, n_shards: int
+) -> List[Tuple[int, int]]:
+    """``[lo, hi)`` shard ranges of ``n_rows`` rows starting at ``start``.
+
+    :func:`~repro.backend.packed.row_chunk_bounds` shifted to the
+    request's first row: like every shard plan, a pure function of the
+    request and the config, never of which workers pick the shards up.
+    """
+    return [
+        (start + lo, start + hi)
+        for lo, hi in row_chunk_bounds(n_rows, n_shards)
+    ]
+
+
 class _Coalescer:
     """Short-window accumulator stacking small requests into one batch.
 
@@ -325,32 +378,24 @@ class _Coalescer:
             batch = SpikeTrainBatch.from_packed(
                 packed, self._server.basis.grid
             )
-            n_total = int(packed.shape[0])
+            compute = functools.partial(
+                dispatch.compute_shard,
+                self._server.basis,
+                batch,
+                0,
+                int(packed.shape[0]),
+                mode=mode,
+                start_slot=start_slot,
+                limit=limit,
+            )
             if packed.nbytes <= self._server.config.fast_path_bytes:
                 # Micro-batches are fast-path-sized by construction:
                 # the receiver pass is cheaper than a thread handoff
                 # (the same trade the fast path makes), so compute
                 # inline on the loop.
-                payload = dispatch.compute_shard(
-                    self._server.basis,
-                    batch,
-                    0,
-                    n_total,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                )
+                payload = compute()
             else:
-                payload = await asyncio.to_thread(
-                    dispatch.compute_shard,
-                    self._server.basis,
-                    batch,
-                    0,
-                    n_total,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                )
+                payload = await asyncio.to_thread(compute)
             self._server.stats.coalesced_batches += 1
             lo = 0
             for request, future in bucket:
@@ -864,12 +909,14 @@ class SpikeServer:
     async def _handle_frame(
         self, frame: protocol.Frame, writer: "_Connection"
     ) -> None:
-        """Parse, route, process and answer one frame.
+        """Answer one frame: STATS and PING inline, compute frames
+        through :meth:`_serve`.
 
-        Only the sharded route passes through the in-flight byte
-        budget: fast-path and coalesced requests never pin an arena,
-        so charging them would let a burst of tiny requests queue
-        behind (or spuriously OVERLOAD) real arena work.
+        Every compute frame takes the same path: the frame-type table
+        picks its parser and plan builder, the plan builder validates
+        the request and describes its shards, and one error handler
+        answers any failure — parse, validation or compute — with a
+        typed error frame on the request's id.
         """
         if frame.frame_type == protocol.FRAME_STATS:
             # Clustered workers answer cluster-wide counters unless the
@@ -935,91 +982,28 @@ class SpikeServer:
                 pass
             return
         faults.maybe_fire("serving.handle_frame")
-        if frame.frame_type == protocol.FRAME_CORPUS_QUERY:
-            await self._handle_corpus_query(frame, writer)
-            return
-        if frame.frame_type == protocol.FRAME_LOGICNET:
-            await self._handle_logicnet(frame, writer)
-            return
+        parse, build_plan = self._ROUTES.get(
+            frame.frame_type, self._ROUTES[protocol.FRAME_IDENTIFY]
+        )
         try:
-            request = protocol.parse_request(frame)
-        except ProtocolError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    frame.request_id, exc.code, str(exc), version=frame.version
-                ),
-            )
-            return
-        deadline = self._deadline_at(request.deadline_ms)
-        try:
-            self._check_grid(request)
-            transport = self._route(request)
-            if transport == "sharded":
-                await self._acquire_budget(request.packed.nbytes, deadline)
-                try:
-                    await self._process(request, writer, deadline)
-                finally:
-                    await self._budget.release(request.packed.nbytes)
-            elif transport == "coalesced":
-                self._check_deadline(deadline, "before coalescing")
-                await self._process_coalesced(request, writer)
-            else:
-                self._check_deadline(deadline, "before compute")
-                await self._process_fast(request, writer)
+            request = parse(frame)
+            deadline = self._deadline_at(request.deadline_ms)
+            plan = build_plan(self, request)
+            await self._serve(request, plan, writer, deadline)
         except (ConnectionResetError, BrokenPipeError):
             raise
-        except ServingError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    request.request_id,
-                    exc.code,
-                    str(exc),
-                    version=request.version,
-                ),
-            )
         except Exception as exc:  # noqa: BLE001 - must answer the client
             self.stats.errors += 1
+            if isinstance(exc, ServingError):
+                code, message = exc.code, str(exc)
+            else:
+                code = protocol.ERR_INTERNAL
+                message = f"{type(exc).__name__}: {exc}"
             await self._send(
                 writer,
                 protocol.encode_error(
-                    request.request_id,
-                    protocol.ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                    version=request.version,
+                    frame.request_id, code, message, version=frame.version
                 ),
-            )
-
-    def _route(self, request: protocol.Request) -> str:
-        """Pick the transport for one admitted request.
-
-        Explicit sharding (a nonzero request or config shard count)
-        always takes the sharded pipeline; below that, payloads within
-        ``fast_path_bytes`` go to the coalescer when one is running,
-        else straight to the fast path.
-        """
-        wants_shards = bool(request.n_shards or self.config.n_shards)
-        if wants_shards or request.packed.nbytes > self.config.fast_path_bytes:
-            return "sharded"
-        if (
-            self._coalescer is not None
-            and request.n_wires <= self.config.coalesce_max_wires
-        ):
-            return "coalesced"
-        return "fast-path"
-
-    def _check_grid(self, request: protocol.Request) -> None:
-        """Requests must live on the server basis's exact grid."""
-        grid = self.basis.grid
-        if request.n_samples != grid.n_samples or request.dt != grid.dt:
-            raise ServingError(
-                protocol.ERR_BAD_GRID,
-                f"request grid (n_samples={request.n_samples}, "
-                f"dt={request.dt}) does not match the serving basis grid "
-                f"(n_samples={grid.n_samples}, dt={grid.dt})",
             )
 
     # ------------------------------------------------------------------
@@ -1037,24 +1021,6 @@ class SpikeServer:
         if not deadline_ms:
             return None
         return asyncio.get_running_loop().time() + deadline_ms / 1000.0
-
-    @staticmethod
-    def _check_deadline(deadline: Optional[float], where: str) -> None:
-        """Abandon the request once its deadline passed.
-
-        Called between pipeline stages (never inside a kernel): expired
-        work stops at the next stage boundary, its budget bytes release
-        through the caller's ``finally``, and the client gets the typed
-        :data:`~repro.serving.protocol.ERR_DEADLINE` instead of a
-        result it has stopped waiting for.
-        """
-        if (
-            deadline is not None
-            and asyncio.get_running_loop().time() >= deadline
-        ):
-            raise ServingError(
-                protocol.ERR_DEADLINE, f"request deadline expired {where}"
-            )
 
     async def _acquire_budget(
         self, nbytes: int, deadline: Optional[float]
@@ -1084,29 +1050,92 @@ class SpikeServer:
         )
 
     # ------------------------------------------------------------------
-    # Request processing
+    # The one serving loop
     # ------------------------------------------------------------------
 
-    def _shard_bounds(self, request: protocol.Request) -> np.ndarray:
-        """Row boundaries of the request's shard plan.
+    async def _serve(
+        self,
+        request,
+        plan: _Plan,
+        writer: "_Connection",
+        deadline: Optional[float],
+    ) -> None:
+        """Admit one request, stream its shards, close with DONE.
 
-        The requested shard count (0: the server default, itself
-        defaulting to one shard per worker of the *runner actually
-        dispatching* — which may be a shared runner with more jobs
-        than the config names) is clamped to the wire count; like the
-        pipeline's shard plans, the split depends only on the request,
-        never on which workers pick the shards up.
+        Owns everything the workloads share.  A plan with a ``budget``
+        is admitted through the in-flight byte budget (bounded by the
+        deadline) and releases it after the DONE frame, on every exit
+        path.  The deadline is checked before each shard, never inside
+        a kernel: once it passes, no further shard is computed, awaited
+        or streamed, and the client gets the typed
+        :data:`~repro.serving.protocol.ERR_DEADLINE` instead of a result
+        it has stopped waiting for.
+        Result frames go out in shard order as results complete (a slow
+        early shard delays the later shards' *frames*, never their
+        compute); the shard resources (a shared arena) close before the
+        DONE summary, which is counted in :attr:`stats` before it is
+        written — a client that holds the reply must find the request
+        in the counters, even when its next STATS lands on a clustered
+        sibling.
         """
-        pool_jobs = (
-            self._runner.jobs if self._runner is not None else self.config.jobs
-        )
-        wanted = request.n_shards or self.config.n_shards or max(1, pool_jobs)
-        n_shards = max(1, min(int(wanted), request.n_wires))
-        return np.linspace(0, request.n_wires, n_shards + 1).astype(np.int64)
+        if plan.budget:
+            await self._acquire_budget(plan.budget, deadline)
+        try:
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            shards = []
+            with contextlib.ExitStack() as resources:
+                for index, get in enumerate(plan.shards(resources)):
+                    if deadline is not None and loop.time() >= deadline:
+                        raise ServingError(
+                            protocol.ERR_DEADLINE,
+                            f"request deadline expired before shard {index}",
+                        )
+                    if plan.inline:
+                        payload = get()
+                        if asyncio.iscoroutine(payload):
+                            payload = await payload
+                    else:
+                        payload = await asyncio.to_thread(get)
+                    shards.append(payload)
+                    frame = self._shard_frame(request, payload)
+                    if plan.inline:
+                        # One drain covers the result and the DONE frame.
+                        writer.write(frame)
+                    else:
+                        await self._send(writer, frame)
+            summary = {
+                "kind": "done",
+                "mode": request.mode,
+                **plan.done,
+                "n_shards": len(shards),
+                "labels": list(self.basis.labels),
+                "transport": plan.transport,
+                "wall_seconds": loop.time() - started,
+                "server_residency": (
+                    dispatch.residency(plan.batch)
+                    if plan.batch is not None
+                    else {
+                        key: any(s["residency"][key] for s in shards)
+                        for key in ("packed", "csr", "raster")
+                    }
+                ),
+            }
+            self.stats.record(plan.transport, summary["wall_seconds"])
+            await self._send(
+                writer,
+                protocol.encode_json_frame(
+                    protocol.FRAME_DONE,
+                    request.request_id,
+                    summary,
+                    version=request.version,
+                ),
+            )
+        finally:
+            if plan.budget:
+                await self._budget.release(plan.budget)
 
-    def _shard_frame(
-        self, request: protocol.Request, payload: dict
-    ) -> bytes:
+    def _shard_frame(self, request, payload: dict) -> bytes:
         """Encode one shard payload in the request's negotiated version."""
         if request.version >= 2:
             return protocol.encode_result_frame(
@@ -1124,194 +1153,142 @@ class SpikeServer:
             version=request.version,
         )
 
-    async def _send_done(
-        self,
-        request: protocol.Request,
-        writer: "_Connection",
-        *,
-        transport: str,
-        n_shards: int,
-        wall_seconds: float,
-        batch: SpikeTrainBatch,
-    ) -> None:
-        """Send the summary frame closing one request's response."""
-        summary = {
-            "kind": "done",
-            "mode": request.mode,
-            "n_wires": request.n_wires,
-            "n_shards": n_shards,
-            "labels": list(self.basis.labels),
-            "transport": transport,
-            "wall_seconds": wall_seconds,
-            "server_residency": {
-                "packed": batch.packed_materialised,
-                "csr": batch.csr_materialised,
-                "raster": batch.raster_materialised,
-            },
-        }
-        # Recorded before the DONE frame leaves the process: a client
-        # that holds the reply must find the request in the counters,
-        # even when its next STATS lands on a clustered sibling.
-        self.stats.record(transport, wall_seconds)
-        await self._send(
-            writer,
-            protocol.encode_json_frame(
-                protocol.FRAME_DONE,
-                request.request_id,
-                summary,
-                version=request.version,
-            ),
+    def _gather(self, fn, tasks) -> List[Callable[[], dict]]:
+        """Supervised pool getters for one request's shard tasks."""
+        return self._runner.gather(
+            fn,
+            tasks,
+            timeout=self.config.shard_timeout,
+            retries=self.config.shard_retries,
         )
 
-    async def _process(
-        self,
-        request: protocol.Request,
-        writer: "_Connection",
-        deadline: Optional[float] = None,
-    ) -> str:
-        """Run one budget-admitted request through the sharded pipeline."""
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        batch = SpikeTrainBatch.from_packed(request.packed, request.grid())
-        bounds = self._shard_bounds(request)
-        if self._use_pool():
-            transport = "shared-arena"
-            shards = await self._dispatch_pool(
-                request, batch, bounds, writer, deadline
-            )
-        else:
-            transport = "in-process"
-            shards = await self._dispatch_inline(
-                request, batch, bounds, writer, deadline
-            )
-        await self._send_done(
-            request,
-            writer,
-            transport=transport,
-            n_shards=len(shards),
-            wall_seconds=loop.time() - started,
-            batch=batch,
-        )
-        return transport
+    # ------------------------------------------------------------------
+    # Workload plans: what differs between the served frame types
+    # ------------------------------------------------------------------
 
-    async def _process_fast(
-        self, request: protocol.Request, writer: "_Connection"
-    ) -> None:
-        """Serve one small request inline: no arena, no pool, no budget.
+    def _route(self, request: protocol.Request) -> str:
+        """Pick the transport for one bitset request.
 
-        The compute runs directly on the event loop — below the
-        fast-path size cap a receiver pass is far cheaper than a
-        thread handoff, and the packed kernels release no locks a
-        worker thread could exploit anyway.
+        Explicit sharding (a nonzero request or config shard count)
+        always takes the sharded pipeline; below that, payloads within
+        ``fast_path_bytes`` go to the coalescer when one is running,
+        else straight to the fast path.
         """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
+        wants_shards = bool(request.n_shards or self.config.n_shards)
+        if wants_shards or request.packed.nbytes > self.config.fast_path_bytes:
+            return "sharded"
+        if (
+            self._coalescer is not None
+            and request.n_wires <= self.config.coalesce_max_wires
+        ):
+            return "coalesced"
+        return "fast-path"
+
+    def _bitset_plan(self, request: protocol.Request) -> _Plan:
+        """Identify/membership frames over a shipped packed bitset.
+
+        The request must live on the server basis's exact grid.  Only
+        the two sharded routes pin an arena's worth of bytes, so only
+        they charge the in-flight budget: fast-path and coalesced
+        requests pin nothing beyond their own frame, and charging them
+        would let a burst of tiny requests queue behind (or spuriously
+        OVERLOAD) real arena work.  The default shard count is one
+        shard per worker of the runner *actually dispatching* — which
+        may be a shared runner with more jobs than the config names.
+        """
+        grid = self.basis.grid
+        if request.n_samples != grid.n_samples or request.dt != grid.dt:
+            raise ServingError(
+                protocol.ERR_BAD_GRID,
+                f"request grid (n_samples={request.n_samples}, "
+                f"dt={request.dt}) does not match the serving basis grid "
+                f"(n_samples={grid.n_samples}, dt={grid.dt})",
+            )
+        done = {"n_wires": request.n_wires}
+        route = self._route(request)
+        if route == "coalesced":
+            # The response's residency is the *wide* batch's: the
+            # request's rows were computed inside it, never as their
+            # own batch.
+            return _Plan(
+                "coalesced",
+                done,
+                lambda _: [lambda: self._coalescer.submit(request)],
+                inline=True,
+            )
         batch = SpikeTrainBatch.from_packed(request.packed, request.grid())
-        payload = dispatch.compute_shard(
-            self.basis,
-            batch,
-            0,
-            request.n_wires,
+        scan = dict(
             mode=request.mode,
             start_slot=request.start_slot,
             limit=request.limit,
         )
-        # One drain covers both frames: the DONE send right after
-        # flushes the pair in a single flow-control round trip.
-        writer.write(self._shard_frame(request, payload))
-        await self._send_done(
-            request,
-            writer,
-            transport="fast-path",
-            n_shards=1,
-            wall_seconds=loop.time() - started,
+        if route == "fast-path":
+            # Below the fast-path size cap a receiver pass is far
+            # cheaper than a thread handoff, and the packed kernels
+            # release no locks a worker thread could exploit anyway.
+            compute = functools.partial(
+                dispatch.compute_shard,
+                self.basis, batch, 0, request.n_wires, **scan,
+            )
+            return _Plan(
+                "fast-path", done, lambda _: [compute], inline=True,
+                batch=batch,
+            )
+        ranges = _shard_ranges(
+            0,
+            request.n_wires,
+            request.n_shards or self.config.n_shards or self._runner.jobs,
+        )
+        if self._use_pool():
+
+            def pool_shards(resources):
+                # Workers attach the request arena's bitset; a lost
+                # shard re-runs while the arena is still alive, so the
+                # recovered shard reads the same operands.
+                arena = resources.enter_context(SharedArena())
+                handle = batch.to_shared(arena)
+                return self._gather(
+                    dispatch.run_shard,
+                    [
+                        dispatch.ShardTask(
+                            self._basis_token, handle, lo, hi, **scan
+                        )
+                        for lo, hi in ranges
+                    ],
+                )
+
+            return _Plan(
+                "shared-arena", done, pool_shards,
+                budget=request.packed.nbytes, batch=batch,
+            )
+        return _Plan(
+            "in-process",
+            done,
+            lambda _: [
+                functools.partial(
+                    dispatch.compute_shard,
+                    self.basis,
+                    batch
+                    if (lo, hi) == (0, request.n_wires)
+                    else batch.select_rows(np.arange(lo, hi)),
+                    lo, hi, **scan,
+                )
+                for lo, hi in ranges
+            ],
+            budget=request.packed.nbytes,
             batch=batch,
         )
 
-    async def _process_coalesced(
-        self, request: protocol.Request, writer: "_Connection"
-    ) -> None:
-        """Serve one small request through the micro-batch accumulator."""
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        payload = await self._coalescer.submit(request)
-        # One drain covers both frames, exactly as on the fast path.
-        writer.write(self._shard_frame(request, payload))
-        # The response's residency is the *wide* batch's: the request's
-        # rows were computed inside it, never as their own batch.
-        summary = {
-            "kind": "done",
-            "mode": request.mode,
-            "n_wires": request.n_wires,
-            "n_shards": 1,
-            "labels": list(self.basis.labels),
-            "transport": "coalesced",
-            "wall_seconds": loop.time() - started,
-            "server_residency": payload["residency"],
-        }
-        # Same ordering contract as _send_done: count, then reply.
-        self.stats.record("coalesced", summary["wall_seconds"])
-        await self._send(
-            writer,
-            protocol.encode_json_frame(
-                protocol.FRAME_DONE,
-                request.request_id,
-                summary,
-                version=request.version,
-            ),
-        )
+    def _corpus_plan(self, query: protocol.CorpusQuery) -> _Plan:
+        """Corpus queries (version 3): chunked scans of the hosted memmap.
 
-    # ------------------------------------------------------------------
-    # Corpus queries (version 3)
-    # ------------------------------------------------------------------
-
-    async def _handle_corpus_query(
-        self, frame: protocol.Frame, writer: "_Connection"
-    ) -> None:
-        """Parse, validate and serve one corpus-query frame."""
-        try:
-            query = protocol.parse_corpus_query(frame)
-        except ProtocolError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    frame.request_id, exc.code, str(exc), version=frame.version
-                ),
-            )
-            return
-        try:
-            self._check_corpus(query)
-            await self._process_corpus(
-                query, writer, self._deadline_at(query.deadline_ms)
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            raise
-        except ServingError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    query.request_id,
-                    exc.code,
-                    str(exc),
-                    version=query.version,
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - must answer the client
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    query.request_id,
-                    protocol.ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                    version=query.version,
-                ),
-            )
-
-    def _check_corpus(self, query: protocol.CorpusQuery) -> None:
-        """The query must name the hosted corpus and fit inside it."""
+        The query must name the hosted corpus and fit inside it.  The
+        scan splits into at least enough chunks that none maps more
+        than ``corpus_chunk_rows`` rows — the peak-memory contract —
+        and at least as many as the client asked for.  Chunks compute
+        and stream strictly one at a time, so at no point is more than
+        one window's pages plus one result frame in flight.
+        """
         if self._corpus is None:
             raise ServingError(
                 protocol.ERR_NO_CORPUS,
@@ -1329,32 +1306,31 @@ class SpikeServer:
                 f"row range [{query.row_start}, {query.row_stop}) outside "
                 f"corpus of {self._corpus.n_rows} rows",
             )
-
-    def _corpus_bounds(self, query: protocol.CorpusQuery) -> np.ndarray:
-        """Chunk boundaries of one corpus scan.
-
-        At least enough chunks that none maps more than
-        ``corpus_chunk_rows`` rows — the peak-memory contract — and at
-        least as many as the client asked for; like the request shard
-        plans, the split depends only on the query and the config.
-        """
-        n = query.n_wires
         chunk_rows = max(1, self.config.corpus_chunk_rows)
-        budget_chunks = -(-n // chunk_rows)
-        n_chunks = min(max(int(query.n_shards), budget_chunks, 1), n)
-        return np.linspace(
-            query.row_start, query.row_stop, n_chunks + 1
-        ).astype(np.int64)
+        n_chunks = max(query.n_shards, -(-query.n_wires // chunk_rows))
+        chunks = [
+            functools.partial(self._compute_corpus_chunk, query, lo, hi)
+            for lo, hi in _shard_ranges(
+                query.row_start, query.n_wires, n_chunks
+            )
+        ]
+        done = {
+            "n_wires": query.n_wires,
+            "corpus": self._corpus_name,
+            "row_start": query.row_start,
+            "row_stop": query.row_stop,
+        }
+        return _Plan("corpus-mmap", done, lambda _: chunks)
 
     def _compute_corpus_chunk(
         self, query: protocol.CorpusQuery, lo: int, hi: int
     ) -> dict:
         """Map one row window and run the receiver pass on it.
 
-        Runs off-loop (``asyncio.to_thread``): the kernels compute
-        straight on the mapped words, so this is where the file pages
-        actually fault in — and the mapping is dropped with the chunk
-        batch, keeping the scan's working set at one window.
+        Runs off-loop: the kernels compute straight on the mapped
+        words, so this is where the file pages actually fault in — and
+        the mapping is dropped with the chunk batch, keeping the scan's
+        working set at one window.
         """
         rows = self._corpus.open_rows(lo, hi)
         return dispatch.compute_shard(
@@ -1367,110 +1343,20 @@ class SpikeServer:
             limit=query.limit,
         )
 
-    async def _process_corpus(
-        self,
-        query: protocol.CorpusQuery,
-        writer: "_Connection",
-        deadline: Optional[float] = None,
-    ) -> None:
-        """Stream one corpus query's chunks, then the DONE summary.
-
-        Chunks are computed and written strictly one at a time: result
-        frames reach the client as the scan advances (first results
-        after one chunk, not after the whole range) and at no point is
-        more than one window's pages plus one result frame in flight.
-        The deadline is checked before each chunk — an expired scan
-        stops mapping windows instead of burning the rest of the range.
-        """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        bounds = self._corpus_bounds(query)
-        residency = {"packed": False, "csr": False, "raster": False}
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            self._check_deadline(deadline, "while scanning the corpus")
-            payload = await asyncio.to_thread(
-                self._compute_corpus_chunk, query, int(lo), int(hi)
-            )
-            for key in residency:
-                residency[key] |= bool(payload["residency"][key])
-            await self._send(writer, self._shard_frame(query, payload))
-        summary = {
-            "kind": "done",
-            "mode": query.mode,
-            "n_wires": query.n_wires,
-            "n_shards": len(bounds) - 1,
-            "labels": list(self.basis.labels),
-            "transport": "corpus-mmap",
-            "wall_seconds": loop.time() - started,
-            "server_residency": residency,
-            "corpus": self._corpus_name,
-            "row_start": query.row_start,
-            "row_stop": query.row_stop,
-        }
-        # Same ordering contract as _send_done: count, then reply.
-        self.stats.record("corpus-mmap", summary["wall_seconds"])
-        await self._send(
-            writer,
-            protocol.encode_json_frame(
-                protocol.FRAME_DONE,
-                query.request_id,
-                summary,
-                version=query.version,
-            ),
-        )
-
-    async def _handle_logicnet(
-        self, frame: protocol.Frame, writer: "_Connection"
-    ) -> None:
-        """Parse, validate and serve one logicnet-query frame."""
-        try:
-            query = protocol.parse_logicnet_query(frame)
-        except ProtocolError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    frame.request_id, exc.code, str(exc), version=frame.version
-                ),
-            )
-            return
-        try:
-            self._check_logicnet(query)
-            await self._process_logicnet(
-                query, writer, self._deadline_at(query.deadline_ms)
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            raise
-        except ServingError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    query.request_id,
-                    exc.code,
-                    str(exc),
-                    version=query.version,
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - must answer the client
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    query.request_id,
-                    protocol.ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                    version=query.version,
-                ),
-            )
-
     #: Cap on evaluated gates per logicnet request (networks × depth ×
     #: gates) — bounds the packed working set the same way the frame
     #: size cap bounds bitset requests.
     _LOGICNET_MAX_GATES = 1 << 24
 
-    def _check_logicnet(self, query: protocol.LogicNetQuery) -> None:
-        """The query's shape must fit the server's compute budget."""
+    def _logicnet_plan(self, query: protocol.LogicNetQuery) -> _Plan:
+        """Logicnet queries (version 5): network ranges of a seeded family.
+
+        The request ships no payload, so there is no arena and no byte
+        budget: each shard task is a few integers, and pool workers
+        rebuild their networks from spawn keys against the basis they
+        already hold installed.  The split defaults to ``--shards``,
+        else one shard.
+        """
         total = query.n_networks * query.depth * query.n_gates
         if total > self._LOGICNET_MAX_GATES:
             raise ServingError(
@@ -1479,239 +1365,66 @@ class SpikeServer:
                 f"server's cap of {self._LOGICNET_MAX_GATES}; "
                 f"split the network range across requests",
             )
-
-    def _logicnet_bounds(self, query: protocol.LogicNetQuery) -> np.ndarray:
-        """Shard boundaries of one logicnet query (network axis).
-
-        A pure function of the query and the config, like every other
-        shard plan — which is what keeps a served sweep bit-identical
-        however many workers execute it.
-        """
-        n_shards = query.n_shards or self.config.n_shards or 1
-        n_chunks = min(max(int(n_shards), 1), query.n_networks)
-        return np.linspace(
-            query.net_start, query.net_stop, n_chunks + 1
-        ).astype(np.int64)
-
-    async def _process_logicnet(
-        self,
-        query: protocol.LogicNetQuery,
-        writer: "_Connection",
-        deadline: Optional[float] = None,
-    ) -> None:
-        """Stream one logicnet query's shards, then the DONE summary.
-
-        The request ships no payload, so there is no arena and no byte
-        budget: each shard task is a few integers, and workers rebuild
-        their networks from spawn keys against the basis they already
-        hold installed.  Pool dispatch rides the same supervised
-        getters as bitset shards — a killed worker's shard re-runs
-        down the recovery ladder and the stream stays bit-identical.
-        """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        bounds = self._logicnet_bounds(query)
         tasks = [
             dispatch.LogicNetShardTask(
                 token=self._basis_token,
                 seed=query.seed,
                 n_gates=query.n_gates,
                 depth=query.depth,
-                net_start=int(lo),
-                net_stop=int(hi),
+                net_start=lo,
+                net_stop=hi,
             )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
+            for lo, hi in _shard_ranges(
+                query.net_start,
+                query.n_networks,
+                query.n_shards or self.config.n_shards or 1,
+            )
         ]
-        if self._use_pool():
-            transport = "seed-rebuild"
-            pending = [
-                self._runner.submit(dispatch.run_logicnet_shard, task)
-                for task in tasks
-            ]
-            baseline = None
-            if hasattr(self._runner, "worker_pids"):
-                baseline = self._runner.worker_pids()
-            getters = [
-                lambda r=r, t=t, b=baseline: self._supervised_logicnet_get(
-                    r, t, b
-                )
-                for r, t in zip(pending, tasks)
-            ]
-        else:
-            transport = "in-process"
-            getters = [
-                lambda t=t: dispatch.compute_logicnet_shard(
-                    self.basis,
-                    seed=t.seed,
-                    n_gates=t.n_gates,
-                    depth=t.depth,
-                    net_start=t.net_start,
-                    net_stop=t.net_stop,
-                )
-                for t in tasks
-            ]
-        shards = await self._stream_shards(query, getters, writer, deadline)
-        residency = {"packed": False, "csr": False, "raster": False}
-        for payload in shards:
-            for key in residency:
-                residency[key] |= bool(payload["residency"][key])
-        summary = {
-            "kind": "done",
-            "mode": query.mode,
+        done = {
             "n_networks": query.n_networks,
             "n_gates": query.n_gates,
             "depth": query.depth,
-            "n_shards": len(shards),
-            "labels": list(self.basis.labels),
-            "transport": transport,
-            "wall_seconds": loop.time() - started,
-            "server_residency": residency,
             "row_start": query.net_start,
             "row_stop": query.net_stop,
         }
-        # Same ordering contract as _send_done: count, then reply.
-        self.stats.record(transport, summary["wall_seconds"])
-        await self._send(
-            writer,
-            protocol.encode_json_frame(
-                protocol.FRAME_DONE,
-                query.request_id,
-                summary,
-                version=query.version,
-            ),
+        if self._use_pool():
+            return _Plan(
+                "seed-rebuild",
+                done,
+                lambda _: self._gather(dispatch.run_logicnet_shard, tasks),
+            )
+        # In-process shards call the compute core directly: the pool
+        # entry point would fire the pool-only ``serving.run_shard``
+        # fault inside the server process.
+        return _Plan(
+            "in-process",
+            done,
+            lambda _: [
+                functools.partial(
+                    dispatch.compute_logicnet_shard,
+                    self.basis,
+                    seed=task.seed,
+                    n_gates=task.n_gates,
+                    depth=task.depth,
+                    net_start=task.net_start,
+                    net_stop=task.net_stop,
+                )
+                for task in tasks
+            ],
         )
 
-    def _supervised_logicnet_get(self, handle, task, baseline):
-        """Logicnet twin of :meth:`_supervised_get` (same ladder)."""
-        await_result = getattr(self._runner, "await_result", None)
-        try:
-            if await_result is not None:
-                return await_result(
-                    handle,
-                    timeout=self.config.shard_timeout,
-                    baseline=baseline,
-                )
-            return handle.get(self.config.shard_timeout)
-        except (multiprocessing.TimeoutError, OSError, EOFError):
-            recover = getattr(self._runner, "submit_supervised", None)
-            if recover is None:
-                return dispatch.run_logicnet_shard(task)
-            return recover(
-                dispatch.run_logicnet_shard,
-                task,
-                timeout=self.config.shard_timeout,
-                retries=self.config.shard_retries,
-            )
-
-    async def _dispatch_pool(self, request, batch, bounds, writer, deadline):
-        """Shard over the worker pool through a per-request arena.
-
-        Each shard's getter is *supervised*: if its result times out or
-        its worker dies mid-shard, the shard re-runs through the
-        runner's supervision ladder (resubmit, pool restart, in-process
-        floor) while the arena is still alive — so the recovered shard
-        reads the same operands and the streamed results stay
-        bit-identical to an undisturbed run.
-        """
-        with SharedArena() as arena:
-            handle = batch.to_shared(arena)
-            tasks = [
-                dispatch.ShardTask(
-                    token=self._basis_token,
-                    wires=handle,
-                    row_start=int(lo),
-                    row_stop=int(hi),
-                    mode=request.mode,
-                    start_slot=request.start_slot,
-                    limit=request.limit,
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            pending = [
-                self._runner.submit(dispatch.run_shard, task)
-                for task in tasks
-            ]
-            baseline = None
-            if hasattr(self._runner, "worker_pids"):
-                baseline = self._runner.worker_pids()
-            getters = [
-                lambda r=r, t=t, b=baseline: self._supervised_get(r, t, b)
-                for r, t in zip(pending, tasks)
-            ]
-            return await self._stream_shards(
-                request, getters, writer, deadline
-            )
-        # Arena closed here: segments unlink once the last worker
-        # detaches (the runner's release broadcast covers shutdown).
-
-    def _supervised_get(self, handle, task, baseline):
-        """One shard's result, recovered if its worker was lost.
-
-        Runs off-loop (inside ``asyncio.to_thread``).  The fast signal
-        is the runner's worker pid-set changing against ``baseline``;
-        the backstop is ``shard_timeout``.  Either way the shard rides
-        ``submit_supervised``'s ladder down to the in-process floor, so
-        a served request never hangs on a dead pool.
-        """
-        await_result = getattr(self._runner, "await_result", None)
-        try:
-            if await_result is not None:
-                return await_result(
-                    handle,
-                    timeout=self.config.shard_timeout,
-                    baseline=baseline,
-                )
-            return handle.get(self.config.shard_timeout)
-        except (multiprocessing.TimeoutError, OSError, EOFError):
-            recover = getattr(self._runner, "submit_supervised", None)
-            if recover is None:
-                return dispatch.run_shard(task)
-            return recover(
-                dispatch.run_shard,
-                task,
-                timeout=self.config.shard_timeout,
-                retries=self.config.shard_retries,
-            )
-
-    async def _dispatch_inline(self, request, batch, bounds, writer, deadline):
-        """Run the same shards in-process, off the event loop."""
-        jobs = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rows = (
-                batch
-                if (lo, hi) == (0, request.n_wires)
-                else batch.select_rows(np.arange(lo, hi))
-            )
-            jobs.append(
-                lambda rows=rows, lo=int(lo), hi=int(hi): (
-                    dispatch.compute_shard(
-                        self.basis,
-                        rows,
-                        lo,
-                        hi,
-                        mode=request.mode,
-                        start_slot=request.start_slot,
-                        limit=request.limit,
-                    )
-                )
-            )
-        return await self._stream_shards(request, jobs, writer, deadline)
-
-    async def _stream_shards(self, request, getters, writer, deadline=None):
-        """Await each shard result off-loop and stream it as a frame.
-
-        The deadline is checked between shards: once it passes, no
-        further shard is awaited or streamed — the request fails with
-        ``ERR_DEADLINE`` and its budget bytes release through the
-        caller's ``finally``.
-        """
-        shards = []
-        for get in getters:
-            self._check_deadline(deadline, "while streaming shards")
-            payload = await asyncio.to_thread(get)
-            shards.append(payload)
-            await self._send(writer, self._shard_frame(request, payload))
-        return shards
+    #: frame type → (parser, plan builder).  Any other frame type goes
+    #: through ``parse_request``, which rejects it with ERR_BAD_TYPE.
+    _ROUTES = {
+        protocol.FRAME_IDENTIFY: (protocol.parse_request, _bitset_plan),
+        protocol.FRAME_MEMBERSHIP: (protocol.parse_request, _bitset_plan),
+        protocol.FRAME_CORPUS_QUERY: (
+            protocol.parse_corpus_query, _corpus_plan,
+        ),
+        protocol.FRAME_LOGICNET: (
+            protocol.parse_logicnet_query, _logicnet_plan,
+        ),
+    }
 
 
 class ServerThread:

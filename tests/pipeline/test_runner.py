@@ -230,6 +230,19 @@ def _double(value):
     return value * 2
 
 
+def _double_or_die_once(task):
+    """Gather target: the first caller to claim the file SIGKILLs itself."""
+    import os
+    import signal
+
+    claim, value = task
+    try:
+        os.close(os.open(claim, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return value * 2
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestDispatchPrimitives:
     """The pool's public surface for non-experiment callers (serving)."""
 
@@ -246,6 +259,27 @@ class TestDispatchPrimitives:
         with Runner(jobs=2) as runner:
             results = [runner.submit(_double, n) for n in range(5)]
             assert [r.get(timeout=60) for r in results] == [0, 2, 4, 6, 8]
+
+    def test_gather_returns_one_getter_per_task_in_order(self):
+        with Runner(jobs=2) as runner:
+            getters = runner.gather(_double, range(5))
+            assert [get() for get in getters] == [0, 2, 4, 6, 8]
+
+    def test_gather_requires_a_pool(self):
+        with Runner(jobs=1) as runner:
+            with pytest.raises(PipelineError):
+                runner.gather(_double, [21])
+
+    def test_gather_recovers_the_task_of_a_killed_worker(self, tmp_path):
+        """The lost task's getter re-runs it down the supervision ladder."""
+        claim = str(tmp_path / "claim")
+        with Runner(jobs=2) as runner:
+            getters = runner.gather(
+                _double_or_die_once, [(claim, n) for n in range(4)],
+                timeout=30.0,
+            )
+            assert [get() for get in getters] == [0, 2, 4, 6]
+        assert (tmp_path / "claim").exists(), "no worker was killed"
 
     def test_broadcast_reaches_every_worker_exactly_once(self):
         import os

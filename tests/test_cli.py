@@ -42,6 +42,24 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--shard-timeout", "0.5"])
         assert args.shard_timeout == 0.5
 
+    @pytest.mark.parametrize("flag", ["--idle-timeout", "--coalesce-window-ms"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "soon"])
+    def test_timing_flags_reject_nonfinite_and_negative(
+        self, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", flag, value])
+        err = capsys.readouterr().err
+        assert "must be a finite number >= 0" in err or "not a number" in err
+
+    @pytest.mark.parametrize("flag", ["--idle-timeout", "--coalesce-window-ms"])
+    @pytest.mark.parametrize("value", ["0", "2.5"])
+    def test_timing_flags_accept_finite_nonnegative(self, flag, value):
+        """0 still means off; fractions are fine."""
+        args = build_parser().parse_args(["serve", flag, value])
+        dest = flag.lstrip("-").replace("-", "_")
+        assert getattr(args, dest) == float(value)
+
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nonsense"])
