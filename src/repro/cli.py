@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help="server processes accepting on the one port "
-        "(SO_REUSEPORT, or a front proxy without it; default 1)",
+        "(via SO_REUSEPORT; default 1)",
     )
     serve.add_argument(
         "--seed",

@@ -14,27 +14,23 @@ Neither client ever touches spike indices: both take a
 bitset), frame its ``packbits`` transport form — packed straight from
 the CSR, no raster, and handed to the socket as buffer views without
 an intermediate concatenation copy — and merge the per-shard response
-frames the server streams back into whole-batch result arrays.  By
-default requests are stamped the current protocol version
-(:data:`~repro.serving.protocol.PROTOCOL_VERSION`, 5), so results
-return as binary frames
-(:func:`~repro.serving.protocol.parse_result_frame`); ``version=1``
-selects the JSON response encoding, and the merged replies are
-bit-identical either way.
+frames the server streams back into whole-batch result arrays.  Every
+request is stamped :data:`~repro.serving.protocol.PROTOCOL_VERSION`,
+the one version the wire has, and results return as binary frames
+(:func:`~repro.serving.protocol.parse_result_frame`).
 
 The request API is written once (``_ClientCore``) over an I/O-free
 response accumulator; the two clients are thin transports that only
 connect, send, receive and retry.
 
-Version 3 adds the *corpus* methods (``corpus_identify`` /
-``corpus_membership``): instead of shipping a bitset, they name a
-corpus the server hosts (``repro serve --corpus``) plus a row range,
-and the server streams back chunk results computed straight off its
-memmap — the reply merges exactly like a bitset request's.  Version 5
-adds ``logicnet()``: a 20-byte query naming a seeded network family
-and a network range; the server rebuilds and evaluates the networks
-against its own basis and streams back per-network summaries.
-``ping()`` is the one-frame health probe.
+The *corpus* methods (``corpus_identify`` / ``corpus_membership``)
+ship no bitset: they name a corpus the server hosts (``repro serve
+--corpus``) plus a row range, and the server streams back chunk
+results computed straight off its memmap — the reply merges exactly
+like a bitset request's.  ``logicnet()`` sends a 20-byte query naming
+a seeded network family and a network range; the server rebuilds and
+evaluates the networks against its own basis and streams back
+per-network summaries.  ``ping()`` is the one-frame health probe.
 
 Usage::
 
@@ -272,13 +268,12 @@ class _Response:
             self.summary = protocol.parse_json_frame(frame)
             self.shards.sort(key=lambda shard: shard["row_start"])
             return True
-        if self.expect == protocol.FRAME_DONE:
-            if frame.frame_type == protocol.FRAME_RESULT:
-                self.shards.append(protocol.parse_result_frame(frame))
-                return False
-            if frame.frame_type == protocol.FRAME_SHARD:
-                self.shards.append(protocol.parse_json_frame(frame))
-                return False
+        if (
+            self.expect == protocol.FRAME_DONE
+            and frame.frame_type == protocol.FRAME_RESULT
+        ):
+            self.shards.append(protocol.parse_result_frame(frame))
+            return False
         raise ProtocolError(
             protocol.ERR_BAD_TYPE,
             f"unexpected frame type 0x{frame.frame_type:02x} "
@@ -302,18 +297,11 @@ class _ClientCore:
     def __init__(
         self,
         *,
-        version: int,
         max_frame_bytes: int,
         retry: Optional[RetryPolicy],
         deadline_ms: int,
     ) -> None:
-        if version not in protocol.SUPPORTED_VERSIONS:
-            raise ProtocolError(
-                protocol.ERR_BAD_VERSION,
-                f"cannot speak protocol version {version}",
-            )
-        self._version = int(version)
-        self._deadline_ms = protocol._check_deadline_ms(deadline_ms, version)
+        self._deadline_ms = protocol._check_deadline_ms(deadline_ms)
         self._retry = retry
         self._max_frame_bytes = int(max_frame_bytes)
         self._request_ids = itertools.count(1)
@@ -360,9 +348,7 @@ class _ClientCore:
         No bitset leaves this process — the request names the corpus
         and the row range, the server computes chunk-at-a-time off its
         memmap, and the merged reply is bit-identical to fetching those
-        rows locally and calling :meth:`identify`.  Needs protocol
-        version 3 or later (the client default is
-        :data:`~repro.serving.protocol.PROTOCOL_VERSION`).
+        rows locally and calling :meth:`identify`.
         """
         return self._corpus_call(
             corpus, row_start, row_stop, _identify_reply,
@@ -401,8 +387,7 @@ class _ClientCore:
         spawn key, evaluates it against the serving basis's packed
         input lines, and streams per-network output popcounts and
         checksums; the merged reply is bit-identical to building and
-        evaluating the same range locally.  Needs protocol version 5
-        (the client default).
+        evaluating the same range locally.
         """
         return self._call(
             lambda request_id: [
@@ -414,7 +399,6 @@ class _ClientCore:
                     depth=depth,
                     n_shards=n_shards,
                     request_id=request_id,
-                    version=self._version,
                     deadline_ms=self._deadline_ms,
                 )
             ],
@@ -431,9 +415,7 @@ class _ClientCore:
         aggregation.
         """
         return self._call(
-            lambda request_id: [
-                protocol.encode_ping(request_id, version=self._version)
-            ],
+            lambda request_id: [protocol.encode_ping(request_id)],
             protocol.FRAME_PONG,
             _summary_only,
         )
@@ -449,9 +431,7 @@ class _ClientCore:
         """
         return self._call(
             lambda request_id: [
-                protocol.encode_stats_request(
-                    request_id, version=self._version, scope=scope
-                )
+                protocol.encode_stats_request(request_id, scope=scope)
             ],
             protocol.FRAME_STATS_REPLY,
             _summary_only,
@@ -469,7 +449,6 @@ class _ClientCore:
                 wire_grid.n_samples,
                 wire_grid.dt,
                 request_id=request_id,
-                version=self._version,
                 deadline_ms=self._deadline_ms,
                 **scan,
             )
@@ -485,7 +464,6 @@ class _ClientCore:
                     row_start,
                     row_stop,
                     request_id=request_id,
-                    version=self._version,
                     deadline_ms=self._deadline_ms,
                     **scan,
                 )
@@ -500,16 +478,13 @@ class ServingClient(_ClientCore):
 
     One TCP connection, reused across requests; close with
     :meth:`close` or a ``with`` block.  Not thread-safe — use one
-    client per thread (the benchmark does exactly that).  ``version``
-    selects the protocol version requests are stamped with (2+: binary
-    result frames; 3 adds corpus queries, 4 request deadlines, 5 — the
-    default — logicnet queries; 1 answers with JSON shard frames).
+    client per thread (the benchmark does exactly that).
 
     ``retry`` opts into re-issuing failed requests per
     :class:`RetryPolicy` — every retry reconnects first, so a crashed
     (and respawned) serving worker is transparent to the caller.
     ``deadline_ms`` stamps every compute request with a server-side
-    deadline (0: none; needs version 4).
+    deadline (0: none).
     """
 
     def __init__(
@@ -519,12 +494,10 @@ class ServingClient(_ClientCore):
         *,
         timeout: float = 60.0,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
-        version: int = protocol.PROTOCOL_VERSION,
         retry: Optional[RetryPolicy] = None,
         deadline_ms: int = 0,
     ) -> None:
         super().__init__(
-            version=version,
             max_frame_bytes=max_frame_bytes,
             retry=retry,
             deadline_ms=deadline_ms,
@@ -661,8 +634,7 @@ class AsyncServingClient(_ClientCore):
     single process: requests issued together arrive together.  The
     request API is :class:`ServingClient`'s (same replies, same
     defaults — including ``retry`` / ``deadline_ms``), each method
-    returning an awaitable; ``version`` picks the response encoding,
-    binary result frames by default.
+    returning an awaitable.
 
     A retried request reconnects first; because the connection is
     shared, one reconnect serves every concurrent coroutine whose
@@ -675,13 +647,11 @@ class AsyncServingClient(_ClientCore):
     def __init__(
         self,
         *,
-        version: int = protocol.PROTOCOL_VERSION,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
         retry: Optional[RetryPolicy] = None,
         deadline_ms: int = 0,
     ) -> None:
         super().__init__(
-            version=version,
             max_frame_bytes=max_frame_bytes,
             retry=retry,
             deadline_ms=deadline_ms,
@@ -704,14 +674,12 @@ class AsyncServingClient(_ClientCore):
         host: str,
         port: int,
         *,
-        version: int = protocol.PROTOCOL_VERSION,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
         retry: Optional[RetryPolicy] = None,
         deadline_ms: int = 0,
     ) -> "AsyncServingClient":
         """Connect and start the demux reader."""
         client = cls(
-            version=version,
             max_frame_bytes=max_frame_bytes,
             retry=retry,
             deadline_ms=deadline_ms,

@@ -1,4 +1,4 @@
-"""Multi-worker serving: N server processes behind one listener.
+"""Multi-worker serving: N server processes behind one port.
 
 ``repro serve --workers N`` forks N full :class:`~repro.serving.server.
 SpikeServer` processes from one parent.  The parent does the expensive,
@@ -11,10 +11,9 @@ shared work exactly once before forking:
   instead of re-running the synthesis pipeline;
 * it binds N ``SO_REUSEPORT`` sockets on **one** concrete port, so the
   kernel load-balances incoming connections across the workers with no
-  user-space hop.  Hosts without ``SO_REUSEPORT`` (or callers forcing
-  it) get the fallback: a tiny asyncio front proxy in the parent that
-  round-robins connections to per-worker loopback ports — same
-  topology, one extra byte-splice;
+  user-space hop.  That is the only way a cluster shares its port: a
+  host without ``SO_REUSEPORT`` gets a typed
+  :class:`~repro.errors.ServingError` instead of a cluster;
 * it allocates one fork-inherited :class:`ClusterStatsBlock` — a
   shared counter matrix plus per-worker latency rings.  Each worker's
   :class:`WorkerStats` mirrors every :class:`~repro.serving.server.
@@ -37,7 +36,6 @@ Embedding (tests and the ``--workers 2`` bench) uses
 from __future__ import annotations
 
 import asyncio
-import itertools
 import multiprocessing
 import os
 import signal
@@ -45,7 +43,7 @@ import socket
 import sys
 import threading
 from dataclasses import replace
-from typing import List, Optional, Set
+from typing import List, Optional
 
 import numpy as np
 
@@ -103,7 +101,6 @@ class ClusterStatsBlock:
         self._latencies_raw = _MP.RawArray("d", self.workers * self.window)
         self._positions_raw = _MP.RawArray("q", self.workers)
         self._pids_raw = _MP.RawArray("q", self.workers)
-        self._ports_raw = _MP.RawArray("q", self.workers)
         self._respawns_raw = _MP.RawArray("q", 1)
         self.counters = np.frombuffer(self._counters_raw, dtype=np.int64).reshape(
             self.workers, len(_COUNTER_FIELDS)
@@ -113,10 +110,6 @@ class ClusterStatsBlock:
         ).reshape(self.workers, self.window)
         self.positions = np.frombuffer(self._positions_raw, dtype=np.int64)
         self.pids = np.frombuffer(self._pids_raw, dtype=np.int64)
-        # Workers publish their accepting port here after start (the
-        # proxy fallback reads it *live*, so a respawned worker's new
-        # port takes effect; informational under SO_REUSEPORT).
-        self.ports = np.frombuffer(self._ports_raw, dtype=np.int64)
         # How many worker respawns the supervisor performed, cluster
         # lifetime.  Written by the parent's monitor thread, read by
         # any worker answering a cluster-scope STATS request.
@@ -145,8 +138,8 @@ class ClusterStatsBlock:
         Same counter keys as a single server's snapshot (summed), with
         latency quantiles over the pooled rings, plus the additive
         cluster keys ``scope``/``workers``/``per_worker`` — clients
-        already tolerate unknown STATS keys, so a version-2 client
-        pointed at a cluster just sees bigger numbers.
+        already tolerate unknown STATS keys, so a client pointed at a
+        cluster just sees bigger numbers.
         """
         counters = self.counters.copy()
         totals = counters.sum(axis=0)
@@ -289,24 +282,22 @@ def _worker_main(
     index: int,
     config: ServerConfig,
     artifact: BasisArtifact,
-    sockets: Optional[List[socket.socket]],
+    sockets: List[socket.socket],
     block: ClusterStatsBlock,
     ready,
     preserve_stats: bool = False,
 ) -> None:
     """Process entry of worker ``index`` (runs in the forked child)."""
-    sock = None
-    if sockets is not None:
-        # Each worker serves exactly one of the pre-bound listeners;
-        # the sibling fds close here so this child cannot accept a
-        # connection the kernel hashed to another worker's socket.
-        # (The *parent* keeps every fd open on purpose — same kernel
-        # socket, never accepted on — so a respawned child can inherit
-        # the dead worker's listener and drain what queued on it.)
-        sock = sockets[index]
-        for other_index, other in enumerate(sockets):
-            if other_index != index:
-                other.close()
+    # Each worker serves exactly one of the pre-bound listeners; the
+    # sibling fds close here so this child cannot accept a connection
+    # the kernel hashed to another worker's socket.  (The *parent*
+    # keeps every fd open on purpose — same kernel socket, never
+    # accepted on — so a respawned child can inherit the dead worker's
+    # listener and drain what queued on it.)
+    sock = sockets[index]
+    for other_index, other in enumerate(sockets):
+        if other_index != index:
+            other.close()
     log.configure()  # rebind the handler to this pid
     try:
         asyncio.run(
@@ -322,7 +313,7 @@ async def _worker_serve(
     index: int,
     config: ServerConfig,
     artifact: BasisArtifact,
-    sock: Optional[socket.socket],
+    sock: socket.socket,
     block: ClusterStatsBlock,
     ready,
     preserve_stats: bool = False,
@@ -339,7 +330,6 @@ async def _worker_serve(
     )
     await server.start()
     block.pids[index] = os.getpid()
-    block.ports[index] = server.port
     ready.set()
     logger.debug("worker %d: accepting on port %d", index, server.port)
     stop = asyncio.Event()
@@ -356,133 +346,6 @@ async def _worker_serve(
         logger.info("worker %d: %s", index, server.stats.summary())
 
 
-class _FrontProxy:
-    """Asyncio round-robin TCP splice — the no-SO_REUSEPORT fallback.
-
-    Listens on the public ``(host, port)`` in a daemon thread and
-    splices each accepted connection to the next worker's loopback
-    port.  Purely byte-level: the REPB framing passes through intact,
-    so a proxied cluster behaves exactly like a reuseport one (plus
-    one copy per chunk).
-
-    ``targets`` is the cluster's **live** shared port table
-    (:attr:`ClusterStatsBlock.ports`), not a frozen copy: a respawned
-    worker rebinds an ephemeral port and publishes it to the table, and
-    the proxy's next pick reads the new value.  A refused connect (the
-    gap between a worker dying and its replacement publishing) rotates
-    to the next worker instead of dropping the client.
-    """
-
-    def __init__(self, host: str, port: int, targets) -> None:
-        self._host = host
-        self._port = port
-        self._ports = targets
-        self._rr = itertools.count()
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._splices: Set[asyncio.Task] = set()
-        self.port: Optional[int] = None
-
-    def start(self) -> "_FrontProxy":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="repro-serve-proxy",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise ServingError(
-                protocol.ERR_INTERNAL, "front proxy failed to start in 30s"
-            )
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle, self._host, self._port
-            )
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            server.close()
-            # A splice still open at shutdown would outlive the loop as
-            # a pending task holding two sockets: cancel every one and
-            # wait for its cleanup to close both ends.
-            for task in list(self._splices):
-                task.cancel()
-            await asyncio.gather(*self._splices, return_exceptions=True)
-            await server.wait_closed()
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._splices.add(task)
-        task.add_done_callback(self._splices.discard)
-        up_reader = up_writer = None
-        for _ in range(max(1, len(self._ports))):
-            target = int(self._ports[next(self._rr) % len(self._ports)])
-            try:
-                up_reader, up_writer = await asyncio.open_connection(
-                    "127.0.0.1", target
-                )
-                break
-            except OSError:
-                continue  # dead worker's port: rotate to a live sibling
-        if up_writer is None:
-            writer.close()
-            return
-        try:
-            await asyncio.gather(
-                self._pump(reader, up_writer), self._pump(up_reader, writer)
-            )
-        finally:
-            for stream in (writer, up_writer):
-                stream.close()
-
-    @staticmethod
-    async def _pump(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                chunk = await reader.read(1 << 16)
-                if not chunk:
-                    break
-                writer.write(chunk)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            # Half-close so a client's EOF reaches the worker (and the
-            # worker's final frames still flow back the other way).
-            try:
-                if writer.can_write_eof():
-                    writer.write_eof()
-            except (OSError, RuntimeError):
-                pass
-
-    def close(self) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            return
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30.0)
-
-
 class ServerCluster:
     """N forked :class:`SpikeServer` processes behind one address.
 
@@ -492,16 +355,14 @@ class ServerCluster:
             client = ServingClient(cluster.host, cluster.port)
             ...
 
-    ``force_proxy=True`` exercises the front-proxy fallback even where
-    ``SO_REUSEPORT`` exists (how the fallback stays tested on Linux).
+    Every worker accepts on its own ``SO_REUSEPORT`` listener bound to
+    the one public port; a host without ``SO_REUSEPORT`` cannot run a
+    cluster, and construction raises a typed
+    :class:`~repro.errors.ServingError`.
     """
 
     def __init__(
-        self,
-        config: ServerConfig,
-        workers: Optional[int] = None,
-        *,
-        force_proxy: bool = False,
+        self, config: ServerConfig, workers: Optional[int] = None
     ) -> None:
         self.config = config
         self.workers = int(workers if workers is not None else config.workers)
@@ -510,11 +371,14 @@ class ServerCluster:
                 protocol.ERR_INTERNAL,
                 f"workers must be >= 1, got {self.workers}",
             )
-        self._use_reuseport = HAVE_REUSEPORT and not force_proxy
+        if not HAVE_REUSEPORT:
+            raise ServingError(
+                protocol.ERR_INTERNAL,
+                "a multi-worker cluster needs socket.SO_REUSEPORT, which "
+                "this host lacks; run a single server instead",
+            )
         self._arena: Optional[SharedArena] = None
         self._processes: List = []
-        self._parent_sockets: List[socket.socket] = []
-        self._proxy: Optional[_FrontProxy] = None
         self._port: Optional[int] = None
         self.block = ClusterStatsBlock(self.workers)
         # Respawn machinery: the spawn inputs outlive start() so the
@@ -543,8 +407,8 @@ class ServerCluster:
         Used both at start-up and by the monitor thread respawning a
         crashed worker: a respawn re-forks from the parent, so the
         child re-inherits the pre-fork basis arena pages, its stats-row
-        (preserved, not zeroed) and — under ``SO_REUSEPORT`` — the dead
-        worker's still-open listener fd.
+        (preserved, not zeroed) and the dead worker's still-open
+        listener fd.
         """
         ready = _MP.Event()
         process = _MP.Process(
@@ -572,20 +436,14 @@ class ServerCluster:
             basis = build_serving_basis(self.config)
             self._artifact = basis.to_artifact(self._arena)
             self._worker_config = replace(self.config, workers=1)
-            if self._use_reuseport:
-                self._sockets = _reuseport_sockets(
-                    self.config.host, self.config.port, self.workers
-                )
-                # The parent keeps its fds open for the cluster's whole
-                # life: they are the same kernel sockets the children
-                # accept on (never accepted on here), and a respawned
-                # child can only inherit a listener that still exists.
-                self._parent_sockets = list(self._sockets)
-                self._port = self._sockets[0].getsockname()[1]
-            else:
-                self._worker_config = replace(
-                    self._worker_config, host="127.0.0.1", port=0
-                )
+            # The parent keeps these fds open for the cluster's whole
+            # life: they are the same kernel sockets the children
+            # accept on (never accepted on here), and a respawned child
+            # can only inherit a listener that still exists.
+            self._sockets = _reuseport_sockets(
+                self.config.host, self.config.port, self.workers
+            )
+            self._port = self._sockets[0].getsockname()[1]
             events = []
             for index in range(self.workers):
                 process, ready = self._spawn_worker(index)
@@ -598,13 +456,6 @@ class ServerCluster:
                         f"worker {index} failed to start within "
                         f"{ready_timeout:.0f}s",
                     )
-            if not self._use_reuseport:
-                self._proxy = _FrontProxy(
-                    self.config.host,
-                    self.config.port,
-                    self.block.ports,
-                ).start()
-                self._port = self._proxy.port
             self._monitor = threading.Thread(
                 target=self._monitor_loop,
                 name="repro-serve-monitor",
@@ -649,10 +500,7 @@ class ServerCluster:
                     )
                 else:
                     logger.info(
-                        "worker %d respawned as pid %d (port %d)",
-                        index,
-                        replacement.pid,
-                        int(self.block.ports[index]),
+                        "worker %d respawned as pid %d", index, replacement.pid
                     )
 
     def aggregate(self) -> dict:
@@ -663,18 +511,14 @@ class ServerCluster:
         """Coordinated shutdown; returns the final aggregated stats.
 
         Order matters: stop supervising (or the monitor would respawn
-        the workers being shut down), stop admitting (proxy first,
-        where present), signal every worker, let each drain gracefully,
-        join them all, and only then unlink the startup arena the
-        workers' bases were attached to.
+        the workers being shut down), signal every worker, let each
+        drain gracefully, join them all, and only then unlink the
+        startup arena the workers' bases were attached to.
         """
         self._closing.set()
         if self._monitor is not None:
             self._monitor.join(timeout=30.0)
             self._monitor = None
-        if self._proxy is not None:
-            self._proxy.close()
-            self._proxy = None
         for process in self._processes:
             if process.is_alive() and process.pid is not None:
                 try:
@@ -688,9 +532,8 @@ class ServerCluster:
                 process.join(timeout=5.0)
         self._processes = []
         # The kept listener fds close only now, with every worker gone.
-        for sock in self._parent_sockets:
+        for sock in self._sockets or ():
             sock.close()
-        self._parent_sockets = []
         self._sockets = None
         stats = self.block.aggregate()
         if self._arena is not None:

@@ -204,11 +204,8 @@ def compute_shard(
     """Run one shard's receiver pass and return its payload dict.
 
     The common core of the pool, in-process, fast and coalesced paths.
-    Array fields stay NumPy arrays (``membership`` boolean) — the
-    response encoder picks the wire form at the boundary: version-2
-    binary result frames ship the buffers directly, the version-1 JSON
-    path converts through
-    :func:`~repro.serving.protocol.jsonable_payload`.  ``rows`` is
+    Array fields stay NumPy arrays (``membership`` boolean), and the
+    binary result frame ships their buffers directly.  ``rows`` is
     expected packed-primary; the payload's ``residency`` block records
     which representations the batch held *after* the pass, which is how
     the integration tests (and any auditing client) verify the bitset

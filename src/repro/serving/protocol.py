@@ -17,61 +17,43 @@ Framing (all integers little-endian)::
     u32 length | 16-byte frame header | payload (length - 16 bytes)
 
 The frame header is ``magic "REPB" | version u8 | type u8 | flags u16 |
-request_id u32 | reserved u32``.  Requests carry a fixed 28-byte
+request_id u32 | deadline_ms u32``.  Requests carry a fixed 28-byte
 request header (wire counts, grid geometry, scan options) followed by
-the bitset.  The byte-level layout, the versioning rules and the error
+the bitset.  The byte-level layout, the version rule and the error
 codes are documented in ``docs/protocol.md`` — this module is their
 single executable source.
 
-Two response encodings exist, **negotiated per request frame**: the
-version byte a client stamps on its request selects the encoding of
-every response frame for that request.  Version 1 responses are UTF-8
-JSON (``FRAME_SHARD``); version 2 responses carry each shard's result
-as one binary ``FRAME_RESULT`` — a 24-byte result header followed by
-little-endian arrays (identify) or the ``np.packbits`` membership bits
-plus first-slot array (membership), so the hot serving path never
-JSON-encodes per-shard arrays.  DONE, ERROR and STATS payloads stay
-JSON in both versions (one small frame per request, and clients must
-tolerate unknown keys there).
+Shard results travel as binary ``FRAME_RESULT`` frames — a 24-byte
+result header followed by little-endian arrays (identify), the
+``np.packbits`` membership bits plus first-slot array (membership), or
+per-gate popcounts plus per-network checksums (logicnet) — so the hot
+serving path never JSON-encodes per-shard arrays.  DONE, ERROR, PONG
+and STATS payloads are JSON (one small frame per request, and clients
+must tolerate unknown keys there).
 
-Version 3 adds the *corpus-query* request (``FRAME_CORPUS_QUERY``): a
-24-byte query header naming a row range plus the UTF-8 name of a
-corpus the server hosts — no bitset payload at all, the data already
-lives on the server's disk (:mod:`repro.pipeline.corpus`).  Responses
-to a v3 request reuse the v2 binary result-frame encoding.  Version 3
-also adds the ``FRAME_PING`` health probe, answered with a tiny JSON
-``FRAME_PONG`` — but PING, like STATS, is accepted at any supported
-version (new frame types are not themselves a version break; the
-header bump marks the corpus-query payload layout).
+Besides the bitset requests, two request kinds ship no bitset at all:
+the *corpus query* (``FRAME_CORPUS_QUERY``) names a row range of a
+corpus the server hosts (:mod:`repro.pipeline.corpus`), and the
+*logicnet query* (``FRAME_LOGICNET``) names a range of a deterministic
+random-logic-network family
+(:class:`~repro.logic.netbatch.LogicNetBatch`, keyed by seed and
+shape) the server rebuilds from `SeedSequence` spawn keys and
+evaluates against its hosted basis lines.  ``FRAME_PING`` is the
+health probe, answered with a tiny JSON ``FRAME_PONG``.
 
-Version 4 assigns the frame header's reserved ``u32`` — the escape
-hatch versions 1-3 kept zero — as ``deadline_ms``: a per-request
-deadline in milliseconds (0: none).  A server drops expired work and
-answers :data:`ERR_DEADLINE` instead of computing a result nobody is
-waiting for; the field is meaningful on request frames only and every
-response frame keeps it zero.  Version 4 also adds the two *typed
-retry* error codes — :data:`ERR_DEADLINE` and :data:`ERR_RETRYABLE` —
-and :data:`RETRYABLE_CODES`, the executable half of the client retry
+Every request frame may carry ``deadline_ms``: a per-request deadline
+in milliseconds (0: none).  A server drops expired work and answers
+:data:`ERR_DEADLINE` instead of computing a result nobody is waiting
+for; response frames keep the field zero.  :data:`ERR_DEADLINE` and
+:data:`ERR_RETRYABLE` are the *typed retry* codes, and
+:data:`RETRYABLE_CODES` is the executable half of the client retry
 contract (``docs/fault_tolerance.md``).
 
-Version 5 adds the *logicnet* request (``FRAME_LOGICNET``): a fixed
-20-byte query header asking the server to evaluate a contiguous range
-of a deterministic random-logic-network family
-(:class:`~repro.logic.netbatch.LogicNetBatch`, keyed by seed and
-shape) against its hosted basis lines.  Like a corpus query it ships
-no bitset — the inputs already live on the server and the networks
-rebuild from `SeedSequence` spawn keys — so a gate-choice sweep costs
-a few dozen request bytes per slice.  Responses reuse the binary
-result-frame encoding with a third mode: per-gate output spike counts
-(i64) plus per-network uint64 checksums.
-
-Version policy: ``PROTOCOL_VERSION`` bumps on any incompatible header
-or payload change; a decoder rejects frames whose version it does not
-implement (not in :data:`SUPPORTED_VERSIONS`) with
+Version rule: every client of this wire lives in this repository, so
+it has exactly one version, :data:`PROTOCOL_VERSION`.  A frame
+stamped with any other version byte is rejected with
 :data:`ERR_BAD_VERSION` (the magic never changes, so a version
-mismatch is always reportable).  ``flags`` must be zero in versions
-1-5; the header ``reserved`` field must be zero in versions 1-3 and
-carries ``deadline_ms`` from version 4 on.
+mismatch is always reportable), and ``flags`` must be zero.
 """
 
 from __future__ import annotations
@@ -91,14 +73,12 @@ from ..units import SimulationGrid
 __all__ = [
     "MAGIC",
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "FRAME_IDENTIFY",
     "FRAME_MEMBERSHIP",
     "FRAME_CORPUS_QUERY",
     "FRAME_LOGICNET",
     "FRAME_STATS",
     "FRAME_PING",
-    "FRAME_SHARD",
     "FRAME_DONE",
     "FRAME_RESULT",
     "FRAME_STATS_REPLY",
@@ -141,23 +121,15 @@ __all__ = [
     "encode_stats_request",
     "stats_scope",
     "encode_error",
-    "jsonable_payload",
     "request_nbytes",
 ]
 
 #: First four bytes of every frame body ("REpro Packed Bitset").
 MAGIC = b"REPB"
 
-#: Current protocol version; bumped on incompatible layout changes.
+#: The one protocol version this build speaks; a frame stamped with
+#: any other version byte is rejected with ERR_BAD_VERSION.
 PROTOCOL_VERSION = 5
-
-#: Versions this build decodes.  Version 1 responses are JSON,
-#: versions 2+ responses are binary result frames; version 3 adds the
-#: corpus-query request layout; version 4 assigns the frame header's
-#: reserved field as the request deadline; version 5 adds the logicnet
-#: query layout and result mode.  Bitset request layout is identical
-#: in all five.
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
 
 # Frame types.  Requests sit below 0x80, responses at or above it, so a
 # misdirected frame is caught by the type check rather than a payload
@@ -168,7 +140,7 @@ FRAME_CORPUS_QUERY = 0x03
 FRAME_LOGICNET = 0x04
 FRAME_STATS = 0x10
 FRAME_PING = 0x11
-FRAME_SHARD = 0x81
+# 0x81 is retired (it was the JSON shard result) and must never be reused.
 FRAME_DONE = 0x82
 FRAME_RESULT = 0x83
 FRAME_STATS_REPLY = 0x84
@@ -177,13 +149,11 @@ FRAME_ERROR = 0xFF
 
 _REQUEST_TYPES = (FRAME_IDENTIFY, FRAME_MEMBERSHIP)
 _JSON_RESPONSE_TYPES = (
-    FRAME_SHARD,
     FRAME_DONE,
     FRAME_STATS_REPLY,
     FRAME_PONG,
     FRAME_ERROR,
 )
-_RESPONSE_TYPES = _JSON_RESPONSE_TYPES + (FRAME_RESULT,)
 
 _MODE_BY_TYPE = {FRAME_IDENTIFY: "identify", FRAME_MEMBERSHIP: "membership"}
 _TYPE_BY_MODE = {mode: ftype for ftype, mode in _MODE_BY_TYPE.items()}
@@ -236,29 +206,29 @@ RETRYABLE_CODES = frozenset({ERR_DEADLINE, ERR_RETRYABLE})
 # reverse assignment would invert the import direction).
 ServingError.RETRYABLE_CODES = RETRYABLE_CODES
 
-#: Largest encodable request deadline (the reserved field is u32).
+#: Largest encodable request deadline (the header field is u32).
 MAX_DEADLINE_MS = 2**32 - 1
 
 #: ``u32 length`` prefix framing each body.
 _LENGTH = struct.Struct("<I")
 
-#: Frame header: magic, version, type, flags, request_id, reserved.
+#: Frame header: magic, version, type, flags, request_id, deadline_ms.
 _HEADER = struct.Struct("<4sBBHII")
 
 #: Request header: n_wires, n_samples, dt, start_slot, limit,
 #: n_shards, reserved.
 _REQUEST = struct.Struct("<IIdIIHH")
 
-#: Binary result header (version 2): mode, residency bits, reserved,
+#: Binary result header: mode, residency bits, reserved,
 #: row_start, row_stop, n_cols, wall_seconds.
 _RESULT = struct.Struct("<BBHIIId")
 
-#: Corpus-query header (version 3): mode, reserved, name_len,
+#: Corpus-query header: mode, reserved, name_len,
 #: row_start, row_stop, start_slot, limit, n_shards, reserved —
 #: followed by ``name_len`` bytes of UTF-8 corpus name.  No bitset.
 _CORPUS_QUERY = struct.Struct("<BBHIIIIHH")
 
-#: Logicnet-query header (version 5): seed, net_start, net_stop,
+#: Logicnet-query header: seed, net_start, net_stop,
 #: n_gates, depth, n_shards.  The whole payload — no bitset, no name;
 #: the family rebuilds from the seed and the server's basis lines.
 _LOGICNET_QUERY = struct.Struct("<IIIIHH")
@@ -289,13 +259,11 @@ class Frame:
     hand.
     """
 
-    version: int
     frame_type: int
     request_id: int
     payload: bytes
     flags: int = 0
-    #: Version-4 request deadline in milliseconds (0: none).  Rides in
-    #: the header field versions 1-3 reserve as zero; always 0 on
+    #: Request deadline in milliseconds (0: none); always 0 on
     #: response frames.
     deadline_ms: int = 0
 
@@ -317,12 +285,9 @@ class Request:
     start_slot: int
     limit: Optional[int]
     n_shards: int
-    #: Protocol version of the request frame — the response encoding
-    #: the client asked for (1: JSON shards, 2: binary result frames).
-    version: int = PROTOCOL_VERSION
-    #: Request deadline in milliseconds (version 4; 0: none).  The
-    #: budget starts when the server *parses* the frame — clocks are
-    #: never compared across hosts.
+    #: Request deadline in milliseconds (0: none).  The budget starts
+    #: when the server *parses* the frame — clocks are never compared
+    #: across hosts.
     deadline_ms: int = 0
 
     @property
@@ -337,7 +302,7 @@ class Request:
 
 @dataclass(frozen=True)
 class CorpusQuery:
-    """A parsed corpus-query frame (version 3).
+    """A parsed corpus-query frame.
 
     References rows the *server* already holds — the request ships a
     corpus name and a row range instead of a bitset, so its size is
@@ -352,8 +317,7 @@ class CorpusQuery:
     start_slot: int
     limit: Optional[int]
     n_shards: int
-    version: int = PROTOCOL_VERSION
-    #: Request deadline in milliseconds (version 4; 0: none).
+    #: Request deadline in milliseconds (0: none).
     deadline_ms: int = 0
 
     @property
@@ -364,7 +328,7 @@ class CorpusQuery:
 
 @dataclass(frozen=True)
 class LogicNetQuery:
-    """A parsed logicnet-query frame (version 5).
+    """A parsed logicnet-query frame.
 
     Names networks ``[net_start, net_stop)`` of the deterministic
     random-network family keyed by ``(seed, n_gates, depth)`` — the
@@ -380,8 +344,7 @@ class LogicNetQuery:
     n_gates: int
     depth: int
     n_shards: int
-    version: int = PROTOCOL_VERSION
-    #: Request deadline in milliseconds (version 4; 0: none).
+    #: Request deadline in milliseconds (0: none).
     deadline_ms: int = 0
 
     @property
@@ -404,17 +367,12 @@ def request_nbytes(n_wires: int, n_samples: int) -> int:
     )
 
 
-def _check_deadline_ms(deadline_ms: int, version: int) -> int:
-    """Validate a deadline for encoding at ``version``."""
+def _check_deadline_ms(deadline_ms: int) -> int:
+    """Validate a request deadline for encoding."""
     deadline_ms = int(deadline_ms)
     if not (0 <= deadline_ms <= MAX_DEADLINE_MS):
         raise ProtocolError(
             ERR_BAD_FRAME, f"deadline_ms {deadline_ms} outside uint32"
-        )
-    if deadline_ms and version < 4:
-        raise ProtocolError(
-            ERR_BAD_VERSION,
-            f"deadlines need protocol version >= 4, got {version}",
         )
     return deadline_ms
 
@@ -424,7 +382,6 @@ def encode_frame(
     request_id: int,
     payload: bytes,
     *,
-    version: int = PROTOCOL_VERSION,
     deadline_ms: int = 0,
 ) -> bytes:
     """Assemble one length-prefixed frame from its parts."""
@@ -432,9 +389,9 @@ def encode_frame(
         raise ProtocolError(
             ERR_BAD_FRAME, f"request_id {request_id} outside uint32"
         )
-    deadline_ms = _check_deadline_ms(deadline_ms, version)
+    deadline_ms = _check_deadline_ms(deadline_ms)
     header = _HEADER.pack(
-        MAGIC, version, frame_type, 0, request_id, deadline_ms
+        MAGIC, PROTOCOL_VERSION, frame_type, 0, request_id, deadline_ms
     )
     return _LENGTH.pack(len(header) + len(payload)) + header + payload
 
@@ -449,7 +406,6 @@ def encode_request_parts(
     limit: Optional[int] = None,
     n_shards: int = 0,
     request_id: int = 0,
-    version: int = PROTOCOL_VERSION,
     deadline_ms: int = 0,
 ) -> List[memoryview]:
     """Encode one request frame as ``[prefix, bitset]`` buffer parts.
@@ -463,17 +419,12 @@ def encode_request_parts(
     ``uint8`` transport form (e.g.
     :meth:`~repro.backend.batch.SpikeTrainBatch.packbits`).  ``n_shards``
     0 asks the server to use its own default; ``limit`` bounds a
-    membership scan (None: the whole grid); ``deadline_ms`` (version 4
-    only) asks the server to abandon the request once that many
-    milliseconds have passed since it parsed the frame (0: no
-    deadline).
+    membership scan (None: the whole grid); ``deadline_ms`` asks the
+    server to abandon the request once that many milliseconds have
+    passed since it parsed the frame (0: no deadline).
     """
     if mode not in _TYPE_BY_MODE:
         raise ProtocolError(ERR_BAD_TYPE, f"unknown request mode {mode!r}")
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(
-            ERR_BAD_VERSION, f"cannot encode protocol version {version}"
-        )
     packed = np.ascontiguousarray(packed, dtype=np.uint8)
     n_bytes = packed_kernels.n_packed_bytes(n_samples)
     if packed.ndim != 2 or packed.shape[1] != n_bytes:
@@ -498,13 +449,14 @@ def encode_request_parts(
         raise ProtocolError(
             ERR_BAD_FRAME, f"request_id {request_id} outside uint32"
         )
-    deadline_ms = _check_deadline_ms(deadline_ms, version)
+    deadline_ms = _check_deadline_ms(deadline_ms)
     body = _REQUEST.pack(
         packed.shape[0], n_samples, float(dt), start_slot, wire_limit,
         n_shards, 0,
     )
     header = _HEADER.pack(
-        MAGIC, version, _TYPE_BY_MODE[mode], 0, request_id, deadline_ms
+        MAGIC, PROTOCOL_VERSION, _TYPE_BY_MODE[mode], 0, request_id,
+        deadline_ms,
     )
     length = _LENGTH.pack(len(header) + len(body) + packed.nbytes)
     view = memoryview(packed).cast("B")
@@ -522,7 +474,6 @@ def encode_request(
     limit: Optional[int] = None,
     n_shards: int = 0,
     request_id: int = 0,
-    version: int = PROTOCOL_VERSION,
     deadline_ms: int = 0,
 ) -> bytes:
     """Encode one request frame around an ``np.packbits`` bitset.
@@ -541,7 +492,6 @@ def encode_request(
             limit=limit,
             n_shards=n_shards,
             request_id=request_id,
-            version=version,
             deadline_ms=deadline_ms,
         )
     )
@@ -604,7 +554,6 @@ def parse_request(frame: Frame) -> Request:
         start_slot=int(start_slot),
         limit=None if limit == LIMIT_FULL else int(limit),
         n_shards=int(n_shards),
-        version=frame.version,
         deadline_ms=frame.deadline_ms,
     )
 
@@ -619,10 +568,9 @@ def encode_corpus_query(
     limit: Optional[int] = None,
     n_shards: int = 0,
     request_id: int = 0,
-    version: int = PROTOCOL_VERSION,
     deadline_ms: int = 0,
 ) -> bytes:
-    """Encode one corpus-query frame (version 3+).
+    """Encode one corpus-query frame.
 
     Asks the server to run ``mode`` over rows ``[row_start, row_stop)``
     of the corpus it hosts under ``corpus`` — the payload carries no
@@ -633,11 +581,6 @@ def encode_corpus_query(
     """
     if mode not in _MODE_CODES:
         raise ProtocolError(ERR_BAD_TYPE, f"unknown request mode {mode!r}")
-    if version not in SUPPORTED_VERSIONS or version < 3:
-        raise ProtocolError(
-            ERR_BAD_VERSION,
-            f"corpus queries need protocol version >= 3, got {version}",
-        )
     name = str(corpus).encode("utf-8")
     if not (0 < len(name) < 2**16):
         raise ProtocolError(
@@ -664,11 +607,7 @@ def encode_corpus_query(
         start_slot, wire_limit, n_shards, 0,
     )
     return encode_frame(
-        FRAME_CORPUS_QUERY,
-        request_id,
-        body + name,
-        version=version,
-        deadline_ms=deadline_ms,
+        FRAME_CORPUS_QUERY, request_id, body + name, deadline_ms=deadline_ms
     )
 
 
@@ -684,11 +623,6 @@ def parse_corpus_query(frame: Frame) -> CorpusQuery:
         raise ProtocolError(
             ERR_BAD_TYPE,
             f"frame type 0x{frame.frame_type:02x} is not a corpus query",
-        )
-    if frame.version < 3:
-        raise ProtocolError(
-            ERR_BAD_VERSION,
-            f"corpus queries need protocol version >= 3, got {frame.version}",
         )
     if len(frame.payload) < CORPUS_QUERY_HEADER_BYTES:
         raise ProtocolError(
@@ -741,7 +675,6 @@ def parse_corpus_query(frame: Frame) -> CorpusQuery:
         start_slot=int(start_slot),
         limit=None if limit == LIMIT_FULL else int(limit),
         n_shards=int(n_shards),
-        version=frame.version,
         deadline_ms=frame.deadline_ms,
     )
 
@@ -755,21 +688,15 @@ def encode_logicnet_query(
     depth: int,
     n_shards: int = 0,
     request_id: int = 0,
-    version: int = PROTOCOL_VERSION,
     deadline_ms: int = 0,
 ) -> bytes:
-    """Encode one logicnet-query frame (version 5).
+    """Encode one logicnet-query frame.
 
     Asks the server to evaluate networks ``[net_start, net_stop)`` of
     the family ``(seed, n_gates, depth)`` against its hosted basis —
     the request is 20 bytes of query header, nothing else.
     ``n_shards`` 0 lets the server pick its configured split.
     """
-    if version not in SUPPORTED_VERSIONS or version < 5:
-        raise ProtocolError(
-            ERR_BAD_VERSION,
-            f"logicnet queries need protocol version >= 5, got {version}",
-        )
     net_start, net_stop = int(net_start), int(net_stop)
     if not (0 <= net_start < net_stop < 2**32):
         raise ProtocolError(
@@ -793,11 +720,7 @@ def encode_logicnet_query(
         int(seed), net_start, net_stop, int(n_gates), int(depth), int(n_shards)
     )
     return encode_frame(
-        FRAME_LOGICNET,
-        request_id,
-        body,
-        version=version,
-        deadline_ms=deadline_ms,
+        FRAME_LOGICNET, request_id, body, deadline_ms=deadline_ms
     )
 
 
@@ -812,12 +735,6 @@ def parse_logicnet_query(frame: Frame) -> LogicNetQuery:
         raise ProtocolError(
             ERR_BAD_TYPE,
             f"frame type 0x{frame.frame_type:02x} is not a logicnet query",
-        )
-    if frame.version < 5:
-        raise ProtocolError(
-            ERR_BAD_VERSION,
-            f"logicnet queries need protocol version >= 5, "
-            f"got {frame.version}",
         )
     if len(frame.payload) != LOGICNET_QUERY_BYTES:
         raise ProtocolError(
@@ -848,45 +765,29 @@ def parse_logicnet_query(frame: Frame) -> LogicNetQuery:
         n_gates=int(n_gates),
         depth=int(depth),
         n_shards=int(n_shards),
-        version=frame.version,
         deadline_ms=frame.deadline_ms,
     )
 
 
-def encode_ping(
-    request_id: int = 0,
-    *,
-    version: int = PROTOCOL_VERSION,
-) -> bytes:
+def encode_ping(request_id: int = 0) -> bytes:
     """Encode one PING health probe (answered with a JSON PONG).
 
     An empty payload by design: the cheapest possible liveness
     round-trip for load-balancer probes — no compute, no pool, no
-    STATS aggregation.  Accepted at any supported version, like STATS.
+    STATS aggregation.
     """
-    return encode_frame(FRAME_PING, request_id, b"", version=version)
+    return encode_frame(FRAME_PING, request_id, b"")
 
 
-def encode_json_frame(
-    frame_type: int,
-    request_id: int,
-    obj,
-    *,
-    version: int = PROTOCOL_VERSION,
-) -> bytes:
-    """Encode one response frame whose payload is UTF-8 JSON.
-
-    ``version`` stamps the frame header — responses must answer in the
-    version the request was made in, or a version-1 peer's reader
-    would reject them.
-    """
+def encode_json_frame(frame_type: int, request_id: int, obj) -> bytes:
+    """Encode one response frame whose payload is UTF-8 JSON."""
     if frame_type not in _JSON_RESPONSE_TYPES:
         raise ProtocolError(
             ERR_BAD_TYPE,
             f"frame type 0x{frame_type:02x} is not a JSON response",
         )
     payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    return encode_frame(frame_type, request_id, payload, version=version)
+    return encode_frame(frame_type, request_id, payload)
 
 
 def parse_json_frame(frame: Frame) -> dict:
@@ -907,24 +808,6 @@ def parse_json_frame(frame: Frame) -> dict:
     return obj
 
 
-def jsonable_payload(payload: dict) -> dict:
-    """A shard payload with every array field JSON-encodable.
-
-    Shard compute returns NumPy arrays
-    (:func:`~repro.serving.dispatch.compute_shard`); the version-1 JSON
-    encoding converts them to plain lists at the boundary (boolean
-    matrices as 0/1), exactly the shapes version-1 clients always saw.
-    """
-    out = {}
-    for key, value in payload.items():
-        if isinstance(value, np.ndarray):
-            if value.dtype == np.bool_:
-                value = value.astype(int)
-            value = value.tolist()
-        out[key] = value
-    return out
-
-
 def _residency_bits(residency: dict) -> int:
     bits = 0
     if residency.get("packed"):
@@ -941,9 +824,8 @@ def encode_result_frame(
     payload: dict,
     *,
     mode: str,
-    version: int = PROTOCOL_VERSION,
 ) -> bytes:
-    """Encode one shard result as a binary ``FRAME_RESULT`` (version 2).
+    """Encode one shard result as a binary ``FRAME_RESULT``.
 
     ``payload`` is a :func:`~repro.serving.dispatch.compute_shard`
     payload: ``row_start``/``row_stop``/``wall_seconds``/``residency``
@@ -952,7 +834,7 @@ def encode_result_frame(
     ``spikes_inspected`` (i64), one entry per row; membership results
     as the ``np.packbits`` bits of the ``(n_rows, M)`` membership
     matrix followed by the ``first_slots`` i64 matrix; logicnet
-    results (version 5) as the ``(n_rows, G)`` per-gate ``popcounts``
+    results as the ``(n_rows, G)`` per-gate ``popcounts``
     i64 matrix followed by the per-network ``checksums`` u64 vector,
     with the row range counting networks and ``n_cols`` carrying G.
     No JSON, no Python lists — the arrays' own buffers are the
@@ -1023,16 +905,15 @@ def encode_result_frame(
         n_cols,
         float(payload.get("wall_seconds", 0.0)),
     )
-    return encode_frame(FRAME_RESULT, request_id, header + blob, version=version)
+    return encode_frame(FRAME_RESULT, request_id, header + blob)
 
 
 def parse_result_frame(frame: Frame) -> dict:
     """Decode one binary result frame into a shard-payload dict.
 
     The inverse of :func:`encode_result_frame`: the returned dict
-    carries the same keys as the version-1 JSON shard payload — array
-    fields as NumPy arrays, ``membership`` as booleans — so merging
-    code is encoding-agnostic.
+    carries the :func:`~repro.serving.dispatch.compute_shard` payload
+    keys — array fields as NumPy arrays, ``membership`` as booleans.
     """
     if frame.frame_type != FRAME_RESULT:
         raise ProtocolError(
@@ -1134,7 +1015,6 @@ def parse_result_frame(frame: Frame) -> dict:
 def encode_stats_request(
     request_id: int = 0,
     *,
-    version: int = PROTOCOL_VERSION,
     scope: Optional[str] = None,
 ) -> bytes:
     """Encode one STATS request (answered with JSON).
@@ -1144,17 +1024,15 @@ def encode_stats_request(
     every worker's counters into one reply with per-worker detail,
     ``"local"`` returns only the worker that happened to accept this
     connection.  The scope rides as a tiny JSON payload
-    (``{"scope": ...}``); ``None`` keeps the payload empty — the
-    pre-aggregation encoding, which every server treats as the default
-    scope, so old clients keep working against new servers and new
-    clients against old servers (which ignore the payload entirely).
+    (``{"scope": ...}``); ``None`` keeps the payload empty, which
+    every server treats as the default scope.
     """
     payload = (
         json.dumps({"scope": scope}, separators=(",", ":")).encode("utf-8")
         if scope is not None
         else b""
     )
-    return encode_frame(FRAME_STATS, request_id, payload, version=version)
+    return encode_frame(FRAME_STATS, request_id, payload)
 
 
 def stats_scope(frame: Frame) -> Optional[str]:
@@ -1176,13 +1054,7 @@ def stats_scope(frame: Frame) -> Optional[str]:
     return scope if isinstance(scope, str) else None
 
 
-def encode_error(
-    request_id: int,
-    code: int,
-    message: str,
-    *,
-    version: int = PROTOCOL_VERSION,
-) -> bytes:
+def encode_error(request_id: int, code: int, message: str) -> bytes:
     """Encode one error frame (JSON ``{code, error, message}``)."""
     return encode_json_frame(
         FRAME_ERROR,
@@ -1192,7 +1064,6 @@ def encode_error(
             "error": ERROR_NAMES.get(int(code), "UNKNOWN"),
             "message": str(message),
         },
-        version=version,
     )
 
 
@@ -1201,8 +1072,9 @@ class FrameReader:
 
     Feed it whatever the transport delivers; it buffers partial frames
     and returns each complete :class:`Frame` exactly once.  Framing
-    violations (bad magic, unsupported version, nonzero reserved
-    fields, a declared length below the header size or above
+    violations (bad magic, a version other than
+    :data:`PROTOCOL_VERSION`, nonzero flags, a declared length below
+    the header size or above
     ``max_frame_bytes``) raise :class:`~repro.errors.ProtocolError`
     immediately — after a framing error the stream boundary is lost and
     the connection must be dropped, which is why these are errors and
@@ -1335,35 +1207,27 @@ class FrameReader:
 
     def _frame_from_body(self, body: memoryview) -> Frame:
         """Validate one complete prefix+header+payload body into a Frame."""
-        magic, version, frame_type, flags, request_id, reserved = (
+        magic, version, frame_type, flags, request_id, deadline_ms = (
             _HEADER.unpack_from(body, _LENGTH.size)
         )
         if magic != MAGIC:
             raise ProtocolError(
                 ERR_BAD_MAGIC, f"bad magic {magic!r} (expected {MAGIC!r})"
             )
-        if version not in SUPPORTED_VERSIONS:
+        if version != PROTOCOL_VERSION:
             raise ProtocolError(
                 ERR_BAD_VERSION,
                 f"unsupported protocol version {version} "
-                f"(this build speaks {SUPPORTED_VERSIONS})",
+                f"(this build speaks {PROTOCOL_VERSION})",
             )
         if flags != 0:
-            raise ProtocolError(
-                ERR_BAD_FRAME, "header flags must be zero in versions 1-5"
-            )
-        if reserved != 0 and version < 4:
-            raise ProtocolError(
-                ERR_BAD_FRAME,
-                "reserved header field must be zero in versions 1-3",
-            )
+            raise ProtocolError(ERR_BAD_FRAME, "header flags must be zero")
         return Frame(
-            version=version,
             frame_type=frame_type,
             request_id=request_id,
             payload=body[_LENGTH.size + HEADER_BYTES :].toreadonly(),
             flags=flags,
-            deadline_ms=reserved if version >= 4 else 0,
+            deadline_ms=deadline_ms,
         )
 
     # -- read-into ingestion (asyncio.BufferedProtocol shape) ----------

@@ -17,12 +17,11 @@ four existing layers without the payload ever unpacking to a raster:
    fan out over the :class:`~repro.pipeline.runner.Runner`'s
    persistent pool (``Runner.gather``, supervised), where workers
    attach the mapped bitset and run the packed receiver kernels on it;
-4. each shard's result streams back to the client as one result frame
-   (binary ``RESULT``; a JSON ``SHARD`` frame for version-1 clients),
-   in shard order as results complete (a slow early shard delays the
-   later shards' *frames*, never their compute), followed by a DONE
-   summary frame recording wall time and the server batch's
-   representation residency.
+4. each shard's result streams back to the client as one binary
+   ``RESULT`` frame, in shard order as results complete (a slow early
+   shard delays the later shards' *frames*, never their compute),
+   followed by a DONE summary frame recording wall time and the server
+   batch's representation residency.
 
 Single-job servers (or hosts without shared memory) run the same
 shards in-process on a worker thread — bit-identical results, one code
@@ -60,13 +59,14 @@ all serving bit-identical results through the same
   ``"coalesced"``).  Many small clients thus amortise into the wide
   batched operations the packed kernels are built for.
 
-Flow control is a bounded **in-flight arena budget**: request payloads
-admit to the sharded path only while the bytes pinned in per-request
-arenas stay under ``max_inflight_bytes``; later requests wait (the TCP
-receive window then pushes back on the client) instead of growing
-server memory.  Graceful shutdown drains in-flight requests, then
-releases every worker's shared-memory attachments through the runner's
-end-of-run broadcast and discards the installed basis.
+Flow control is a bounded **in-flight byte budget**: sharded request
+payloads (pinned in per-request arenas) and logicnet output state
+admit only while the bytes charged stay under ``max_inflight_bytes``;
+later requests wait (the TCP receive window then pushes back on the
+client) instead of growing server memory.  Graceful shutdown drains
+in-flight requests, then releases every worker's shared-memory
+attachments through the runner's end-of-run broadcast and discards the
+installed basis.
 
 Every server keeps a :class:`ServerStats` — request counts per path,
 coalesced batches, error count and a rolling latency window — served
@@ -95,7 +95,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..backend.batch import SpikeTrainBatch
-from ..backend.packed import row_chunk_bounds
+from ..backend.packed import n_packed_words, row_chunk_bounds
 from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena
 from ..errors import ProtocolError, ServingError
 from ..hyperspace.basis import HyperspaceBasis
@@ -138,13 +138,13 @@ class ServerConfig:
     batch.
 
     ``workers`` > 1 turns ``repro serve`` into a process cluster: that
-    many server processes accept on **one** port (``SO_REUSEPORT``
-    where the OS has it, a small front proxy otherwise) and report one
-    aggregated STATS reply — see :mod:`repro.serving.cluster`.  A
-    single :class:`SpikeServer` ignores the field.
+    many server processes accept on **one** ``SO_REUSEPORT`` port and
+    report one aggregated STATS reply — see
+    :mod:`repro.serving.cluster`.  A single :class:`SpikeServer`
+    ignores the field.
 
     ``corpus`` names a :class:`~repro.pipeline.corpus.CorpusStore`
-    directory to host read-only: the server then answers version-3
+    directory to host read-only: the server then answers
     ``FRAME_CORPUS_QUERY`` requests against it (by the directory's
     basename), computing chunk-at-a-time straight off the memmap —
     ``corpus_chunk_rows`` caps the rows any one chunk maps and
@@ -523,9 +523,9 @@ class _Connection(asyncio.BufferedProtocol):
     its request id, and each is written atomically (one ``write()``
     per frame).  Framing errors (bad magic / version / length) poison
     the byte stream: in-flight requests finish answering, then one
-    connection-scope error frame (request id 0, stamped version 1 so
-    every client decodes it) closes the connection.  Request-level
-    errors are answered upstream and keep the connection alive.
+    connection-scope error frame (request id 0) closes the connection.
+    Request-level errors are answered upstream and keep the connection
+    alive.
 
     The object doubles as the writer handed to the request handlers:
     ``write``/``drain`` front the transport with its high-water flow
@@ -646,9 +646,7 @@ class _Connection(asyncio.BufferedProtocol):
         # connection — the stream boundary is lost.
         await self._settle()
         try:
-            self.write(
-                protocol.encode_error(0, exc.code, str(exc), version=1)
-            )
+            self.write(protocol.encode_error(0, exc.code, str(exc)))
             await self.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -930,10 +928,7 @@ class SpikeServer:
             await self._send(
                 writer,
                 protocol.encode_json_frame(
-                    protocol.FRAME_STATS_REPLY,
-                    frame.request_id,
-                    payload,
-                    version=frame.version,
+                    protocol.FRAME_STATS_REPLY, frame.request_id, payload
                 ),
             )
             return
@@ -959,7 +954,6 @@ class SpikeServer:
                             else None
                         ),
                     },
-                    version=frame.version,
                 ),
             )
             return
@@ -975,7 +969,6 @@ class SpikeServer:
                         frame.request_id,
                         protocol.ERR_RETRYABLE,
                         "server is draining for shutdown; retry the request",
-                        version=frame.version,
                     ),
                 )
             except (ConnectionResetError, BrokenPipeError):
@@ -1000,14 +993,11 @@ class SpikeServer:
                 code = protocol.ERR_INTERNAL
                 message = f"{type(exc).__name__}: {exc}"
             await self._send(
-                writer,
-                protocol.encode_error(
-                    frame.request_id, code, message, version=frame.version
-                ),
+                writer, protocol.encode_error(frame.request_id, code, message)
             )
 
     # ------------------------------------------------------------------
-    # Deadlines (protocol version 4)
+    # Deadlines
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -1098,7 +1088,9 @@ class SpikeServer:
                     else:
                         payload = await asyncio.to_thread(get)
                     shards.append(payload)
-                    frame = self._shard_frame(request, payload)
+                    frame = protocol.encode_result_frame(
+                        request.request_id, payload, mode=request.mode
+                    )
                     if plan.inline:
                         # One drain covers the result and the DONE frame.
                         writer.write(frame)
@@ -1125,33 +1117,12 @@ class SpikeServer:
             await self._send(
                 writer,
                 protocol.encode_json_frame(
-                    protocol.FRAME_DONE,
-                    request.request_id,
-                    summary,
-                    version=request.version,
+                    protocol.FRAME_DONE, request.request_id, summary
                 ),
             )
         finally:
             if plan.budget:
                 await self._budget.release(plan.budget)
-
-    def _shard_frame(self, request, payload: dict) -> bytes:
-        """Encode one shard payload in the request's negotiated version."""
-        if request.version >= 2:
-            return protocol.encode_result_frame(
-                request.request_id,
-                payload,
-                mode=request.mode,
-                version=request.version,
-            )
-        body = protocol.jsonable_payload(payload)
-        body["kind"] = "shard"
-        return protocol.encode_json_frame(
-            protocol.FRAME_SHARD,
-            request.request_id,
-            body,
-            version=request.version,
-        )
 
     def _gather(self, fn, tasks) -> List[Callable[[], dict]]:
         """Supervised pool getters for one request's shard tasks."""
@@ -1280,7 +1251,7 @@ class SpikeServer:
         )
 
     def _corpus_plan(self, query: protocol.CorpusQuery) -> _Plan:
-        """Corpus queries (version 3): chunked scans of the hosted memmap.
+        """Corpus queries: chunked scans of the hosted memmap.
 
         The query must name the hosted corpus and fit inside it.  The
         scan splits into at least enough chunks that none maps more
@@ -1305,6 +1276,15 @@ class SpikeServer:
                 protocol.ERR_BAD_FRAME,
                 f"row range [{query.row_start}, {query.row_stop}) outside "
                 f"corpus of {self._corpus.n_rows} rows",
+            )
+        # The same check parse_request makes of a bitset request, so a
+        # corpus reply stays bit-identical to shipping the rows.
+        n_samples = self.basis.grid.n_samples
+        if query.start_slot > n_samples:
+            raise ServingError(
+                protocol.ERR_BAD_FRAME,
+                f"start_slot {query.start_slot} outside grid of "
+                f"{n_samples} samples",
             )
         chunk_rows = max(1, self.config.corpus_chunk_rows)
         n_chunks = max(query.n_shards, -(-query.n_wires // chunk_rows))
@@ -1344,18 +1324,21 @@ class SpikeServer:
         )
 
     #: Cap on evaluated gates per logicnet request (networks × depth ×
-    #: gates) — bounds the packed working set the same way the frame
-    #: size cap bounds bitset requests.
+    #: gates) — bounds the compute the way the frame size cap bounds
+    #: bitset requests.
     _LOGICNET_MAX_GATES = 1 << 24
 
     def _logicnet_plan(self, query: protocol.LogicNetQuery) -> _Plan:
-        """Logicnet queries (version 5): network ranges of a seeded family.
+        """Logicnet queries: network ranges of a seeded family.
 
-        The request ships no payload, so there is no arena and no byte
-        budget: each shard task is a few integers, and pool workers
-        rebuild their networks from spawn keys against the basis they
-        already hold installed.  The split defaults to ``--shards``,
-        else one shard.
+        The request ships no payload and needs no arena: each shard
+        task is a few integers, and pool workers rebuild their networks
+        from spawn keys against the basis they already hold installed.
+        Evaluation still allocates the ``(networks, gates, words)``
+        packed output state, so those bytes are charged to the
+        in-flight budget: a query that could never fit answers
+        OVERLOADED, and concurrent large queries queue.  The split
+        defaults to ``--shards``, else one shard.
         """
         total = query.n_networks * query.depth * query.n_gates
         if total > self._LOGICNET_MAX_GATES:
@@ -1387,11 +1370,18 @@ class SpikeServer:
             "row_start": query.net_start,
             "row_stop": query.net_stop,
         }
+        budget = (
+            query.n_networks
+            * query.n_gates
+            * n_packed_words(self.basis.grid.n_samples)
+            * 8
+        )
         if self._use_pool():
             return _Plan(
                 "seed-rebuild",
                 done,
                 lambda _: self._gather(dispatch.run_logicnet_shard, tasks),
+                budget=budget,
             )
         # In-process shards call the compute core directly: the pool
         # entry point would fire the pool-only ``serving.run_shard``
@@ -1411,6 +1401,7 @@ class SpikeServer:
                 )
                 for task in tasks
             ],
+            budget=budget,
         )
 
     #: frame type → (parser, plan builder).  Any other frame type goes

@@ -2,10 +2,9 @@
 
 Three layers: the fork-shared stats block (pure data structure), the
 WorkerStats mirror (every ServerStats mutation path must land in the
-block), and end-to-end clusters in both listener modes — SO_REUSEPORT
-and the front-proxy fallback — checking that requests really spread
-across worker processes and that any worker answers a STATS request
-with the cluster-wide aggregate.
+block), and end-to-end SO_REUSEPORT clusters, checking that blocking
+and pipelined requests are served by worker processes and that any
+worker answers a STATS request with the cluster-wide aggregate.
 """
 
 import asyncio
@@ -183,11 +182,9 @@ class TestReuseportCluster:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
-
-class TestProxyCluster:
-    def test_pipelined_requests_spread_and_aggregate(self, wires):
+    def test_pipelined_requests_aggregate(self, wires):
         sent_blocking, sent_pipelined = 4, 5
-        with ServerCluster(CONFIG, force_proxy=True) as cluster:
+        with ServerCluster(CONFIG) as cluster:
             _roundtrip(cluster.port, wires, sent_blocking)
 
             async def pipelined():
@@ -208,17 +205,19 @@ class TestProxyCluster:
                 stats = client.stats()
             assert stats["requests_served"] == sent_blocking + sent_pipelined
             assert stats["workers"] == 2
-            # Sequential single-connection clients round-robin, so both
-            # workers must have served something.
-            assert all(
-                w["requests_served"] > 0 for w in stats["per_worker"]
-            )
 
 
 class TestClusterConfig:
     def test_workers_must_be_positive(self):
         with pytest.raises(ServingError):
             ServerCluster(CONFIG, workers=0)
+
+    def test_host_without_reuseport_gets_a_typed_error(self, monkeypatch):
+        from repro.serving import cluster
+
+        monkeypatch.setattr(cluster, "HAVE_REUSEPORT", False)
+        with pytest.raises(ServingError, match="SO_REUSEPORT"):
+            ServerCluster(CONFIG)
 
     def test_port_before_start_raises(self):
         cluster = ServerCluster(CONFIG)

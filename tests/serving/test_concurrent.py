@@ -133,41 +133,6 @@ class TestFastPath:
         assert np.array_equal(reply.first_slots, local.first_slots)
 
 
-class TestVersionNegotiation:
-    def test_mixed_v1_and_v2_clients_on_one_server(
-        self, fast_server, small_basis, request_batches
-    ):
-        """JSON and binary clients share a server, answers identical."""
-        wires, _ = request_batches[3]
-        local = local_identify(small_basis, wires)
-        with ServingClient(
-            fast_server.host, fast_server.port, version=1
-        ) as v1, ServingClient(
-            fast_server.host, fast_server.port, version=2
-        ) as v2:
-            reply_v1 = v1.identify(wires)
-            reply_v2 = v2.identify(wires)
-        for reply in (reply_v1, reply_v2):
-            assert np.array_equal(reply.elements, local.elements)
-            assert np.array_equal(
-                reply.decision_slots, local.decision_slots
-            )
-
-    def test_v1_membership_matches_v2(
-        self, fast_server, small_basis, request_batches
-    ):
-        wires, _ = request_batches[4]
-        with ServingClient(
-            fast_server.host, fast_server.port, version=1
-        ) as v1, ServingClient(
-            fast_server.host, fast_server.port, version=2
-        ) as v2:
-            reply_v1 = v1.membership(wires, n_shards=2)
-            reply_v2 = v2.membership(wires, n_shards=2)
-        assert np.array_equal(reply_v1.membership, reply_v2.membership)
-        assert np.array_equal(reply_v1.first_slots, reply_v2.first_slots)
-
-
 class TestPipelining:
     def test_interleaved_request_ids_all_answer_correctly(
         self, fast_server, small_basis, request_batches

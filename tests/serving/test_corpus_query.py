@@ -200,6 +200,27 @@ class TestCorpusErrors:
                 client.corpus_identify("library", 0, CORPUS_ROWS + 1)
         assert excinfo.value.code == protocol.ERR_BAD_FRAME
 
+    def test_start_slot_past_the_grid(self, corpus_server, corpus_root):
+        """Rejected exactly like a bitset request of the same rows."""
+        n_samples = SMALL["n_samples"]
+        with ServingClient(corpus_server.host, corpus_server.port) as client:
+            with pytest.raises(ServingError) as excinfo:
+                client.corpus_identify(
+                    "library", 0, 8, start_slot=n_samples + 1
+                )
+            # The last valid start still serves, equal to the bitset reply.
+            edge = client.corpus_identify(
+                "library", 0, 8, start_slot=n_samples
+            )
+            rows = CorpusStore(corpus_root[0]).open_rows(0, 8)
+            shipped = client.identify(rows, start_slot=n_samples)
+        assert excinfo.value.code == protocol.ERR_BAD_FRAME
+        assert f"outside grid of {n_samples} samples" in str(excinfo.value)
+        np.testing.assert_array_equal(edge.elements, shipped.elements)
+        np.testing.assert_array_equal(
+            edge.decision_slots, shipped.decision_slots
+        )
+
     def test_server_survives_an_error(self, corpus_server):
         with ServingClient(corpus_server.host, corpus_server.port) as client:
             with pytest.raises(ServingError):
@@ -239,17 +260,11 @@ class TestCorpusFrameCodec:
         with pytest.raises(ProtocolError):
             protocol.encode_corpus_query("", 0, 1)
 
-    def test_encode_rejects_pre_v3(self):
-        with pytest.raises(ProtocolError) as excinfo:
-            protocol.encode_corpus_query("c", 0, 1, version=2)
-        assert excinfo.value.code == protocol.ERR_BAD_VERSION
-
     def test_truncated_payload_rejected(self):
         frame_bytes = protocol.encode_corpus_query("library", 0, 10)
         (frame,) = protocol.FrameReader().feed(frame_bytes)
         clipped = protocol.Frame(
             frame_type=frame.frame_type,
-            version=frame.version,
             request_id=frame.request_id,
             payload=frame.payload[:-1],
         )

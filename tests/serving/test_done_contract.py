@@ -2,9 +2,9 @@
 
 One parametrized case per route the server can take — fast path,
 coalesced micro-batch, in-process and shared-arena sharding, the
-corpus memmap scan, in-process and seed-rebuild logicnet (explicit
-and default shard counts) and a version-1 client.  Each case asserts
-the reply's ``transport`` and ``n_shards``, the *exact* DONE key set
+corpus memmap scan, and in-process and seed-rebuild logicnet (explicit
+and default shard counts).  Each case asserts the reply's
+``transport`` and ``n_shards``, the *exact* DONE key set
 ``docs/protocol.md`` ("DONE frame") documents for that transport, the
 shard row ranges, the shard and server residency blocks, and
 bit-identity with the local reference computation.
@@ -84,11 +84,6 @@ CASES = [
     ("logicnet-seed-rebuild-default", "pooled",
      dict(kind="logicnet", nets=(0, 7)), "seed-rebuild", [(0, 7)],
      LOGICNET_KEYS, BASIS_RESIDENCY),
-    ("version-1", "inline", dict(kind="identify", version=1), "fast-path",
-     [(0, 24)], BITSET_KEYS, PACKED_ONLY),
-    ("version-1-sharded", "inline",
-     dict(kind="membership", version=1, n_shards=2), "in-process",
-     [(0, 12), (12, 24)], BITSET_KEYS, PACKED_ONLY),
 ]
 
 
@@ -137,10 +132,9 @@ def servers(corpus):
 def _serve_and_reference(request, handle, basis, wires, corpus):
     """``(reply, {field: expected array})`` for one case's request."""
     kind = request["kind"]
-    version = request.get("version", 5)
     n_shards = request.get("n_shards", 0)
     correlator = CoincidenceCorrelator(basis)
-    with ServingClient(handle.host, handle.port, version=version) as client:
+    with ServingClient(handle.host, handle.port) as client:
         if kind == "identify":
             reply = client.identify(wires, n_shards=n_shards)
             local = correlator.identify_batch(wires, missing="none")

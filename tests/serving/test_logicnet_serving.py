@@ -10,6 +10,7 @@ error frame.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -180,6 +181,45 @@ class TestLogicNetErrors:
         np.testing.assert_array_equal(reply.popcounts, popcounts)
 
 
+class TestLogicNetBudget:
+    """Output state is charged to the in-flight byte budget.
+
+    Every query allocates ``networks × gates × ceil(T / 64)`` u64
+    output words; at T=4096 that is 512 bytes per gate.
+    """
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_state_over_the_budget_is_overloaded(self, small_basis, jobs):
+        if jobs > 1 and not HAVE_SHARED_MEMORY:
+            pytest.skip("no multiprocessing.shared_memory")
+        config = ServerConfig(jobs=jobs, max_inflight_bytes=1 << 20, **SMALL)
+        inputs = small_basis.as_batch()
+        local = LogicNetBatch.random(
+            1, 1024, 2, inputs.n_trains, FAMILY["seed"]
+        ).evaluate(inputs.packed_words(), inputs.grid.n_samples)
+        with ServerThread(config) as handle:
+            with ServingClient(handle.host, handle.port) as client:
+                # 4096 gates: 2 MiB of output state, over the 1 MiB cap.
+                with pytest.raises(ServingError) as info:
+                    client.logicnet(
+                        FAMILY["seed"], 0, 1, n_gates=4096, depth=2
+                    )
+                assert info.value.code == protocol.ERR_OVERLOADED
+                # 1024 gates: 512 KiB, served as before.
+                reply = client.logicnet(
+                    FAMILY["seed"], 0, 1, n_gates=1024, depth=2
+                )
+            # The release follows the DONE frame; give it a moment.
+            deadline = time.monotonic() + 10.0
+            while handle.server._budget.in_flight and (
+                time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert handle.server._budget.in_flight == 0
+        np.testing.assert_array_equal(reply.popcounts, local[0])
+        np.testing.assert_array_equal(reply.checksums, local[1])
+
+
 class TestLogicNetFrameCodec:
     def test_encode_parse_round_trip(self):
         frame_bytes = protocol.encode_logicnet_query(
@@ -207,13 +247,6 @@ class TestLogicNetFrameCodec:
         with pytest.raises(ProtocolError):
             protocol.encode_logicnet_query(1, 0, 4, n_gates=4, depth=0)
 
-    def test_encode_rejects_pre_v5(self):
-        with pytest.raises(ProtocolError) as excinfo:
-            protocol.encode_logicnet_query(
-                1, 0, 4, n_gates=4, depth=1, version=4
-            )
-        assert excinfo.value.code == protocol.ERR_BAD_VERSION
-
     def test_truncated_payload_rejected(self):
         frame_bytes = protocol.encode_logicnet_query(
             1, 0, 4, n_gates=4, depth=1
@@ -221,13 +254,8 @@ class TestLogicNetFrameCodec:
         (frame,) = protocol.FrameReader().feed(frame_bytes)
         clipped = protocol.Frame(
             frame_type=frame.frame_type,
-            version=frame.version,
             request_id=frame.request_id,
             payload=frame.payload[:-1],
         )
         with pytest.raises(ProtocolError):
             protocol.parse_logicnet_query(clipped)
-
-    def test_versions_one_to_four_still_supported(self):
-        assert protocol.PROTOCOL_VERSION == 5
-        assert protocol.SUPPORTED_VERSIONS == (1, 2, 3, 4, 5)

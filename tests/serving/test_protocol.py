@@ -122,13 +122,12 @@ class TestRequestRoundTrip:
 
 class TestJsonFrames:
     def test_shard_and_done_round_trip(self):
-        for ftype in (protocol.FRAME_SHARD, protocol.FRAME_DONE):
-            payload = {"elements": [1, 2, -1], "wall_seconds": 0.25}
-            wire = protocol.encode_json_frame(ftype, 9, payload)
-            frame = protocol.FrameReader().feed(wire)[0]
-            assert frame.frame_type == ftype
-            assert frame.request_id == 9
-            assert protocol.parse_json_frame(frame) == payload
+        payload = {"elements": [1, 2, -1], "wall_seconds": 0.25}
+        wire = protocol.encode_json_frame(protocol.FRAME_DONE, 9, payload)
+        frame = protocol.FrameReader().feed(wire)[0]
+        assert frame.frame_type == protocol.FRAME_DONE
+        assert frame.request_id == 9
+        assert protocol.parse_json_frame(frame) == payload
 
     def test_error_frame_carries_code_and_name(self):
         wire = protocol.encode_error(7, protocol.ERR_BAD_GRID, "wrong grid")
@@ -162,9 +161,10 @@ class TestFramingRejection:
             protocol.FrameReader().feed(bytes(wire))
         assert err.value.code == protocol.ERR_BAD_MAGIC
 
-    def test_unsupported_version(self):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
+    def test_unsupported_version(self, version):
         wire = bytearray(self.encode_one())
-        wire[8] = protocol.PROTOCOL_VERSION + 1
+        wire[8] = version
         with pytest.raises(ProtocolError) as err:
             protocol.FrameReader().feed(bytes(wire))
         assert err.value.code == protocol.ERR_BAD_VERSION
@@ -201,7 +201,6 @@ class TestFramingRejection:
 
     def test_payload_shorter_than_request_header_rejected(self):
         frame = protocol.Frame(
-            version=1,
             frame_type=protocol.FRAME_IDENTIFY,
             request_id=0,
             payload=b"\x00" * 8,
@@ -306,51 +305,12 @@ class TestRequestValidation:
 
 
 class TestVersionNegotiation:
-    def test_version_1_requests_still_decode(self):
-        rng = np.random.default_rng(7)
-        packed, grid, _batch = random_packed(rng, 3, 100)
-        wire = protocol.encode_request(
-            packed, grid.n_samples, grid.dt, version=1, request_id=9
-        )
-        frames = protocol.FrameReader().feed(wire)
-        request = protocol.parse_request(frames[0])
-        assert request.version == 1
-        assert np.array_equal(request.packed, packed)
-
     def test_requests_default_to_current_version(self):
         rng = np.random.default_rng(8)
         packed, grid, _batch = random_packed(rng, 3, 100)
         wire = protocol.encode_request(packed, grid.n_samples, grid.dt)
-        request = protocol.parse_request(
-            protocol.FrameReader().feed(wire)[0]
-        )
-        assert request.version == protocol.PROTOCOL_VERSION == 5
-
-    def test_version_2_requests_still_decode(self):
-        rng = np.random.default_rng(8)
-        packed, grid, _batch = random_packed(rng, 3, 100)
-        wire = protocol.encode_request(
-            packed, grid.n_samples, grid.dt, version=2, request_id=4
-        )
-        request = protocol.parse_request(
-            protocol.FrameReader().feed(wire)[0]
-        )
-        assert request.version == 2
-        assert np.array_equal(request.packed, packed)
-
-    def test_unsupported_version_rejected_on_encode(self):
-        with pytest.raises(ProtocolError) as err:
-            protocol.encode_request(
-                np.zeros((1, 8), dtype=np.uint8), 64, 1e-9, version=6
-            )
-        assert err.value.code == protocol.ERR_BAD_VERSION
-
-    def test_json_frames_stamp_the_requested_version(self):
-        wire = protocol.encode_json_frame(
-            protocol.FRAME_DONE, 5, {"kind": "done"}, version=1
-        )
-        frame = protocol.FrameReader().feed(wire)[0]
-        assert frame.version == 1
+        protocol.parse_request(protocol.FrameReader().feed(wire)[0])
+        assert wire[8] == protocol.PROTOCOL_VERSION == 5
 
     def test_request_parts_concatenate_to_encode_request(self):
         rng = np.random.default_rng(9)
@@ -445,21 +405,6 @@ class TestResultFrames:
         assert frame.request_id == 77
         assert frame.payload == b""
 
-    def test_jsonable_payload_matches_v1_shapes(self):
-        rng = np.random.default_rng(2)
-        payload = {
-            "membership": rng.random((3, 4)) < 0.5,
-            "first_slots": rng.integers(-1, 9, (3, 4)).astype(np.int64),
-            "row_start": 0,
-        }
-        out = protocol.jsonable_payload(payload)
-        assert out["row_start"] == 0
-        assert isinstance(out["membership"], list)
-        assert all(
-            value in (0, 1) for row in out["membership"] for value in row
-        )
-        assert isinstance(out["first_slots"][0][0], int)
-
 
 def drive_buffered(reader, data, rng=None, step=None):
     """Write ``data`` into the reader's own buffers, transport-style."""
@@ -535,7 +480,6 @@ class TestBufferedIngestion:
         )
         assert len(driven) == len(fed) == 4
         for a, b in zip(driven, fed):
-            assert a.version == b.version
             assert a.frame_type == b.frame_type
             assert a.request_id == b.request_id
             assert bytes(a.payload) == bytes(b.payload)

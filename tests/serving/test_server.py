@@ -285,22 +285,43 @@ class TestErrors:
                 client.identify(packed, grid)
         assert err.value.code == protocol.ERR_BAD_GRID
 
+    @pytest.mark.parametrize(
+        "stream, code",
+        [("garbage", protocol.ERR_BAD_MAGIC),
+         ("version-4", protocol.ERR_BAD_VERSION)],
+        ids=["garbage", "version-4"],
+    )
     def test_garbage_bytes_answered_with_error_and_close(
-        self, inline_server
+        self, inline_server, small_wires, stream, code
     ):
+        if stream == "garbage":
+            sent = (32).to_bytes(4, "little") + b"G" * 32
+        else:
+            # A request the server would serve, stamped version 4.
+            wires, _ = small_wires
+            sent = bytearray(
+                protocol.encode_request(
+                    wires.packbits(), wires.grid.n_samples, wires.grid.dt,
+                    request_id=1,
+                )
+            )
+            sent[8] = 4
         with socket.create_connection(
             (inline_server.host, inline_server.port), timeout=30
         ) as sock:
-            sock.sendall((32).to_bytes(4, "little") + b"G" * 32)
-            reader = protocol.FrameReader()
-            frames = []
+            sock.sendall(bytes(sent))
+            received = b""
             data = sock.recv(65536)
             while data:
-                frames.extend(reader.feed(data))
+                received += data
                 data = sock.recv(65536)
-        assert frames  # the error frame arrived before the close
-        payload = protocol.parse_json_frame(frames[0])
-        assert payload["code"] == protocol.ERR_BAD_MAGIC
+        # One connection-scope error frame arrived before the close,
+        # stamped the one protocol version.
+        (frame,) = protocol.FrameReader().feed(received)
+        assert received[8] == protocol.PROTOCOL_VERSION
+        assert frame.frame_type == protocol.FRAME_ERROR
+        assert frame.request_id == 0
+        assert protocol.parse_json_frame(frame)["code"] == code
 
     def test_oversized_frame_rejected(self):
         config = ServerConfig(jobs=1, max_frame_bytes=2048, **SMALL)
