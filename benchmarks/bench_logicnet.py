@@ -16,12 +16,17 @@ The reference walks in network chunks (a full dense ``(N, G, T)``
 boolean would be ~4 GB) and reduces each chunk to popcounts — the same
 summary the batched pass emits, compared for bit-identity before any
 timing.  Runs on either popcount path; set ``REPRO_FORCE_POPCOUNT_LUT``
-to record the LUT fallback.
+to record the LUT fallback.  The ``tracemalloc`` peak of one batched
+pass is recorded too, from its own untimed call: evaluation folds each
+word block as it completes, so the peak is the call's working set, not
+the ``(N, G, n_words)`` output.
 
 Every bench records a machine-readable entry in
 ``benchmarks/BENCH_batch.json`` (schema: experiment, config, seconds,
 speedup) so the perf trajectory is tracked across PRs.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +113,12 @@ def test_logicnet_batched_speedup(workload, archive, bench_record, best_of):
 
     batch_s = best_of(batched_pass, repeats=3)
     speedup = reference_s / batch_s
+    tracemalloc.start()
+    try:
+        batched_pass()
+        _current, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
     total_gates = N_NETWORKS * N_GATES * DEPTH
     text = "\n".join(
@@ -121,6 +132,7 @@ def test_logicnet_batched_speedup(workload, archive, bench_record, best_of):
             f"  batched packed     : {batch_s:.3f} s "
             f"({1e6 * batch_s / total_gates:.2f} us/gate)",
             f"  speedup            : {speedup:.1f}x",
+            f"  traced peak        : {peak_bytes / 2**20:.2f} MiB",
             f"  output spikes      : {int(popcounts.sum())}",
             f"  checksum fold      : 0x{int(np.bitwise_xor.reduce(checksums)):016x}",
         ]
@@ -135,6 +147,7 @@ def test_logicnet_batched_speedup(workload, archive, bench_record, best_of):
             "basis_size": BASIS_SIZE,
             "n_samples": n_samples,
             "reference_seconds": round(reference_s, 6),
+            "evaluate_peak_bytes": peak_bytes,
             "popcount": popcount_impl(),
         },
         seconds=batch_s,

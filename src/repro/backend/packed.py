@@ -56,6 +56,7 @@ __all__ = [
     "unpack_rows",
     "unpack_coords",
     "bitwise_not",
+    "gate_masks",
     "gate_table_words",
     "row_popcounts",
     "coincidence_counts",
@@ -287,54 +288,61 @@ def bitwise_not(words: np.ndarray, n_samples: int) -> np.ndarray:
     return ~words & tail_mask_words(n_samples)
 
 
-def gate_table_words(
-    op_ids: np.ndarray,
-    a_words: np.ndarray,
-    b_words: np.ndarray,
-    n_samples: int,
-) -> np.ndarray:
-    """Row-wise 2-input truth-table gates on packed words.
+def _gate_mask_table() -> np.ndarray:
+    """``(4, 16)`` uint64: op id -> masks ``c0..c3`` of its truth table."""
+    m00, m01, m10, m11 = (np.arange(16) >> np.arange(3, -1, -1)[:, None]) & 1
+    coefficients = np.stack([m00, m10 ^ m00, m01 ^ m00, m11 ^ m10 ^ m01 ^ m00])
+    return np.negative(coefficients.astype(np.uint64))
+
+
+_GATE_MASKS = _gate_mask_table()
+
+
+def gate_masks(op_ids: np.ndarray) -> np.ndarray:
+    """``(4, n_rows)`` uint64 masks ``c0..c3`` for :func:`gate_table_words`.
 
     ``op_ids[i]`` selects which of the 16 Boolean functions row ``i``
-    computes from ``a_words[i]`` and ``b_words[i]``, in the
-    conventional enumeration (0 False, 1 AND, 6 XOR, 7 OR, 8 NOR,
-    14 NAND, 15 True, ...): bit ``3 - (2a + b)`` of the id is the
-    gate's output for inputs ``(a, b)``.  Every function is evaluated
-    at once as a minterm sum —
-
-        out = (a & b) & m11 | (a & ~b) & m10 | (~a & b) & m01
-            | ~(a | b) & m00
-
-    — with ``m..`` per-row all-ones/all-zeros masks broadcast from the
-    id bits, so a whole heterogeneous layer of gates costs a few wide
-    word-ops regardless of which functions it mixes.  Only the
-    ``~(a | b)`` minterm can set bits beyond ``n_samples``, so clean
-    operands cost exactly one tail re-mask of the last word column.
-    Chunked over rows to bound the broadcast temporaries.
+    computes, in the conventional enumeration (0 False, 1 AND, 6 XOR,
+    7 OR, 8 NOR, 14 NAND, 15 True, ...): bit ``3 - (2a + b)`` of the id
+    is the gate's output for inputs ``(a, b)``.  Those four minterm
+    bits ``m00, m01, m10, m11`` fold into the coefficients of the
+    gate's XOR (algebraic normal) form ``c0 ^ c1 a ^ c2 b ^ c3 ab``:
+    ``c0 = m00``, ``c1 = m10 ^ m00``, ``c2 = m01 ^ m00`` and
+    ``c3 = m11 ^ m10 ^ m01 ^ m00``, each spread to an all-ones or
+    all-zeros word.
     """
-    a_words = np.ascontiguousarray(a_words, dtype=np.uint64)
-    b_words = np.ascontiguousarray(b_words, dtype=np.uint64)
-    n_rows, n_words = a_words.shape
-    ops = np.asarray(op_ids, dtype=np.uint64).reshape(n_rows, 1)
-    out = np.empty((n_rows, n_words), dtype=np.uint64)
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
-    one = np.uint64(1)
-    step = max(1, _CHUNK_BYTES // max(1, n_words * 8))
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        a, b, op = a_words[lo:hi], b_words[lo:hi], ops[lo:hi]
-        m11 = (op & one) * full
-        m10 = ((op >> one) & one) * full
-        m01 = ((op >> np.uint64(2)) & one) * full
-        m00 = ((op >> np.uint64(3)) & one) * full
-        ab = a & b
-        block = ab & m11
-        block |= (a ^ ab) & m10
-        block |= (b ^ ab) & m01
-        block |= ~(a | b) & m00
-        out[lo:hi] = block
-    if n_words:
-        out[:, n_words - 1] &= tail_mask_words(n_samples)[-1]
+    return np.take(_GATE_MASKS, np.asarray(op_ids).reshape(-1), axis=1)
+
+
+def gate_table_words(
+    masks: np.ndarray,
+    a_words: np.ndarray,
+    b_words: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Column-wise 2-input truth-table gates on packed words, in place.
+
+    ``a_words``, ``b_words`` and ``out`` are ``(n_words, n_rows)``
+    uint64 buffers owned by the caller; column ``i`` is gate ``i``'s
+    fan-in and output, and ``masks`` (:func:`gate_masks`) names its
+    function.  Every function is evaluated at once in XOR form —
+
+        out = c0 ^ (b & c2) ^ (a & (c1 ^ (b & c3)))
+
+    — with the per-column masks broadcast down the words, so a whole
+    heterogeneous layer of gates costs six wide word-ops regardless of
+    which functions it mixes, and allocates nothing.  ``b_words`` is
+    used as scratch.  Bits beyond the grid come out as ``c0`` for
+    clean operands; since every word-op is bitwise, they never reach a
+    valid slot, so a chain of layers needs one tail mask at its end.
+    """
+    c0, c1, c2, c3 = masks
+    np.bitwise_and(b_words, c3, out=out)
+    np.bitwise_xor(out, c1, out=out)
+    np.bitwise_and(out, a_words, out=out)
+    np.bitwise_and(b_words, c2, out=b_words)
+    np.bitwise_xor(out, b_words, out=out)
+    np.bitwise_xor(out, c0, out=out)
     return out
 
 

@@ -6,12 +6,14 @@ wiring — and evaluates all of them at once, layer by layer, directly on
 the packed uint64 substrate (:mod:`repro.backend.packed`).  This is the
 SNIPPETS ``LogicLayer`` model lifted onto the bitset backend: where the
 exemplar evaluates one network's layer as 16 masked tensor ops, here a
-whole layer of G gates across N networks × T slots is one
-:func:`~repro.backend.packed.gate_table_words` call — a handful of wide
-word-ops plus a gather on the wiring — and the dense ``(N, G, T)``
-boolean raster is never materialised.
+whole layer of G gates across N networks is one
+:func:`~repro.backend.packed.gate_table_words` call per block of words
+— six wide word-ops plus two gathers on the wiring — and neither the
+dense ``(N, G, T)`` boolean raster nor the packed ``(N, G, n_words)``
+output is ever materialised.
 
-Evaluation follows the simulator's phase structure:
+Evaluation follows the simulator's phase structure, once per block of
+words, in buffers allocated once per call:
 
 * **phase 0 — input write**: the shared input lines arrive as a clean
   packed ``(n_inputs, n_words)`` array (typically a
@@ -22,8 +24,8 @@ Evaluation follows the simulator's phase structure:
 * **phase 2 — gate eval**: one ``gate_table_words`` call per layer
   evaluates every gate's truth table in parallel;
 * **phase 3 — output collection**: the final layer's words are the
-  network outputs, reduced to per-gate spike counts and per-network
-  checksums without unpacking.
+  network outputs, folded block by block into per-gate spike counts
+  and per-network checksums without unpacking.
 
 Determinism.  :meth:`LogicNetBatch.random` draws network ``i``'s tables
 from ``spawn_rng(seed, i)`` — the per-key `SeedSequence` spawn streams
@@ -42,7 +44,7 @@ bit-identical to the obvious single-gate reference evaluator built on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,8 +55,9 @@ from ..noise.synthesis import spawn_rng
 __all__ = [
     "LogicNetBatch",
     "LogicNetHandle",
-    "evaluate_outputs",
+    "WorkingSet",
     "output_summary",
+    "working_set",
 ]
 
 
@@ -78,7 +81,7 @@ class LogicNetBatch:
 
     ``op_ids`` is ``(N, depth, G)`` uint8 in ``[0, 16)`` — per-gate
     truth-table ids in the conventional enumeration
-    (:func:`~repro.backend.packed.gate_table_words`).  ``wiring`` is
+    (:func:`~repro.backend.packed.gate_masks`).  ``wiring`` is
     ``(N, depth, G, 2)`` int32 fan-in indices: layer 0 entries index
     the ``n_inputs`` shared input lines, deeper layers index the
     previous layer's ``G`` gate outputs.
@@ -89,8 +92,10 @@ class LogicNetBatch:
     ) -> None:
         op_ids = np.asarray(op_ids, dtype=np.uint8)
         wiring = np.asarray(wiring, dtype=np.int32)
-        if op_ids.ndim != 3:
-            raise ValueError("op_ids must be (n_networks, depth, n_gates)")
+        if op_ids.ndim != 3 or op_ids.shape[1] < 1:
+            raise ValueError(
+                "op_ids must be (n_networks, depth >= 1, n_gates)"
+            )
         if wiring.shape != op_ids.shape + (2,):
             raise ValueError(
                 f"wiring shape {wiring.shape} does not match op_ids "
@@ -100,6 +105,15 @@ class LogicNetBatch:
             raise ValueError("a network needs at least one input line")
         if op_ids.size and int(op_ids.max()) > 15:
             raise ValueError("op ids must be < 16")
+        # Evaluation gathers with ``mode="clip"``, so an index out of
+        # range would silently read an edge row instead of failing.
+        for layer in range(wiring.shape[1]):
+            limit = int(n_inputs) if layer == 0 else wiring.shape[2]
+            fan_in = wiring[:, layer]
+            if fan_in.size and (fan_in.min() < 0 or fan_in.max() >= limit):
+                raise ValueError(
+                    f"layer {layer} fan-in must lie in [0, {limit})"
+                )
         self.op_ids = op_ids
         self.wiring = wiring
         self.n_inputs = int(n_inputs)
@@ -202,13 +216,74 @@ class LogicNetBatch:
     # Evaluation (phases 0-3)
     # ------------------------------------------------------------------
 
-    #: Target bytes of one word-column block's layer state.  The whole
-    #: depth runs on each block while it is cache-resident, so the
-    #: per-layer gathers and word-ops read warm lines instead of
-    #: streaming the full ``(N, G, n_words)`` state from DRAM once per
-    #: layer.  Purely a traversal order: results are bit-identical for
-    #: any value.
-    _BLOCK_BYTES = 1 << 22
+    #: Bytes of state per word block, i.e. per ``(block, rows)``
+    #: buffer.  Purely a traversal order: results are bit-identical for
+    #: any value.  Chosen by measuring a 16-network pool shard and the
+    #: 256-network bench shape (table in ``docs/logicnet.md``, "Why it
+    #: is fast"): 256 KiB was fastest at both, together with 512 KiB.
+    _BUFFER_BYTES = 1 << 18
+
+    def _blocks(
+        self, input_words: np.ndarray, n_samples: int
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Yield ``(first word, final-layer words)`` per word block.
+
+        Allocates once: per-layer flat fan-in rows and gate masks, and
+        three word-major ``(block, N × G)`` buffers.  Each block runs
+        all layers in them — both operands are gathered (phase 1)
+        before the gate eval (phase 2) overwrites the state — and the
+        one tail mask lands on the last word's final layer.  The
+        yielded ``(N, G, width)`` view is overwritten by the next
+        block.
+        """
+        input_words = np.ascontiguousarray(input_words, dtype=np.uint64)
+        n_nets, depth, n_gates = self.op_ids.shape
+        n_lines, n_words = input_words.shape
+        if n_lines != self.n_inputs:
+            raise ValueError(
+                f"expected {self.n_inputs} input lines, got {n_lines}"
+            )
+        if n_words != packed.n_packed_words(n_samples):
+            raise ValueError(
+                f"{n_words} input words do not hold {n_samples} samples"
+            )
+        rows = n_nets * n_gates
+        block = working_set(
+            n_nets, n_gates, depth, self.n_inputs, n_samples
+        ).block_words
+        # Layer 0 indexes the input lines; deeper layers index state
+        # columns, network n's gates starting at column n * G.
+        offsets = np.arange(n_nets, dtype=np.intp)[:, None] * n_gates
+        layers = []
+        for layer in range(depth):
+            fan_in = np.moveaxis(self.wiring[:, layer], -1, 0).astype(
+                np.intp, order="C"
+            )
+            if layer:
+                fan_in += offsets
+            fan_a, fan_b = fan_in.reshape(2, rows)
+            masks = packed.gate_masks(self.op_ids[:, layer])
+            layers.append((fan_a, fan_b, masks))
+        lines_buf = np.empty(block * self.n_inputs, dtype=np.uint64)
+        buffers = [np.empty(block * rows, dtype=np.uint64) for _ in range(3)]
+        tail = packed.tail_mask_words(n_samples)[-1:]
+        for w_lo in range(0, n_words, block):
+            width = min(block, n_words - w_lo)
+            lines = lines_buf[: width * self.n_inputs].reshape(width, -1)
+            state, a, b = (
+                buf[: width * rows].reshape(width, rows) for buf in buffers
+            )
+            np.copyto(lines, input_words[:, w_lo : w_lo + width].T)
+            source = lines
+            for fan_a, fan_b, masks in layers:
+                np.take(source, fan_a, axis=1, out=a, mode="clip")
+                np.take(source, fan_b, axis=1, out=b, mode="clip")
+                packed.gate_table_words(masks, a, b, out=state)
+                source = state
+            if w_lo + width == n_words:
+                state[-1] &= tail
+            final = state.reshape(width, n_nets, n_gates)
+            yield w_lo, final.transpose(1, 2, 0)
 
     def evaluate_words(
         self, input_words: np.ndarray, n_samples: int
@@ -217,54 +292,15 @@ class LogicNetBatch:
 
         ``input_words`` is the clean packed ``(n_inputs, n_words)``
         form of the shared input lines; every network reads the same
-        lines.  Layer ``l`` gathers its fan-in rows (phase 1) and
-        evaluates all ``N × G`` gates in one
-        :func:`~repro.backend.packed.gate_table_words` call (phase 2);
-        the loop carries only the packed ``(N, G, n_words)`` state —
-        no raster exists at any point.
-
-        The wiring is identical for every word column, so the word
-        axis is blocked: each column block runs all ``depth`` layers
-        while its state fits in cache (``_BLOCK_BYTES``), then the
-        final layer's block lands in the output.  Tail masking applies
-        exactly once, to the block holding the last word.
+        lines.  Runs :meth:`evaluate`'s block loop and copies each
+        block out: the one call that holds the whole output.
         """
-        input_words = np.ascontiguousarray(input_words, dtype=np.uint64)
-        if input_words.shape[0] != self.n_inputs:
-            raise ValueError(
-                f"expected {self.n_inputs} input lines, "
-                f"got {input_words.shape[0]}"
-            )
-        n_nets, depth, n_gates = self.op_ids.shape
-        n_words = input_words.shape[1]
-        out = np.empty((n_nets, n_gates, n_words), dtype=np.uint64)
-        net_rows = np.arange(n_nets)[:, None]
-        ops = [self.op_ids[:, layer].reshape(-1) for layer in range(depth)]
-        block = max(1, self._BLOCK_BYTES // (8 * max(1, n_nets * n_gates)))
-        for w_lo in range(0, n_words, block):
-            w_hi = min(w_lo + block, n_words)
-            # Samples covered by this block — full words except in the
-            # block holding the overall tail, where the real sample
-            # count drives the one tail mask.
-            block_samples = min((w_hi - w_lo) * 64, n_samples - w_lo * 64)
-            inputs = input_words[:, w_lo:w_hi]
-            state = np.empty((0, n_gates, 0), dtype=np.uint64)
-            for layer in range(depth):
-                fan_in = self.wiring[:, layer]  # (N, G, 2)
-                if layer == 0:
-                    a = inputs[fan_in[:, :, 0]]
-                    b = inputs[fan_in[:, :, 1]]
-                else:
-                    a = state[net_rows, fan_in[:, :, 0]]
-                    b = state[net_rows, fan_in[:, :, 1]]
-                flat = packed.gate_table_words(
-                    ops[layer],
-                    a.reshape(n_nets * n_gates, w_hi - w_lo),
-                    b.reshape(n_nets * n_gates, w_hi - w_lo),
-                    block_samples,
-                )
-                state = flat.reshape(n_nets, n_gates, w_hi - w_lo)
-            out[:, :, w_lo:w_hi] = state
+        out = np.empty(
+            (self.n_networks, self.n_gates, np.shape(input_words)[1]),
+            dtype=np.uint64,
+        )
+        for w_lo, block in self._blocks(input_words, n_samples):
+            out[:, :, w_lo : w_lo + block.shape[-1]] = block
         return out
 
     def evaluate(
@@ -275,26 +311,57 @@ class LogicNetBatch:
         Returns ``(popcounts, checksums)``: per-gate output spike
         counts ``(N, G)`` int64 and per-network uint64 checksums —
         the XOR fold of the final layer's words, a whole-output
-        fingerprint that any bit flip perturbs.  Both reductions read
-        the packed words directly.
+        fingerprint that any bit flip perturbs.  Each word block's
+        final layer is folded into both through :func:`output_summary`
+        as it completes, so the ``(N, G, n_words)`` output never
+        exists; the call holds :func:`working_set` bytes.
         """
-        outputs = self.evaluate_words(input_words, n_samples)
-        return output_summary(outputs)
+        popcounts = np.zeros((self.n_networks, self.n_gates), dtype=np.int64)
+        checksums = np.zeros(self.n_networks, dtype=np.uint64)
+        for _w_lo, block in self._blocks(input_words, n_samples):
+            block_counts, block_sums = output_summary(block)
+            popcounts += block_counts
+            checksums ^= block_sums
+        return popcounts, checksums
 
 
-def evaluate_outputs(
-    nets: LogicNetBatch, input_words: np.ndarray, n_samples: int
-) -> np.ndarray:
-    """Module-level alias of :meth:`LogicNetBatch.evaluate_words`."""
-    return nets.evaluate_words(input_words, n_samples)
+class WorkingSet(NamedTuple):
+    """How :meth:`LogicNetBatch.evaluate` traverses one call."""
+
+    #: Words per block (the last block may be narrower).
+    block_words: int
+    #: Bytes the call holds at its peak.
+    nbytes: int
+
+
+def working_set(
+    n_networks: int, n_gates: int, depth: int, n_inputs: int, n_samples: int
+) -> WorkingSet:
+    """The block width and peak bytes of one :meth:`LogicNetBatch.evaluate`.
+
+    ``evaluate`` sizes its blocks here, and the server charges
+    ``nbytes`` to its in-flight budget, so the charge is what the call
+    allocates: the three ``(block, rows)`` buffers plus a block of
+    input lines, two flat fan-in rows and four gate masks per gate and
+    layer, the popcount and checksum accumulators, and one block's
+    :func:`output_summary` temporaries — on the LUT popcount a
+    contiguous copy and a table lookup, 13 bytes per word, plus a
+    fixed allowance for NumPy's reduction buffers.  The whole output
+    is never held.
+    """
+    rows = n_networks * n_gates
+    n_words = packed.n_packed_words(n_samples)
+    block = LogicNetBatch._BUFFER_BYTES // (8 * max(1, rows))
+    block = max(1, min(n_words, block))
+    buffers = 8 * block * (3 * rows + n_inputs)
+    tables = 8 * 6 * depth * rows
+    accumulators = 8 * (rows + n_networks)
+    fold = 13 * block * rows + accumulators + (1 << 17)
+    return WorkingSet(block, buffers + tables + accumulators + fold)
 
 
 def output_summary(outputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(popcounts (N, G) int64, checksums (N,) uint64)`` of outputs."""
     popcounts = packed.popcount(outputs).sum(axis=-1, dtype=np.int64)
-    checksums = np.bitwise_xor.reduce(
-        outputs.reshape(outputs.shape[0], -1), axis=-1
-    ) if outputs.shape[0] and outputs.size else np.zeros(
-        outputs.shape[0], dtype=np.uint64
-    )
-    return popcounts, np.asarray(checksums, dtype=np.uint64)
+    checksums = np.bitwise_xor.reduce(outputs, axis=(1, 2))
+    return popcounts, checksums

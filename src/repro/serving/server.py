@@ -60,13 +60,13 @@ all serving bit-identical results through the same
   batched operations the packed kernels are built for.
 
 Flow control is a bounded **in-flight byte budget**: sharded request
-payloads (pinned in per-request arenas) and logicnet output state
-admit only while the bytes charged stay under ``max_inflight_bytes``;
-later requests wait (the TCP receive window then pushes back on the
-client) instead of growing server memory.  Graceful shutdown drains
-in-flight requests, then releases every worker's shared-memory
-attachments through the runner's end-of-run broadcast and discards the
-installed basis.
+payloads (pinned in per-request arenas) and logicnet evaluation
+working sets admit only while the bytes charged stay under
+``max_inflight_bytes``; later requests wait (the TCP receive window
+then pushes back on the client) instead of growing server memory.
+Graceful shutdown drains in-flight requests, then releases every
+worker's shared-memory attachments through the runner's end-of-run
+broadcast and discards the installed basis.
 
 Every server keeps a :class:`ServerStats` — request counts per path,
 coalesced batches, error count and a rolling latency window — served
@@ -95,10 +95,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..backend.batch import SpikeTrainBatch
-from ..backend.packed import n_packed_words, row_chunk_bounds
+from ..backend.packed import row_chunk_bounds
 from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena
 from ..errors import ProtocolError, ServingError
 from ..hyperspace.basis import HyperspaceBasis
+from ..logic.netbatch import working_set
 from ..noise.synthesis import make_rng
 from ..orthogonator.demux import DemuxOrthogonator
 from ..pipeline.corpus import CorpusStore
@@ -1334,8 +1335,9 @@ class SpikeServer:
         The request ships no payload and needs no arena: each shard
         task is a few integers, and pool workers rebuild their networks
         from spawn keys against the basis they already hold installed.
-        Evaluation still allocates the ``(networks, gates, words)``
-        packed output state, so those bytes are charged to the
+        Evaluation still allocates its block buffers, wiring tables
+        and accumulators, so each shard's
+        :func:`~repro.logic.netbatch.working_set` is charged to the
         in-flight budget: a query that could never fit answers
         OVERLOADED, and concurrent large queries queue.  The split
         defaults to ``--shards``, else one shard.
@@ -1348,6 +1350,11 @@ class SpikeServer:
                 f"server's cap of {self._LOGICNET_MAX_GATES}; "
                 f"split the network range across requests",
             )
+        ranges = _shard_ranges(
+            query.net_start,
+            query.n_networks,
+            query.n_shards or self.config.n_shards or 1,
+        )
         tasks = [
             dispatch.LogicNetShardTask(
                 token=self._basis_token,
@@ -1357,11 +1364,7 @@ class SpikeServer:
                 net_start=lo,
                 net_stop=hi,
             )
-            for lo, hi in _shard_ranges(
-                query.net_start,
-                query.n_networks,
-                query.n_shards or self.config.n_shards or 1,
-            )
+            for lo, hi in ranges
         ]
         done = {
             "n_networks": query.n_networks,
@@ -1370,11 +1373,15 @@ class SpikeServer:
             "row_start": query.net_start,
             "row_stop": query.net_stop,
         }
-        budget = (
-            query.n_networks
-            * query.n_gates
-            * n_packed_words(self.basis.grid.n_samples)
-            * 8
+        budget = sum(
+            working_set(
+                hi - lo,
+                query.n_gates,
+                query.depth,
+                self.basis.size,
+                self.basis.grid.n_samples,
+            ).nbytes
+            for lo, hi in ranges
         )
         if self._use_pool():
             return _Plan(

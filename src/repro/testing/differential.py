@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: id -> (name, Boolean function) for the 16 two-input truth tables, in
-#: the enumeration :func:`~repro.backend.packed.gate_table_words`
+#: the enumeration :func:`~repro.backend.packed.gate_masks`
 #: implements: bit ``3 - (2a + b)`` of the id is the output at (a, b).
 GATE_FUNCTIONS = (
     ("false", lambda a, b: False),

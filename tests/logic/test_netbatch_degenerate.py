@@ -132,6 +132,44 @@ class TestAllZeroInputs:
         assert set(popcounts.ravel().tolist()) <= {0, 130}
 
 
+class TestWiringValidation:
+    """Out-of-range fan-in is refused at construction, naming the layer."""
+
+    XOR = np.full((1, 1, 1), 6, dtype=np.uint8)
+
+    def test_negative_fan_in_is_rejected(self):
+        # Unchecked, [0, -1] on 3 inputs reads input 2: the same
+        # checksum as wiring [0, 2], with no error.
+        with pytest.raises(ValueError, match=r"layer 0 fan-in .*\[0, 3\)"):
+            LogicNetBatch(self.XOR, [[[[0, -1]]]], n_inputs=3)
+
+    def test_fan_in_equal_to_n_inputs_is_rejected(self):
+        with pytest.raises(ValueError, match=r"layer 0 fan-in .*\[0, 3\)"):
+            LogicNetBatch(self.XOR, [[[[0, 3]]]], n_inputs=3)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_deep_fan_in_is_bounded_by_the_gate_count(self, bad):
+        """Deeper layers index G gates, not the (larger) input count."""
+        wiring = np.zeros((1, 2, 2, 2), dtype=np.int32)
+        wiring[0, 1, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"layer 1 fan-in .*\[0, 2\)"):
+            LogicNetBatch(np.zeros((1, 2, 2), np.uint8), wiring, n_inputs=5)
+
+    def test_zero_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            LogicNetBatch(
+                np.zeros((1, 0, 2), np.uint8),
+                np.zeros((1, 0, 2, 2), np.int32),
+                n_inputs=2,
+            )
+
+    def test_words_must_hold_exactly_the_grid(self):
+        nets = LogicNetBatch.random(2, 3, 2, 2, seed=1)
+        words = _packed_lines(np.zeros((2, 130), dtype=bool), 130)
+        with pytest.raises(ValueError, match="do not hold"):
+            nets.evaluate(words, 64)
+
+
 class TestShardedEqualsSerial:
     """The spec's three dispatch paths serialise identically."""
 

@@ -9,12 +9,14 @@ All 16 op ids are exercised explicitly too, including the two constant
 gates whose outputs ignore their fan-in entirely.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.backend import packed
 from repro.backend.batch import SpikeTrainBatch
-from repro.logic.netbatch import LogicNetBatch, output_summary
+from repro.logic.netbatch import LogicNetBatch, output_summary, working_set
 from repro.testing import differential
 from repro.units import SimulationGrid
 
@@ -30,6 +32,10 @@ SHAPES = [
     (2, 9, 4, 6, 200),
     (1, 1, 4, 1, 127),
 ]
+
+#: Wide enough that the default buffer size splits the words into
+#: several blocks, the last one narrower.
+WIDE_SHAPE = (3, 50, 3, 5, 50_000)
 
 
 @pytest.fixture(params=["bitwise_count", "lut16"])
@@ -158,13 +164,61 @@ class TestDeterminism:
         np.testing.assert_array_equal(part.op_ids, full.op_ids[5:9])
         np.testing.assert_array_equal(part.wiring, full.wiring[5:9])
 
-    def test_blocked_traversal_matches_single_block(self, monkeypatch):
-        """The word-axis blocking is a traversal order, not a result."""
-        nets, _raster, words, n_samples = _random_case(SHAPES[5], case_seed=9)
-        blocked = nets.evaluate_words(words, n_samples)
-        monkeypatch.setattr(LogicNetBatch, "_BLOCK_BYTES", 1 << 60)
+    @pytest.mark.parametrize("shape", SHAPES + [WIDE_SHAPE])
+    def test_blocked_traversal_matches_single_block(
+        self, shape, popcount_path, monkeypatch
+    ):
+        """The word-axis blocking is a traversal order, not a result.
+
+        At one-word blocks, the default and one unbounded block alike,
+        the words equal the single block's and ``evaluate``'s per-block
+        fold equals the summary of the whole output.
+        """
+        nets, _raster, words, n_samples = _random_case(shape, case_seed=9)
+        default = LogicNetBatch._BUFFER_BYTES
+        monkeypatch.setattr(LogicNetBatch, "_BUFFER_BYTES", 1 << 60)
         single = nets.evaluate_words(words, n_samples)
-        np.testing.assert_array_equal(blocked, single)
-        monkeypatch.setattr(LogicNetBatch, "_BLOCK_BYTES", 8)
-        tiny = nets.evaluate_words(words, n_samples)
-        np.testing.assert_array_equal(tiny, single)
+        expected_counts, expected_sums = output_summary(single)
+        for buffer_bytes in (8, default, 1 << 60):
+            monkeypatch.setattr(LogicNetBatch, "_BUFFER_BYTES", buffer_bytes)
+            np.testing.assert_array_equal(
+                nets.evaluate_words(words, n_samples), single
+            )
+            popcounts, checksums = nets.evaluate(words, n_samples)
+            np.testing.assert_array_equal(popcounts, expected_counts)
+            np.testing.assert_array_equal(checksums, expected_sums)
+
+
+class TestWorkingSet:
+    """``working_set`` bounds what one ``evaluate`` call allocates."""
+
+    @pytest.mark.parametrize(
+        "n_networks, n_samples", [(16, 65536), (512, 8192)]
+    )
+    def test_traced_peak_is_below_the_charge(
+        self, n_networks, n_samples, popcount_path
+    ):
+        """A pool shard, and many rows where a block is one word wide.
+
+        Both stay far below the ``(N, G, n_words)`` output the
+        evaluation no longer builds (8 MiB for the 16-network shard).
+        """
+        n_gates, depth, n_inputs = 64, 4, 16
+        nets = LogicNetBatch.random(n_networks, n_gates, depth, n_inputs, 3)
+        rng = np.random.default_rng(4)
+        grid = SimulationGrid(n_samples=n_samples, dt=1e-12)
+        words = SpikeTrainBatch.from_raster(
+            rng.random((n_inputs, n_samples)) < 0.05, grid
+        ).packed_words()
+        nets.evaluate(words, n_samples)  # build the LUT outside the trace
+        tracemalloc.start()
+        try:
+            nets.evaluate(words, n_samples)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        charge = working_set(n_networks, n_gates, depth, n_inputs, n_samples)
+        output_bytes = n_networks * n_gates * words.shape[1] * 8
+        assert peak < charge.nbytes < output_bytes
+        if n_networks == 512:
+            assert charge.block_words == 1

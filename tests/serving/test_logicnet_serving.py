@@ -17,7 +17,7 @@ import pytest
 
 from repro.backend.shared import HAVE_SHARED_MEMORY
 from repro.errors import ProtocolError, ServingError
-from repro.logic.netbatch import LogicNetBatch
+from repro.logic.netbatch import LogicNetBatch, working_set
 from repro.serving import protocol
 from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.server import (
@@ -182,32 +182,40 @@ class TestLogicNetErrors:
 
 
 class TestLogicNetBudget:
-    """Output state is charged to the in-flight byte budget.
+    """Evaluation's working set is charged to the in-flight byte budget.
 
-    Every query allocates ``networks × gates × ceil(T / 64)`` u64
-    output words; at T=4096 that is 512 bytes per gate.
+    A query is charged the :func:`~repro.logic.netbatch.working_set` of
+    each of its shards: block buffers, wiring tables and accumulators,
+    never the ``networks × gates × ceil(T / 64)`` output words.
     """
+
+    #: The test server's budget, between the two queries' charges.
+    BUDGET = 2 << 20
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_state_over_the_budget_is_overloaded(self, small_basis, jobs):
         if jobs > 1 and not HAVE_SHARED_MEMORY:
             pytest.skip("no multiprocessing.shared_memory")
-        config = ServerConfig(jobs=jobs, max_inflight_bytes=1 << 20, **SMALL)
         inputs = small_basis.as_batch()
+        shape = (inputs.n_trains, inputs.grid.n_samples)
+        # 4096 gates fit; 16384 need more than the whole budget.
+        assert working_set(1, 4096, 2, *shape).nbytes < self.BUDGET
+        assert working_set(1, 16384, 2, *shape).nbytes > self.BUDGET
+        config = ServerConfig(
+            jobs=jobs, max_inflight_bytes=self.BUDGET, **SMALL
+        )
         local = LogicNetBatch.random(
-            1, 1024, 2, inputs.n_trains, FAMILY["seed"]
+            1, 4096, 2, inputs.n_trains, FAMILY["seed"]
         ).evaluate(inputs.packed_words(), inputs.grid.n_samples)
         with ServerThread(config) as handle:
             with ServingClient(handle.host, handle.port) as client:
-                # 4096 gates: 2 MiB of output state, over the 1 MiB cap.
                 with pytest.raises(ServingError) as info:
                     client.logicnet(
-                        FAMILY["seed"], 0, 1, n_gates=4096, depth=2
+                        FAMILY["seed"], 0, 1, n_gates=16384, depth=2
                     )
                 assert info.value.code == protocol.ERR_OVERLOADED
-                # 1024 gates: 512 KiB, served as before.
                 reply = client.logicnet(
-                    FAMILY["seed"], 0, 1, n_gates=1024, depth=2
+                    FAMILY["seed"], 0, 1, n_gates=4096, depth=2
                 )
             # The release follows the DONE frame; give it a moment.
             deadline = time.monotonic() + 10.0
@@ -218,6 +226,14 @@ class TestLogicNetBudget:
             assert handle.server._budget.in_flight == 0
         np.testing.assert_array_equal(reply.popcounts, local[0])
         np.testing.assert_array_equal(reply.checksums, local[1])
+
+    def test_default_budget_admits_a_thousand_networks(self):
+        """1024 nets × 64 gates × depth 4 on the default grid fit."""
+        config = ServerConfig()
+        charge = working_set(
+            1024, 64, 4, config.basis_size, config.n_samples
+        ).nbytes
+        assert charge < config.max_inflight_bytes
 
 
 class TestLogicNetFrameCodec:
