@@ -27,9 +27,7 @@ the corpus.  One gated entry:
 
 ``seconds`` is the best-of chunked scan wall time; ``speedup`` is
 full/chunked — how close the out-of-core scan runs to the all-in-RAM
-pass (1.0 means streaming from disk costs nothing).  The CI LUT rerun
-(``REPRO_FORCE_POPCOUNT_LUT=1``) repeats every gate on the fallback
-popcount path, so bit-identity holds on both.
+pass (1.0 means streaming from disk costs nothing).
 """
 
 import gc

@@ -15,8 +15,7 @@ batch's raster stays unmaterialised.
 The reference walks in network chunks (a full dense ``(N, G, T)``
 boolean would be ~4 GB) and reduces each chunk to popcounts — the same
 summary the batched pass emits, compared for bit-identity before any
-timing.  Runs on either popcount path; set ``REPRO_FORCE_POPCOUNT_LUT``
-to record the LUT fallback.  The ``tracemalloc`` peak of one batched
+timing.  The ``tracemalloc`` peak of one batched
 pass is recorded too, from its own untimed call: evaluation folds each
 word block as it completes, so the peak is the call's working set, not
 the ``(N, G, n_words)`` output.
@@ -31,7 +30,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.backend.packed import popcount_impl
 from repro.hyperspace.basis import HyperspaceBasis
 from repro.logic.netbatch import LogicNetBatch
 from repro.orthogonator.demux import DemuxOrthogonator
@@ -125,8 +123,7 @@ def test_logicnet_batched_speedup(workload, archive, bench_record, best_of):
         [
             "logicnet batched evaluation "
             f"({N_NETWORKS} nets x {DEPTH}x{N_GATES} gates, "
-            f"{BASIS_SIZE} lines, {n_samples} slots, "
-            f"popcount={popcount_impl()})",
+            f"{BASIS_SIZE} lines, {n_samples} slots)",
             f"  per-gate reference : {reference_s:.3f} s "
             f"({1e6 * reference_s / total_gates:.1f} us/gate)",
             f"  batched packed     : {batch_s:.3f} s "
@@ -137,9 +134,9 @@ def test_logicnet_batched_speedup(workload, archive, bench_record, best_of):
             f"  checksum fold      : 0x{int(np.bitwise_xor.reduce(checksums)):016x}",
         ]
     )
-    archive(f"bench_logicnet_{popcount_impl()}.txt", text)
+    archive("bench_logicnet.txt", text)
     bench_record(
-        f"logicnet_batched_{popcount_impl()}",
+        "logicnet_batched_bitwise_count",
         config={
             "n_networks": N_NETWORKS,
             "n_gates": N_GATES,
@@ -148,7 +145,6 @@ def test_logicnet_batched_speedup(workload, archive, bench_record, best_of):
             "n_samples": n_samples,
             "reference_seconds": round(reference_s, 6),
             "evaluate_peak_bytes": peak_bytes,
-            "popcount": popcount_impl(),
         },
         seconds=batch_s,
         speedup=speedup,

@@ -17,9 +17,7 @@ T=65536):
 The acceptance bar is a ≥ 4× wall-time improvement with a peak working
 set (tracemalloc) ≤ 1/8 of the raster path's, asserted here and
 recorded in ``BENCH_batch.json`` (bytes touched included) so
-``compare_bench.py`` gates the trajectory.  CI runs this file on both
-popcount implementations (``np.bitwise_count`` and the 16-bit-LUT
-fallback via ``REPRO_FORCE_POPCOUNT_LUT=1``).
+``compare_bench.py`` gates the trajectory.
 """
 
 import os
@@ -120,8 +118,7 @@ def _kernel_bench(
 
     text = "\n".join(
         [
-            f"{describe} ({N_WIRES} wires, M={BASIS_SIZE}, T=65536, "
-            f"popcount={packed_kernels.popcount_impl()})",
+            f"{describe} ({N_WIRES} wires, M={BASIS_SIZE}, T=65536)",
             f"  raster path (unpack+CSR) : {1e3 * raster_s:9.3f} ms, "
             f"peak {raster_peak:12,d} B",
             f"  packed path (on bitset)  : {1e3 * packed_s:9.3f} ms, "
@@ -142,7 +139,6 @@ def _kernel_bench(
             "raster_seconds": round(raster_s, 6),
             "raster_peak_bytes": raster_peak,
             "packed_peak_bytes": packed_peak,
-            "popcount": packed_kernels.popcount_impl(),
         },
         packed_s,
         speedup,
@@ -234,8 +230,7 @@ def test_packed_setops_throughput(workload, archive, bench_record, best_of):
     archive("packed_setops.txt", text)
     bench_record(
         "setops_packed_kernel",
-        {"n_wires": N_WIRES, "n_samples": 65536, "op": "and",
-         "popcount": packed_kernels.popcount_impl()},
+        {"n_wires": N_WIRES, "n_samples": 65536, "op": "and"},
         packed_s,
         raster_s / packed_s,
     )
@@ -271,8 +266,7 @@ def test_pool_parallel_kernels(workload, archive, bench_record, best_of):
     ]
     lines = [
         f"Pool-parallel packed kernels ({POOL_WIRES} wires x {POOL_REFS} "
-        f"refs, T=65536, jobs={POOL_JOBS}, {os.cpu_count()} cpu(s), "
-        f"popcount={packed_kernels.popcount_impl()})"
+        f"refs, T=65536, jobs={POOL_JOBS}, {os.cpu_count()} cpu(s))"
     ]
     with Runner(jobs=POOL_JOBS) as pool:
         # Warm the pool outside the measured spans: fork the workers
@@ -306,7 +300,6 @@ def test_pool_parallel_kernels(workload, archive, bench_record, best_of):
                     "n_samples": 65536,
                     "jobs": POOL_JOBS,
                     "serial_seconds": round(serial_s, 6),
-                    "popcount": packed_kernels.popcount_impl(),
                 },
                 pool_s,
                 speedup,

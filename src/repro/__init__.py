@@ -53,8 +53,6 @@ from .backend import (
     available_backends,
     get_backend,
     select_backend,
-    set_default_backend,
-    use_backend,
 )
 from .errors import (
     ConfigurationError,
@@ -160,8 +158,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "select_backend",
-    "set_default_backend",
-    "use_backend",
     # orthogonators
     "DemuxOrthogonator",
     "IntersectionOrthogonator",

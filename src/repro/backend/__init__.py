@@ -9,22 +9,16 @@
   :mod:`~repro.backend.packed` and decode their CSR only if someone
   asks for indices;
 * :mod:`~repro.backend.packed` — the bit-parallel kernel layer:
-  popcount (``np.bitwise_count`` or a 16-bit-LUT fallback, forced via
-  ``REPRO_FORCE_POPCOUNT_LUT``), pack/unpack that touches only
+  popcount (``np.bitwise_count``), pack/unpack that touches only
   occupied bytes, tail-masked set algebra, first-coincidence scans and
   coincidence scoring on ``uint64`` views of packbits arrays;
 * :class:`Backend` protocol with :class:`SortedSetBackend` (merge-based,
-  sparse-friendly), :class:`RasterBackend` (dense boolean pass) and
-  :class:`BitsetBackend` (packed-word pass, never unpacks the grid)
-  implementations;
-* :func:`select_backend` / :func:`select_batch_backend` — density- and
-  residency-based auto-selection used by
-  :class:`~repro.spikes.train.SpikeTrain` set algebra and the batch
-  paths: sparse scalar operands merge, dense ones raster; batches stay
-  on whatever representation is resident (packed attachments never
-  unpack) and CSR-resident batches pick merge vs packed by density;
-* :func:`use_backend` / :func:`set_default_backend` — pin a backend
-  (tests pin each in turn to prove them bit-identical);
+  sparse-friendly) and :class:`RasterBackend` (dense boolean pass) for
+  per-train set algebra, picked by operand density
+  (:func:`select_backend`).  Batches route by residency instead: set
+  algebra on a resident raster or else the packed words, the batched
+  receivers by :meth:`SpikeTrainBatch.prefers_csr_walk` — packed
+  attachments never unpack;
 * :mod:`~repro.backend.shared` — zero-copy shared-memory transport:
   :class:`SharedArena` owns segment lifecycle for one sharded run,
   :meth:`SpikeTrainBatch.to_shared` / :meth:`SpikeTrainBatch.from_shared`
@@ -47,16 +41,11 @@ from . import parallel
 from .core import (
     RASTER_DENSITY_THRESHOLD,
     Backend,
-    BitsetBackend,
     RasterBackend,
     SortedSetBackend,
     available_backends,
     get_backend,
-    pinned_backend_name,
     select_backend,
-    select_batch_backend,
-    set_default_backend,
-    use_backend,
 )
 
 # SpikeTrainBatch is exported lazily (PEP 562): batch.py builds on
@@ -82,16 +71,11 @@ __all__ = [
     "Backend",
     "SortedSetBackend",
     "RasterBackend",
-    "BitsetBackend",
     "RASTER_DENSITY_THRESHOLD",
     "available_backends",
     "get_backend",
     "mmapstore",
     "packed",
     "parallel",
-    "pinned_backend_name",
     "select_backend",
-    "select_batch_backend",
-    "set_default_backend",
-    "use_backend",
 ]

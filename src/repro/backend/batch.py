@@ -31,9 +31,9 @@ A batch may be *packed-primary*: built from a bitset
 (:meth:`from_packed`, :meth:`from_shared`, packed set-op results), it
 holds only the words and decodes its CSR on first demand — only the
 occupied bytes, never the whole grid.
-:func:`~repro.backend.core.select_batch_backend` picks the
-representation each operation runs on from what is resident plus
-operand density; ``use_backend`` pins one family for tests.
+Operations run on what is resident: set algebra takes the raster pass
+when an operand's raster is resident and the packed words otherwise,
+and the batched receivers ask :meth:`prefers_csr_walk`.
 
 Adapters keep the scalar API alive: :meth:`from_train` wraps one train
 as a one-row batch, :meth:`row` / :meth:`to_trains` go back.
@@ -51,7 +51,7 @@ from ..spikes.train import SpikeTrain
 from ..units import SimulationGrid
 from . import mmapstore
 from . import packed as packed_kernels
-from .core import select_batch_backend
+from .core import RASTER_DENSITY_THRESHOLD
 from .shared import SharedArena, SharedArraySpec, attach_array
 
 __all__ = ["SpikeTrainBatch", "SharedBatchHandle"]
@@ -333,8 +333,9 @@ class SpikeTrainBatch:
         return packed_kernels.row_popcounts(self._packed)
 
     def density(self) -> float:
-        """Mean occupied fraction of the grid over all rows."""
-        return self.total_spikes / (self.n_trains * self._grid.n_samples)
+        """Mean occupied fraction of the grid over all rows (0.0 if none)."""
+        slots = self.n_trains * self._grid.n_samples
+        return self.total_spikes / slots if slots else 0.0
 
     @property
     def csr_materialised(self) -> bool:
@@ -376,27 +377,25 @@ class SpikeTrainBatch:
             self._ptr = ptr
         return self._values, self._ptr
 
-    def receiver_backend(self) -> str:
-        """Representation the batched receivers should run on.
+    def prefers_csr_walk(self) -> bool:
+        """True when the batched receivers should walk the CSR.
 
-        ``"bitset"`` routes identification / membership / decode through
-        the packed kernels (the only option that avoids a decode when
-        this batch is packed-primary, e.g. a shared-memory attachment);
-        ``"sorted"`` walks the CSR.  Delegates to
-        :func:`~repro.backend.core.select_batch_backend`, so a pinned
-        backend wins.
+        Routing is by residency alone.  A resident raster walks (the
+        CSR comes with it from :meth:`from_raster`, and a packed batch
+        whose raster was asked for decodes one); a resident CSR
+        walks below :data:`~repro.backend.core.RASTER_DENSITY_THRESHOLD`
+        — O(total spikes), independent of the grid — and packs above
+        it; a batch holding only packed words (``from_packed``,
+        shared-memory and memmap attachments, packed set-op results)
+        runs packed and never decodes.
         """
-        choice = select_batch_backend(
-            # Avoid a popcount pass just to pick a path: the density
-            # term only matters when the CSR is resident.
-            self._values.size if self._values is not None else 0,
-            self.n_trains,
-            self._grid.n_samples,
-            csr_ready=self._values is not None,
-            packed_ready=self._packed is not None,
-            raster_ready=self._raster is not None,
+        if self._raster is not None:
+            return True
+        if self._values is None:
+            return False
+        return self._values.size < (
+            RASTER_DENSITY_THRESHOLD * self.n_trains * self._grid.n_samples
         )
-        return "bitset" if choice == "bitset" else "sorted"
 
     @property
     def raster(self) -> np.ndarray:
@@ -456,7 +455,7 @@ class SpikeTrainBatch:
         """
         words = self.packed_words()
         n_bytes = packed_kernels.n_packed_bytes(self._grid.n_samples)
-        trimmed = words.view(np.uint8).reshape(self.n_trains, -1)[:, :n_bytes]
+        trimmed = words.view(np.uint8)[:, :n_bytes]
         trimmed.setflags(write=False)
         return trimmed
 
@@ -670,33 +669,12 @@ class SpikeTrainBatch:
                 f"{other.n_trains} rows"
             )
 
-    def _setop_backend(self, other: "SpikeTrainBatch") -> str:
-        """Dense-pass family for one row-wise set operation.
-
-        ``select_batch_backend`` decides from residency and combined
-        density; batch set algebra has no merge implementation, so a
-        ``"sorted"`` verdict (pinned, or sparse CSR operands) runs the
-        packed pass — the representation closest to the merge's
-        O(spikes) profile.
-        """
-        csr_ready = self._values is not None and other._values is not None
-        choice = select_batch_backend(
-            (self._values.size + other._values.size) if csr_ready else 0,
-            max(self.n_trains, other.n_trains),
-            self._grid.n_samples,
-            csr_ready=csr_ready,
-            packed_ready=(
-                self._packed is not None and other._packed is not None
-            ),
-            raster_ready=(
-                self._raster is not None or other._raster is not None
-            ),
-        )
-        return "raster" if choice == "raster" else "bitset"
-
     def _binary_op(self, other, word_op, bool_op) -> "SpikeTrainBatch":
         self._check_compatible(other)
-        if self._setop_backend(other) == "raster":
+        # A resident raster has already paid its scatter; otherwise the
+        # packed pass touches 1/8 of the raster's bytes, and a CSR packs
+        # in O(spikes).
+        if self._raster is not None or other._raster is not None:
             return SpikeTrainBatch.from_raster(
                 bool_op(self.raster, other.raster), self._grid, copy=False
             )

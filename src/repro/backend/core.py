@@ -3,7 +3,7 @@
 A :class:`Backend` computes the four set operations (union,
 intersection, difference, symmetric difference) over sorted,
 duplicate-free ``int64`` slot arrays — the representation
-:class:`~repro.spikes.train.SpikeTrain` carries.  Two families exist:
+:class:`~repro.spikes.train.SpikeTrain` carries.  Two implementations exist:
 
 * :class:`SortedSetBackend` — the original merge-based implementation
   (``np.union1d`` and friends).  O((n+m) log(n+m)) with tiny constant
@@ -13,52 +13,39 @@ duplicate-free ``int64`` slot arrays — the representation
   occupancy arrays of length ``n_samples``, applies one elementwise
   boolean operation, and gathers the result.  O(T) regardless of spike
   count; wins once the operands occupy more than a few percent of the
-  grid.  :class:`BitsetBackend` is its ``np.packbits`` variant: eight
-  slots per byte, so the elementwise pass touches ``T / 8`` bytes.
-  Since the packed-kernel layer (:mod:`~repro.backend.packed`) landed,
-  the bitset is the *compute-primary* dense form of
-  :class:`~repro.backend.batch.SpikeTrainBatch` — the representation
-  the batched receivers, the shared-memory shard dispatch and the
-  serving front-end's wire protocol all operate on directly — and
-  :class:`BitsetBackend` scatter-packs and decodes only nonzero bytes,
-  never the grid.
+  grid.
 
 :func:`select_backend` picks between them by operand density, the
-crossover measured by ``benchmarks/bench_batch_throughput.py``;
-:func:`use_backend` pins one explicitly (tests use it to prove the
-implementations bit-identical).
+crossover measured by ``benchmarks/bench_batch_throughput.py``.
+Batches (:class:`~repro.backend.batch.SpikeTrainBatch`) do not come
+through here: they route by which representation is resident, and
+their dense form is the packed words of :mod:`~repro.backend.packed`.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, Optional, Union
+from typing import Union
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from . import packed as packed_kernels
 
 __all__ = [
     "Backend",
     "SortedSetBackend",
     "RasterBackend",
-    "BitsetBackend",
     "RASTER_DENSITY_THRESHOLD",
     "available_backends",
     "get_backend",
-    "pinned_backend_name",
     "select_backend",
-    "select_batch_backend",
-    "use_backend",
-    "set_default_backend",
 ]
 
 #: Combined operand density (total spikes / grid length) above which the
 #: dense raster pass beats the sorted merge.  The merge costs
 #: O(n log n) with n = total spikes; the raster pass costs O(T) with a
 #: much smaller per-element constant, so the crossover sits at a few
-#: percent occupancy.
+#: percent occupancy.  The batched receivers reuse it: below it they
+#: walk a resident CSR instead of packing it.
 RASTER_DENSITY_THRESHOLD = 1.0 / 64.0
 
 
@@ -143,50 +130,10 @@ class RasterBackend(Backend):
         return self._apply(np.logical_xor, a, b, n_samples)
 
 
-class BitsetBackend(Backend):
-    """Packed-word set algebra: eight slots per byte, never unpacked.
-
-    Operands scatter straight into packbits bytes (O(spikes), no dense
-    raster), the elementwise pass runs over ``ceil(T / 8)`` bytes with
-    native bitwise instructions, and the result decodes only its
-    *nonzero* bytes back to indices
-    (:func:`~repro.backend.packed.unpack_indices`) — the whole
-    operation touches an eighth of the raster backend's bytes.
-    Bit-identical to the other backends by construction.
-    """
-
-    name = "bitset"
-
-    @staticmethod
-    def _pack(indices: np.ndarray, n_samples: int) -> np.ndarray:
-        return packed_kernels.pack_indices(indices, n_samples)
-
-    def _apply(self, op, a, b, n_samples):
-        result = op(self._pack(a, n_samples), self._pack(b, n_samples))
-        return packed_kernels.unpack_indices(result)
-
-    def union(self, a: np.ndarray, b: np.ndarray, n_samples: int) -> np.ndarray:
-        return self._apply(np.bitwise_or, a, b, n_samples)
-
-    def intersection(self, a: np.ndarray, b: np.ndarray, n_samples: int) -> np.ndarray:
-        return self._apply(np.bitwise_and, a, b, n_samples)
-
-    def difference(self, a: np.ndarray, b: np.ndarray, n_samples: int) -> np.ndarray:
-        return self._apply(lambda x, y: x & ~y, a, b, n_samples)
-
-    def symmetric_difference(
-        self, a: np.ndarray, b: np.ndarray, n_samples: int
-    ) -> np.ndarray:
-        return self._apply(np.bitwise_xor, a, b, n_samples)
-
-
 _BACKENDS = {
     backend.name: backend
-    for backend in (SortedSetBackend(), RasterBackend(), BitsetBackend())
+    for backend in (SortedSetBackend(), RasterBackend())
 }
-
-#: Pinned backend; None means density-based auto-selection.
-_forced: Optional[Backend] = None
 
 
 def available_backends() -> tuple:
@@ -210,92 +157,9 @@ def select_backend(total_spikes: int, n_samples: int) -> Backend:
     """Pick the backend for one operation by operand density.
 
     ``total_spikes`` is the combined size of both operands.  Returns
-    the pinned backend when :func:`use_backend` /
-    :func:`set_default_backend` is in effect; otherwise the raster
-    backend above :data:`RASTER_DENSITY_THRESHOLD` occupancy and the
-    sorted-merge backend below it.
+    the raster backend above :data:`RASTER_DENSITY_THRESHOLD`
+    occupancy and the sorted-merge backend below it.
     """
-    if _forced is not None:
-        return _forced
     if n_samples > 0 and total_spikes >= RASTER_DENSITY_THRESHOLD * n_samples:
         return _BACKENDS["raster"]
     return _BACKENDS["sorted"]
-
-
-def pinned_backend_name() -> Optional[str]:
-    """Name of the pinned backend, or None under auto-selection.
-
-    Batch fast-path routing consults this so a ``use_backend("bitset")``
-    pin forces the packed kernels (and any other pin forces the CSR /
-    raster paths) — which is how the equivalence tests drive every
-    implementation over identical inputs.
-    """
-    return None if _forced is None else _forced.name
-
-
-def select_batch_backend(
-    total_spikes: int,
-    n_rows: int,
-    n_samples: int,
-    *,
-    csr_ready: bool = False,
-    packed_ready: bool = False,
-    raster_ready: bool = False,
-) -> str:
-    """Representation choice (``"sorted"``/``"raster"``/``"bitset"``) for one batch op.
-
-    The batched analogue of :func:`select_backend`, consulted by
-    :class:`~repro.backend.batch.SpikeTrainBatch` set algebra and the
-    batched receivers.  ``"sorted"`` means *walk the CSR* (gathers and
-    merges over the index arrays), ``"raster"`` the dense boolean pass,
-    ``"bitset"`` the packed-word kernels of
-    :mod:`~repro.backend.packed`.  The policy, measured by
-    ``benchmarks/bench_packed_kernels.py``:
-
-    * a pinned backend always wins (``use_backend``); pinning
-      ``"sorted"``/``"raster"`` keeps the pre-packed code paths, which
-      is how the equivalence tests drive every implementation;
-    * a materialised dense raster on an operand makes the raster pass
-      cheapest — its scatter is already paid;
-    * a batch whose packed words are resident but whose CSR is not
-      (shared-memory attachments, packed set-op results) stays packed:
-      decoding first would touch 8× the bytes the operation needs;
-    * with only the CSR resident, sparse batches (density below
-      :data:`RASTER_DENSITY_THRESHOLD`) walk it — O(total spikes),
-      independent of the grid — and dense batches pack: the packed
-      pass plus the O(spikes) pack scatter undercuts per-spike gather
-      chains once most slots are occupied, and the result's CSR
-      decodes lazily only if someone asks for indices.
-
-    Callers without an implementation for the returned family fall to
-    their nearest equivalent (batch set algebra, which has no merge
-    form, treats ``"sorted"`` as ``"bitset"``).
-    """
-    forced = pinned_backend_name()
-    if forced is not None:
-        return forced
-    if raster_ready:
-        return "raster"
-    if not csr_ready:
-        return "bitset"
-    if total_spikes < RASTER_DENSITY_THRESHOLD * n_rows * n_samples:
-        return "sorted"
-    return "bitset"
-
-
-def set_default_backend(name: Optional[Union[str, Backend]]) -> None:
-    """Pin every set operation to one backend; ``None`` restores auto."""
-    global _forced
-    _forced = None if name is None else get_backend(name)
-
-
-@contextlib.contextmanager
-def use_backend(name: Optional[Union[str, Backend]]) -> Iterator[Backend]:
-    """Context manager pinning the backend within a ``with`` block."""
-    global _forced
-    previous = _forced
-    _forced = None if name is None else get_backend(name)
-    try:
-        yield _forced if _forced is not None else _BACKENDS["sorted"]
-    finally:
-        _forced = previous

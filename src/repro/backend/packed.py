@@ -18,44 +18,33 @@ any endianness: word-level operations are pure bitwise (order-blind)
 and anything slot-ordered (first-set-bit, range masks, unpacking) goes
 through the byte view.
 
-Popcount.  :func:`popcount` resolves to ``np.bitwise_count`` when the
-installed NumPy has it (>= 2.0) and to a 16-bit-LUT fallback otherwise.
-Setting the environment variable :data:`FORCE_LUT_ENV` (to any
-non-empty value) forces the fallback — CI runs the kernel suite both
-ways so the LUT cannot silently rot.  Both implementations are also
-exported directly (``_popcount_native`` / ``_popcount_lut``) so tests
-can compare them regardless of the environment.
+Popcount is ``np.bitwise_count`` (NumPy >= 2.0, the package floor).
 
 A *clean* packed array has all bits beyond ``n_samples`` zero.  Every
 constructor here produces clean arrays and every closed operation
-(AND/OR/XOR/ANDNOT against clean operands) preserves cleanliness; only
-complement needs explicit re-masking (:func:`bitwise_not`).
-:func:`tail_mask_words` builds the mask, :func:`check_tail_clean`
-asserts the invariant on externally supplied data.
+(AND/OR/XOR/ANDNOT against clean operands) preserves cleanliness, so
+the kernels never re-mask; :func:`tail_mask_words` builds the mask for
+the one caller that does (:mod:`~repro.logic.netbatch`, whose gate
+tables can set tail bits), and :func:`check_tail_clean` asserts the
+invariant on externally supplied data.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
-    "FORCE_LUT_ENV",
-    "HAVE_BITWISE_COUNT",
     "popcount",
-    "popcount_impl",
     "n_packed_bytes",
     "n_packed_words",
     "tail_mask_words",
     "check_tail_clean",
-    "pack_indices",
     "unpack_indices",
     "pack_rows",
     "unpack_rows",
     "unpack_coords",
-    "bitwise_not",
     "gate_masks",
     "gate_table_words",
     "row_popcounts",
@@ -66,23 +55,14 @@ __all__ = [
     "first_set_slots",
     "first_and_slots",
     "first_coincident_slots",
-    "clear_slots_before",
     "clear_slots_from",
     "le_word_masks",
 ]
-
-#: Environment variable forcing the 16-bit-LUT popcount fallback.
-FORCE_LUT_ENV = "REPRO_FORCE_POPCOUNT_LUT"
-
-#: True when the installed NumPy provides ``np.bitwise_count``.
-HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 #: Byte-chunk budget for kernels that broadcast (N, M, n_words)
 #: intermediates; chunking keeps the packed paths' peak working set a
 #: fraction of the dense raster they replace.
 _CHUNK_BYTES = 1 << 21
-
-_LUT16: Optional[np.ndarray] = None
 
 #: byte value -> earliest occupied slot offset within the byte
 #: (MSB-first: value 0x80 is slot 0).  Entry 0 is unused.
@@ -96,47 +76,8 @@ _MASK_LE = np.array(
 )
 
 
-def _lut16() -> np.ndarray:
-    """The 65536-entry popcount table (built on first use)."""
-    global _LUT16
-    if _LUT16 is None:
-        lut8 = np.unpackbits(
-            np.arange(256, dtype=np.uint8)[:, None], axis=1
-        ).sum(axis=1, dtype=np.uint8)
-        values = np.arange(65536, dtype=np.uint32)
-        _LUT16 = (lut8[values >> 8] + lut8[values & 0xFF]).astype(np.uint8)
-    return _LUT16
-
-
-def _popcount_native(a: np.ndarray) -> np.ndarray:
-    """Per-element popcount via ``np.bitwise_count`` (NumPy >= 2.0)."""
-    return np.bitwise_count(a)
-
-
-def _popcount_lut(a: np.ndarray) -> np.ndarray:
-    """Per-element popcount via the 16-bit lookup table.
-
-    Bit-identical to :func:`_popcount_native` on any unsigned integer
-    dtype; used when ``np.bitwise_count`` is missing or the
-    :data:`FORCE_LUT_ENV` environment variable is set.
-    """
-    a = np.ascontiguousarray(a)
-    if a.dtype.itemsize <= 2:
-        return _lut16()[a]
-    halves = a.dtype.itemsize // 2
-    parts = a.view(np.uint16).reshape(a.shape + (halves,))
-    return _lut16()[parts].sum(axis=-1, dtype=np.uint8)
-
-
-if HAVE_BITWISE_COUNT and not os.environ.get(FORCE_LUT_ENV):
-    popcount = _popcount_native
-else:  # pragma: no cover - exercised via the env var in CI
-    popcount = _popcount_lut
-
-
-def popcount_impl() -> str:
-    """Which popcount implementation is active (``"bitwise_count"``/``"lut16"``)."""
-    return "bitwise_count" if popcount is _popcount_native else "lut16"
+#: Per-element set-bit count (uint8 result for every unsigned dtype).
+popcount = np.bitwise_count
 
 
 # ----------------------------------------------------------------------
@@ -190,29 +131,19 @@ def _scatter_bits(flat_bytes, byte_index, masks) -> None:
     flat_bytes[byte_index[starts]] = np.add.reduceat(masks, starts)
 
 
-def pack_indices(indices: np.ndarray, n_samples: int) -> np.ndarray:
-    """Pack one sorted, unique slot array into exact packbits bytes."""
-    packed = np.zeros(n_packed_bytes(n_samples), dtype=np.uint8)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size:
-        _scatter_bits(packed, indices >> 3, 128 >> (indices & 7))
-    return packed
-
-
-def unpack_indices(packed: np.ndarray, base: int = 0) -> np.ndarray:
+def unpack_indices(packed: np.ndarray) -> np.ndarray:
     """Sorted slot indices of a 1-D packed byte array.
 
     Decodes only the *nonzero* bytes — O(set bits + occupied bytes),
-    independent of the grid length — which is what lets the bitset
-    backend return indices without an ``np.unpackbits`` pass over the
-    whole grid.  ``base`` offsets the returned slots.
+    independent of the grid length — so a packed row becomes indices
+    without an ``np.unpackbits`` pass over the whole grid.
     """
     packed = np.ascontiguousarray(packed, dtype=np.uint8).reshape(-1)
     occupied = np.flatnonzero(packed)
     if not occupied.size:
         return np.empty(0, dtype=np.int64)
     positions = np.flatnonzero(np.unpackbits(packed[occupied]))
-    return occupied[positions >> 3] * 8 + (positions & 7) + base
+    return occupied[positions >> 3] * 8 + (positions & 7)
 
 
 def pack_rows(values: np.ndarray, ptr: np.ndarray, n_samples: int) -> np.ndarray:
@@ -258,9 +189,9 @@ def unpack_coords(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(rows, slots)`` coordinates of every set bit in ``(N, n_words)``.
 
     Like :func:`unpack_rows` but without the CSR offsets — and
-    therefore without any popcount pass, which keeps it cheap on the
-    LUT fallback.  Pairs ascend row-major (row, then slot), the order
-    the receivers' earliest-wins scatters rely on.
+    therefore without its popcount pass.  Pairs ascend row-major
+    (row, then slot), the order the receivers' earliest-wins scatters
+    rely on.
     """
     words = np.ascontiguousarray(words)
     n_words = words.shape[1]
@@ -277,15 +208,6 @@ def unpack_coords(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------
 # Set algebra and reductions
 # ----------------------------------------------------------------------
-
-
-def bitwise_not(words: np.ndarray, n_samples: int) -> np.ndarray:
-    """Complement within the grid (tail bits re-masked to zero).
-
-    AND/OR/XOR and ``a & ~b`` of clean operands stay clean on their
-    own; complement is the one primitive that must re-mask.
-    """
-    return ~words & tail_mask_words(n_samples)
 
 
 def _gate_mask_table() -> np.ndarray:
@@ -500,21 +422,6 @@ def first_coincident_slots(wires: np.ndarray, refs: np.ndarray) -> np.ndarray:
         slots = first_byte * 8 + _FIRST_SLOT_LUT[values]
         out[lo : lo + step] = np.where(hit, slots, -1)
     return out
-
-
-def clear_slots_before(words: np.ndarray, start: int) -> None:
-    """Zero all slots ``< start`` in place (rows × words, writable)."""
-    if start <= 0:
-        return
-    as_bytes = words.view(np.uint8).reshape(words.shape[0], -1)
-    start_byte = start >> 3
-    if start_byte >= as_bytes.shape[1]:
-        as_bytes[:] = 0
-        return
-    as_bytes[:, :start_byte] = 0
-    rem = start & 7
-    if rem:
-        as_bytes[:, start_byte] &= np.uint8(0xFF >> rem)
 
 
 def clear_slots_from(words: np.ndarray, limit: int) -> None:

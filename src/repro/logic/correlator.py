@@ -294,17 +294,21 @@ class CoincidenceCorrelator:
         ``"raise"`` (default) raises :class:`IdentificationError` naming
         the rows, ``"none"`` marks them -1 in the result arrays.
 
-        Packed-primary batches (shared-memory attachments, packed
-        set-op results) never decode: the scan runs on the bitset
-        itself (:meth:`_identify_batch_packed`), bit-identical by
-        contract.
+        Batches whose ``prefers_csr_walk()`` is false (packed-primary
+        ones, dense CSR) run on the bitset itself
+        (:meth:`_identify_batch_packed`), bit-identical by contract.
         """
         if missing not in ("raise", "none"):
             raise IdentificationError(
                 f"missing must be 'raise' or 'none', got {missing!r}"
             )
         self._check_batch_grid(batch)
-        if batch.receiver_backend() == "bitset":
+        # The walk stays for sparse CSR-only batches, which would pay a
+        # pack first: on the 16-element serving basis at T = 65536
+        # (2-CPU Xeon, NumPy 2.4.6) it takes 0.48-0.52 ms against
+        # 1.5-1.6 ms for pack-then-packed at 256 wires, and 4.9-6.0 ms
+        # against 31-36 ms at 4096.
+        if not batch.prefers_csr_walk():
             return self._identify_batch_packed(batch, start_slot, missing)
         values, ptr = batch.csr()
         n = batch.n_trains
@@ -438,14 +442,19 @@ class CoincidenceCorrelator:
 
         Returns the full ``(N, M)`` membership matrix plus earliest
         detection slots; :meth:`BatchDetection.as_dicts` recovers the
-        per-wire mappings of :meth:`detect_members` exactly.  Packed-
-        primary batches route through the packed kernels
-        (:meth:`_detect_members_batch_packed`) and never decode the
-        non-coinciding spikes.
+        per-wire mappings of :meth:`detect_members` exactly.  Batches
+        whose ``prefers_csr_walk()`` is false route through the packed
+        kernels (:meth:`_detect_members_batch_packed`) and never decode
+        the non-coinciding spikes.
         """
         self._check_batch_grid(batch)
         limit = self.basis.grid.n_samples if until_slot is None else until_slot
-        if batch.receiver_backend() == "bitset":
+        # The walk stays wherever the CSR is resident: on the 16-element
+        # serving basis at T = 65536 (2-CPU Xeon, NumPy 2.4.6) it beats
+        # the packed readout even with the words already resident,
+        # 0.81-0.86 ms against 10.5-11.3 ms at 256 wires and
+        # 12.6-15.0 ms against 150-172 ms at 4096.
+        if not batch.prefers_csr_walk():
             return self._detect_members_batch_packed(batch, limit)
         values, ptr = batch.csr()
         n, m = batch.n_trains, self.basis.size

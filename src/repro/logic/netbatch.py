@@ -344,10 +344,15 @@ def working_set(
     allocates: the three ``(block, rows)`` buffers plus a block of
     input lines, two flat fan-in rows and four gate masks per gate and
     layer, the popcount and checksum accumulators, and one block's
-    :func:`output_summary` temporaries — on the LUT popcount a
-    contiguous copy and a table lookup, 13 bytes per word, plus a
-    fixed allowance for NumPy's reduction buffers.  The whole output
-    is never held.
+    :func:`output_summary` temporaries plus a fixed allowance for
+    NumPy's reduction buffers.  Those temporaries are
+    ``np.bitwise_count``'s one byte per word and two ``(N, G)`` int64
+    block sums (the new one and the previous, still referenced while
+    the next block folds): 8 bytes per gate row beyond the
+    accumulators.  The fold term charges 13 bytes per word, which
+    covers that where a block is one word wide and a row is a word —
+    512 × 64 × 4 at T = 8192 traces 7.61 MiB, and one byte per word
+    would charge 7.41 MiB.  The whole output is never held.
     """
     rows = n_networks * n_gates
     n_words = packed.n_packed_words(n_samples)

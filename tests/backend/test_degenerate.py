@@ -5,13 +5,14 @@ the shape space, not just on production-sized batches: a 0-wire batch
 (an empty row selection, an empty corpus window), a 1-slot grid (one
 word, 63 tail bits) and batches whose every row is silent must flow
 through ``pack_rows``/``unpack_rows``/``select_rows`` and the batched
-receivers on every backend, bit-identical across all three.
+receivers in every residency, bit-identical across all three, and the
+per-train set-algebra backends must agree on them.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import SpikeTrainBatch, available_backends, use_backend
+from repro.backend import SpikeTrainBatch, available_backends, get_backend
 from repro.backend.packed import (
     check_tail_clean,
     n_packed_words,
@@ -19,10 +20,13 @@ from repro.backend.packed import (
     unpack_rows,
 )
 from repro.hyperspace.basis import HyperspaceBasis
+from repro.hyperspace.superposition import decode_superposition_batch
 from repro.logic.correlator import CoincidenceCorrelator
 from repro.orthogonator.demux import DemuxOrthogonator
 from repro.spikes.train import SpikeTrain
 from repro.units import SimulationGrid
+
+from .residency import RESIDENCIES
 
 GRID = SimulationGrid(n_samples=4096, dt=1e-12)
 ONE_SLOT = SimulationGrid(n_samples=1, dt=1e-12)
@@ -50,6 +54,7 @@ class TestZeroWireBatches:
         assert values.size == 0 and ptr.tolist() == [0]
         words = empty.packed_words()
         assert words.shape == (0, n_packed_words(GRID.n_samples))
+        assert empty.packbits().shape == (0, (GRID.n_samples + 7) // 8)
         # Selecting from the empty selection stays legal.
         assert empty.select_rows([]).n_trains == 0
 
@@ -73,13 +78,20 @@ class TestZeroWireBatches:
         values, out_ptr = unpack_rows(words)
         assert values.size == 0 and out_ptr.tolist() == [0]
 
-    @pytest.mark.parametrize("backend", ["sorted", "raster", "bitset"])
-    def test_receivers_on_zero_wires(self, basis, backend):
+    def test_density_of_zero_rows_is_zero(self, basis):
+        n_bytes = (GRID.n_samples + 7) // 8
+        packed = SpikeTrainBatch.from_packed(
+            np.zeros((0, n_bytes), dtype=np.uint8), GRID
+        )
+        assert packed.density() == 0.0
+        assert basis.as_batch().select_rows([]).density() == 0.0
+
+    def test_receivers_on_zero_wires(self, basis, as_residency):
         correlator = CoincidenceCorrelator(basis)
-        empty = basis.as_batch().select_rows([])
-        with use_backend(backend):
-            identified = correlator.identify_batch(empty, missing="none")
-            members = correlator.detect_members_batch(empty)
+        empty = as_residency(basis.as_batch().select_rows([]))
+        identified = correlator.identify_batch(empty, missing="none")
+        members = correlator.detect_members_batch(empty)
+        assert decode_superposition_batch(basis, empty) == []
         assert identified.elements.shape == (0,)
         assert identified.decision_slots.shape == (0,)
         assert identified.spikes_inspected.shape == (0,)
@@ -91,14 +103,14 @@ class TestOneSlotGrids:
     """n_samples=1: one word, 63 dead tail bits, slots are all 0."""
 
     def test_set_ops_agree_across_backends(self):
-        hot = SpikeTrain([0], ONE_SLOT)
-        cold = SpikeTrain.empty(ONE_SLOT)
+        hot = np.array([0], dtype=np.int64)
+        cold = np.empty(0, dtype=np.int64)
         for name in available_backends():
-            with use_backend(name):
-                assert (hot | cold) == hot, name
-                assert len(hot & cold) == 0, name
-                assert (hot - cold) == hot, name
-                assert (hot ^ hot) == cold, name
+            backend = get_backend(name)
+            assert backend.union(hot, cold, 1).tolist() == [0], name
+            assert backend.intersection(hot, cold, 1).size == 0, name
+            assert backend.difference(hot, cold, 1).tolist() == [0], name
+            assert backend.symmetric_difference(hot, hot, 1).size == 0, name
 
     def test_pack_unpack_round_trip(self):
         # Rows: {0}, {}, {0} on the 1-slot grid.
@@ -147,27 +159,24 @@ class TestAllEmptyTrains:
         assert batch == SpikeTrainBatch.empty(3, GRID)
         assert batch.select_rows([2, 0]).total_spikes == 0
 
-    @pytest.mark.parametrize("backend", ["sorted", "raster", "bitset"])
-    def test_receivers_on_all_silent(self, basis, backend):
+    def test_receivers_on_all_silent(self, basis, as_residency):
         correlator = CoincidenceCorrelator(basis)
-        silent = SpikeTrainBatch.empty(4, GRID)
-        with use_backend(backend):
-            identified = correlator.identify_batch(silent, missing="none")
-            members = correlator.detect_members_batch(silent)
+        silent = as_residency(SpikeTrainBatch.empty(4, GRID))
+        identified = correlator.identify_batch(silent, missing="none")
+        members = correlator.detect_members_batch(silent)
         assert identified.elements.tolist() == [-1] * 4
         assert identified.decision_slots.tolist() == [-1] * 4
         assert identified.spikes_inspected.tolist() == [0] * 4
         assert not members.membership.any()
 
-    def test_silent_receivers_bit_identical_across_backends(self, basis):
+    def test_silent_receivers_bit_identical_across_residencies(self, basis):
         correlator = CoincidenceCorrelator(basis)
         silent = SpikeTrainBatch.empty(4, GRID)
         outcomes = {}
-        for name in available_backends():
-            with use_backend(name):
-                outcome = correlator.detect_members_batch(silent)
+        for name, rebuild in RESIDENCIES.items():
+            outcome = correlator.detect_members_batch(rebuild(silent))
             outcomes[name] = (outcome.membership, outcome.first_slots)
-        reference = outcomes["sorted"]
+        reference = outcomes["csr"]
         for name, (membership, first_slots) in outcomes.items():
             assert np.array_equal(membership, reference[0]), name
             assert np.array_equal(first_slots, reference[1]), name

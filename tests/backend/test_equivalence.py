@@ -1,10 +1,11 @@
 """Randomized equivalence: every backend and batch path is bit-identical.
 
 The backend layer's contract is that representation is invisible:
-sorted-merge, dense-raster and packed-bitset set algebra agree bit for
-bit, and every batched receiver (identify, detect_members, linear_scan,
-decode, query) reproduces its scalar counterpart exactly.  These tests
-drive all of them over randomized seeds.
+sorted-merge and dense-raster set algebra agree bit for bit, and every
+batched receiver (identify, detect_members, linear_scan, decode,
+query) reproduces its scalar counterpart exactly in every residency a
+batch can hold.  These tests drive all of them over randomized seeds,
+and pin which path each residency routes to.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ from repro.backend import (
     available_backends,
     get_backend,
     select_backend,
-    use_backend,
 )
+from repro.errors import HyperspaceError, IdentificationError
 from repro.hyperspace.basis import HyperspaceBasis
 from repro.hyperspace.superposition import (
     decode_superposition,
@@ -30,6 +31,8 @@ from repro.search.classical import linear_scan, linear_scan_batch
 from repro.search.superposition_search import SuperpositionDatabase
 from repro.spikes.train import SpikeTrain
 from repro.units import SimulationGrid
+
+from .residency import csr_only, packed_primary, raster_resident
 
 OPS = ["union", "intersection", "difference", "symmetric_difference"]
 
@@ -52,13 +55,14 @@ class TestBackendSetOps:
         grid = SimulationGrid(n_samples=int(rng.integers(512, 4096)), dt=1e-12)
         a = random_train(rng, grid, density)
         b = random_train(rng, grid, density)
-        results = {}
-        for name in available_backends():
-            with use_backend(name):
-                results[name] = getattr(a, op)(b).indices
-        reference = results["sorted"]
-        for name, indices in results.items():
-            assert np.array_equal(indices, reference), (name, op)
+        reference = getattr(get_backend("sorted"), op)(
+            a.indices, b.indices, grid.n_samples
+        )
+        raster = getattr(get_backend("raster"), op)(
+            a.indices, b.indices, grid.n_samples
+        )
+        assert np.array_equal(raster, reference), op
+        assert np.array_equal(getattr(a, op)(b).indices, reference), op
 
     @pytest.mark.parametrize("op", OPS)
     def test_backend_api_direct(self, rng, op):
@@ -76,12 +80,16 @@ class TestBackendSetOps:
         grid = SimulationGrid(n_samples=256, dt=1e-12)
         a = SpikeTrain.empty(grid)
         b = SpikeTrain([0, 255], grid)
+        n = grid.n_samples
         for name in available_backends():
-            with use_backend(name):
-                assert (a | b) == b
-                assert len(a & b) == 0
-                assert (b - a) == b
-                assert (a ^ b) == b
+            backend = get_backend(name)
+            assert backend.intersection(a.indices, b.indices, n).size == 0
+            for op, x, y in (
+                (backend.union, a, b),
+                (backend.difference, b, a),
+                (backend.symmetric_difference, a, b),
+            ):
+                assert np.array_equal(op(x.indices, y.indices, n), b.indices)
 
     def test_auto_selection_by_density(self):
         assert select_backend(0, 65536).name == "sorted"
@@ -89,11 +97,6 @@ class TestBackendSetOps:
         assert select_backend(sparse, 65536).name == "sorted"
         dense = int(RASTER_DENSITY_THRESHOLD * 65536) + 1
         assert select_backend(dense, 65536).name == "raster"
-
-    def test_use_backend_pins_selection(self):
-        with use_backend("bitset"):
-            assert select_backend(1, 65536).name == "bitset"
-        assert select_backend(1, 65536).name == "sorted"
 
 
 @pytest.fixture
@@ -145,8 +148,6 @@ class TestBatchedIdentification:
         assert results[1] is None
 
     def test_identify_batch_missing_raise(self, basis):
-        from repro.errors import IdentificationError
-
         silent = SpikeTrain.empty(basis.grid)
         batch = SpikeTrainBatch.from_trains([basis.encode(0), silent])
         with pytest.raises(IdentificationError):
@@ -187,15 +188,15 @@ class TestBatchedDecode:
             assert value == decode_superposition(basis, wire)
             assert value.members == frozenset(int(k) for k in keys)
 
-    def test_decode_batch_strict_rejects_foreign(self, rng, basis):
+    def test_decode_batch_strict_rejects_foreign(self, basis, as_residency):
         foreign = basis.grid.n_samples - 1
         while basis.owner_of_slot(foreign) is not None:
             foreign -= 1
         wire = basis.encode(0) | SpikeTrain([foreign], basis.grid)
-        batch = SpikeTrainBatch.from_trains([basis.encode(1), wire])
-        from repro.errors import HyperspaceError
-
-        with pytest.raises(HyperspaceError):
+        batch = as_residency(
+            SpikeTrainBatch.from_trains([basis.encode(1), wire])
+        )
+        with pytest.raises(HyperspaceError, match=r"wire\(s\) \[1\]"):
             decode_superposition_batch(basis, batch, strict=True)
         decoded = decode_superposition_batch(basis, batch, strict=False)
         assert decoded[1].members == frozenset([0])
@@ -235,39 +236,50 @@ class TestBatchedSearch:
             assert got == database.query(state, start_slot=start)
 
 
-class TestPackedReceiverEquivalence:
-    """Every batched receiver, pinned to each backend, bit for bit.
+def scalar_identify(correlator, wire, start_slot):
+    """The scalar receiver's answer, None where it finds no coincidence."""
+    try:
+        return correlator.identify(wire, start_slot=start_slot)
+    except IdentificationError:
+        return None
 
-    The packed kernels (``use_backend("bitset")``) and the CSR walks
-    (``"sorted"``/``"raster"`` pins) must agree on identification,
-    membership and decode over randomized wires — including wires with
-    injected foreign spikes.
+
+class TestReceiverResidencies:
+    """Every batched receiver, on every residency, equals the scalar one.
+
+    The same randomized wires (some with injected foreign spikes) run
+    as a CSR-only, a raster-resident and a packed-primary batch; each
+    must reproduce the per-wire receiver (``identify``,
+    ``detect_members``, ``decode_superposition``) exactly, whichever
+    path the residency routes to.
     """
 
-    @pytest.mark.parametrize("backend", ["sorted", "raster", "bitset"])
-    def test_identify_batch_all_backends(self, rng, basis, backend):
+    def test_identify_batch(self, rng, basis, as_residency):
         correlator = CoincidenceCorrelator(basis)
         wires = random_wires(rng, basis, 24)
-        batch = SpikeTrainBatch.from_trains(wires)
+        batch = as_residency(SpikeTrainBatch.from_trains(wires))
         start = int(rng.integers(0, basis.grid.n_samples // 2))
-        reference = correlator.identify_batch(
+        got = correlator.identify_batch(
             batch, start_slot=start, missing="none"
         ).results()
-        with use_backend(backend):
-            pinned = correlator.identify_batch(
-                batch, start_slot=start, missing="none"
-            ).results()
-        assert pinned == reference
+        assert got == [scalar_identify(correlator, w, start) for w in wires]
 
-    @pytest.mark.parametrize("backend", ["sorted", "raster", "bitset"])
-    def test_detect_members_batch_all_backends(self, rng, basis, backend):
+    def test_detect_members_batch(self, rng, basis, as_residency):
         correlator = CoincidenceCorrelator(basis)
-        batch = SpikeTrainBatch.from_trains(random_wires(rng, basis, 12))
+        wires = random_wires(rng, basis, 12)
+        batch = as_residency(SpikeTrainBatch.from_trains(wires))
         limit = int(rng.integers(1, basis.grid.n_samples))
-        reference = correlator.detect_members_batch(batch, until_slot=limit)
-        with use_backend(backend):
-            pinned = correlator.detect_members_batch(batch, until_slot=limit)
-        assert np.array_equal(pinned.first_slots, reference.first_slots)
+        got = correlator.detect_members_batch(batch, until_slot=limit)
+        assert got.as_dicts() == [
+            correlator.detect_members(w, until_slot=limit) for w in wires
+        ]
+
+    def test_decode_batch(self, rng, basis, as_residency):
+        wires = random_wires(rng, basis, 12)
+        batch = as_residency(SpikeTrainBatch.from_trains(wires))
+        assert decode_superposition_batch(basis, batch, strict=False) == [
+            decode_superposition(basis, w, strict=False) for w in wires
+        ]
 
     def test_packed_primary_receivers_never_decode(self, rng, basis):
         """A packed-primary batch is identified and decoded on the
@@ -299,6 +311,123 @@ class TestPackedReceiverEquivalence:
         assert batch.to_trains() == [
             basis.encode_set(keys) for keys in selections
         ]
+
+
+@pytest.fixture(scope="module")
+def routing_wires():
+    """A basis plus sparse and dense CSR batches of the same elements.
+
+    Each element holds ~2.5% of the grid, so a batch of whole-element
+    wires is dense; five spikes per wire keeps the other batch sparse.
+    """
+    rng = np.random.default_rng(11)
+    grid = SimulationGrid(n_samples=4096, dt=1e-12)
+    source = random_train(rng, grid, 0.2)
+    basis = HyperspaceBasis.from_orthogonator(
+        DemuxOrthogonator.with_outputs(8).transform(source)
+    )
+    elements = rng.integers(basis.size, size=16)
+    dense = SpikeTrainBatch.from_trains(
+        [basis.encode(int(e)) for e in elements]
+    )
+    sparse = SpikeTrainBatch.from_trains(
+        [SpikeTrain(basis.encode(int(e)).indices[:5], grid) for e in elements]
+    )
+    assert sparse.density() < RASTER_DENSITY_THRESHOLD < dense.density()
+    return basis, sparse, dense
+
+
+def _packed_with_raster(batch):
+    primary = packed_primary(batch)
+    primary.raster  # asked for per-slot booleans: the raster is resident
+    return primary
+
+
+#: residency -> (builder, which routing batch it rebuilds)
+ROUTING_RESIDENCIES = {
+    "csr-sparse": (csr_only, "sparse"),
+    "csr-dense": (csr_only, "dense"),
+    "raster": (raster_resident, "dense"),
+    "packed": (packed_primary, "sparse"),
+    "packed+raster": (_packed_with_raster, "dense"),
+}
+
+#: (receiver, residency, path) — today's routing, pinned.
+ROUTES = [
+    ("identify", "csr-sparse", "walk"),
+    ("identify", "csr-dense", "packed"),
+    ("identify", "raster", "walk"),
+    ("identify", "packed", "packed"),
+    ("identify", "packed+raster", "walk"),
+    ("members", "csr-sparse", "walk"),
+    ("members", "csr-dense", "packed"),
+    ("members", "raster", "walk"),
+    ("members", "packed", "packed"),
+    ("members", "packed+raster", "walk"),
+    ("decode", "csr-sparse", "packed"),
+    ("decode", "csr-dense", "packed"),
+    ("decode", "raster", "packed"),
+    ("decode", "packed", "packed"),
+    ("decode", "packed+raster", "packed"),
+]
+
+#: (left residency, right residency, pass) for row-wise set algebra.
+SETOP_ROUTES = [
+    ("csr-dense", "csr-sparse", "packed"),
+    ("raster", "csr-sparse", "raster"),
+    ("csr-sparse", "raster", "raster"),
+    ("packed", "packed", "packed"),
+    ("packed", "raster", "raster"),
+]
+
+
+def _build(routing_wires, residency):
+    _basis, sparse, dense = routing_wires
+    builder, source = ROUTING_RESIDENCIES[residency]
+    return builder(sparse if source == "sparse" else dense)
+
+
+def _path_taken(run, batch):
+    """``"packed"`` or ``"walk"``, read off what ``run`` materialised.
+
+    A packed receiver packs a batch that lacked words; a walk decodes
+    the CSR of a batch that lacked one.
+    """
+    had_words = batch.packed_materialised
+    run(batch)
+    if had_words:
+        return "walk" if batch.csr_materialised else "packed"
+    return "packed" if batch.packed_materialised else "walk"
+
+
+class TestResidencyRouting:
+    """Which path each residency takes — routing is by residency alone."""
+
+    @pytest.mark.parametrize("receiver, residency, path", ROUTES)
+    def test_receiver_route(self, routing_wires, receiver, residency, path):
+        basis = routing_wires[0]
+        correlator = CoincidenceCorrelator(basis)
+        run = {
+            "identify": lambda b: correlator.identify_batch(b, missing="none"),
+            "members": correlator.detect_members_batch,
+            "decode": lambda b: decode_superposition_batch(basis, b),
+        }[receiver]
+        batch = _build(routing_wires, residency)
+        if receiver != "decode":
+            assert batch.prefers_csr_walk() == (path == "walk")
+        assert _path_taken(run, batch) == path
+
+    @pytest.mark.parametrize("left, right, path", SETOP_ROUTES)
+    def test_setop_route(self, routing_wires, left, right, path):
+        a = _build(routing_wires, left)
+        b = _build(routing_wires, right)
+        result = a & b
+        assert result.raster_materialised == (path == "raster")
+        if path == "packed":
+            assert a.packed_materialised and b.packed_materialised
+            assert not result.csr_materialised
+        expected = [x & y for x, y in zip(a.to_trains(), b.to_trains())]
+        assert result.to_trains() == expected
 
 
 class TestOrthogonatorBatchOutputs:

@@ -96,7 +96,7 @@ class TestBatchAdoption:
     def test_receivers_never_decode_the_mapping(self, tmp_path, batch):
         path = batch.to_memmap(tmp_path / "b.npy")
         mapped = SpikeTrainBatch.from_memmap(path, GRID)
-        assert mapped.receiver_backend() == "bitset"
+        assert not mapped.prefers_csr_walk()
         counts = mapped.counts()
         assert not mapped.csr_materialised and not mapped.raster_materialised
         assert np.array_equal(counts, batch.counts())

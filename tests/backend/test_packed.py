@@ -5,21 +5,26 @@ sorted-merge implementations on *any* grid length — in particular the
 ragged tails, where ``n_samples`` is not a multiple of 8 (partial final
 byte) or of 64 (partial final word) and correctness hinges on the
 tail-bit masking.  These tests randomize densities over a grid-length
-sweep chosen to hit every alignment class, and exercise both popcount
-implementations (``np.bitwise_count`` and the 16-bit LUT) explicitly.
+sweep chosen to hit every alignment class, and drive each path by the
+residency of its operands.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import SpikeTrainBatch, packed, use_backend
-from repro.errors import SpikeTrainError
+from repro.backend import SpikeTrainBatch, get_backend, packed
+from repro.errors import HyperspaceError, IdentificationError, SpikeTrainError
 from repro.hyperspace.basis import HyperspaceBasis
-from repro.hyperspace.superposition import decode_superposition_batch
+from repro.hyperspace.superposition import (
+    decode_superposition,
+    decode_superposition_batch,
+)
 from repro.logic.correlator import CoincidenceCorrelator
 from repro.orthogonator.demux import DemuxOrthogonator
 from repro.spikes.train import SpikeTrain
 from repro.units import SimulationGrid
+
+from .residency import RESIDENCIES, packed_primary
 
 #: Grid lengths covering every tail-alignment class: multiples of 64,
 #: multiples of 8 only, and arbitrary ragged lengths (including a
@@ -35,37 +40,23 @@ def _random_batch(rng, n_trains, n_samples, density):
     return SpikeTrainBatch.from_raster(raster, grid), raster
 
 
+def _pack(raster):
+    """Word-aligned packed rows of a boolean ``(N, n_samples)`` raster."""
+    rows, cols = np.nonzero(raster)
+    ptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(rows, minlength=raster.shape[0]))]
+    )
+    return packed.pack_rows(cols, ptr, raster.shape[1])
+
+
+def _first_slots(raster):
+    """Earliest set slot of each raster row (-1: empty row)."""
+    return np.where(raster.any(axis=1), raster.argmax(axis=1), -1)
+
+
 @pytest.fixture(params=[0, 1, 2])
 def rng(request):
     return np.random.default_rng(request.param)
-
-
-class TestPopcountImplementations:
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
-    def test_lut_matches_native_when_available(self, rng, dtype):
-        if not packed.HAVE_BITWISE_COUNT:
-            pytest.skip("np.bitwise_count unavailable; LUT is the only impl")
-        info = np.iinfo(dtype)
-        values = rng.integers(0, info.max, size=(13, 17), dtype=dtype)
-        assert np.array_equal(
-            packed._popcount_lut(values), packed._popcount_native(values)
-        )
-
-    def test_lut_against_python_bit_count(self, rng):
-        values = rng.integers(0, 2**64 - 1, size=64, dtype=np.uint64)
-        expected = np.array([int(v).bit_count() for v in values])
-        assert np.array_equal(packed._popcount_lut(values), expected)
-
-    def test_lut_on_noncontiguous_input(self, rng):
-        values = rng.integers(0, 2**64 - 1, size=(8, 8), dtype=np.uint64)
-        view = values[:, ::2]
-        expected = np.array(
-            [[int(v).bit_count() for v in row] for row in view]
-        )
-        assert np.array_equal(packed._popcount_lut(view), expected)
-
-    def test_active_impl_reported(self):
-        assert packed.popcount_impl() in ("bitwise_count", "lut16")
 
 
 class TestRaggedPackRoundTrip:
@@ -116,24 +107,124 @@ class TestRaggedPackRoundTrip:
 
     @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
     def test_scalar_pack_unpack(self, rng, n_samples):
-        indices = np.flatnonzero(rng.random(n_samples) < 0.4)
+        occupied = rng.random(n_samples) < 0.4
         assert np.array_equal(
-            packed.unpack_indices(packed.pack_indices(indices, n_samples)),
-            indices,
+            packed.unpack_indices(np.packbits(occupied)),
+            np.flatnonzero(occupied),
+        )
+
+
+class TestPopcount:
+    """``popcount`` and the row reductions built on it vs brute force."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_matches_python_bit_count(self, rng, dtype):
+        values = rng.integers(
+            0, np.iinfo(dtype).max, size=(13, 17), dtype=dtype, endpoint=True
+        )
+        expected = np.array(
+            [[bin(int(v)).count("1") for v in row] for row in values]
+        )
+        got = packed.popcount(values)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+        assert np.array_equal(packed.popcount(values[:, ::3]), expected[:, ::3])
+
+    @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
+    def test_row_and_coincidence_counts(self, rng, n_samples):
+        raster_a = rng.random((6, n_samples)) < rng.uniform(0.05, 0.9)
+        raster_b = rng.random((6, n_samples)) < rng.uniform(0.05, 0.9)
+        a, b = _pack(raster_a), _pack(raster_b)
+        assert np.array_equal(packed.row_popcounts(a), raster_a.sum(axis=1))
+        assert np.array_equal(
+            packed.coincidence_counts(a, b), (raster_a & raster_b).sum(axis=1)
+        )
+        assert np.array_equal(  # one reference row against every row
+            packed.coincidence_counts(a, b[0]),
+            (raster_a & raster_b[0]).sum(axis=1),
+        )
+
+
+class TestTailMask:
+    @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
+    def test_mask_covers_exactly_the_grid(self, rng, n_samples):
+        mask = packed.tail_mask_words(n_samples)
+        assert mask.shape == (packed.n_packed_words(n_samples),)
+        assert np.array_equal(
+            packed.unpack_indices(mask.view(np.uint8)), np.arange(n_samples)
+        )
+        words = _pack(rng.random((3, n_samples)) < 0.5)
+        assert packed.check_tail_clean(words, n_samples)
+        assert np.array_equal(words & mask, words)
+        beyond = np.arange(n_samples, mask.size * 64)
+        if beyond.size:  # a grid that fills its last word has no tail
+            slot = int(rng.choice(beyond))
+            as_bytes = words.view(np.uint8).reshape(3, -1)
+            as_bytes[int(rng.integers(3)), slot >> 3] |= 128 >> (slot & 7)
+            assert not packed.check_tail_clean(words, n_samples)
+            assert packed.check_tail_clean(words & mask, n_samples)
+
+
+class TestSlotScans:
+    """Slot-ordered scans vs the first set slot of the raster."""
+
+    @staticmethod
+    def _sparse_raster(rng, n_rows, n_samples):
+        """Rows of very different densities, so first slots land in
+        every word; row 0 is empty and row 1 holds only the last slot."""
+        density = 10 ** rng.uniform(-4, -0.3, size=(n_rows, 1))
+        raster = rng.random((n_rows, n_samples)) < density
+        raster[:2] = False
+        raster[1, -1] = True
+        return raster
+
+    @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
+    def test_first_set_slots(self, rng, n_samples):
+        raster = self._sparse_raster(rng, 8, n_samples)
+        assert np.array_equal(
+            packed.first_set_slots(_pack(raster)), _first_slots(raster)
         )
 
     @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
-    def test_bitwise_not_stays_clean(self, rng, n_samples):
-        indices = np.flatnonzero(rng.random(n_samples) < 0.5)
-        words = packed.pack_rows(
-            indices, np.array([0, indices.size]), n_samples
-        )
-        complement = packed.bitwise_not(words, n_samples)
-        assert packed.check_tail_clean(complement, n_samples)
-        assert np.array_equal(
-            packed.unpack_indices(complement.view(np.uint8)),
-            np.setdiff1d(np.arange(n_samples), indices),
-        )
+    def test_first_and_slots(self, rng, n_samples):
+        raster_a = self._sparse_raster(rng, 8, n_samples)
+        raster_b = rng.random((8, n_samples)) < 0.5
+        raster_b[:, -1] = True
+        a, b = _pack(raster_a), _pack(raster_b)
+        starts = (0, int(rng.integers(1, n_samples + 1)), n_samples)
+        for start in starts:
+            for chunk_words in (1, 64):
+                # one reference row broadcast, then one per row
+                for ref, ref_raster in ((b[0], raster_b[0]), (b, raster_b)):
+                    both = raster_a & ref_raster
+                    both[:, :start] = False
+                    got = packed.first_and_slots(
+                        a, ref, start=start, chunk_words=chunk_words
+                    )
+                    assert np.array_equal(got, _first_slots(both)), (
+                        start,
+                        chunk_words,
+                        ref.ndim,
+                    )
+
+    @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
+    def test_clear_slots_from(self, rng, n_samples):
+        raster = rng.random((4, n_samples)) < 0.6
+        limits = (-1, 0, int(rng.integers(1, n_samples + 1)), n_samples + 9)
+        for limit in limits:
+            words = _pack(raster)
+            packed.clear_slots_from(words, limit)
+            kept = raster.copy()
+            kept[:, max(limit, 0) :] = False
+            assert np.array_equal(words, _pack(kept)), limit
+
+    def test_le_word_masks(self):
+        slots = np.arange(192)
+        expected = [
+            np.packbits(np.arange(64) <= s % 64).view(np.uint64)[0]
+            for s in slots
+        ]
+        assert np.array_equal(packed.le_word_masks(slots), expected)
 
 
 class TestPairwiseKernels:
@@ -143,13 +234,7 @@ class TestPairwiseKernels:
     def _packed_pair(rng, n_samples, n_a=5, n_b=3):
         raster_a = rng.random((n_a, n_samples)) < rng.uniform(0.05, 0.6)
         raster_b = rng.random((n_b, n_samples)) < rng.uniform(0.05, 0.6)
-        def pack(raster):
-            rows, cols = np.nonzero(raster)
-            ptr = np.concatenate(
-                [[0], np.cumsum(np.bincount(rows, minlength=raster.shape[0]))]
-            )
-            return packed.pack_rows(cols, ptr, n_samples)
-        return raster_a, raster_b, pack(raster_a), pack(raster_b)
+        return raster_a, raster_b, _pack(raster_a), _pack(raster_b)
 
     @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
     def test_pairwise_counts(self, rng, n_samples):
@@ -177,22 +262,20 @@ class TestPairwiseKernels:
         where the chunk boundaries fall."""
         n_samples = 130
         raster_a = rng.random((67, n_samples)) < 0.2
-        rows, cols = np.nonzero(raster_a)
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=67))])
-        a = packed.pack_rows(cols, ptr, n_samples)
+        a = _pack(raster_a)
         expected = raster_a.astype(np.int64) @ raster_a.astype(np.int64).T
         assert np.array_equal(packed.pairwise_counts(a, a), expected)
         assert np.array_equal(packed.coincidence_any(a, a), expected > 0)
 
 
 class TestRaggedScalarBackends:
-    """The bitset backend vs sorted/raster on ragged grids."""
+    """The sorted and raster backends agree on ragged grids."""
 
     @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
     @pytest.mark.parametrize(
         "op", ["union", "intersection", "difference", "symmetric_difference"]
     )
-    def test_bitset_bit_identical_on_ragged_grids(self, rng, n_samples, op):
+    def test_backends_bit_identical_on_ragged_grids(self, rng, n_samples, op):
         grid = SimulationGrid(n_samples=n_samples, dt=1e-12)
         density = float(rng.uniform(0.05, 0.9))
         a = SpikeTrain(
@@ -201,12 +284,12 @@ class TestRaggedScalarBackends:
         b = SpikeTrain(
             np.flatnonzero(rng.random(n_samples) < density), grid
         )
-        results = {}
-        for name in ("sorted", "raster", "bitset"):
-            with use_backend(name):
-                results[name] = getattr(a, op)(b).indices
-        assert np.array_equal(results["bitset"], results["sorted"]), op
-        assert np.array_equal(results["raster"], results["sorted"]), op
+        merged, dense = (
+            getattr(get_backend(name), op)(a.indices, b.indices, n_samples)
+            for name in ("sorted", "raster")
+        )
+        assert np.array_equal(dense, merged), op
+        assert np.array_equal(getattr(a, op)(b).indices, merged), op
 
 
 class TestRaggedBatches:
@@ -229,23 +312,23 @@ class TestRaggedBatches:
         density = float(rng.uniform(0.05, 0.9))
         a, _ = _random_batch(rng, 5, n_samples, density)
         b, _ = _random_batch(rng, 5, n_samples, density)
-        with use_backend("raster"):
-            expected = getattr(a, op)(b)
-        with use_backend("bitset"):
-            got = getattr(a, op)(b)
+        expected = getattr(a, op)(b)  # resident rasters: the raster pass
+        assert expected.raster_materialised
+        got = getattr(packed_primary(a), op)(packed_primary(b))
         assert not got.csr_materialised  # packed in, packed out
         assert got == expected
+        assert got.to_trains() == [
+            getattr(x, op)(y) for x, y in zip(a.to_trains(), b.to_trains())
+        ]
         assert packed.check_tail_clean(got.packed_words(), n_samples)
 
     @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
     def test_packed_setops_broadcast_single_row(self, rng, n_samples):
         a, _ = _random_batch(rng, 4, n_samples, 0.4)
         probe, _ = _random_batch(rng, 1, n_samples, 0.4)
-        with use_backend("bitset"):
-            got = a.intersection(probe)
-        with use_backend("raster"):
-            expected = a.intersection(probe)
-        assert got == expected
+        got = packed_primary(a).intersection(packed_primary(probe))
+        assert not got.raster_materialised
+        assert got == a.intersection(probe)  # the raster pass
 
     @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
     @pytest.mark.parametrize("density", [0.02, 0.5])
@@ -301,7 +384,7 @@ def ragged_basis(rng):
 
 
 class TestRaggedReceivers:
-    """Packed receivers vs CSR receivers on a ragged grid."""
+    """Batched receivers in every residency vs the scalar ones, ragged grid."""
 
     def _wires(self, rng, basis, n_wires):
         wires = []
@@ -326,15 +409,17 @@ class TestRaggedReceivers:
         ]
         batch = SpikeTrainBatch.from_trains(wires)
         start = int(rng.integers(0, ragged_basis.grid.n_samples))
-        with use_backend("sorted"):
-            expected = correlator.identify_batch(
-                batch, start_slot=start, missing="none"
-            )
-        with use_backend("bitset"):
+        expected = []
+        for wire in wires:
+            try:
+                expected.append(correlator.identify(wire, start_slot=start))
+            except IdentificationError:
+                expected.append(None)
+        for rebuild in RESIDENCIES.values():
             got = correlator.identify_batch(
-                batch, start_slot=start, missing="none"
+                rebuild(batch), start_slot=start, missing="none"
             )
-        assert got.results() == expected.results()
+            assert got.results() == expected
 
     def test_identify_packed_primary_input(self, rng, ragged_basis):
         correlator = CoincidenceCorrelator(ragged_basis)
@@ -350,16 +435,17 @@ class TestRaggedReceivers:
 
     def test_detect_members_packed_matches_csr(self, rng, ragged_basis):
         correlator = CoincidenceCorrelator(ragged_basis)
-        batch = SpikeTrainBatch.from_trains(
-            self._wires(rng, ragged_basis, 10)
-        )
+        wires = self._wires(rng, ragged_basis, 10)
+        batch = SpikeTrainBatch.from_trains(wires)
         limit = int(rng.integers(1, ragged_basis.grid.n_samples + 1))
-        with use_backend("sorted"):
-            expected = correlator.detect_members_batch(batch, until_slot=limit)
-        with use_backend("bitset"):
-            got = correlator.detect_members_batch(batch, until_slot=limit)
-        assert np.array_equal(got.first_slots, expected.first_slots)
-        assert got.as_dicts() == expected.as_dicts()
+        expected = [
+            correlator.detect_members(wire, until_slot=limit) for wire in wires
+        ]
+        for rebuild in RESIDENCIES.values():
+            got = correlator.detect_members_batch(
+                rebuild(batch), until_slot=limit
+            )
+            assert got.as_dicts() == expected
 
     def test_decode_packed_matches_csr(self, rng, ragged_basis):
         selections = [
@@ -374,13 +460,11 @@ class TestRaggedReceivers:
         assert [sorted(v.members) for v in decoded] == [
             sorted(int(k) for k in keys) for keys in selections
         ]
-        with use_backend("sorted"):
-            via_csr = decode_superposition_batch(ragged_basis, batch)
-        assert decoded == via_csr
+        assert decoded == [
+            decode_superposition(ragged_basis, wire) for wire in batch
+        ]
 
     def test_decode_packed_strict_rejects_foreign(self, rng, ragged_basis):
-        from repro.errors import HyperspaceError
-
         foreign = ragged_basis.grid.n_samples - 1
         while ragged_basis.owner_of_slot(foreign) is not None:
             foreign -= 1

@@ -5,8 +5,8 @@ each worker runs the unmodified serial kernel on a contiguous row
 slice shipped through a SharedArena, and the slices concatenate in row
 order.  These tests check that identity over randomized ragged row
 splits (row counts that don't divide evenly across workers, grids with
-partial tail words) on both popcount implementations, plus every
-auto-fallback path the module promises.
+partial tail words), plus every auto-fallback path the module
+promises.
 """
 
 import numpy as np
@@ -117,23 +117,6 @@ class TestParallelIdentity:
         p_values, p_ptr = parallel.unpack_rows(words, runner=runner, min_rows=1)
         assert np.array_equal(p_values, values)
         assert np.array_equal(p_ptr, ptr)
-
-    def test_lut_popcount_path(self, rng, monkeypatch):
-        """Parallel ≡ serial with the 16-bit-LUT popcount in the workers.
-
-        The pool forks after the patch, so workers inherit the LUT
-        implementation — the path hosts without ``np.bitwise_count``
-        always take.
-        """
-        monkeypatch.setattr(packed, "popcount", packed._popcount_lut)
-        a = _random_words(rng, 33, 1000)
-        b = _random_words(rng, 11, 1000)
-        serial = packed.pairwise_counts(a, b)
-        with Runner(jobs=2) as pool:
-            parallel_out = parallel.pairwise_counts(
-                a, b, runner=pool, min_rows=1
-            )
-        assert np.array_equal(parallel_out, serial)
 
     def test_batch_overlap_matrix_accepts_runner(self, rng, runner):
         grid = SimulationGrid(n_samples=257, dt=1e-12)

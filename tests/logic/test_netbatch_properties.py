@@ -4,7 +4,7 @@ Random network families — depth 1–4, ragged gate counts, sample counts
 that do not divide 64 — run through both halves of the differential
 harness (:mod:`repro.testing.differential`): the packed batched
 evaluator must be **bit-identical** to the single-gate reference built
-on the :mod:`repro.logic.gates` truth tables, on both popcount paths.
+on the :mod:`repro.logic.gates` truth tables.
 All 16 op ids are exercised explicitly too, including the two constant
 gates whose outputs ignore their fan-in entirely.
 """
@@ -38,16 +38,6 @@ SHAPES = [
 WIDE_SHAPE = (3, 50, 3, 5, 50_000)
 
 
-@pytest.fixture(params=["bitwise_count", "lut16"])
-def popcount_path(request, monkeypatch):
-    """Run the dependent test on each popcount implementation."""
-    if request.param == "lut16":
-        monkeypatch.setattr(packed, "popcount", packed._popcount_lut)
-    else:
-        monkeypatch.setattr(packed, "popcount", packed._popcount_native)
-    return request.param
-
-
 def _random_case(shape, case_seed):
     """One differential case: ``(nets, raster, packed words)``."""
     n_networks, n_gates, depth, n_inputs, n_samples = shape
@@ -65,7 +55,7 @@ class TestBatchedVersusReference:
     """The packed evaluator is the reference evaluator, only faster."""
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_popcount_summaries_match(self, shape, popcount_path):
+    def test_popcount_summaries_match(self, shape):
         def reference(nets, raster, words, n_samples):
             outputs = differential.reference_evaluate(nets, raster)
             return outputs.sum(axis=-1, dtype=np.int64)
@@ -97,7 +87,7 @@ class TestBatchedVersusReference:
         # The packed outputs honour the tail-cleanliness invariant.
         assert packed.check_tail_clean(out_words, n_samples)
 
-    def test_checksums_are_xor_folds_of_outputs(self, popcount_path):
+    def test_checksums_are_xor_folds_of_outputs(self):
         nets, _raster, words, n_samples = _random_case(SHAPES[4], case_seed=5)
         outputs = nets.evaluate_words(words, n_samples)
         _popcounts, checksums = output_summary(outputs)
@@ -166,7 +156,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("shape", SHAPES + [WIDE_SHAPE])
     def test_blocked_traversal_matches_single_block(
-        self, shape, popcount_path, monkeypatch
+        self, shape, monkeypatch
     ):
         """The word-axis blocking is a traversal order, not a result.
 
@@ -196,7 +186,7 @@ class TestWorkingSet:
         "n_networks, n_samples", [(16, 65536), (512, 8192)]
     )
     def test_traced_peak_is_below_the_charge(
-        self, n_networks, n_samples, popcount_path
+        self, n_networks, n_samples
     ):
         """A pool shard, and many rows where a block is one word wide.
 
@@ -210,7 +200,7 @@ class TestWorkingSet:
         words = SpikeTrainBatch.from_raster(
             rng.random((n_inputs, n_samples)) < 0.05, grid
         ).packed_words()
-        nets.evaluate(words, n_samples)  # build the LUT outside the trace
+        nets.evaluate(words, n_samples)  # warm up outside the trace
         tracemalloc.start()
         try:
             nets.evaluate(words, n_samples)
