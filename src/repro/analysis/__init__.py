@@ -1,42 +1,35 @@
 """Analysis utilities: Rice theory, result tables, progressive readout."""
 
-from .capacity import LinkCapacity, capacity_sweep, link_capacity, optimal_radix
-from .progressive import DigitReadout, progressive_readout, value_error_profile
-from .robustness import (
-    RobustnessPoint,
-    injection_sweep,
-    jitter_sweep,
-    loss_sweep,
-)
-from .rice import (
-    empirical_crossing_rate,
-    relative_rate_error,
-    rice_mean_isi,
-    rice_rate,
-    rice_rate_power_law,
-    rice_rate_white,
-)
-from .tables import PaperValue, StatsRow, StatsTable
+from .._exports import lazy_exports
 
-__all__ = [
-    "rice_rate",
-    "rice_rate_white",
-    "rice_rate_power_law",
-    "rice_mean_isi",
-    "empirical_crossing_rate",
-    "relative_rate_error",
-    "PaperValue",
-    "StatsRow",
-    "StatsTable",
-    "DigitReadout",
-    "progressive_readout",
-    "value_error_profile",
-    "RobustnessPoint",
-    "jitter_sweep",
-    "loss_sweep",
-    "injection_sweep",
-    "LinkCapacity",
-    "link_capacity",
-    "capacity_sweep",
-    "optimal_radix",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "rice": (
+            "rice_rate",
+            "rice_rate_white",
+            "rice_rate_power_law",
+            "rice_mean_isi",
+            "empirical_crossing_rate",
+            "relative_rate_error",
+        ),
+        "tables": ("PaperValue", "StatsRow", "StatsTable"),
+        "progressive": (
+            "DigitReadout",
+            "progressive_readout",
+            "value_error_profile",
+        ),
+        "robustness": (
+            "RobustnessPoint",
+            "jitter_sweep",
+            "loss_sweep",
+            "injection_sweep",
+        ),
+        "capacity": (
+            "LinkCapacity",
+            "link_capacity",
+            "capacity_sweep",
+            "optimal_radix",
+        ),
+    },
+)

@@ -27,55 +27,29 @@
   straight on the mapped bitset.
 """
 
-from .shared import (
-    HAVE_SHARED_MEMORY,
-    AttachmentCache,
-    SharedArena,
-    SharedArraySpec,
-    attach_array,
-    process_cache,
+from .._exports import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "batch": ("SpikeTrainBatch", "SharedBatchHandle"),
+        "shared": (
+            "SharedArena",
+            "SharedArraySpec",
+            "AttachmentCache",
+            "attach_array",
+            "process_cache",
+            "HAVE_SHARED_MEMORY",
+        ),
+        "core": (
+            "Backend",
+            "SortedSetBackend",
+            "RasterBackend",
+            "RASTER_DENSITY_THRESHOLD",
+            "available_backends",
+            "get_backend",
+            "select_backend",
+        ),
+    },
+    modules=("mmapstore", "packed", "parallel"),
 )
-from . import mmapstore
-from . import packed
-from . import parallel
-from .core import (
-    RASTER_DENSITY_THRESHOLD,
-    Backend,
-    RasterBackend,
-    SortedSetBackend,
-    available_backends,
-    get_backend,
-    select_backend,
-)
-
-# SpikeTrainBatch is exported lazily (PEP 562): batch.py builds on
-# SpikeTrain, whose module imports .core from this package — an eager
-# import here would close that cycle during interpreter start-up.
-def __getattr__(name):
-    if name in ("SpikeTrainBatch", "SharedBatchHandle"):
-        from . import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "SpikeTrainBatch",
-    "SharedBatchHandle",
-    "SharedArena",
-    "SharedArraySpec",
-    "AttachmentCache",
-    "attach_array",
-    "process_cache",
-    "HAVE_SHARED_MEMORY",
-    "Backend",
-    "SortedSetBackend",
-    "RasterBackend",
-    "RASTER_DENSITY_THRESHOLD",
-    "available_backends",
-    "get_backend",
-    "mmapstore",
-    "packed",
-    "parallel",
-    "select_backend",
-]

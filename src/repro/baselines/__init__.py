@@ -9,22 +9,18 @@
   :func:`misidentification_curve`.
 """
 
-from .continuum import ContinuumIdentification, ContinuumNoiseLogic
-from .periodic import (
-    DelaySweepPoint,
-    identification_verdict,
-    misidentification_curve,
-    periodic_spike_basis,
-)
-from .sinusoidal import SinusoidalIdentification, SinusoidalLogic
+from .._exports import lazy_exports
 
-__all__ = [
-    "ContinuumNoiseLogic",
-    "ContinuumIdentification",
-    "SinusoidalLogic",
-    "SinusoidalIdentification",
-    "periodic_spike_basis",
-    "identification_verdict",
-    "misidentification_curve",
-    "DelaySweepPoint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "continuum": ("ContinuumNoiseLogic", "ContinuumIdentification"),
+        "sinusoidal": ("SinusoidalLogic", "SinusoidalIdentification"),
+        "periodic": (
+            "periodic_spike_basis",
+            "identification_verdict",
+            "misidentification_curve",
+            "DelaySweepPoint",
+        ),
+    },
+)

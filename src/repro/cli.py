@@ -15,10 +15,12 @@ Usage::
 ``list`` and ``run``'s experiment choices come straight from the
 :mod:`repro.pipeline.registry` — registering a new
 :class:`~repro.pipeline.spec.ExperimentSpec` is all it takes to appear
-here.  ``run`` executes through :class:`~repro.pipeline.runner.Runner`:
-``--jobs N`` shards a single shardable experiment across N worker
-processes (bit-identical to the serial run) and runs whole experiments
-in parallel for ``run all``; ``--output-dir`` archives one JSON and one
+here.  Only those two sub-commands load the registry (and with it the
+experiment modules); ``serve`` and ``corpus`` never do.  ``run``
+executes through :class:`~repro.pipeline.runner.Runner`: ``--jobs N``
+shards a single shardable experiment across N worker processes
+(bit-identical to the serial run) and runs whole experiments in
+parallel for ``run all``; ``--output-dir`` archives one JSON and one
 text artifact per experiment (plus a manifest for ``run all``) via the
 :class:`~repro.pipeline.store.ArtifactStore`.  ``run all`` continues
 past failing experiments and ends with a per-experiment pass/fail
@@ -41,7 +43,7 @@ import argparse
 import math
 import pathlib
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from .pipeline.registry import all_specs, get_spec, spec_names
 from .pipeline.runner import Runner, RunReport
@@ -50,22 +52,54 @@ from .pipeline.store import ArtifactStore
 
 __all__ = ["EXPERIMENTS", "build_parser", "main"]
 
-#: Experiment id → registered spec (a registry view, kept for callers
-#: that want the mapping without importing the pipeline package).
-EXPERIMENTS: Dict[str, ExperimentSpec] = {
-    spec.name: spec for spec in all_specs()
-}
+
+def __getattr__(name: str) -> Dict[str, ExperimentSpec]:
+    """``EXPERIMENTS``: experiment id → registered spec.
+
+    A registry view for callers that want the mapping without importing
+    the pipeline package, built on access so that importing the CLI
+    loads no experiment module.
+    """
+    if name == "EXPERIMENTS":
+        return {spec.name: spec for spec in all_specs()}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for --jobs: a clean usage error beats a traceback."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def __dir__():
+    return sorted([*globals(), "EXPERIMENTS"])
+
+
+class _ExperimentChoices:
+    """``run``'s experiment choices, read when argparse checks or prints
+    them — building the parser loads no registry."""
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(spec_names() + ["all"])
+
+
+def _bounded_int(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """argparse type for an integer flag in ``[low, high]``.
+
+    A clean usage error at start-up beats a traceback after it (an
+    out-of-range ``--port``) or a silently changed mode (a negative
+    ``--fast-path-bytes`` turning the fast path off).
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded_int(1)
 
 
 def _positive_float(text: str) -> float:
@@ -111,11 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the registered experiments")
 
     run = sub.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument(
-        "experiment",
-        choices=spec_names() + ["all"],
-        help="experiment id, or 'all'",
-    )
+    experiment = run.add_argument("experiment", help="experiment id, or 'all'")
+    # Set after add_argument, which formats the choices to check the
+    # metavar: passed there, they would load the registry for every
+    # sub-command.
+    experiment.choices = _ExperimentChoices()
     run.add_argument(
         "--seed", type=int, default=2016, help="random seed (default 2016)"
     )
@@ -142,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=_bounded_int(0, 65535),
         default=8642,
         help="TCP port; 0 binds an ephemeral port (default 8642)",
     )
@@ -185,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fast-path-bytes",
-        type=int,
+        type=_bounded_int(0),
         default=4 * 1024 * 1024,
         help="serve requests up to this payload size inline, skipping "
         "the arena/pool pipeline; 0 disables the fast path "

@@ -7,36 +7,27 @@
   :func:`clocked_scheme_energy`, :func:`compare_schemes`.
 """
 
-from .power import (
-    AmplifierChain,
-    SchemeEnergy,
-    clocked_scheme_energy,
-    compare_schemes,
-    noise_scheme_energy,
-)
-from .thermal import (
-    BOLTZMANN,
-    ROOM_TEMPERATURE,
-    error_probability,
-    johnson_noise_rms,
-    landauer_limit,
-    margin_for_error,
-    switching_energy,
-    thermal_voltage,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BOLTZMANN",
-    "ROOM_TEMPERATURE",
-    "landauer_limit",
-    "johnson_noise_rms",
-    "error_probability",
-    "margin_for_error",
-    "switching_energy",
-    "thermal_voltage",
-    "AmplifierChain",
-    "SchemeEnergy",
-    "noise_scheme_energy",
-    "clocked_scheme_energy",
-    "compare_schemes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "thermal": (
+            "BOLTZMANN",
+            "ROOM_TEMPERATURE",
+            "landauer_limit",
+            "johnson_noise_rms",
+            "error_probability",
+            "margin_for_error",
+            "switching_energy",
+            "thermal_voltage",
+        ),
+        "power": (
+            "AmplifierChain",
+            "SchemeEnergy",
+            "noise_scheme_energy",
+            "clocked_scheme_energy",
+            "compare_schemes",
+        ),
+    },
+)

@@ -9,29 +9,23 @@
   end-to-end pipelines from noise to basis.
 """
 
-from .basis import BasisArtifact, HyperspaceBasis
-from .builders import (
-    build_demux_basis,
-    build_intersection_basis,
-    paper_default_synthesizer,
-)
-from .superposition import (
-    Superposition,
-    decode_superposition,
-    decode_superposition_batch,
-    encode_superpositions,
-    first_detection_slots,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "HyperspaceBasis",
-    "BasisArtifact",
-    "Superposition",
-    "decode_superposition",
-    "decode_superposition_batch",
-    "encode_superpositions",
-    "first_detection_slots",
-    "build_demux_basis",
-    "build_intersection_basis",
-    "paper_default_synthesizer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "basis": ("HyperspaceBasis", "BasisArtifact"),
+        "superposition": (
+            "Superposition",
+            "decode_superposition",
+            "decode_superposition_batch",
+            "encode_superpositions",
+            "first_detection_slots",
+        ),
+        "builders": (
+            "build_demux_basis",
+            "build_intersection_basis",
+            "paper_default_synthesizer",
+        ),
+    },
+)

@@ -11,126 +11,76 @@
   :func:`comparator`, :func:`multiplexer`, :func:`parity_circuit`).
 """
 
-from .circuits import Circuit, CircuitTransmission, Node
-from .correlator import (
-    BatchDetection,
-    BatchIdentification,
-    CoincidenceCorrelator,
-    IdentificationResult,
-    detection_latency_samples,
-)
-from .fsm import FiniteStateMachine, lfsr_fsm, shift_register_fsm
-from .gates import (
-    GateTransmission,
-    TruthTableGate,
-    and_gate,
-    buffer_gate,
-    gate_from_function,
-    nand_gate,
-    nor_gate,
-    not_gate,
-    or_gate,
-    xor_gate,
-)
-from .multivalued import (
-    MultiValuedAlphabet,
-    literal_gate,
-    max_gate,
-    min_gate,
-    mod_product_gate,
-    mod_sum_gate,
-    negation_gate,
-    successor_gate,
-)
-from .set_gates import SetTransmission, SetValuedGate
-from .sequential import (
-    MooreMachine,
-    PackageClock,
-    SymbolStream,
-    accumulator_machine,
-    counter_machine,
-)
-from .setops import (
-    symbolic_difference,
-    symbolic_intersection,
-    symbolic_union,
-    wire_complement,
-    wire_difference,
-    wire_intersection,
-    wire_membership,
-    wire_union,
-)
-from .routing import FabricDelivery, RouteDecision, RoutingFabric, SpikeRouter
-from .sop import SopStatistics, sop_statistics, synthesize_sop
-from .synthesis import (
-    comparator,
-    comparator_reference,
-    digit_carry_gate,
-    digit_sum_gate,
-    multiplexer,
-    parity_circuit,
-    ripple_adder,
-)
-from .synthesis import adder_reference
+from .._exports import lazy_exports
 
-__all__ = [
-    "CoincidenceCorrelator",
-    "BatchDetection",
-    "BatchIdentification",
-    "IdentificationResult",
-    "detection_latency_samples",
-    "TruthTableGate",
-    "GateTransmission",
-    "gate_from_function",
-    "buffer_gate",
-    "not_gate",
-    "and_gate",
-    "or_gate",
-    "xor_gate",
-    "nand_gate",
-    "nor_gate",
-    "MultiValuedAlphabet",
-    "min_gate",
-    "max_gate",
-    "negation_gate",
-    "mod_sum_gate",
-    "mod_product_gate",
-    "successor_gate",
-    "literal_gate",
-    "wire_union",
-    "wire_intersection",
-    "wire_difference",
-    "wire_complement",
-    "wire_membership",
-    "symbolic_union",
-    "symbolic_intersection",
-    "symbolic_difference",
-    "PackageClock",
-    "SymbolStream",
-    "MooreMachine",
-    "counter_machine",
-    "accumulator_machine",
-    "Circuit",
-    "CircuitTransmission",
-    "Node",
-    "ripple_adder",
-    "adder_reference",
-    "comparator",
-    "comparator_reference",
-    "multiplexer",
-    "parity_circuit",
-    "digit_sum_gate",
-    "digit_carry_gate",
-    "synthesize_sop",
-    "SopStatistics",
-    "sop_statistics",
-    "SpikeRouter",
-    "RouteDecision",
-    "RoutingFabric",
-    "FabricDelivery",
-    "FiniteStateMachine",
-    "shift_register_fsm",
-    "lfsr_fsm",
-    "SetValuedGate",
-    "SetTransmission",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "correlator": (
+            "CoincidenceCorrelator",
+            "BatchDetection",
+            "BatchIdentification",
+            "IdentificationResult",
+            "detection_latency_samples",
+        ),
+        "gates": (
+            "TruthTableGate",
+            "GateTransmission",
+            "gate_from_function",
+            "buffer_gate",
+            "not_gate",
+            "and_gate",
+            "or_gate",
+            "xor_gate",
+            "nand_gate",
+            "nor_gate",
+        ),
+        "multivalued": (
+            "MultiValuedAlphabet",
+            "min_gate",
+            "max_gate",
+            "negation_gate",
+            "mod_sum_gate",
+            "mod_product_gate",
+            "successor_gate",
+            "literal_gate",
+        ),
+        "setops": (
+            "wire_union",
+            "wire_intersection",
+            "wire_difference",
+            "wire_complement",
+            "wire_membership",
+            "symbolic_union",
+            "symbolic_intersection",
+            "symbolic_difference",
+        ),
+        "sequential": (
+            "PackageClock",
+            "SymbolStream",
+            "MooreMachine",
+            "counter_machine",
+            "accumulator_machine",
+        ),
+        "circuits": ("Circuit", "CircuitTransmission", "Node"),
+        "synthesis": (
+            "ripple_adder",
+            "adder_reference",
+            "comparator",
+            "comparator_reference",
+            "multiplexer",
+            "parity_circuit",
+            "digit_sum_gate",
+            "digit_carry_gate",
+        ),
+        "sop": ("synthesize_sop", "SopStatistics", "sop_statistics"),
+        "routing": (
+            "SpikeRouter",
+            "RouteDecision",
+            "RoutingFabric",
+            "FabricDelivery",
+        ),
+        "fsm": ("FiniteStateMachine", "shift_register_fsm", "lfsr_fsm"),
+        "set_gates": ("SetValuedGate", "SetTransmission"),
+    },
+)

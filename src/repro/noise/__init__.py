@@ -13,64 +13,52 @@ Public surface:
   — validation estimators.
 """
 
-from .correlated import (
-    PAPER_COMMON_AMPLITUDE,
-    PAPER_PRIVATE_AMPLITUDE,
-    CommonModeMixer,
-    CorrelatedNoisePair,
-    amplitudes_from_correlation,
-    correlation_from_amplitudes,
-)
-from .filters import IirNoiseShaper, StreamingNoiseSource, design_bandpass
-from .psd import PsdEstimate, autocorrelation, fit_spectral_slope, welch_psd
-from .sources import (
-    NoiseSource,
-    correlated_records,
-    independent_records,
-    paper_pink_source,
-    paper_white_source,
-)
-from .spectra import (
-    PAPER_PINK_BAND,
-    PAPER_WHITE_BAND,
-    Band,
-    LorentzianSpectrum,
-    PinkSpectrum,
-    PowerLawSpectrum,
-    Spectrum,
-    WhiteSpectrum,
-)
-from .synthesis import NoiseSynthesizer, make_rng, spawn_rng, synthesize
+from .._exports import lazy_exports
 
-__all__ = [
-    "Band",
-    "Spectrum",
-    "WhiteSpectrum",
-    "PinkSpectrum",
-    "PowerLawSpectrum",
-    "LorentzianSpectrum",
-    "PAPER_WHITE_BAND",
-    "PAPER_PINK_BAND",
-    "NoiseSynthesizer",
-    "synthesize",
-    "make_rng",
-    "spawn_rng",
-    "NoiseSource",
-    "paper_white_source",
-    "paper_pink_source",
-    "independent_records",
-    "correlated_records",
-    "CommonModeMixer",
-    "CorrelatedNoisePair",
-    "PAPER_COMMON_AMPLITUDE",
-    "PAPER_PRIVATE_AMPLITUDE",
-    "correlation_from_amplitudes",
-    "amplitudes_from_correlation",
-    "PsdEstimate",
-    "welch_psd",
-    "autocorrelation",
-    "fit_spectral_slope",
-    "design_bandpass",
-    "IirNoiseShaper",
-    "StreamingNoiseSource",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "spectra": (
+            "Band",
+            "Spectrum",
+            "WhiteSpectrum",
+            "PinkSpectrum",
+            "PowerLawSpectrum",
+            "LorentzianSpectrum",
+            "PAPER_WHITE_BAND",
+            "PAPER_PINK_BAND",
+        ),
+        "synthesis": (
+            "NoiseSynthesizer",
+            "synthesize",
+            "make_rng",
+            "spawn_rng",
+        ),
+        "sources": (
+            "NoiseSource",
+            "paper_white_source",
+            "paper_pink_source",
+            "independent_records",
+            "correlated_records",
+        ),
+        "correlated": (
+            "CommonModeMixer",
+            "CorrelatedNoisePair",
+            "PAPER_COMMON_AMPLITUDE",
+            "PAPER_PRIVATE_AMPLITUDE",
+            "correlation_from_amplitudes",
+            "amplitudes_from_correlation",
+        ),
+        "psd": (
+            "PsdEstimate",
+            "welch_psd",
+            "autocorrelation",
+            "fit_spectral_slope",
+        ),
+        "filters": (
+            "design_bandpass",
+            "IirNoiseShaper",
+            "StreamingNoiseSource",
+        ),
+    },
+)

@@ -10,41 +10,34 @@
   enforced orthogonality.
 """
 
-from .base import (
-    BatchOrthogonatorOutput,
-    Orthogonator,
-    OrthogonatorOutput,
-    verify_orthogonality,
-)
-from .demux import DemuxOrthogonator, SpikePackage, spike_packages, wire_label
-from .homogenize import (
-    HomogenizationResult,
-    Homogenizer,
-    homogenization_spread,
-    search_common_amplitude,
-)
-from .intersection import (
-    IntersectionOrthogonator,
-    default_input_names,
-    product_label,
-    subset_masks,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Orthogonator",
-    "OrthogonatorOutput",
-    "BatchOrthogonatorOutput",
-    "verify_orthogonality",
-    "DemuxOrthogonator",
-    "SpikePackage",
-    "spike_packages",
-    "wire_label",
-    "IntersectionOrthogonator",
-    "product_label",
-    "default_input_names",
-    "subset_masks",
-    "Homogenizer",
-    "HomogenizationResult",
-    "homogenization_spread",
-    "search_common_amplitude",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "base": (
+            "Orthogonator",
+            "OrthogonatorOutput",
+            "BatchOrthogonatorOutput",
+            "verify_orthogonality",
+        ),
+        "demux": (
+            "DemuxOrthogonator",
+            "SpikePackage",
+            "spike_packages",
+            "wire_label",
+        ),
+        "intersection": (
+            "IntersectionOrthogonator",
+            "product_label",
+            "default_input_names",
+            "subset_masks",
+        ),
+        "homogenize": (
+            "Homogenizer",
+            "HomogenizationResult",
+            "homogenization_spread",
+            "search_common_amplitude",
+        ),
+    },
+)

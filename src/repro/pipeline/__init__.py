@@ -33,39 +33,24 @@ per-request shard tasks, basis installs and end-of-session attachment
 release through exactly this machinery.
 """
 
-from .registry import (
-    all_specs,
-    ensure_loaded,
-    get_spec,
-    register,
-    spec_names,
-    specs_by_tier,
-    unregister,
-)
-from .corpus import CORPUS_SCHEMA_VERSION, CorpusStore, CorpusWriter
-from .runner import Runner, RunReport
-from .serialize import to_jsonable
-from .spec import SEED_POLICIES, TIERS, ExperimentSpec
-from .store import SCHEMA_VERSION, ArtifactStore, RunRecord
+from .._exports import lazy_exports
 
-__all__ = [
-    "ExperimentSpec",
-    "TIERS",
-    "SEED_POLICIES",
-    "register",
-    "unregister",
-    "get_spec",
-    "spec_names",
-    "all_specs",
-    "specs_by_tier",
-    "ensure_loaded",
-    "Runner",
-    "RunReport",
-    "ArtifactStore",
-    "RunRecord",
-    "SCHEMA_VERSION",
-    "CorpusStore",
-    "CorpusWriter",
-    "CORPUS_SCHEMA_VERSION",
-    "to_jsonable",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "spec": ("ExperimentSpec", "TIERS", "SEED_POLICIES"),
+        "registry": (
+            "register",
+            "unregister",
+            "get_spec",
+            "spec_names",
+            "all_specs",
+            "specs_by_tier",
+            "ensure_loaded",
+        ),
+        "runner": ("Runner", "RunReport"),
+        "store": ("ArtifactStore", "RunRecord", "SCHEMA_VERSION"),
+        "corpus": ("CorpusStore", "CorpusWriter", "CORPUS_SCHEMA_VERSION"),
+        "serialize": ("to_jsonable",),
+    },
+)

@@ -151,16 +151,17 @@ def _start_resource_tracker() -> None:
 def _worker_init(release_barrier=None) -> None:
     """Pool initializer: run once per worker at fork/spawn time.
 
-    Loads the registry so shard tasks resolve specs locally (a no-op
-    under fork, required under spawn) and stashes the runner's release
-    barrier for end-of-run broadcasts.  Shared-segment attachment is
-    *lazy* — the per-process cache in :mod:`repro.backend.shared`
-    attaches each segment on the worker's first task that needs it and
-    reuses the mapping for the rest of the run.
+    Stashes the runner's release barrier for end-of-run broadcasts and
+    loads nothing: a shard task resolves its spec through
+    :func:`~repro.pipeline.registry.get_spec`, which loads the registry
+    on first use, so serving workers never import an experiment module.
+    Shared-segment attachment is *lazy* too — the per-process cache in
+    :mod:`repro.backend.shared` attaches each segment on the worker's
+    first task that needs it and reuses the mapping for the rest of the
+    run.
     """
     global _RELEASE_BARRIER
     _RELEASE_BARRIER = release_barrier
-    registry.ensure_loaded()
 
 
 def _rendezvous() -> None:
@@ -427,13 +428,18 @@ class Runner:
     # ------------------------------------------------------------------
 
     def _ensure_pool(self):
-        """The persistent worker pool (created on first parallel run)."""
+        """The persistent worker pool (created on first parallel run).
+
+        Forked workers inherit the modules this process has loaded.
+        Experiment runs resolve their specs before the first fork, so
+        their workers inherit the loaded registry; the serving tree
+        never loads it, so neither do its workers.
+        """
         if self.jobs < 2:
             return None
         with self._lock:
             if self._pool is None:
                 context = _mp_context()
-                registry.ensure_loaded()  # fork inherits populated registry
                 _start_resource_tracker()  # before fork: workers share it
                 self._release_barrier = context.Barrier(self.jobs)
                 self._pool = context.Pool(

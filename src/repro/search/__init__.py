@@ -8,29 +8,24 @@
   state-vector Grover simulator (O(sqrt K) oracle calls).
 """
 
-from .classical import (
-    ScanResult,
-    average_scan_queries,
-    expected_scan_queries,
-    linear_scan,
-    linear_scan_batch,
-)
-from .grover import GroverResult, grover_search, optimal_iterations
-from .superposition_search import QueryResult, SuperpositionDatabase
-from .verification import VerificationResult, verify_equality, verify_subset
+from .._exports import lazy_exports
 
-__all__ = [
-    "SuperpositionDatabase",
-    "QueryResult",
-    "linear_scan",
-    "linear_scan_batch",
-    "ScanResult",
-    "expected_scan_queries",
-    "average_scan_queries",
-    "grover_search",
-    "GroverResult",
-    "optimal_iterations",
-    "VerificationResult",
-    "verify_equality",
-    "verify_subset",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "superposition_search": ("SuperpositionDatabase", "QueryResult"),
+        "classical": (
+            "linear_scan",
+            "linear_scan_batch",
+            "ScanResult",
+            "expected_scan_queries",
+            "average_scan_queries",
+        ),
+        "grover": ("grover_search", "GroverResult", "optimal_iterations"),
+        "verification": (
+            "VerificationResult",
+            "verify_equality",
+            "verify_subset",
+        ),
+    },
+)

@@ -1,8 +1,9 @@
 """Serving layer: the packed-bitset RPC boundary over the shard pool.
 
 The top of the stack documented in ``docs/architecture.md``:
-:mod:`~repro.serving.protocol` defines the versioned binary frame
-format whose request payload is the ``np.packbits`` bitset itself,
+:mod:`~repro.serving.protocol` defines the binary frame format
+(protocol version 5, the only one served) whose request payload is
+the ``np.packbits`` bitset itself,
 :mod:`~repro.serving.server` accepts those frames over asyncio TCP and
 dispatches per-request ``(handle, row_range)`` shards onto the
 :class:`~repro.pipeline.runner.Runner`'s persistent pool through
@@ -15,28 +16,20 @@ only in packed form — wire, arena and compute are the same bytes.
 ``repro serve`` (the CLI) runs :func:`~repro.serving.server.serve_forever`.
 """
 
-from .client import IdentifyReply, MembershipReply, ServingClient
-from .cluster import ServerCluster, serve_cluster
-from .protocol import PROTOCOL_VERSION, FrameReader
-from .server import (
-    ServerConfig,
-    ServerThread,
-    SpikeServer,
-    build_serving_basis,
-    serve_forever,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "ServerConfig",
-    "SpikeServer",
-    "ServerThread",
-    "ServerCluster",
-    "build_serving_basis",
-    "serve_forever",
-    "serve_cluster",
-    "ServingClient",
-    "IdentifyReply",
-    "MembershipReply",
-    "PROTOCOL_VERSION",
-    "FrameReader",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "server": (
+            "ServerConfig",
+            "SpikeServer",
+            "ServerThread",
+            "build_serving_basis",
+            "serve_forever",
+        ),
+        "cluster": ("ServerCluster", "serve_cluster"),
+        "client": ("ServingClient", "IdentifyReply", "MembershipReply"),
+        "protocol": ("PROTOCOL_VERSION", "FrameReader"),
+    },
+)

@@ -8,56 +8,41 @@
   :func:`intersection_network_2`, :func:`delayed_identification_network`.
 """
 
-from .components import (
-    AntiCoincidenceGate,
-    CoincidenceGate,
-    CyclicDemux,
-    DelayLine,
-    Probe,
-    RefractoryFilter,
-    SpikeSource,
-)
-from .circuit_runner import CompiledCircuit, compile_circuit, run_circuit
-from .engine import Component, Engine, Event
-from .logic_components import (
-    CorrelatorComponent,
-    GateComponent,
-    RobustCorrelatorComponent,
-    gate_network,
-)
-from .variation import (
-    VariationOutcome,
-    randomize_connection_delays,
-    variation_monte_carlo,
-)
-from .networks import (
-    delayed_identification_network,
-    demux_network,
-    intersection_network_2,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Engine",
-    "Component",
-    "Event",
-    "SpikeSource",
-    "Probe",
-    "DelayLine",
-    "CyclicDemux",
-    "CoincidenceGate",
-    "AntiCoincidenceGate",
-    "RefractoryFilter",
-    "demux_network",
-    "intersection_network_2",
-    "delayed_identification_network",
-    "CorrelatorComponent",
-    "GateComponent",
-    "gate_network",
-    "CompiledCircuit",
-    "compile_circuit",
-    "run_circuit",
-    "RobustCorrelatorComponent",
-    "VariationOutcome",
-    "randomize_connection_delays",
-    "variation_monte_carlo",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "engine": ("Engine", "Component", "Event"),
+        "components": (
+            "SpikeSource",
+            "Probe",
+            "DelayLine",
+            "CyclicDemux",
+            "CoincidenceGate",
+            "AntiCoincidenceGate",
+            "RefractoryFilter",
+        ),
+        "networks": (
+            "demux_network",
+            "intersection_network_2",
+            "delayed_identification_network",
+        ),
+        "logic_components": (
+            "CorrelatorComponent",
+            "GateComponent",
+            "gate_network",
+            "RobustCorrelatorComponent",
+        ),
+        "circuit_runner": (
+            "CompiledCircuit",
+            "compile_circuit",
+            "run_circuit",
+        ),
+        "variation": (
+            "VariationOutcome",
+            "randomize_connection_delays",
+            "variation_monte_carlo",
+        ),
+    },
+)

@@ -12,50 +12,35 @@ Public surface:
   :func:`jittered_periodic_train`, :func:`renewal_train`).
 """
 
-from .generators import (
-    bernoulli_train,
-    jittered_periodic_train,
-    periodic_train,
-    poisson_train,
-    renewal_train,
-)
-from .statistics import (
-    IsiStatistics,
-    coincidence_count,
-    coincidence_rate,
-    cross_coincidence_matrix,
-    fano_factor,
-    isi_statistics,
-    rate_in_windows,
-)
-from .train import SpikeTrain
-from .zero_crossing import (
-    AllCrossingDetector,
-    DownCrossingDetector,
-    HysteresisDetector,
-    UpCrossingDetector,
-    ZeroCrossingDetector,
-    zero_crossings,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "SpikeTrain",
-    "ZeroCrossingDetector",
-    "AllCrossingDetector",
-    "UpCrossingDetector",
-    "DownCrossingDetector",
-    "HysteresisDetector",
-    "zero_crossings",
-    "IsiStatistics",
-    "isi_statistics",
-    "coincidence_count",
-    "coincidence_rate",
-    "cross_coincidence_matrix",
-    "fano_factor",
-    "rate_in_windows",
-    "poisson_train",
-    "periodic_train",
-    "jittered_periodic_train",
-    "bernoulli_train",
-    "renewal_train",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "train": ("SpikeTrain",),
+        "zero_crossing": (
+            "ZeroCrossingDetector",
+            "AllCrossingDetector",
+            "UpCrossingDetector",
+            "DownCrossingDetector",
+            "HysteresisDetector",
+            "zero_crossings",
+        ),
+        "statistics": (
+            "IsiStatistics",
+            "isi_statistics",
+            "coincidence_count",
+            "coincidence_rate",
+            "cross_coincidence_matrix",
+            "fano_factor",
+            "rate_in_windows",
+        ),
+        "generators": (
+            "poisson_train",
+            "periodic_train",
+            "jittered_periodic_train",
+            "bernoulli_train",
+            "renewal_train",
+        ),
+    },
+)

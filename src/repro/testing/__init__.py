@@ -12,6 +12,8 @@ batches plus a generic equivalence runner, so fast paths are always
 checked against a slow implementation that is obviously right.
 """
 
-from . import differential, faults
+from .._exports import lazy_exports
 
-__all__ = ["differential", "faults"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(), {}, modules=("differential", "faults")
+)

@@ -1,11 +1,11 @@
 """Text visualisation (ASCII rasters) for the figure reproductions."""
 
-from .raster import render_labelled_rasters, render_raster
-from .waveform import render_waveform, render_waveform_with_crossings
+from .._exports import lazy_exports
 
-__all__ = [
-    "render_raster",
-    "render_labelled_rasters",
-    "render_waveform",
-    "render_waveform_with_crossings",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "raster": ("render_raster", "render_labelled_rasters"),
+        "waveform": ("render_waveform", "render_waveform_with_crossings"),
+    },
+)

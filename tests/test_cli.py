@@ -60,6 +60,36 @@ class TestParser:
         dest = flag.lstrip("-").replace("-", "_")
         assert getattr(args, dest) == float(value)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("70000", "must be <= 65535"),
+            ("65536", "must be <= 65535"),
+            ("-1", "must be >= 0"),
+            ("http", "not an integer"),
+        ],
+    )
+    def test_port_rejects_out_of_range(self, capsys, value, message):
+        """Rejected at parse time, not by sock.bind after start-up."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--port", value])
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "65535"])
+    def test_port_accepts_range_ends(self, value):
+        args = build_parser().parse_args(["serve", "--port", value])
+        assert args.port == int(value)
+
+    def test_fast_path_bytes_rejects_negative(self, capsys):
+        """A negative size used to parse and silently disable the path."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--fast-path-bytes", "-7"])
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_fast_path_bytes_zero_disables(self):
+        args = build_parser().parse_args(["serve", "--fast-path-bytes", "0"])
+        assert args.fast_path_bytes == 0
+
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nonsense"])

@@ -9,6 +9,7 @@ import repro
 SUBPACKAGES = [
     "repro.noise",
     "repro.spikes",
+    "repro.backend",
     "repro.orthogonator",
     "repro.hyperspace",
     "repro.logic",
@@ -21,6 +22,7 @@ SUBPACKAGES = [
     "repro.serving",
     "repro.search",
     "repro.viz",
+    "repro.testing",
     "repro.cli",
     "repro.units",
     "repro.errors",
@@ -47,6 +49,23 @@ def test_subpackage_all_resolves(module_name):
     module = importlib.import_module(module_name)
     for name in getattr(module, "__all__", []):
         assert hasattr(module, name), f"{module_name}.{name}"
+
+
+@pytest.mark.parametrize("module_name", ["repro"] + SUBPACKAGES)
+def test_dir_lists_every_export(module_name):
+    """Lazy exports still show up in dir() before anything resolves them."""
+    module = importlib.import_module(module_name)
+    missing = set(getattr(module, "__all__", [])) - set(dir(module))
+    assert not missing, f"{module_name}: {sorted(missing)}"
+
+
+@pytest.mark.parametrize("module_name", ["repro"] + SUBPACKAGES)
+def test_star_import_binds_every_export(module_name):
+    module = importlib.import_module(module_name)
+    namespace = {}
+    exec(f"from {module_name} import *", namespace)
+    missing = set(getattr(module, "__all__", [])) - set(namespace)
+    assert not missing, f"{module_name}: {sorted(missing)}"
 
 
 @pytest.mark.parametrize("module_name", SUBPACKAGES)
