@@ -20,10 +20,10 @@ Three pieces:
   array (segment name, shape, dtype, owning arena token).  This is the
   only thing that crosses the process boundary.
 * :func:`attach_array` — worker-side attach through a per-process
-  :class:`AttachmentCache`: the first task touching a segment maps it,
-  later tasks of the same run reuse the mapping ("attach once per
-  worker").  A task from a *newer* arena evicts the previous run's
-  mappings, and the runner additionally broadcasts an explicit
+  :class:`AttachmentCache`: the first task touching a segment maps it
+  read-only, later tasks of the same run reuse the mapping ("attach
+  once per worker").  A task from a *newer* arena evicts the previous
+  run's mappings, and the runner additionally broadcasts an explicit
   release to every worker at the end of each shared run
   (:meth:`repro.pipeline.runner.Runner.release_worker_attachments`),
   so finished arenas free immediately instead of waiting for the next
@@ -35,20 +35,26 @@ range as a packed-primary view of the mapped segment and run the
 packed kernels (:mod:`repro.backend.packed`) directly on it, so a
 shard's compute never copies, unpacks, or re-rasters the payload.
 
-``HAVE_SHARED_MEMORY`` is False on interpreters without
-:mod:`multiprocessing.shared_memory`; callers (the runner) fall back to
-the rebuild path in that case.
+``HAVE_SHARED_MEMORY`` is False on interpreters without POSIX shared
+memory; callers (the runner) fall back to the rebuild path in that
+case.
 
-Tracking note: on POSIX CPython both creating *and* attaching register
-the segment with the ``multiprocessing`` resource tracker, and
-``unlink`` unregisters it.  Because the arena always unlinks exactly
-once — including on failure paths — the tracker's ledger is clean at
-interpreter shutdown and no "leaked shared_memory objects" warnings are
-emitted.
+Tracking note: only the creating process talks to the
+``multiprocessing`` resource tracker.  ``SharedMemory(create=True)``
+registers each segment (the first registration starts the tracker)
+and ``unlink`` unregisters it; the arena unlinks exactly once on every
+path, so nothing warns at shutdown, and if the creator is SIGKILLed
+the tracker unlinks what is left.  Attaching maps the segment
+read-only from ``shm_open`` and registers nothing:
+``SharedMemory(name=...)`` registers every attach on Python 3.10–3.12,
+which would start a private tracker in each pool worker forked before
+the first segment.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import uuid
 import weakref
 from dataclasses import dataclass
@@ -66,10 +72,11 @@ __all__ = [
 ]
 
 try:
+    import _posixshmem
     from multiprocessing import shared_memory
 
     HAVE_SHARED_MEMORY = True
-except ImportError:  # pragma: no cover - stripped-down interpreters
+except ImportError:  # pragma: no cover - non-POSIX or stripped-down
     shared_memory = None  # type: ignore[assignment]
     HAVE_SHARED_MEMORY = False
 
@@ -195,6 +202,15 @@ class SharedArena:
         self.close()
 
 
+def _map_read_only(name: str) -> mmap.mmap:
+    """Map the segment ``name`` read-only, registering it nowhere."""
+    fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
+    try:
+        return mmap.mmap(fd, os.fstat(fd).st_size, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)  # the mapping holds its own descriptor
+
+
 class AttachmentCache:
     """Per-process map of segment name → live attachment.
 
@@ -216,13 +232,8 @@ class AttachmentCache:
             self._arena = spec.arena
         segment = self._attached.get(spec.name)
         if segment is None:
-            segment = shared_memory.SharedMemory(name=spec.name)
-            self._attached[spec.name] = segment
-        array = np.ndarray(
-            spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf
-        )
-        array.setflags(write=False)
-        return array
+            segment = self._attached[spec.name] = _map_read_only(spec.name)
+        return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=segment)
 
     def release(self) -> None:
         """Close every attachment (views created from them must be dead)."""

@@ -81,8 +81,9 @@ def _bounded_int(low: int, high: Optional[int] = None) -> Callable[[str], int]:
     """argparse type for an integer flag in ``[low, high]``.
 
     A clean usage error at start-up beats a traceback after it (an
-    out-of-range ``--port``) or a silently changed mode (a negative
-    ``--fast-path-bytes`` turning the fast path off).
+    out-of-range ``--port``, a negative ``--seed``) or a silently
+    changed mode (a negative ``--fast-path-bytes`` turning the fast
+    path off).
     """
 
     def parse(text: str) -> int:
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     # sub-command.
     experiment.choices = _ExperimentChoices()
     run.add_argument(
-        "--seed", type=int, default=2016, help="random seed (default 2016)"
+        "--seed", type=_bounded_int(0), default=2016, help="random seed (default 2016)"
     )
     run.add_argument(
         "--jobs",
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--seed",
-        type=int,
+        type=_bounded_int(0),
         default=2016,
         help="seed of the deterministic serving basis (default 2016)",
     )
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument(
         "--seed",
-        type=int,
+        type=_bounded_int(0),
         default=2016,
         help="seed of the generated recording (default 2016)",
     )

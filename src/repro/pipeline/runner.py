@@ -55,7 +55,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena, process_cache
 from ..errors import PipelineError
 from . import registry
-from .serialize import to_jsonable
 from .store import ArtifactStore, RunRecord
 
 __all__ = ["Runner", "RunReport", "SUPERVISED_TIMEOUT_S"]
@@ -126,26 +125,6 @@ def _render(result: Any) -> str:
     if hasattr(result, "render"):
         return result.render()
     return str(result)
-
-
-def _start_resource_tracker() -> None:
-    """Start the multiprocessing resource tracker *before* forking workers.
-
-    Shared-memory bookkeeping: creating and attaching segments both
-    register with the resource tracker, and ``unlink`` unregisters.
-    If the tracker first starts *after* the pool forked, each worker
-    lazily spawns a private tracker whose ledger nobody ever clears —
-    at worker shutdown those trackers emit "leaked shared_memory
-    objects" warnings for segments the arena already unlinked.  With
-    the tracker running pre-fork, every process shares one ledger and
-    the arena's single unlink per segment leaves it clean.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:  # pragma: no cover - tracker is an optimisation only
-        pass
 
 
 def _worker_init(release_barrier=None) -> None:
@@ -259,6 +238,9 @@ def _execute_record(
     broken driver.  Config/spec resolution errors (unknown name or
     override) do raise: those are caller bugs, not experiment failures.
     """
+    # Imported here: it loads repro.analysis, which serving never needs.
+    from .serialize import to_jsonable
+
     spec = registry.get_spec(name)
     config = spec.make_config(seed=seed, overrides=overrides)
     config_payload = to_jsonable(config)
@@ -440,7 +422,6 @@ class Runner:
         with self._lock:
             if self._pool is None:
                 context = _mp_context()
-                _start_resource_tracker()  # before fork: workers share it
                 self._release_barrier = context.Barrier(self.jobs)
                 self._pool = context.Pool(
                     self.jobs,

@@ -6,6 +6,12 @@ arena must never leak segments — including when the guarded block
 raises.
 """
 
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,6 +73,45 @@ class TestShareArrayRoundTrip:
         with SharedArena() as arena:
             back = attach_array(arena.share_array(array))
             assert np.array_equal(back, array)
+
+
+class TestReadOnlyAttach:
+    def test_attached_array_is_not_writeable(self):
+        """The mapping itself is read-only, not just the view's flag."""
+        with SharedArena() as arena:
+            back = attach_array(arena.share_array(np.arange(16)))
+            assert not back.flags.writeable
+            with pytest.raises(ValueError):
+                back.setflags(write=True)
+            with pytest.raises(ValueError):
+                back[0] = 1
+
+    def test_attach_starts_no_resource_tracker(self):
+        """Pool workers attach without starting a tracker of their own."""
+        script = (
+            "import pickle, sys\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro.backend.shared import attach_array\n"
+            "spec = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+            "print(int(attach_array(spec).sum()),"
+            " resource_tracker._resource_tracker._pid)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        with SharedArena() as arena:
+            spec = arena.share_array(np.arange(16))
+            result = subprocess.run(
+                [sys.executable, "-c", script, pickle.dumps(spec).hex()],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=env,
+            )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["120", "None"]
 
 
 class TestBatchSharedRoundTrip:

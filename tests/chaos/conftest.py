@@ -14,16 +14,17 @@ must also leave nothing behind.  After each case, and after a
   handler).
 
 Process-lifetime multiprocessing handles — the resource-tracker pipe
-and the ``pym-*`` heap arenas backing pool barriers and cluster stats
-blocks — open once per process and never close (arenas under 4 MiB are
-never returned); a session warm-up opens them so they belong to every
-case's baseline.
+(opened by the first shared segment) and the ``pym-*`` heap arenas
+backing pool barriers and cluster stats blocks — open once per process
+and never close (arenas under 4 MiB are never returned); a session
+warm-up opens them so they belong to every case's baseline.
 """
 
 import gc
 import logging
 import multiprocessing
 import os
+from multiprocessing import resource_tracker
 
 import pytest
 
@@ -56,9 +57,11 @@ class _Recorder(logging.Handler):
 
 @pytest.fixture(scope="session")
 def _process_lifetime_handles():
-    """Open the handles a process keeps once it has forked a pool."""
+    """Open the handles a process keeps once it forked a pool and shared
+    an array."""
     with Runner(jobs=2) as runner:
         runner.ensure_pool()
+    resource_tracker.ensure_running()
     # One large shared-ctypes block opens a heap arena with room for
     # every later barrier, lock and stats block, then frees into it.
     multiprocessing.RawArray("b", 1 << 20)

@@ -93,6 +93,7 @@ print(json.dumps({"server": loaded(), "workers": workers}))
 
 #: Packages only the experiments need; none may load when serving.
 _NOT_SERVING = (
+    "repro.analysis",
     "repro.experiments",
     "repro.simulator",
     "repro.search",

@@ -86,6 +86,21 @@ class TestParser:
             build_parser().parse_args(["serve", "--fast-path-bytes", "-7"])
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table1", "--seed", "-1"],
+            ["serve", "--seed", "-1"],
+            ["corpus", "build", "library", "--seed", "-1"],
+        ],
+    )
+    def test_seed_rejects_negative(self, capsys, argv):
+        """NumPy used to reject it after start-up, with a traceback."""
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_fast_path_bytes_zero_disables(self):
         args = build_parser().parse_args(["serve", "--fast-path-bytes", "0"])
         assert args.fast_path_bytes == 0
