@@ -23,7 +23,7 @@ parallel dispatch cannot help or cannot run:
 * no runner, or a single-job runner (no pool to feed);
 * the batch is under ``min_rows`` (the arena + pickle + attach
   overhead outweighs the compute it would distribute);
-* the host has no POSIX shared memory;
+* the host has no anonymous shared memory (``os.memfd_create``);
 * creating or populating the arena fails at OS level.
 
 So callers can pass ``runner=`` unconditionally and let the layer
@@ -127,10 +127,7 @@ def _dispatch(
     bounds = packed.row_chunk_bounds(a.shape[0], runner.jobs)
     if len(bounds) < 2:
         return None
-    try:
-        arena = SharedArena()
-    except OSError:
-        return None
+    arena = SharedArena()
     try:
         try:
             a_spec = arena.share_array(np.ascontiguousarray(a))

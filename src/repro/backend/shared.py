@@ -4,21 +4,23 @@ The sharded runner's original contract — *workers rebuild their inputs
 deterministically* — pays a per-shard rebuild (noise synthesis,
 orthogonator transform, basis construction) that swamps the win of
 parallelism for small shards.  This module replaces rebuilding with
-*attaching*: the parent materialises a workload once, places its arrays
-into POSIX shared memory, and ships workers a handle that pickles as a
-few hundred bytes of metadata.  Workers map the same physical pages —
-the dispatch payload is independent of the workload size.
+*attaching*: the parent materialises a workload once, writes its arrays
+into anonymous shared-memory segments (``memfd``), and ships workers a
+handle that pickles as a few hundred bytes of metadata.  Workers map
+the same physical pages — the dispatch payload is independent of the
+workload size.
 
 Three pieces:
 
 * :class:`SharedArena` — a context manager owning the lifecycle of the
-  segments created for one sharded run.  ``share_array`` copies an
+  segments created for one sharded run.  ``share_array`` writes an
   ndarray into a fresh segment and returns its :class:`SharedArraySpec`;
-  leaving the ``with`` block (on success *or* failure) unlinks every
-  segment, so a worker crash mid-shard cannot leak ``/dev/shm`` entries.
+  leaving the ``with`` block (on success *or* failure) closes every
+  segment's descriptor.
 * :class:`SharedArraySpec` — the picklable description of one shared
-  array (segment name, shape, dtype, owning arena token).  This is the
-  only thing that crosses the process boundary.
+  array (where the segment opens, its inode, shape, dtype, owning
+  arena token).  This is the only thing that crosses the process
+  boundary.
 * :func:`attach_array` — worker-side attach through a per-process
   :class:`AttachmentCache`: the first task touching a segment maps it
   read-only, later tasks of the same run reuse the mapping ("attach
@@ -35,24 +37,25 @@ range as a packed-primary view of the mapped segment and run the
 packed kernels (:mod:`repro.backend.packed`) directly on it, so a
 shard's compute never copies, unpacks, or re-rasters the payload.
 
-``HAVE_SHARED_MEMORY`` is False on interpreters without POSIX shared
-memory; callers (the runner) fall back to the rebuild path in that
-case.
+``HAVE_SHARED_MEMORY`` is True where ``os.memfd_create`` and
+``/proc/self/fd`` both exist (Linux); callers (the runner) fall back
+to the rebuild path elsewhere.
 
-Tracking note: only the creating process talks to the
-``multiprocessing`` resource tracker.  ``SharedMemory(create=True)``
-registers each segment (the first registration starts the tracker)
-and ``unlink`` unregisters it; the arena unlinks exactly once on every
-path, so nothing warns at shutdown, and if the creator is SIGKILLed
-the tracker unlinks what is left.  Attaching maps the segment
-read-only from ``shm_open`` and registers nothing:
-``SharedMemory(name=...)`` registers every attach on Python 3.10–3.12,
-which would start a private tracker in each pool worker forked before
-the first segment.
+Lifetime note: a segment has no name anywhere.  The arena holds one
+descriptor per segment and never maps it; an attach opens the segment
+through ``/proc/<creator pid>/fd/<fd>`` and maps it read-only.  The
+kernel frees the pages when the last descriptor or mapping goes, so
+nothing can outlive a crash of any process and no resource tracker is
+needed.  Descriptor numbers are reused once an arena closes, so a spec
+also carries its segment's inode: an attach checks it, and a spec that
+outlived its arena raises :class:`FileNotFoundError` instead of
+mapping another arena's bytes.
 """
 
 from __future__ import annotations
 
+import errno
+import math
 import mmap
 import os
 import uuid
@@ -71,14 +74,9 @@ __all__ = [
     "process_cache",
 ]
 
-try:
-    import _posixshmem
-    from multiprocessing import shared_memory
-
-    HAVE_SHARED_MEMORY = True
-except ImportError:  # pragma: no cover - non-POSIX or stripped-down
-    shared_memory = None  # type: ignore[assignment]
-    HAVE_SHARED_MEMORY = False
+HAVE_SHARED_MEMORY = hasattr(os, "memfd_create") and os.path.isdir(
+    "/proc/self/fd"
+)
 
 
 @dataclass(frozen=True)
@@ -91,15 +89,20 @@ class SharedArraySpec:
         Token of the :class:`SharedArena` that owns the segment; worker
         caches key their eviction on it (a new token flushes mappings
         held for the previous run).
-    name:
-        The shared-memory segment name.
+    path:
+        ``/proc/<creator pid>/fd/<fd>``: where the segment opens while
+        its arena lives.
+    inode:
+        ``(st_dev, st_ino)`` of the segment, which tells it apart from
+        whatever reuses its descriptor number later.
     shape / dtype:
         Enough to view the raw buffer as the original array
         (C-contiguous layout by construction).
     """
 
     arena: str
-    name: str
+    path: str
+    inode: Tuple[int, int]
     shape: Tuple[int, ...]
     dtype: str
 
@@ -109,18 +112,10 @@ class SharedArraySpec:
         return int(np.dtype(self.dtype).itemsize * int(np.prod(self.shape, dtype=np.int64)))
 
 
-def _unlink_segments(segments: List) -> None:
-    """Close and unlink every segment; tolerant of partial teardown."""
-    while segments:
-        segment = segments.pop()
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - exported views linger
-            pass
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
+def _close_segments(fds: List[int]) -> None:
+    """Close every segment descriptor; idempotent."""
+    while fds:
+        os.close(fds.pop())
 
 
 class SharedArena:
@@ -131,68 +126,64 @@ class SharedArena:
         with SharedArena() as arena:
             spec = arena.share_array(workload_array)
             ...dispatch tasks carrying ``spec``...
-        # segments unlinked here, success or failure
+        # segments closed here, success or failure
 
-    ``close`` (and therefore ``__exit__``) unlinks every segment the
-    arena created; a :mod:`weakref` finalizer covers arenas abandoned
-    without either, so segment lifetime is never tied to garbage
-    collection order.  Workers that still hold attachments keep the
-    physical pages alive until they detach or exit — unlinking only
-    removes the name, which is exactly the handoff the runner needs.
+    ``close`` (and therefore ``__exit__``) closes the descriptor of
+    every segment the arena created; a :mod:`weakref` finalizer covers
+    arenas abandoned without either, so segment lifetime is never tied
+    to garbage collection order.  Workers that still hold attachments
+    keep the physical pages alive until they detach or exit — closing
+    only ends new attaches, which is exactly the handoff the runner
+    needs.
     """
 
     def __init__(self) -> None:
         if not HAVE_SHARED_MEMORY:
             raise RuntimeError(
-                "multiprocessing.shared_memory is unavailable on this "
-                "interpreter; use the rebuild shard path instead"
+                "anonymous shared memory (os.memfd_create and /proc) is "
+                "unavailable on this host; use the rebuild shard path instead"
             )
         self.token = uuid.uuid4().hex
-        self._segments: List = []
-        self._finalizer = weakref.finalize(
-            self, _unlink_segments, self._segments
-        )
+        self._fds: List[int] = []
+        self._finalizer = weakref.finalize(self, _close_segments, self._fds)
 
     def share_array(self, array: np.ndarray) -> SharedArraySpec:
-        """Copy ``array`` into a fresh segment; returns its spec.
+        """Write ``array`` into a fresh segment; returns its spec.
 
-        The copy is the *last* one: every consumer views the same
+        The copy is the *last* one: every consumer maps the same
         segment.  Zero-size arrays still get a (1-byte) segment so the
         spec round-trips uniformly.  Raises on a closed arena — a
         segment created after ``close()`` would have no owner left to
-        unlink it.
+        close it.
         """
         if not self._finalizer.alive:
             raise RuntimeError(
                 "cannot share arrays through a closed SharedArena"
             )
         arr = np.ascontiguousarray(array)
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(1, arr.nbytes)
-        )
-        self._segments.append(segment)
-        if arr.nbytes:
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)
-            view[...] = arr
+        fd = os.memfd_create("repro-arena")
+        self._fds.append(fd)
+        os.ftruncate(fd, max(1, arr.nbytes))
+        data = arr.reshape(-1).view(np.uint8)
+        written = 0
+        while written < data.nbytes:
+            written += os.pwrite(fd, data[written:], written)
+        stat = os.fstat(fd)
         return SharedArraySpec(
             arena=self.token,
-            name=segment.name,
+            path=f"/proc/{os.getpid()}/fd/{fd}",
+            inode=(stat.st_dev, stat.st_ino),
             shape=tuple(int(n) for n in arr.shape),
             dtype=arr.dtype.str,
         )
 
     @property
     def segment_names(self) -> Tuple[str, ...]:
-        """Names of the live segments (diagnostics and leak tests)."""
-        return tuple(segment.name for segment in self._segments)
-
-    @property
-    def total_bytes(self) -> int:
-        """Total bytes resident across the arena's segments."""
-        return sum(segment.size for segment in self._segments)
+        """The live segments' ``/proc`` paths (diagnostics)."""
+        return tuple(f"/proc/{os.getpid()}/fd/{fd}" for fd in self._fds)
 
     def close(self) -> None:
-        """Unlink every segment.  Idempotent."""
+        """Close every segment descriptor.  Idempotent."""
         self._finalizer()
 
     def __enter__(self) -> "SharedArena":
@@ -202,46 +193,73 @@ class SharedArena:
         self.close()
 
 
-def _map_read_only(name: str) -> mmap.mmap:
-    """Map the segment ``name`` read-only, registering it nowhere."""
-    fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
+def _check_inode(stat: os.stat_result, spec: SharedArraySpec) -> None:
+    """Raise FileNotFoundError unless ``stat`` is the spec's segment."""
+    if (stat.st_dev, stat.st_ino) != spec.inode:
+        raise FileNotFoundError(
+            errno.ENOENT, "the arena of this segment has closed", spec.path
+        )
+
+
+def _map_read_only(spec: SharedArraySpec) -> mmap.mmap:
+    """Map the segment ``spec`` describes read-only.
+
+    The inode is checked before the open, so a stale spec never opens
+    whatever now holds its descriptor number, and again after it,
+    since the number can change hands in between (``O_NONBLOCK`` keeps
+    that open from waiting on a pipe).
+    """
+    _check_inode(os.stat(spec.path), spec)
+    fd = os.open(spec.path, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        return mmap.mmap(fd, os.fstat(fd).st_size, access=mmap.ACCESS_READ)
+        stat = os.fstat(fd)
+        _check_inode(stat, spec)
+        return mmap.mmap(fd, stat.st_size, access=mmap.ACCESS_READ)
     finally:
-        os.close(fd)  # the mapping holds its own descriptor
+        os.close(fd)  # the mapping keeps a duplicate of its own
 
 
 class AttachmentCache:
-    """Per-process map of segment name → live attachment.
+    """Per-process map of segment inode → live attachment.
 
     The pool workers' side of "attach once per worker": the first task
     that touches a segment maps it, subsequent tasks of the same run hit
     the cache.  A spec from a *different* arena token evicts every
-    cached mapping first — the previous run's segments are unlinked by
-    then, and closing our attachment releases the pages.
+    cached mapping first — the previous run's arena is closed by then,
+    and closing our attachment releases the pages.
     """
 
     def __init__(self) -> None:
         self._arena: Optional[str] = None
-        self._attached: Dict[str, object] = {}
+        self._attached: Dict[Tuple[int, int], mmap.mmap] = {}
 
     def attach(self, spec: SharedArraySpec) -> np.ndarray:
         """A read-only ndarray view of the segment described by ``spec``."""
         if spec.arena != self._arena:
             self.release()
             self._arena = spec.arena
-        segment = self._attached.get(spec.name)
-        if segment is None:
-            segment = self._attached[spec.name] = _map_read_only(spec.name)
-        return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=segment)
+        mapping = self._attached.get(spec.inode)
+        if mapping is None:
+            mapping = self._attached[spec.inode] = _map_read_only(spec)
+        # frombuffer holds a buffer export on the mapping, so the
+        # mapping outlives release() for as long as any view does.
+        return np.frombuffer(
+            mapping, dtype=np.dtype(spec.dtype), count=math.prod(spec.shape)
+        ).reshape(spec.shape)
 
     def release(self) -> None:
-        """Close every attachment (views created from them must be dead)."""
-        for segment in self._attached.values():
+        """Close every attachment that no view still uses.
+
+        ``close`` raises BufferError while a view of the mapping is
+        alive (one escaped its task); dropping the reference then
+        leaves the mapping to that view, and it unmaps when the last
+        view dies.
+        """
+        for mapping in self._attached.values():
             try:
-                segment.close()
-            except BufferError:  # pragma: no cover - a view escaped a task
-                pass  # dropping the ref frees the mapping at process exit
+                mapping.close()
+            except BufferError:
+                pass
         self._attached.clear()
         self._arena = None
 

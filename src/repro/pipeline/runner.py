@@ -16,9 +16,9 @@ One :class:`Runner` drives every experiment through the same path:
   ``shard_shared`` plan materialise their workload once, export it into
   a :class:`~repro.backend.shared.SharedArena`, and ship workers
   ``(handle, row_range)``-style tasks that attach instead of
-  rebuilding; the arena unlinks every segment when the run finishes —
+  rebuilding; the arena closes every segment when the run finishes —
   including when a worker raises mid-shard.  Specs without a shared
-  plan (and hosts without ``multiprocessing.shared_memory``) fall back
+  plan (and hosts without ``os.memfd_create`` or ``/proc``) fall back
   to the rebuild plan: tasks that reconstruct their inputs
   deterministically from the config.  The shard plan is a property of
   the config (never of the worker count or the dispatch mechanism), so
@@ -70,8 +70,8 @@ SUPERVISED_TIMEOUT_S = 120.0
 #: liveness while a result is pending.
 PROBE_INTERVAL_S = 0.25
 
-#: Flipped when creating shared segments fails (e.g. an unwritable or
-#: missing /dev/shm): the runner then stops retrying the shared path
+#: Flipped when creating shared segments fails (e.g. the process is
+#: out of descriptors): the runner then stops retrying the shared path
 #: and uses the rebuild plan for the rest of the process lifetime.
 _SHARED_DISPATCH_BROKEN = False
 
@@ -293,14 +293,10 @@ def _shared_tasks(spec, config) -> Optional[Tuple[SharedArena, List[Any]]]:
         or _SHARED_DISPATCH_BROKEN
     ):
         return None
-    try:
-        arena = SharedArena()
-    except OSError:  # pragma: no cover - no usable shm backing
-        _SHARED_DISPATCH_BROKEN = True
-        return None
+    arena = SharedArena()
     try:
         tasks = list(spec.shard_shared(config, arena))
-    except OSError:  # pragma: no cover - /dev/shm full or unwritable
+    except OSError:  # pragma: no cover - out of memory or descriptors
         arena.close()
         _SHARED_DISPATCH_BROKEN = True
         return None
@@ -352,8 +348,8 @@ def _execute_spec(
                     [(spec.name, task) for task in shared_tasks],
                 )
             finally:
-                # Unlink on every exit path: a worker raising mid-shard
-                # must not leak /dev/shm segments — then tell every
+                # Close on every exit path: a worker raising mid-shard
+                # must not leave segments open — then tell every
                 # worker to drop its attachments so the pages free now
                 # rather than at the next run's first task.
                 arena.close()

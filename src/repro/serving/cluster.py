@@ -25,7 +25,7 @@ shared work exactly once before forking:
 Shutdown is coordinated: the parent signals every worker, each worker
 runs its own graceful :meth:`~repro.serving.server.SpikeServer.close`
 (drain in-flight requests, release pool attachments), the parent joins
-them all, and **only then** unlinks the startup arena — a worker never
+them all, and **only then** closes the startup arena — a worker never
 sees its basis pages disappear mid-drain.
 
 Embedding (tests and the ``--workers 2`` bench) uses
@@ -406,7 +406,7 @@ class ServerCluster:
 
         Used both at start-up and by the monitor thread respawning a
         crashed worker: a respawn re-forks from the parent, so the
-        child re-inherits the pre-fork basis arena pages, its stats-row
+        child attaches the same basis arena pages, inherits its stats-row
         (preserved, not zeroed) and the dead worker's still-open
         listener fd.
         """
@@ -512,7 +512,7 @@ class ServerCluster:
 
         Order matters: stop supervising (or the monitor would respawn
         the workers being shut down), signal every worker, let each
-        drain gracefully, join them all, and only then unlink the
+        drain gracefully, join them all, and only then close the
         startup arena the workers' bases were attached to.
         """
         self._closing.set()

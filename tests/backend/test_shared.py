@@ -3,9 +3,11 @@
 ``to_shared``/``from_shared`` must be bit-identical to the in-process
 batch across densities (empty through full) and row ranges, and the
 arena must never leak segments — including when the guarded block
-raises.
+raises.  A spec that outlived its arena must fail to attach, and a view
+that outlived its attachment must stay readable.
 """
 
+import dataclasses
 import os
 import pathlib
 import pickle
@@ -24,21 +26,21 @@ from repro.backend.shared import (
 )
 from repro.units import SimulationGrid
 
+from ..serving.live_server import arena_segments
+
 pytestmark = pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="multiprocessing.shared_memory missing"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 
 
-def _segment_gone(name: str) -> bool:
-    """True when no shared segment of this name can be attached."""
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    segment.close()
-    return False
+def _mapped_inodes():
+    """Inode numbers of the arena segments this process has mapped."""
+    with open("/proc/self/maps") as maps:
+        return {
+            int(line.split()[4])
+            for line in maps
+            if "/memfd:repro-arena" in line
+        }
 
 
 def _random_batch(rng, n_trains, n_samples, density):
@@ -113,6 +115,45 @@ class TestReadOnlyAttach:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["120", "None"]
 
+    def test_view_outlives_release(self):
+        """A view that escaped its task keeps its mapping readable.
+
+        Run in a fresh interpreter: reading an unmapped view would
+        kill the process rather than fail the test.
+        """
+        script = (
+            "import numpy as np\n"
+            "from repro.backend.shared import AttachmentCache, SharedArena\n"
+            "cache = AttachmentCache()\n"
+            "with SharedArena() as arena:\n"
+            "    view = cache.attach(arena.share_array(np.arange(1 << 20)))\n"
+            "cache.release()\n"
+            "print(int(view.sum()))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
+        assert result.stdout.split() == [str((1 << 20) * ((1 << 20) - 1) // 2)]
+
+    def test_export_maps_nothing_in_the_creator(self):
+        """The arena writes its segments without mapping them."""
+        with SharedArena() as arena:
+            spec = arena.share_array(np.arange(1 << 16))
+            assert spec.inode[1] not in _mapped_inodes()
+            view = AttachmentCache().attach(spec)
+            assert spec.inode[1] in _mapped_inodes()
+            del view
+
 
 class TestBatchSharedRoundTrip:
     @pytest.mark.parametrize("density", [0.0, 0.01, 0.2, 0.5, 1.0])
@@ -163,23 +204,38 @@ class TestBatchSharedRoundTrip:
 
 
 class TestArenaLifecycle:
-    def test_segments_unlinked_on_clean_exit(self):
+    def test_segments_closed_on_clean_exit(self):
         with SharedArena() as arena:
-            arena.share_array(np.arange(10))
-            names = arena.segment_names
-            assert len(names) == 1
-        assert all(_segment_gone(name) for name in names)
+            spec = arena.share_array(np.arange(10))
+            assert spec.inode in arena_segments()
+        assert spec.inode not in arena_segments()
 
-    def test_segments_unlinked_when_body_raises(self):
-        names = ()
+    def test_segments_closed_when_body_raises(self):
+        specs = []
         with pytest.raises(RuntimeError, match="boom"):
             with SharedArena() as arena:
-                arena.share_array(np.arange(100))
-                arena.share_array(np.ones((4, 4)))
-                names = arena.segment_names
+                specs.append(arena.share_array(np.arange(100)))
+                specs.append(arena.share_array(np.ones((4, 4))))
                 raise RuntimeError("boom")
-        assert len(names) == 2
-        assert all(_segment_gone(name) for name in names)
+        assert len(specs) == 2
+        assert not {spec.inode for spec in specs} & arena_segments()
+
+    def test_stale_spec_raises_instead_of_attaching_the_next_arena(self):
+        """Descriptor numbers are reused once an arena closes; a spec
+        that outlived its arena must not map whatever took its number."""
+        with SharedArena() as first:
+            stale = first.share_array(np.arange(8))
+        with pytest.raises(FileNotFoundError):
+            AttachmentCache().attach(stale)
+        with SharedArena() as second:
+            fresh = second.share_array(np.arange(8) + 100)
+            # The stale spec, its number now naming the next segment.
+            reused = dataclasses.replace(stale, path=fresh.path)
+            with pytest.raises(FileNotFoundError):
+                AttachmentCache().attach(reused)
+            assert AttachmentCache().attach(fresh).tolist() == list(
+                range(100, 108)
+            )
 
     def test_close_is_idempotent(self):
         arena = SharedArena()

@@ -13,8 +13,7 @@ must also leave nothing behind.  After each case, and after a
   (the logger does not propagate, so the fixture attaches its own
   handler).
 
-Process-lifetime multiprocessing handles — the resource-tracker pipe
-(opened by the first shared segment) and the ``pym-*`` heap arenas
+Process-lifetime multiprocessing handles — the ``pym-*`` heap arenas
 backing pool barriers and cluster stats blocks — open once per process
 and never close (arenas under 4 MiB are never returned); a session
 warm-up opens them so they belong to every case's baseline.
@@ -24,7 +23,6 @@ import gc
 import logging
 import multiprocessing
 import os
-from multiprocessing import resource_tracker
 
 import pytest
 
@@ -57,11 +55,9 @@ class _Recorder(logging.Handler):
 
 @pytest.fixture(scope="session")
 def _process_lifetime_handles():
-    """Open the handles a process keeps once it forked a pool and shared
-    an array."""
+    """Open the handles a process keeps once it forked a pool."""
     with Runner(jobs=2) as runner:
         runner.ensure_pool()
-    resource_tracker.ensure_running()
     # One large shared-ctypes block opens a heap arena with room for
     # every later barrier, lock and stats block, then frees into it.
     multiprocessing.RawArray("b", 1 << 20)

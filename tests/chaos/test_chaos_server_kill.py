@@ -1,11 +1,12 @@
-"""Chaos: a SIGKILLed server's shared-memory segments are unlinked.
+"""Chaos: a SIGKILLed server leaves nothing in ``/dev/shm``.
 
-A killed server runs no ``finally`` and no arena finalizer; the
-multiprocessing resource tracker it started with its first segment is
-what unlinks what the server left in ``/dev/shm``.  It does so once
-every holder of its pipe has exited — the server alone, because the
-pool forked before that first segment — so the cleanup does not wait
-for the orphaned pool workers still busy with the request's shards.
+A killed server runs no ``finally`` and no arena finalizer.  Nothing
+has to: its arena segments are anonymous memfds, never named in
+``/dev/shm`` or anywhere else, and the kernel frees their pages when
+the last holder goes — the server's descriptors when it dies, the
+orphaned pool workers' mappings when they exit.  So nothing appears in
+``/dev/shm`` while the request is in flight, and nothing is left after
+the kill, even with the workers still busy with the request's shards.
 """
 
 import os
@@ -21,8 +22,8 @@ from repro.serving.server import ServerConfig, build_serving_basis
 from ..serving.live_server import (
     LiveServer,
     alive,
-    is_resource_tracker,
-    shm_segments,
+    arena_segments,
+    dev_shm_entries,
     wait_until,
 )
 
@@ -30,7 +31,7 @@ pytestmark = [
     pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc"),
     pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm"),
     pytest.mark.skipif(
-        not HAVE_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
+        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
     ),
 ]
 
@@ -44,17 +45,14 @@ def _identify(port, wires, outcome):
         outcome.append(exc)
 
 
-def test_killed_server_segments_unlinked_without_waiting_for_workers(
-    tmp_path,
-):
+def test_killed_server_leaves_nothing_in_dev_shm(tmp_path):
     wires = build_serving_basis(
         ServerConfig(n_samples=4096, basis_size=8)
     ).as_batch().select_rows([5, 2, 7])
-    before = shm_segments()
+    before = dev_shm_entries()
     outcome = []
     # Leaving the block SIGKILLs the orphaned pool workers recorded in
-    # server.pids by the tree() call before the kill, and leaves the
-    # tracker to exit by itself.
+    # server.pids by the tree() call before the kill.
     with LiveServer(
         tmp_path, "--jobs", "2", "--fast-path-bytes", "0",
         fault="serving.run_shard=delay:30000",
@@ -64,24 +62,23 @@ def test_killed_server_segments_unlinked_without_waiting_for_workers(
         )
         sender.start()
         try:
-            assert wait_until(lambda: shm_segments() - before, 30), (
+            assert wait_until(lambda: arena_segments(server.proc.pid), 30), (
                 "the request never exported its arena"
             )
             tree = server.tree()
-            workers = [
-                pid for pid in tree[1:] if not is_resource_tracker(pid)
-            ]
-            assert len(workers) == 2, tree
+            assert len(tree) == 3, tree  # the server and its two workers
+            in_flight = sorted(dev_shm_entries() - before)
+            workers = tree[1:]
             server.proc.kill()
             server.proc.wait(timeout=30)
-            unlinked = wait_until(lambda: not shm_segments() - before, 5)
-            left = sorted(shm_segments() - before)
+            left = sorted(dev_shm_entries() - before)
             assert all(alive(pid) for pid in workers), (
                 "the shards should still be sleeping in the workers"
             )
         finally:
             server.proc.kill()
             sender.join(timeout=60)
-    assert unlinked, f"segments still in /dev/shm 5 s after the kill: {left}"
+    assert not in_flight, f"the live request named {in_flight} in /dev/shm"
+    assert not left, f"the killed server left {left} in /dev/shm"
     assert not sender.is_alive()
     assert len(outcome) == 1 and isinstance(outcome[0], ConnectionLostError)

@@ -1,9 +1,9 @@
 """Regression tests: shared-memory dispatch never leaks segments.
 
 The arena owns segment lifecycle for one sharded run; these tests pin
-the failure path — a worker raising mid-shard must leave no attachable
-segment behind and no resource-tracker complaints at interpreter
-shutdown.
+the failure path — a worker raising mid-shard must leave no segment
+descriptor open behind it and no resource-tracker complaints at
+interpreter shutdown.
 """
 
 import os
@@ -18,20 +18,11 @@ import pytest
 from repro.backend.shared import HAVE_SHARED_MEMORY, SharedArena
 from repro.pipeline import ExperimentSpec, Runner, register, unregister
 
+from ..serving.live_server import arena_segments
+
 pytestmark = pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="multiprocessing.shared_memory missing"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
-
-
-def _segment_gone(name: str) -> bool:
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    segment.close()
-    return False
 
 
 @dataclass(frozen=True)
@@ -40,17 +31,16 @@ class _MeltdownConfig:
     n_shards: int = 2
 
 
-#: Segment names created by the last _meltdown_shard_shared call.
+#: Segment inodes created by the last _meltdown_shard_shared call.
 #: shard_shared runs in the dispatching process, so the test can read
-#: this after the run to verify every segment was unlinked.
+#: this after the run to verify every segment was closed.
 _CREATED_SEGMENTS = []
 
 
 def _meltdown_shard_shared(config, arena: SharedArena):
-    for _ in range(3):
-        arena.share_array(np.arange(4096))
+    specs = [arena.share_array(np.arange(4096)) for _ in range(3)]
     _CREATED_SEGMENTS.clear()
-    _CREATED_SEGMENTS.extend(arena.segment_names)
+    _CREATED_SEGMENTS.extend(spec.inode for spec in specs)
     return [("shared", i) for i in range(config.n_shards)]
 
 
@@ -92,13 +82,13 @@ def meltdown_spec():
 
 
 class TestFailingShardLeaksNothing:
-    def test_worker_exception_unlinks_all_segments(self, meltdown_spec):
+    def test_worker_exception_closes_all_segments(self, meltdown_spec):
         with Runner(jobs=2) as runner:
             report = runner.run("zz-meltdown")
         assert not report.ok
         assert "shard meltdown" in report.error
-        assert len(_CREATED_SEGMENTS) == 3
-        assert all(_segment_gone(name) for name in _CREATED_SEGMENTS)
+        assert len(set(_CREATED_SEGMENTS)) == 3
+        assert not set(_CREATED_SEGMENTS) & arena_segments()
 
     def test_successful_shared_run_unlinks_all_segments(self):
         with Runner(jobs=2) as runner:

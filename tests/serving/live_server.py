@@ -1,8 +1,8 @@
 """A live ``repro serve`` subprocess and its process tree, read from /proc.
 
 Shared by the tests that look at a server from outside, as an operator
-would: which processes it runs for a given traffic, and what a SIGKILL
-leaves behind.
+would: which processes it runs for a given traffic, which shared
+segments they hold, and what a SIGKILL leaves behind.
 """
 
 import os
@@ -52,18 +52,33 @@ def process_tree(pid):
     return found
 
 
-def is_resource_tracker(pid):
-    """True for a ``multiprocessing.resource_tracker`` process."""
+def arena_segments(pid="self"):
+    """``(st_dev, st_ino)`` of each ``SharedArena`` segment ``pid`` holds open.
+
+    Arena segments are anonymous ``memfd:repro-arena`` files, so their
+    descriptors are the only place to find them; a gone ``pid`` holds
+    none.
+    """
+    fd_dir = f"/proc/{pid}/fd"
     try:
-        with open(f"/proc/{pid}/cmdline", "rb") as handle:
-            return b"multiprocessing.resource_tracker" in handle.read()
+        entries = os.listdir(fd_dir)
     except OSError:
-        return False
+        return set()
+    found = set()
+    for entry in entries:
+        path = os.path.join(fd_dir, entry)
+        try:
+            if os.readlink(path).startswith("/memfd:repro-arena"):
+                stat = os.stat(path)
+                found.add((stat.st_dev, stat.st_ino))
+        except OSError:  # closed while we looked
+            pass
+    return found
 
 
-def shm_segments():
-    """Names of the ``multiprocessing.shared_memory`` segments that exist."""
-    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+def dev_shm_entries():
+    """Everything in ``/dev/shm``."""
+    return set(os.listdir("/dev/shm"))
 
 
 def wait_until(predicate, timeout):
@@ -82,9 +97,7 @@ class LiveServer:
     ``fault`` arms ``REPRO_FAULT`` in the server and every process it
     forks.  ``pids`` collects every process :meth:`tree` has seen, so
     the pool workers stay known after a SIGKILL orphaned them.  Leaving
-    the ``with`` block ends all of them: what still runs is SIGKILLed,
-    except resource trackers, which exit by themselves once their pipe
-    closes (killing one would leak the segments it has yet to unlink).
+    the ``with`` block SIGKILLs what still runs of them.
     """
 
     def __init__(self, tmp_path, *flags, fault=None):
@@ -143,7 +156,7 @@ class LiveServer:
         if self.proc.poll() is None:
             self.tree()
         for pid in self.pids:
-            if alive(pid) and not is_resource_tracker(pid):
+            if alive(pid):
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:

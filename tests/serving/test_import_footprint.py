@@ -5,12 +5,15 @@ models, and it is by far the heaviest import in the package; the
 experiment modules and the layers only they use (simulator, search,
 baselines, energy, viz) are most of the rest.  The serving pool forks
 after module imports, so anything ``repro serve`` loads is inherited
-by every worker.  These guards run fresh interpreters through the whole
-serving surface — the CLI module, the basis build, and one identify,
-one logicnet and one corpus query, served in-process and through a
-two-worker pool — and fail if any of those modules got loaded in the
-server or in a pool worker.  A bare ``import repro`` must load nothing
-but the root package and its export helper.
+by every worker.  Shared arenas are anonymous memfds, so neither the
+server nor its workers load ``multiprocessing.shared_memory``, its
+resource tracker or ``_posixshmem`` either.  These guards run fresh
+interpreters through the whole serving surface — the CLI module, the
+basis build, and one identify, one logicnet and one corpus query,
+served in-process and through a two-worker pool — and fail if any of
+those modules got loaded in the server or in a pool worker.  A bare
+``import repro`` must load nothing but the root package and its export
+helper.
 """
 
 import json
@@ -91,7 +94,8 @@ with Runner(jobs=2) as runner:
 print(json.dumps({"server": loaded(), "workers": workers}))
 """
 
-#: Packages only the experiments need; none may load when serving.
+#: Packages only the experiments need, and the named-segment machinery
+#: that memfd arenas replaced; none may load when serving.
 _NOT_SERVING = (
     "repro.analysis",
     "repro.experiments",
@@ -101,6 +105,9 @@ _NOT_SERVING = (
     "repro.energy",
     "repro.viz",
     "scipy",
+    "multiprocessing.shared_memory",
+    "multiprocessing.resource_tracker",
+    "_posixshmem",
 )
 
 

@@ -1,12 +1,10 @@
-"""A ``repro serve --jobs 2`` runs only the processes its traffic needs.
+"""A ``repro serve --jobs 2`` runs the server and its two pool workers.
 
-The multiprocessing resource tracker is a separate interpreter whose
-one job is to unlink ``/dev/shm`` segments if the server is SIGKILLed.
-It starts with the first shared-memory segment, so a server answering
-only LOGICNET (seed-rebuild shards) and corpus queries (memory-mapped
-in-process) runs the server and its two pool workers, nothing more;
-the first ``shared-arena`` identify adds exactly one tracker, and a
-graceful stop still leaves it nothing to warn about.
+Whatever the traffic: LOGICNET (seed-rebuild shards), corpus queries
+(memory-mapped in-process) and ``shared-arena`` identifies alike.
+Arena segments are anonymous memfds that nothing has to unlink, so no
+multiprocessing resource tracker ever starts, and once a reply is in,
+the server holds no segment: only the workers' attachments do.
 """
 
 import os
@@ -19,12 +17,12 @@ from repro.pipeline.corpus import CorpusStore
 from repro.serving.client import ServingClient
 from repro.serving.server import ServerConfig, build_serving_basis
 
-from .live_server import LiveServer, is_resource_tracker
+from .live_server import LiveServer, arena_segments
 
 pytestmark = [
     pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc"),
     pytest.mark.skipif(
-        not HAVE_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
+        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
     ),
 ]
 
@@ -34,10 +32,6 @@ def batch():
     return build_serving_basis(
         ServerConfig(n_samples=4096, basis_size=8)
     ).as_batch()
-
-
-def _trackers(pids):
-    return [pid for pid in pids if is_resource_tracker(pid)]
 
 
 def test_logicnet_and_corpus_traffic_start_no_tracker(tmp_path, batch):
@@ -54,20 +48,20 @@ def test_logicnet_and_corpus_traffic_start_no_tracker(tmp_path, batch):
         assert rows.summary["transport"] == "corpus-mmap"
         np.testing.assert_array_equal(rows.elements, np.arange(8))
         tree = server.tree()
-        assert not _trackers(tree), tree
         assert len(tree) == 3, tree  # the server and its two pool workers
         assert server.stop() == 0
 
 
-def test_shared_arena_request_starts_one_tracker(tmp_path, batch):
+def test_shared_arena_request_adds_no_process(tmp_path, batch):
     wires = batch.select_rows([5, 2, 7])
     with LiveServer(tmp_path, "--jobs", "2", "--fast-path-bytes", "0") as server:
-        assert not _trackers(server.tree())
         with ServingClient("127.0.0.1", server.port) as client:
             reply = client.identify(wires, n_shards=2)
         assert reply.summary["transport"] == "shared-arena"
         assert reply.elements.tolist() == [5, 2, 7]
-        assert len(_trackers(server.tree())) == 1
+        tree = server.tree()
+        assert len(tree) == 3, tree  # the server and its two pool workers
+        assert not arena_segments(server.proc.pid)  # closed before DONE
         assert server.stop() == 0
         stderr = server.stderr()
     assert "resource_tracker" not in stderr, stderr
