@@ -49,7 +49,10 @@ nothing can outlive a crash of any process and no resource tracker is
 needed.  Descriptor numbers are reused once an arena closes, so a spec
 also carries its segment's inode: an attach checks it, and a spec that
 outlived its arena raises :class:`FileNotFoundError` instead of
-mapping another arena's bytes.
+mapping another arena's bytes.  A forked child (a pool worker
+respawned mid-request, say) closes its copy of every live arena, which
+it then holds closed, and releases the attachments it inherited, so it
+never pins pages its parent has let go of.
 """
 
 from __future__ import annotations
@@ -118,6 +121,10 @@ def _close_segments(fds: List[int]) -> None:
         os.close(fds.pop())
 
 
+#: Every arena still open in this process, for the fork hook.
+_LIVE_ARENAS: "weakref.WeakSet[SharedArena]" = weakref.WeakSet()
+
+
 class SharedArena:
     """Owns the shared-memory segments of one sharded run.
 
@@ -146,6 +153,7 @@ class SharedArena:
         self.token = uuid.uuid4().hex
         self._fds: List[int] = []
         self._finalizer = weakref.finalize(self, _close_segments, self._fds)
+        _LIVE_ARENAS.add(self)
 
     def share_array(self, array: np.ndarray) -> SharedArraySpec:
         """Write ``array`` into a fresh segment; returns its spec.
@@ -185,6 +193,7 @@ class SharedArena:
     def close(self) -> None:
         """Close every segment descriptor.  Idempotent."""
         self._finalizer()
+        _LIVE_ARENAS.discard(self)
 
     def __enter__(self) -> "SharedArena":
         return self
@@ -286,3 +295,21 @@ def attach_array(spec: SharedArraySpec) -> np.ndarray:
     what the round-trip tests exercise without spawning workers.
     """
     return process_cache().attach(spec)
+
+
+def _drop_inherited_segments() -> None:
+    """Fork hook: the child lets go of every segment it inherited.
+
+    Attaches open the creator's descriptors through ``/proc``, so the
+    child's copies of its parent's arenas serve nobody, and nor do the
+    attachments it inherited; kept, either would pin the segments for
+    the child's whole life.
+    """
+    for arena in list(_LIVE_ARENAS):
+        arena.close()
+    if _PROCESS_CACHE is not None:
+        _PROCESS_CACHE.release()
+
+
+if HAVE_SHARED_MEMORY:
+    os.register_at_fork(after_in_child=_drop_inherited_segments)

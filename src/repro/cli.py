@@ -15,8 +15,9 @@ Usage::
 ``list`` and ``run``'s experiment choices come straight from the
 :mod:`repro.pipeline.registry` — registering a new
 :class:`~repro.pipeline.spec.ExperimentSpec` is all it takes to appear
-here.  Only those two sub-commands load the registry (and with it the
-experiment modules); ``serve`` and ``corpus`` never do.  ``run``
+here.  Only those two sub-commands load the registry, the runner and
+the artifact store (and with them the experiment modules); ``serve``
+and ``corpus`` never do.  ``run``
 executes through :class:`~repro.pipeline.runner.Runner`: ``--jobs N``
 shards a single shardable experiment across N worker processes
 (bit-identical to the serial run) and runs whole experiments in
@@ -27,7 +28,9 @@ past failing experiments and ends with a per-experiment pass/fail
 summary, exiting non-zero when anything failed.  ``serve`` starts the
 packed-bitset RPC front-end (:mod:`repro.serving`): an asyncio server
 identifying client wire batches against a deterministic basis, sharded
-over the runner's worker pool — see ``docs/serving.md``.
+over the runner's worker pool — see ``docs/serving.md``.  ``serve``
+forks that pool before it imports the server, so the workers hold the
+compute layer and none of the front-end.
 
 ``corpus build`` streams a generated spike recording into an on-disk
 :class:`~repro.pipeline.corpus.CorpusStore` (packed segments + a
@@ -40,15 +43,15 @@ server computes straight off the memmap.  See ``docs/corpus.md``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import pathlib
 import sys
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Sequence
 
-from .pipeline.registry import all_specs, get_spec, spec_names
-from .pipeline.runner import Runner, RunReport
-from .pipeline.spec import ExperimentSpec
-from .pipeline.store import ArtifactStore
+if TYPE_CHECKING:
+    from .pipeline.runner import RunReport
+    from .pipeline.spec import ExperimentSpec
 
 __all__ = ["EXPERIMENTS", "build_parser", "main"]
 
@@ -61,6 +64,8 @@ def __getattr__(name: str) -> Dict[str, ExperimentSpec]:
     loads no experiment module.
     """
     if name == "EXPERIMENTS":
+        from .pipeline.registry import all_specs
+
         return {spec.name: spec for spec in all_specs()}
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -74,6 +79,8 @@ class _ExperimentChoices:
     them — building the parser loads no registry."""
 
     def __iter__(self) -> Iterator[str]:
+        from .pipeline.registry import spec_names
+
         return iter(spec_names() + ["all"])
 
 
@@ -345,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_list(out) -> None:
     """One registry-derived line per experiment."""
+    from .pipeline.registry import all_specs
+
     specs = all_specs()
     width = max(len(spec.name) for spec in specs)
     for spec in specs:
@@ -393,6 +402,10 @@ def main(argv: Optional[Sequence[str]] = None, out=sys.stdout) -> int:
         return 0
 
     if args.command == "run":
+        from .pipeline.registry import get_spec
+        from .pipeline.runner import Runner
+        from .pipeline.store import ArtifactStore
+
         store = (
             ArtifactStore(args.output_dir)
             if args.output_dir is not None
@@ -411,8 +424,34 @@ def main(argv: Optional[Sequence[str]] = None, out=sys.stdout) -> int:
             return 0 if report.ok else 1
 
     if args.command == "serve":
-        # Imported here: the serving layer (asyncio, sockets) is only
-        # paid for by the one sub-command that needs it.
+        return _run_serve(args, out)
+
+    if args.command == "corpus":
+        return _run_corpus(args, out)
+
+    return 2  # unreachable: argparse enforces the sub-commands
+
+
+def _run_serve(args, out) -> int:
+    """The ``serve`` sub-command.
+
+    A server that shards over a pool gets it forked here, once the
+    compute layer (:mod:`repro.serving.dispatch`) has loaded and before
+    the front-end (asyncio, the wire protocol, the server, the corpus
+    store) does, so the pool workers hold only the code they run.  The
+    server's start-up broadcast installs the basis in them.  A worker
+    that the pool respawns, or that a pool restart forks, forks from
+    the full server.
+    """
+    from .serving import dispatch
+
+    with contextlib.ExitStack() as stack:
+        runner = None
+        if dispatch.uses_pool(args.jobs, args.workers):
+            from .pipeline.runner import Runner
+
+            runner = stack.enter_context(Runner(jobs=args.jobs))
+            runner.ensure_pool()
         from .serving.server import ServerConfig, serve_forever
 
         config = ServerConfig(
@@ -433,12 +472,7 @@ def main(argv: Optional[Sequence[str]] = None, out=sys.stdout) -> int:
             shard_timeout=args.shard_timeout,
             shard_retries=args.shard_retries,
         )
-        return serve_forever(config, out=out)
-
-    if args.command == "corpus":
-        return _run_corpus(args, out)
-
-    return 2  # unreachable: argparse enforces the sub-commands
+        return serve_forever(config, out=out, runner=runner)
 
 
 def _run_corpus(args, out) -> int:

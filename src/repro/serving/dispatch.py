@@ -12,8 +12,8 @@ Two transport pieces make the pool path zero-copy:
 
 * **basis install** — the serving basis is exported once as a
   :class:`BasisTable` (plain picklable arrays, no shared segments) and
-  installed into a per-process registry, either inherited by forked
-  workers or delivered by one
+  installed into a per-process registry, in the server directly and in
+  the pool workers by one
   :meth:`~repro.pipeline.runner.Runner.broadcast` at server start-up.
   Shard tasks then reference the basis by token, never re-shipping it.
   A long-lived shared-memory export would fight the attachment cache's
@@ -28,6 +28,11 @@ Two transport pieces make the pool path zero-copy:
   server wrote — the payload is never unpacked to a raster anywhere,
   and every shard payload reports its batch's representation residency
   to prove it.
+
+This module is the whole compute layer a pool worker runs, and it
+loads no wire or front-end code: ``repro serve`` forks its pool right
+after importing it (:func:`uses_pool`), so whatever this module
+imports, every worker holds.
 """
 
 from __future__ import annotations
@@ -40,13 +45,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..backend.batch import SharedBatchHandle, SpikeTrainBatch
+from ..backend.shared import HAVE_SHARED_MEMORY
 from ..errors import ServingError
 from ..hyperspace.basis import HyperspaceBasis
 from ..logic.correlator import CoincidenceCorrelator
 from ..logic.netbatch import LogicNetBatch
 from ..testing import faults
 from ..units import SimulationGrid
-from .protocol import ERR_INTERNAL
 
 __all__ = [
     "BasisTable",
@@ -61,7 +66,25 @@ __all__ = [
     "run_logicnet_shard",
     "compute_logicnet_shard",
     "residency",
+    "uses_pool",
 ]
+
+#: :data:`repro.serving.protocol.ERR_INTERNAL`, restated so that pool
+#: workers load no wire code (a test pins the two equal).
+ERR_INTERNAL = 8
+
+
+def uses_pool(jobs: int, workers: int = 1) -> bool:
+    """True when a server shards requests over a pool of ``jobs`` workers.
+
+    The pool path needs more than one job, memfd shared memory for the
+    request arenas and a single server process: ``--workers N`` forks N
+    servers, and each builds its own pool.  ``repro serve`` asks this to
+    fork the pool before it loads the front-end, and
+    :class:`~repro.serving.server.SpikeServer` to decide whether to
+    build a pool and route shards to it.
+    """
+    return jobs > 1 and workers == 1 and HAVE_SHARED_MEMORY
 
 
 @dataclass(frozen=True)
@@ -120,8 +143,8 @@ class LogicNetShardTask:
 
 
 #: token → installed basis, per process.  Populated in the server
-#: process before the pool forks (workers inherit it for free) and by
-#: the install broadcast for pools that already exist.
+#: process at start-up and in every pool worker by the install
+#: broadcast, which a restarted pool replays.
 _INSTALLED: Dict[str, HyperspaceBasis] = {}
 
 

@@ -90,24 +90,27 @@ import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..backend.batch import SpikeTrainBatch
 from ..backend.packed import row_chunk_bounds
-from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena
+from ..backend.shared import SharedArena
 from ..errors import ProtocolError, ServingError
 from ..hyperspace.basis import HyperspaceBasis
 from ..logic.netbatch import working_set
 from ..noise.synthesis import make_rng
 from ..orthogonator.demux import DemuxOrthogonator
 from ..pipeline.corpus import CorpusStore
-from ..pipeline.runner import Runner
 from ..spikes.generators import poisson_train
 from ..testing import faults
 from ..units import paper_white_grid
 from . import dispatch, log, protocol
+
+if TYPE_CHECKING:
+    from ..pipeline.runner import Runner
 
 __all__ = [
     "ServerConfig",
@@ -696,8 +699,11 @@ class SpikeServer:
     Construct, ``await start()``, and either hold onto it (tests) or
     ``await`` :meth:`wait_closed`.  ``runner=None`` makes the server
     own a :class:`~repro.pipeline.runner.Runner` with ``config.jobs``
-    workers and close it on shutdown; passing a runner shares an
-    existing pool (the caller keeps ownership).
+    workers when it will shard over a pool
+    (:func:`~repro.serving.dispatch.uses_pool`), and close it on
+    shutdown; otherwise it runs every shard in-process and loads no
+    :mod:`multiprocessing`.  Passing a runner shares an existing pool
+    (the caller keeps ownership).
     """
 
     def __init__(
@@ -756,15 +762,15 @@ class SpikeServer:
 
     def _use_pool(self) -> bool:
         """True when shards go to the worker pool (vs in-process)."""
-        return (
-            self._runner is not None
-            and self._runner.jobs > 1
-            and HAVE_SHARED_MEMORY
+        return self._runner is not None and dispatch.uses_pool(
+            self._runner.jobs
         )
 
     async def start(self) -> None:
         """Build the basis, warm the pool, bind the socket."""
-        if self._runner is None:
+        if self._runner is None and dispatch.uses_pool(self.config.jobs):
+            from ..pipeline.runner import Runner
+
             self._runner = Runner(jobs=self.config.jobs)
         if self._basis is None:
             # Cluster workers inject a basis attached from the shared
@@ -772,10 +778,11 @@ class SpikeServer:
             self._basis = build_serving_basis(self.config)
         table = dispatch.export_basis(self._basis)
         self._basis_token = table.token
-        # Install in this process first: a pool forked later inherits
-        # the registry for free.  The broadcast covers pools that
-        # already exist (shared runners) and spawn-based hosts.
         dispatch.install_basis(table)
+        # The broadcast installs the basis in the pool workers:
+        # ``repro serve`` forks its pool before this runs, so they
+        # cannot inherit it.  It is sticky, so a restarted pool gets it
+        # too.
         if self._use_pool():
             self._runner.broadcast(dispatch.install_basis, table)
         if self.config.corpus is not None:
@@ -1209,7 +1216,9 @@ class SpikeServer:
         ranges = _shard_ranges(
             0,
             request.n_wires,
-            request.n_shards or self.config.n_shards or self._runner.jobs,
+            request.n_shards
+            or self.config.n_shards
+            or (self._runner.jobs if self._runner is not None else 1),
         )
         if self._use_pool():
 
@@ -1506,12 +1515,14 @@ class ServerThread:
         self.close()
 
 
-async def _serve_until_signal(config: ServerConfig, out) -> None:
+async def _serve_until_signal(
+    config: ServerConfig, out, runner: Optional[Runner]
+) -> None:
     """Run one server until SIGINT/SIGTERM (or cancellation)."""
     import signal
 
     logger = log.configure(stream=out)
-    server = SpikeServer(config)
+    server = SpikeServer(config, runner)
     await server.start()
     logger.info(
         "repro serve: listening on %s:%d (M=%d, n_samples=%d, jobs=%d, "
@@ -1545,19 +1556,22 @@ async def _serve_until_signal(config: ServerConfig, out) -> None:
         logger.info("repro serve: %s", server.stats.summary())
 
 
-def serve_forever(config: ServerConfig, out=sys.stdout) -> int:
+def serve_forever(
+    config: ServerConfig, out=sys.stdout, runner: Optional[Runner] = None
+) -> int:
     """Blocking entry point behind ``repro serve``.
 
     ``config.workers > 1`` hands off to the multi-process cluster
     (:func:`repro.serving.cluster.serve_cluster`); otherwise one
-    in-process server runs until a signal.
+    in-process server runs until a signal, on ``runner``'s pool when
+    one is given (the caller keeps ownership).
     """
     if config.workers > 1:
         from .cluster import serve_cluster
 
         return serve_cluster(config, out=out)
     try:
-        asyncio.run(_serve_until_signal(config, out))
+        asyncio.run(_serve_until_signal(config, out, runner))
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
         pass
     return 0

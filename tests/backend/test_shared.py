@@ -3,16 +3,19 @@
 ``to_shared``/``from_shared`` must be bit-identical to the in-process
 batch across densities (empty through full) and row ranges, and the
 arena must never leak segments — including when the guarded block
-raises.  A spec that outlived its arena must fail to attach, and a view
-that outlived its attachment must stay readable.
+raises.  A spec that outlived its arena must fail to attach, a view
+that outlived its attachment must stay readable, and a process forked
+while an arena lives must not hold its segments.
 """
 
 import dataclasses
 import os
 import pathlib
 import pickle
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -24,9 +27,10 @@ from repro.backend.shared import (
     SharedArena,
     attach_array,
 )
+from repro.pipeline.runner import Runner
 from repro.units import SimulationGrid
 
-from ..serving.live_server import arena_segments
+from ..serving.live_server import arena_segments, wait_until
 
 pytestmark = pytest.mark.skipif(
     not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
@@ -89,14 +93,19 @@ class TestReadOnlyAttach:
                 back[0] = 1
 
     def test_attach_starts_no_resource_tracker(self):
-        """Pool workers attach without starting a tracker of their own."""
+        """Pool workers attach without starting a tracker of their own,
+        and without loading the named-segment machinery at all."""
         script = (
             "import pickle, sys\n"
-            "from multiprocessing import resource_tracker\n"
             "from repro.backend.shared import attach_array\n"
             "spec = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
-            "print(int(attach_array(spec).sum()),"
-            " resource_tracker._resource_tracker._pid)\n"
+            "total = int(attach_array(spec).sum())\n"
+            "tracker = sys.modules.get('multiprocessing.resource_tracker')\n"
+            "loaded = [name for name in ('multiprocessing.shared_memory',"
+            " 'multiprocessing.resource_tracker', '_posixshmem')"
+            " if name in sys.modules]\n"
+            "print(total, tracker and tracker._resource_tracker._pid,"
+            " *loaded)\n"
         )
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ)
@@ -264,3 +273,72 @@ class TestArenaLifecycle:
                 assert len(cache) == 1
         cache.release()
         assert len(cache) == 0
+
+
+def _worker_pid(_payload=None):
+    """Broadcast target: the pid of the pool worker that ran it."""
+    return os.getpid()
+
+
+def _report_pid_and_stay_busy(path):
+    """Pool task: write this worker's pid to ``path``, then block.
+
+    A busy worker is the one to kill: an idle one may hold the pool's
+    task-queue lock, and killing it would wedge the pool.
+    """
+    pathlib.Path(path).write_text(str(os.getpid()))
+    time.sleep(120)
+
+
+class TestForkedChildrenDropArenas:
+    """Only the creator's descriptors and each process's own attachments
+    keep a segment: a process forked while an arena lives lets go of
+    what it inherited, so it never pins pages its parent has released."""
+
+    def test_forked_child_holds_no_arena_segment(self):
+        with SharedArena() as arena:
+            spec = arena.share_array(np.arange(16))
+            assert int(attach_array(spec).sum()) == 120  # cached, no view
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: report, then leave at once
+                try:
+                    held = (
+                        spec.inode in arena_segments()
+                        or spec.inode[1] in _mapped_inodes()
+                    )
+                    os.write(write_end, b"held" if held else b"none")
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            with os.fdopen(read_end, "rb") as reader:
+                report = reader.read()
+            os.waitpid(pid, 0)
+            assert report == b"none"
+            assert spec.inode in arena_segments()  # the parent keeps it
+            assert AttachmentCache().attach(spec).tolist() == list(range(16))
+
+    def test_respawned_pool_worker_holds_no_arena_segment(self, tmp_path):
+        """``multiprocessing.Pool`` replaces a killed worker with a fork
+        of this process, taken while the arena is live."""
+        busy = tmp_path / "busy.pid"
+        with Runner(jobs=2) as runner:
+            runner.ensure_pool()
+            before = runner.worker_pids()
+            assert len(before) == 2
+            with SharedArena() as arena:
+                spec = arena.share_array(np.arange(1 << 12))
+                runner.submit(_report_pid_and_stay_busy, str(busy))
+                assert wait_until(
+                    lambda: busy.exists() and busy.read_text(), 30
+                )
+                os.kill(int(busy.read_text()), signal.SIGKILL)
+                assert wait_until(
+                    lambda: len(runner.worker_pids() - before) == 1, 30
+                ), "the pool did not respawn its killed worker"
+                (fresh,) = runner.worker_pids() - before
+                # A task returning proves the fresh worker is past its
+                # fork hooks.
+                assert fresh in runner.broadcast(_worker_pid, sticky=False)
+                assert spec.inode in arena_segments()
+                assert not arena_segments(fresh)

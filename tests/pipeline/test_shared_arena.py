@@ -104,14 +104,21 @@ class TestNoResourceTrackerWarnings:
     def test_sharded_run_shutdown_is_silent(self):
         """A full interpreter lifecycle around a shared sharded run must
         emit no resource_tracker complaints (the 3.x tracker warns at
-        shutdown about segments left on its ledger)."""
+        shutdown about segments left on its ledger), and must never load
+        the named-segment machinery that could start a tracker."""
         script = (
+            "import sys\n"
             "from repro.pipeline import Runner\n"
             "cfg = {'n_wires': 16, 'n_trials': 2, 'n_shards': 2,"
             " 'basis_size': 4}\n"
             "with Runner(jobs=2) as runner:\n"
             "    report = runner.run('identify', overrides=cfg)\n"
             "assert report.ok, report.error\n"
+            "assert report.n_shards == 2, report.n_shards\n"
+            "loaded = [name for name in ('multiprocessing.shared_memory',"
+            " 'multiprocessing.resource_tracker', '_posixshmem')"
+            " if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
         )
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ)

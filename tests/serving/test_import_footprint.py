@@ -3,17 +3,20 @@
 SciPy is needed only by the IIR noise stream and the thermal-energy
 models, and it is by far the heaviest import in the package; the
 experiment modules and the layers only they use (simulator, search,
-baselines, energy, viz) are most of the rest.  The serving pool forks
-after module imports, so anything ``repro serve`` loads is inherited
-by every worker.  Shared arenas are anonymous memfds, so neither the
-server nor its workers load ``multiprocessing.shared_memory``, its
-resource tracker or ``_posixshmem`` either.  These guards run fresh
+baselines, energy, viz) are most of the rest.  Whatever a process has
+loaded when the serving pool forks, every worker inherits.  Shared
+arenas are anonymous memfds, so neither the server nor its workers
+load ``multiprocessing.shared_memory``, its resource tracker or
+``_posixshmem`` either, and a single-job server, which has no pool,
+loads no ``multiprocessing`` at all.  These guards run fresh
 interpreters through the whole serving surface — the CLI module, the
 basis build, and one identify, one logicnet and one corpus query,
 served in-process and through a two-worker pool — and fail if any of
-those modules got loaded in the server or in a pool worker.  A bare
-``import repro`` must load nothing but the root package and its export
-helper.
+those modules got loaded in the server or in a pool worker.
+``repro serve`` forks its pool right after importing
+:mod:`repro.serving.dispatch`, so that module must load no front-end
+code.  A bare ``import repro`` must load nothing but the root package
+and its export helper.
 """
 
 import json
@@ -49,7 +52,7 @@ with ServerThread(config) as handle:
         np.testing.assert_array_equal(rows.elements, np.arange(8))
 loaded = sorted(
     name for name in sys.modules
-    if name == "scipy" or name.startswith("scipy.")
+    if name.split(".")[0] in ("scipy", "multiprocessing")
 )
 print("\\n".join(loaded))
 """
@@ -141,7 +144,7 @@ def test_serving_never_imports_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     loaded = result.stdout.split()
-    assert not loaded, f"serving loaded SciPy: {loaded[:10]}"
+    assert not loaded, f"a --jobs 1 server loaded {loaded[:10]}"
 
 
 def test_pool_server_and_workers_load_only_serving_code(tmp_path):
@@ -169,3 +172,21 @@ def test_bare_import_loads_only_the_root_package():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["repro", "repro._exports"]
+
+
+def test_compute_layer_loads_no_front_end():
+    """The pool forks with this module loaded: no asyncio, no wire code."""
+    result = _run(
+        "-c",
+        "import sys, repro.serving.dispatch; print(' '.join(sorted("
+        "m for m in sys.modules if m.split('.')[0] == 'asyncio'"
+        " or m.startswith('repro.serving.'))))",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["repro.serving.dispatch"]
+
+
+def test_compute_layer_error_code_matches_the_wire():
+    from repro.serving import dispatch, protocol
+
+    assert dispatch.ERR_INTERNAL == protocol.ERR_INTERNAL

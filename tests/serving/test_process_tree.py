@@ -4,7 +4,9 @@ Whatever the traffic: LOGICNET (seed-rebuild shards), corpus queries
 (memory-mapped in-process) and ``shared-arena`` identifies alike.
 Arena segments are anonymous memfds that nothing has to unlink, so no
 multiprocessing resource tracker ever starts, and once a reply is in,
-the server holds no segment: only the workers' attachments do.
+the server holds no segment: only the workers' attachments do.  The
+pool forks before the server loads its front-end, so no worker maps
+the extensions only the front-end uses.
 """
 
 import os
@@ -19,6 +21,10 @@ from repro.serving.server import ServerConfig, build_serving_basis
 
 from .live_server import LiveServer, arena_segments
 
+#: Extension modules and libraries that only the asyncio front-end
+#: loads (asyncio imports ``ssl``).
+_FRONT_END_ONLY = ("_asyncio", "_ssl", "libssl")
+
 pytestmark = [
     pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc"),
     pytest.mark.skipif(
@@ -32,6 +38,38 @@ def batch():
     return build_serving_basis(
         ServerConfig(n_samples=4096, basis_size=8)
     ).as_batch()
+
+
+def _front_end_mapped(pid):
+    """Which of :data:`_FRONT_END_ONLY` ``pid`` has mapped."""
+    with open(f"/proc/{pid}/maps") as maps:
+        files = {
+            os.path.basename(fields[5])
+            for fields in (line.split() for line in maps)
+            if len(fields) > 5
+        }
+    return {
+        prefix
+        for prefix in _FRONT_END_ONLY
+        if any(name.startswith(prefix + ".") for name in files)
+    }
+
+
+def test_pool_workers_map_no_front_end_extension(tmp_path, batch):
+    with LiveServer(tmp_path, "--jobs", "2", "--fast-path-bytes", "0") as server:
+        with ServingClient("127.0.0.1", server.port) as client:
+            nets = client.logicnet(3, 0, 8, n_gates=6, depth=3, n_shards=2)
+            reply = client.identify(batch, n_shards=2)
+        assert nets.summary["transport"] == "seed-rebuild"
+        assert reply.summary["transport"] == "shared-arena"
+        server_pid, *workers = server.tree()
+        assert len(workers) == 2, workers
+        front_end = _front_end_mapped(server_pid)
+        if not front_end:
+            pytest.skip("this interpreter links the front-end extensions in")
+        for pid in workers:
+            assert not _front_end_mapped(pid) & front_end, pid
+        assert server.stop() == 0
 
 
 def test_logicnet_and_corpus_traffic_start_no_tracker(tmp_path, batch):

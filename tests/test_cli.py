@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.backend.shared import HAVE_SHARED_MEMORY
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.pipeline import ExperimentSpec, register, spec_names, unregister
 
@@ -237,8 +238,11 @@ class TestServeCommand:
 
         captured = {}
 
-        def fake_serve(config, out=None):
+        def fake_serve(config, out=None, runner=None):
             captured["config"] = config
+            captured["runner"] = runner
+            # Read here: the CLI closes its runner once serving returns.
+            captured["pool"] = runner.worker_pids() if runner else None
             return 0
 
         monkeypatch.setattr(server_mod, "serve_forever", fake_serve)
@@ -262,6 +266,28 @@ class TestServeCommand:
         assert config.fast_path_bytes == 65536
         assert config.coalesce_window == pytest.approx(0.0025)
         assert config.coalesce_max_wires == 256
+        if HAVE_SHARED_MEMORY:
+            # ``serve`` forked the pool before handing it over.
+            assert captured["runner"].jobs == 2
+            assert len(captured["pool"]) == 2
+        else:
+            assert captured["runner"] is None
+
+    @pytest.mark.parametrize(
+        "flags", [["--jobs", "1"], ["--jobs", "2", "--workers", "2"]]
+    )
+    def test_serve_without_a_pool_passes_no_runner(self, monkeypatch, flags):
+        import repro.serving.server as server_mod
+
+        captured = {}
+
+        def fake_serve(config, out=None, runner=None):
+            captured["runner"] = runner
+            return 0
+
+        monkeypatch.setattr(server_mod, "serve_forever", fake_serve)
+        assert main(["serve", "--port", "0", *flags], out=io.StringIO()) == 0
+        assert captured["runner"] is None
 
 
 @dataclass(frozen=True)
