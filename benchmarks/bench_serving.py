@@ -2,7 +2,7 @@
 
 The serving layer's claim is not a kernel speedup — it is that the RPC
 boundary adds only framing and transport on top of the packed compute
-path.  Two shapes are measured against one embedded
+path.  Three shapes are measured against one embedded
 :class:`~repro.serving.server.SpikeServer`:
 
 * ``serving_identify_rpc`` — the serial shape (256 wires, M=16,
@@ -21,28 +21,21 @@ path.  Two shapes are measured against one embedded
   the serving layer adds at most a couple of compute-times of
   overhead even at load — and the recorded req/s is the throughput
   floor ``compare_bench.py`` holds future runs to.
-* ``serving_identify_rpc_workers2`` — the same concurrent shape
-  against a two-worker :class:`~repro.serving.cluster.ServerCluster`
-  (``repro serve --workers 2``): forked worker *processes*, so the
-  packed compute leaves the client's GIL entirely.  Correctness
-  (aggregated cluster counters account for every request sent) is
-  asserted everywhere; the "more workers → more req/s than the
-  single-process entry" gate only fires on hosts with a second core
-  to run the second worker.
+* ``serving_identify_rpc_under_faults`` — sequential two-shard
+  requests against a ``jobs=2`` server while ~1% of shards SIGKILL
+  the pool worker computing them: supervision resubmits the lost
+  shard, and the median request must not pay for it.
 
-Both entries record ``seconds`` as the **best-of** request latency —
-the same minimum-damps-scheduler-noise methodology every gated entry
-uses (p50 would make the cross-machine ``compare_bench.py`` gate fire
-on TCP/thread scheduling noise); ``speedup`` is baseline/best — the
-fraction of a request that is compute rather than serving overhead
-(1.0 would mean a free RPC layer).  p50, p99 and requests/sec travel
-in the config blocks.
+The first two entries record ``seconds`` as the **best-of** request
+latency — the same minimum-damps-scheduler-noise methodology every
+gated entry uses (p50 would make the cross-machine
+``compare_bench.py`` gate fire on TCP/thread scheduling noise);
+``speedup`` is baseline/best — the fraction of a request that is
+compute rather than serving overhead (1.0 would mean a free RPC
+layer).  p50, p99 and requests/sec travel in the config blocks.
 """
 
 import asyncio
-import json
-import os
-import pathlib
 import sys
 import time
 
@@ -50,8 +43,8 @@ import numpy as np
 import pytest
 
 from repro.logic.correlator import CoincidenceCorrelator
-from repro.serving.client import AsyncServingClient, RetryPolicy, ServingClient
-from repro.serving.cluster import ServerCluster
+from repro.pipeline.runner import Runner
+from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.server import ServerConfig, ServerThread, build_serving_basis
 from repro.testing import faults
 
@@ -298,179 +291,38 @@ def test_serving_identify_rpc_concurrent(
     assert stats["coalesced_batches"] < n_requests
 
 
-def test_serving_identify_rpc_workers2(
-    serving_workload, archive, bench_record, best_of
-):
-    """The concurrent shape against a two-worker cluster on one port."""
-    config, basis, wires, elements = serving_workload
-    correlator = CoincidenceCorrelator(basis)
-
-    rng = np.random.default_rng(7)
-    n_streams = N_CLIENTS * STREAMS_PER_CLIENT
-    streams = []
-    for _ in range(n_streams):
-        rows = rng.integers(0, N_WIRES, size=WIRES_PER_REQUEST)
-        streams.append((wires.select_rows(rows), elements[rows]))
-
-    small_batch = streams[0][0]
-    local_s = best_of(
-        lambda: correlator.identify_batch(small_batch, missing="none")
-    )
-
-    cluster_config = ServerConfig(
-        seed=config.seed,
-        basis_size=config.basis_size,
-        n_samples=config.n_samples,
-        source_isi_samples=config.source_isi_samples,
-        jobs=1,
-        workers=2,
-        coalesce_window=0.002,
-        coalesce_max_wires=128,
-    )
-
-    latencies = []
-
-    async def stream(client, batch, expected):
-        loop = asyncio.get_running_loop()
-        for _request in range(REQUESTS_PER_STREAM):
-            started = loop.time()
-            reply = await client.identify(batch)
-            latencies.append(loop.time() - started)
-            assert np.array_equal(reply.elements, expected)
-
-    async def drive(host, port):
-        clients = [
-            await AsyncServingClient.open(host, port)
-            for _client in range(N_CLIENTS)
-        ]
-        try:
-            await asyncio.gather(
-                *[
-                    stream(clients[index % N_CLIENTS], batch, expected)
-                    for index, (batch, expected) in enumerate(streams)
-                ]
-            )
-            return await clients[0].stats()
-        finally:
-            for client in clients:
-                await client.aclose()
-
-    n_requests = n_streams * REQUESTS_PER_STREAM
-    with ServerCluster(cluster_config) as cluster:
-        host = cluster_config.host
-        # Warm-up round: connections, forked workers' first from_packed.
-        asyncio.run(drive(host, cluster.port))
-        latencies.clear()
-        span_start = time.perf_counter()
-        stats = asyncio.run(drive(host, cluster.port))
-        span = time.perf_counter() - span_start
-
-    # The cluster-wide counters must account for every request sent —
-    # warm-up plus measured round — regardless of which worker each
-    # connection landed on.  This is the cross-worker STATS gate: any
-    # worker answers with the aggregate of all of them.
-    assert stats["scope"] == "cluster"
-    assert stats["workers"] == 2
-    assert stats["requests_served"] == 2 * n_requests
-    assert (
-        sum(w["requests_served"] for w in stats["per_worker"])
-        == 2 * n_requests
-    )
-
-    latencies = np.sort(np.array(latencies))
-    assert latencies.size == n_requests
-    best = float(latencies[0])
-    p50 = float(np.percentile(latencies, 50))
-    p99 = float(np.percentile(latencies, 99))
-    requests_per_second = n_requests / span
-    compute_fraction = local_s / best
-    per_worker = [int(w["requests_served"]) for w in stats["per_worker"]]
-
-    text = "\n".join(
-        [
-            "Serving front-end, concurrent identify RPC, 2-worker cluster "
-            f"({N_CLIENTS} connections x {STREAMS_PER_CLIENT} streams, "
-            f"{WIRES_PER_REQUEST} wires/request, M={BASIS_SIZE}, "
-            f"T={N_SAMPLES}, {n_requests} requests, {os.cpu_count()} cpu(s))",
-            f"  request best   : {1e3 * best:8.3f} ms",
-            f"  request p50    : {1e3 * p50:8.3f} ms",
-            f"  request p99    : {1e3 * p99:8.3f} ms",
-            f"  throughput     : {requests_per_second:8.1f} req/s",
-            f"  worker split   : {per_worker} "
-            "(warm-up + measured rounds)",
-            f"  in-process pass: {1e3 * local_s:8.3f} ms "
-            f"(compute fraction of best: {compute_fraction:.2f})",
-        ]
-    )
-    archive("serving_identify_rpc_workers2.txt", text)
-    bench_record(
-        "serving_identify_rpc_workers2",
-        {
-            "connections": N_CLIENTS,
-            "streams": n_streams,
-            "wires_per_request": WIRES_PER_REQUEST,
-            "basis_size": BASIS_SIZE,
-            "n_samples": N_SAMPLES,
-            "requests": n_requests,
-            "workers": 2,
-            "p50_seconds": round(p50, 6),
-            "p99_seconds": round(p99, 6),
-            "requests_per_second": round(requests_per_second, 1),
-            "local_seconds": round(local_s, 6),
-        },
-        seconds=best,
-        speedup=compute_fraction,
-    )
-
-    # More workers must mean more throughput — but only where a second
-    # core exists to run the second worker; on one CPU the cluster adds
-    # a second event loop without adding compute.
-    if os.cpu_count() >= 2:
-        bench_json = pathlib.Path(__file__).parent / "BENCH_batch.json"
-        entries = {
-            entry["experiment"]: entry
-            for entry in json.loads(bench_json.read_text())
-        }
-        single = entries.get("serving_identify_rpc_concurrent")
-        if single is not None:
-            single_rps = single["config"]["requests_per_second"]
-            assert requests_per_second > single_rps, (
-                f"2-worker cluster served {requests_per_second:.0f} req/s, "
-                f"below the single-process entry's {single_rps:.0f} req/s"
-            )
-
-
 # --- fault-tolerance overhead -----------------------------------------
 
 FAULT_N_SAMPLES = 4096
 FAULT_BASIS_SIZE = 8
 FAULT_REQUESTS = 250
 FAULT_KILL_RATE = 0.01
+FAULT_JOBS = 2
 
 
 def test_serving_identify_rpc_under_faults(archive, bench_record):
-    """Request latency against a self-healing cluster under injected kills.
+    """Request latency under injected pool-worker kills.
 
-    The same sequential identify load is driven twice against a
-    two-worker :class:`~repro.serving.cluster.ServerCluster` — once
-    calm, once with ``serving.handle_frame=kill:p=0.01`` armed, so
-    ~1% of requests SIGKILL the worker serving them mid-request.  The
-    client's :class:`~repro.serving.client.RetryPolicy` reconnects and
-    re-issues; the cluster monitor respawns the victims.  The gate:
-    the p50 under faults stays within 2x the fault-free p50 (plus a
-    small additive floor for sub-millisecond noise) — fault tolerance
-    is overhead-free for the requests that hit no fault, and the
-    killed requests land in the tail, not the median.  ``seconds``
-    records the faulted p50 (the quantity the gate protects), unlike
-    the best-of latency entries above.
+    The same sequential two-shard identify load is driven twice against
+    one ``jobs=2`` server with the fast path off, so every request
+    takes the ``shared-arena`` route through the pool — once calm, once
+    with ``serving.run_shard=kill:p=0.01`` armed, so ~1% of shards
+    SIGKILL the pool worker computing them.  Supervision resubmits each
+    lost shard and the pool replaces the dead worker.  The gate: the
+    p50 under faults stays within 2x the fault-free p50 (plus a small
+    additive floor for sub-millisecond noise) — fault tolerance is
+    overhead-free for the requests that hit no fault, and the killed
+    shards land in the tail, not the median.  ``seconds`` records the
+    faulted p50 (the quantity the gate protects), unlike the best-of
+    latency entries above.
     """
     config = ServerConfig(
         seed=2016,
         basis_size=FAULT_BASIS_SIZE,
         n_samples=FAULT_N_SAMPLES,
         source_isi_samples=16,
-        jobs=1,
-        workers=2,
+        jobs=FAULT_JOBS,
+        fast_path_bytes=0,
     )
     basis = build_serving_basis(config)
     rng = np.random.default_rng(2016)
@@ -479,56 +331,63 @@ def test_serving_identify_rpc_under_faults(archive, bench_record):
     expected = CoincidenceCorrelator(basis).identify_batch(
         wires, missing="none"
     )
-    retry = RetryPolicy(attempts=8, base_delay=0.02, max_delay=0.25)
 
-    def drive(port):
+    def drive():
+        """Latencies, sorted, and every pool worker pid seen."""
         latencies = []
-        with ServingClient(
-            "127.0.0.1", port, retry=retry, timeout=30.0
-        ) as client:
-            for _warm in range(5):
-                client.identify(wires)
-            for _request in range(FAULT_REQUESTS):
-                started = time.perf_counter()
-                reply = client.identify(wires)
-                latencies.append(time.perf_counter() - started)
-                assert np.array_equal(reply.elements, expected.elements)
-            stats = client.stats()
-        return np.sort(np.array(latencies)), stats
+        with Runner(jobs=FAULT_JOBS) as runner:
+            with ServerThread(config, runner) as handle:
+                seen = set(runner.worker_pids())
+                with ServingClient(
+                    handle.host, handle.port, timeout=30.0
+                ) as client:
+                    for _warm in range(5):
+                        client.identify(wires, n_shards=FAULT_JOBS)
+                    for _request in range(FAULT_REQUESTS):
+                        started = time.perf_counter()
+                        reply = client.identify(wires, n_shards=FAULT_JOBS)
+                        latencies.append(time.perf_counter() - started)
+                        assert reply.summary["transport"] == "shared-arena"
+                        assert np.array_equal(
+                            reply.elements, expected.elements
+                        )
+                        seen |= runner.worker_pids()
+        return np.sort(np.array(latencies)), seen
 
     faults.disarm()
-    with ServerCluster(config) as cluster:
-        calm, _calm_stats = drive(cluster.port)
+    calm, _calm_pids = drive()
     try:
-        # Armed before the fork so every worker inherits the fault.
-        faults.arm(f"serving.handle_frame=kill:p={FAULT_KILL_RATE}")
-        with ServerCluster(config) as cluster:
-            faulted, stats = drive(cluster.port)
+        # Armed before the pool forks so every worker inherits it.
+        faults.arm(f"serving.run_shard=kill:p={FAULT_KILL_RATE}")
+        faulted, pids = drive()
     finally:
         faults.disarm()
 
     calm_p50 = float(np.percentile(calm, 50))
     p50 = float(np.percentile(faulted, 50))
     p99 = float(np.percentile(faulted, 99))
-    respawns = int(stats.get("respawns", 0))
+    # Each replacement is a pid the pool did not start with.
+    replaced = len(pids) - FAULT_JOBS
 
     text = "\n".join(
         [
-            "Serving front-end, identify RPC under injected worker kills "
-            f"(2-worker cluster, {FAULT_REQUESTS} requests, "
-            f"{100 * FAULT_KILL_RATE:.0f}% kill rate, "
+            "Serving front-end, identify RPC under injected pool-worker "
+            f"kills ({FAULT_JOBS} pool workers, {FAULT_JOBS} shards per "
+            f"request, {FAULT_REQUESTS} requests, "
+            f"{100 * FAULT_KILL_RATE:.0f}% kill rate per shard, "
             f"M={FAULT_BASIS_SIZE}, T={FAULT_N_SAMPLES})",
             f"  calm p50       : {1e3 * calm_p50:8.3f} ms",
             f"  faulted p50    : {1e3 * p50:8.3f} ms",
             f"  faulted p99    : {1e3 * p99:8.3f} ms",
-            f"  worker respawns: {respawns}",
+            f"  workers replaced: {replaced}",
         ]
     )
     archive("serving_identify_rpc_under_faults.txt", text)
     bench_record(
         "serving_identify_rpc_under_faults",
         {
-            "workers": 2,
+            "jobs": FAULT_JOBS,
+            "n_shards": FAULT_JOBS,
             "requests": FAULT_REQUESTS,
             "kill_rate": FAULT_KILL_RATE,
             "basis_size": FAULT_BASIS_SIZE,
@@ -536,14 +395,14 @@ def test_serving_identify_rpc_under_faults(archive, bench_record):
             "calm_p50_seconds": round(calm_p50, 6),
             "p50_seconds": round(p50, 6),
             "p99_seconds": round(p99, 6),
-            "respawns": respawns,
+            "workers_replaced": replaced,
         },
         seconds=p50,
         speedup=calm_p50 / p50,
     )
     # The fault-tolerance gate: the median request must not pay for
-    # the recovery machinery.  Killed requests (~1% of the load) ride
-    # retries into the tail; the p50 stays within 2x of calm.
+    # the recovery machinery.  Killed shards (~1% of them) ride
+    # resubmission into the tail; the p50 stays within 2x of calm.
     assert p50 < 2 * calm_p50 + 0.005, (
         f"faulted p50 {1e3 * p50:.3f} ms exceeds twice the calm p50 "
         f"{1e3 * calm_p50:.3f} ms"

@@ -15,7 +15,8 @@ contiguous row slice of the same operands (shipped once through a
 the per-slice results concatenate in row order.  Because every kernel
 here is row-independent, the parallel result is the serial result by
 construction — the property ``tests/backend/test_parallel.py`` checks
-over randomized ragged splits on both popcount implementations.
+over randomized ragged splits, with the one ``np.bitwise_count``
+popcount.
 
 Every entry point degrades to the serial kernel in-process when
 parallel dispatch cannot help or cannot run:

@@ -195,13 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for shard dispatch (default 1: in-process)",
     )
     serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="server processes accepting on the one port "
-        "(via SO_REUSEPORT; default 1)",
-    )
-    serve.add_argument(
         "--seed",
         type=_bounded_int(0),
         default=2016,
@@ -447,7 +440,7 @@ def _run_serve(args, out) -> int:
 
     with contextlib.ExitStack() as stack:
         runner = None
-        if dispatch.uses_pool(args.jobs, args.workers):
+        if dispatch.uses_pool(args.jobs):
             from .pipeline.runner import Runner
 
             runner = stack.enter_context(Runner(jobs=args.jobs))
@@ -465,7 +458,6 @@ def _run_serve(args, out) -> int:
             fast_path_bytes=args.fast_path_bytes,
             coalesce_window=args.coalesce_window_ms / 1000.0,
             coalesce_max_wires=args.coalesce_max_wires,
-            workers=args.workers,
             corpus=str(args.corpus) if args.corpus is not None else None,
             corpus_chunk_rows=args.corpus_chunk_rows,
             idle_timeout=args.idle_timeout,

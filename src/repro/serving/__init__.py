@@ -28,7 +28,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "build_serving_basis",
             "serve_forever",
         ),
-        "cluster": ("ServerCluster", "serve_cluster"),
         "client": ("ServingClient", "IdentifyReply", "MembershipReply"),
         "protocol": ("PROTOCOL_VERSION", "FrameReader"),
     },

@@ -411,8 +411,7 @@ class _ClientCore:
 
         Returns the PONG payload — ``{"ready": true, ...}`` plus the
         served protocol version and the hosted corpus name (if any).
-        The cheapest possible liveness check: no compute, no STATS
-        aggregation.
+        The cheapest possible liveness check: no compute, no pool.
         """
         return self._call(
             lambda request_id: [protocol.encode_ping(request_id)],
@@ -420,19 +419,10 @@ class _ClientCore:
             _summary_only,
         )
 
-    def stats(self, scope: Optional[str] = None) -> dict:
-        """The server's :class:`~repro.serving.server.ServerStats` snapshot.
-
-        ``scope`` is forwarded on the wire (see
-        :func:`~repro.serving.protocol.encode_stats_request`): against
-        a ``--workers N`` cluster, the default answers cluster-wide
-        aggregated counters and ``"local"`` answers only the worker
-        this connection landed on.  Single servers ignore it.
-        """
+    def stats(self) -> dict:
+        """The server's :class:`~repro.serving.server.ServerStats` snapshot."""
         return self._call(
-            lambda request_id: [
-                protocol.encode_stats_request(request_id, scope=scope)
-            ],
+            lambda request_id: [protocol.encode_stats_request(request_id)],
             protocol.FRAME_STATS_REPLY,
             _summary_only,
         )

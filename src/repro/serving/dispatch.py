@@ -74,17 +74,16 @@ __all__ = [
 ERR_INTERNAL = 8
 
 
-def uses_pool(jobs: int, workers: int = 1) -> bool:
+def uses_pool(jobs: int) -> bool:
     """True when a server shards requests over a pool of ``jobs`` workers.
 
-    The pool path needs more than one job, memfd shared memory for the
-    request arenas and a single server process: ``--workers N`` forks N
-    servers, and each builds its own pool.  ``repro serve`` asks this to
-    fork the pool before it loads the front-end, and
+    The pool path needs more than one job and memfd shared memory for
+    the request arenas.  ``repro serve`` asks this to fork the pool
+    before it loads the front-end, and
     :class:`~repro.serving.server.SpikeServer` to decide whether to
     build a pool and route shards to it.
     """
-    return jobs > 1 and workers == 1 and HAVE_SHARED_MEMORY
+    return jobs > 1 and HAVE_SHARED_MEMORY
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Structured, process-aware logging for the serving tier.
 
-One logger hierarchy (``repro.serving``) shared by the single-process
-server and every worker of a ``--workers N`` cluster.  Each record is
-prefixed with the emitting process id, which is what makes interleaved
-multi-worker output attributable — the same per-worker discipline as
-syncopy's ``shared/log.py``.
+One logger hierarchy (``repro.serving``) for the server process.  Each
+record is prefixed with the emitting process id, which keeps output
+attributable when several processes share one stream — the same
+per-process discipline as syncopy's ``shared/log.py``.
 
 The level comes from the ``REPRO_LOG_LEVEL`` environment variable
 (``DEBUG``/``INFO``/``WARNING``/``ERROR``, default ``INFO``), read at
@@ -32,7 +31,7 @@ LEVEL_ENV = "REPRO_LOG_LEVEL"
 #: Root of the serving logger hierarchy.
 _LOGGER_NAME = "repro.serving"
 
-#: Every record carries the emitting pid — the multi-worker requirement.
+#: Every record carries the emitting pid.
 _FORMAT = "[%(process)d] %(levelname)s %(name)s: %(message)s"
 
 #: The pid that last configured the logger (fork detection).
@@ -79,9 +78,9 @@ def configure(
 def get_logger(child: Optional[str] = None) -> logging.Logger:
     """The serving logger (configured on first use per process).
 
-    ``child`` scopes the name (``repro.serving.<child>``); worker
-    processes pass e.g. ``"worker"`` so origin is visible even before
-    the pid prefix is correlated.
+    ``child`` scopes the name (``repro.serving.<child>``); the server
+    passes ``"server"`` so origin is visible even before the pid prefix
+    is correlated.
     """
     if _configured_pid != os.getpid():
         configure()

@@ -119,7 +119,6 @@ __all__ = [
     "encode_result_frame",
     "parse_result_frame",
     "encode_stats_request",
-    "stats_scope",
     "encode_error",
     "request_nbytes",
 ]
@@ -773,8 +772,7 @@ def encode_ping(request_id: int = 0) -> bytes:
     """Encode one PING health probe (answered with a JSON PONG).
 
     An empty payload by design: the cheapest possible liveness
-    round-trip for load-balancer probes — no compute, no pool, no
-    STATS aggregation.
+    round-trip for load-balancer probes — no compute, no pool.
     """
     return encode_frame(FRAME_PING, request_id, b"")
 
@@ -1012,46 +1010,13 @@ def parse_result_frame(frame: Frame) -> dict:
     return payload
 
 
-def encode_stats_request(
-    request_id: int = 0,
-    *,
-    scope: Optional[str] = None,
-) -> bytes:
+def encode_stats_request(request_id: int = 0) -> bytes:
     """Encode one STATS request (answered with JSON).
 
-    ``scope`` selects which counters a multi-worker server answers
-    with: ``"cluster"`` (the default on clustered servers) aggregates
-    every worker's counters into one reply with per-worker detail,
-    ``"local"`` returns only the worker that happened to accept this
-    connection.  The scope rides as a tiny JSON payload
-    (``{"scope": ...}``); ``None`` keeps the payload empty, which
-    every server treats as the default scope.
+    The payload is empty.  A server ignores any STATS payload and
+    always answers with its own snapshot.
     """
-    payload = (
-        json.dumps({"scope": scope}, separators=(",", ":")).encode("utf-8")
-        if scope is not None
-        else b""
-    )
-    return encode_frame(FRAME_STATS, request_id, payload)
-
-
-def stats_scope(frame: Frame) -> Optional[str]:
-    """The scope of a STATS request frame (None: default scope).
-
-    Tolerant by design — an empty, undecodable or scope-less payload
-    is the default scope, never an error: STATS must keep answering
-    whatever a client managed to send.
-    """
-    if not frame.payload:
-        return None
-    try:
-        obj = json.loads(bytes(frame.payload).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(obj, dict):
-        return None
-    scope = obj.get("scope")
-    return scope if isinstance(scope, str) else None
+    return encode_frame(FRAME_STATS, request_id, b"")
 
 
 def encode_error(request_id: int, code: int, message: str) -> bytes:

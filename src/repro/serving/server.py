@@ -141,12 +141,6 @@ class ServerConfig:
     ``coalesce_max_wires`` rows accumulate) and compute as one wide
     batch.
 
-    ``workers`` > 1 turns ``repro serve`` into a process cluster: that
-    many server processes accept on **one** ``SO_REUSEPORT`` port and
-    report one aggregated STATS reply — see
-    :mod:`repro.serving.cluster`.  A single :class:`SpikeServer`
-    ignores the field.
-
     ``corpus`` names a :class:`~repro.pipeline.corpus.CorpusStore`
     directory to host read-only: the server then answers
     ``FRAME_CORPUS_QUERY`` requests against it (by the directory's
@@ -154,9 +148,7 @@ class ServerConfig:
     ``corpus_chunk_rows`` caps the rows any one chunk maps and
     therefore the peak working set of a corpus scan, no matter how
     many rows the query spans.  The corpus must live on the serving
-    basis's exact grid (checked at startup).  Cluster workers each
-    open their own read-only mapping of the same files; the OS page
-    cache is shared between them for free.
+    basis's exact grid (checked at startup).
     """
 
     host: str = "127.0.0.1"
@@ -172,7 +164,6 @@ class ServerConfig:
     fast_path_bytes: int = 4 * 1024 * 1024
     coalesce_window: float = 0.0  # seconds; 0 → coalescing off
     coalesce_max_wires: int = 4096
-    workers: int = 1
     corpus: Optional[str] = None
     corpus_chunk_rows: int = 4096
     #: Seconds a connection may sit with no bytes arriving and no
@@ -216,19 +207,13 @@ class ServerStats:
     """
 
     def __init__(self, window: int = 1024) -> None:
-        self._reset_counters()
-        self._latencies: Deque[float] = deque(maxlen=int(window))
-
-    def _reset_counters(self) -> None:
-        """Zero every counter; subclasses backed by shared memory that
-        must survive a process respawn override this to preserve the
-        predecessor's counts (cluster STATS stays monotonic)."""
         self.requests_served = 0
         self.fast_path_requests = 0
         self.pool_path_requests = 0
         self.coalesced_requests = 0
         self.coalesced_batches = 0
         self.errors = 0
+        self._latencies: Deque[float] = deque(maxlen=int(window))
 
     def record(self, transport: str, seconds: float) -> None:
         """Count one served request and its wall time."""
@@ -710,30 +695,19 @@ class SpikeServer:
         self,
         config: Optional[ServerConfig] = None,
         runner: Optional[Runner] = None,
-        *,
-        sock=None,
-        stats: Optional[ServerStats] = None,
-        stats_aggregator=None,
-        basis: Optional[HyperspaceBasis] = None,
     ) -> None:
         self.config = config if config is not None else ServerConfig()
         self._runner = runner
         self._owns_runner = runner is None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._basis: Optional[HyperspaceBasis] = basis
+        self._basis: Optional[HyperspaceBasis] = None
         self._basis_token: Optional[str] = None
         self._budget = _InflightBudget(self.config.max_inflight_bytes)
         self._writers: Set["_Connection"] = set()
         self._tasks: Set[asyncio.Task] = set()
         self._coalescer: Optional[_Coalescer] = None
         self._closing = False
-        # The cluster tier injects all three: a pre-bound SO_REUSEPORT
-        # socket (every worker accepts on one port), a stats object
-        # mirroring into the cluster's shared block, and the aggregator
-        # answering cluster-scope STATS from that block.
-        self._sock = sock
-        self.stats = stats if stats is not None else ServerStats()
-        self._stats_aggregator = stats_aggregator
+        self.stats = ServerStats()
         self._corpus = None  # CorpusStore once start() opens config.corpus
         self._corpus_name: Optional[str] = None
 
@@ -772,10 +746,7 @@ class SpikeServer:
             from ..pipeline.runner import Runner
 
             self._runner = Runner(jobs=self.config.jobs)
-        if self._basis is None:
-            # Cluster workers inject a basis attached from the shared
-            # startup arena instead of re-running the synthesis.
-            self._basis = build_serving_basis(self.config)
+        self._basis = build_serving_basis(self.config)
         table = dispatch.export_basis(self._basis)
         self._basis_token = table.token
         dispatch.install_basis(table)
@@ -794,14 +765,9 @@ class SpikeServer:
                 self.config.coalesce_max_wires,
             )
         loop = asyncio.get_running_loop()
-        if self._sock is not None:
-            self._server = await loop.create_server(
-                lambda: _Connection(self), sock=self._sock
-            )
-        else:
-            self._server = await loop.create_server(
-                lambda: _Connection(self), self.config.host, self.config.port
-            )
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
+        )
 
     def _open_corpus(self) -> None:
         """Open the configured corpus read-only and pin its identity.
@@ -925,27 +891,22 @@ class SpikeServer:
         typed error frame on the request's id.
         """
         if frame.frame_type == protocol.FRAME_STATS:
-            # Clustered workers answer cluster-wide counters unless the
-            # client explicitly asked for this worker's ("local").  A
-            # plain server has no aggregator and always answers itself.
-            scope = protocol.stats_scope(frame)
-            if self._stats_aggregator is not None and scope != "local":
-                payload = self._stats_aggregator()
-            else:
-                payload = self.stats.snapshot()
+            # The payload is ignored: whatever a client sends, the reply
+            # is this server's own snapshot.
             await self._send(
                 writer,
                 protocol.encode_json_frame(
-                    protocol.FRAME_STATS_REPLY, frame.request_id, payload
+                    protocol.FRAME_STATS_REPLY,
+                    frame.request_id,
+                    self.stats.snapshot(),
                 ),
             )
             return
         if frame.frame_type == protocol.FRAME_PING:
             # The load-balancer probe: answered inline on the event
-            # loop, no compute, no pool, no aggregation — a server that
-            # answers PONG is accepting and parsing frames.  The reply
-            # advertises the hosted corpus (if any) so a probe doubles
-            # as discovery.
+            # loop, no compute, no pool — a server that answers PONG is
+            # accepting and parsing frames.  The reply advertises the
+            # hosted corpus (if any) so a probe doubles as discovery.
             await self._send(
                 writer,
                 protocol.encode_json_frame(
@@ -969,7 +930,7 @@ class SpikeServer:
             # A typed refusal instead of silence: the request is
             # retryable by definition (it never started computing), and
             # answering it is what lets a client fail over to a healthy
-            # worker instead of hanging until its own timeout.
+            # server instead of hanging until its own timeout.
             try:
                 await self._send(
                     writer,
@@ -1073,8 +1034,7 @@ class SpikeServer:
         compute); the shard resources (a shared arena) close before the
         DONE summary, which is counted in :attr:`stats` before it is
         written — a client that holds the reply must find the request
-        in the counters, even when its next STATS lands on a clustered
-        sibling.
+        in the counters.
         """
         if plan.budget:
             await self._acquire_budget(plan.budget, deadline)
@@ -1561,15 +1521,9 @@ def serve_forever(
 ) -> int:
     """Blocking entry point behind ``repro serve``.
 
-    ``config.workers > 1`` hands off to the multi-process cluster
-    (:func:`repro.serving.cluster.serve_cluster`); otherwise one
-    in-process server runs until a signal, on ``runner``'s pool when
-    one is given (the caller keeps ownership).
+    One server runs until a signal, on ``runner``'s pool when one is
+    given (the caller keeps ownership).
     """
-    if config.workers > 1:
-        from .cluster import serve_cluster
-
-        return serve_cluster(config, out=out)
     try:
         asyncio.run(_serve_until_signal(config, out, runner))
     except KeyboardInterrupt:  # pragma: no cover - signal handler races

@@ -17,7 +17,8 @@ implementation.  This module holds that contract's two halves:
   exact equality, reporting the first diverging case in full.
 
 The property suites (``tests/logic/test_netbatch_properties.py``)
-drive random networks through both halves on both popcount paths; the
+drive random networks through both halves on the one
+``np.bitwise_count`` popcount path; the
 benchmarks reuse :func:`reference_evaluate` as the per-gate baseline
 the batched kernels are gated against.
 """

@@ -14,9 +14,9 @@ must also leave nothing behind.  After each case, and after a
   handler).
 
 Process-lifetime multiprocessing handles — the ``pym-*`` heap arenas
-backing pool barriers and cluster stats blocks — open once per process
-and never close (arenas under 4 MiB are never returned); a session
-warm-up opens them so they belong to every case's baseline.
+backing pool barriers — open once per process and never close (arenas
+under 4 MiB are never returned); a session warm-up opens them so they
+belong to every case's baseline.
 """
 
 import gc
@@ -59,7 +59,7 @@ def _process_lifetime_handles():
     with Runner(jobs=2) as runner:
         runner.ensure_pool()
     # One large shared-ctypes block opens a heap arena with room for
-    # every later barrier, lock and stats block, then frees into it.
+    # every later barrier and lock, then frees into it.
     multiprocessing.RawArray("b", 1 << 20)
     log.get_logger()  # configure now: a later first use would reset handlers
     gc.collect()

@@ -8,8 +8,7 @@ clauses of the fault-tolerance contract:
 * any client-visible error is **typed** — retryable or fatal, never a
   raw hang or an untyped disconnect;
 * recovery needs no operator action (supervision respawns pool
-  workers, the cluster monitor respawns serving workers, the client
-  retry policy reconnects and re-issues).
+  workers, the client retry policy reconnects and re-issues).
 
 Faults that reach forked children must be armed *before* the fork —
 the harness travels by environment variable, which existing children
@@ -43,7 +42,7 @@ from repro.units import SimulationGrid, paper_white_grid
 
 SMALL = dict(n_samples=4096, basis_size=8, source_isi_samples=16, seed=7)
 
-#: Generous enough to ride out a worker respawn, small enough that a
+#: Generous enough to ride out a dropped connection, small enough that a
 #: genuinely broken path fails the test quickly instead of stalling it.
 RETRY = RetryPolicy(attempts=8, base_delay=0.05, factor=2.0, max_delay=0.5)
 
@@ -146,48 +145,39 @@ class TestServingShardKill:
         _assert_identical(reply, expected_identify)
         assert reply.summary["transport"] == "shared-arena"
 
-
-@pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="no POSIX shared memory on this host"
-)
-class TestClusterWorkerKill:
-    """A serving worker dies mid-request: monitor respawns, client retries."""
-
-    def test_retrying_client_rides_out_worker_death(
+    def test_killed_worker_is_replaced_and_the_pool_keeps_serving(
         self, tmp_path, small_wires, expected_identify
     ):
-        from repro.serving.cluster import ServerCluster
-
+        """The server process outlives the kill; its pool heals under it."""
         claim = tmp_path / "claim"
-        config = ServerConfig(workers=2, **SMALL)
-        # Armed before the cluster forks; the claim admits one kill, and
-        # the respawned worker (forked after the claim file exists)
-        # cannot re-fire it.
-        faults.arm(f"serving.handle_frame=kill@{claim}")
-        with ServerCluster(config) as cluster:
-            with ServingClient(
-                "127.0.0.1", cluster.port, retry=RETRY, timeout=30.0
-            ) as client:
-                replies = [client.identify(small_wires) for _ in range(4)]
-            assert claim.exists(), "the fault never fired"
-            for reply in replies:
-                _assert_identical(reply, expected_identify)
-            # The monitor must have noticed and respawned the victim.
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if int(cluster.block.respawns[0]) >= 1:
-                    break
-                time.sleep(0.1)
-            assert int(cluster.block.respawns[0]) >= 1
-            with ServingClient(
-                "127.0.0.1", cluster.port, retry=RETRY, timeout=30.0
-            ) as client:
-                stats = client.stats()
-        assert stats["respawns"] >= 1
-        # STATS continuity: the aggregate keeps counting across the
-        # respawn instead of resetting — every successful identify and
-        # the STATS round-trip itself are in the monotone total.
-        assert stats["requests_served"] >= len(replies)
+        faults.arm(f"serving.run_shard=kill@{claim}")
+        with Runner(jobs=2) as runner:
+            runner.ensure_pool()
+            before = runner.worker_pids()
+            with ServerThread(
+                ServerConfig(jobs=2, **SMALL), runner=runner
+            ) as handle:
+                with ServingClient(handle.host, handle.port) as client:
+                    first = client.identify(small_wires, n_shards=2)
+                    assert claim.exists(), "the fault never fired"
+                    # The pool replaces the victim from its own thread.
+                    deadline = time.monotonic() + 30.0
+                    after = runner.worker_pids()
+                    while (
+                        after == before or len(after) != 2
+                    ) and time.monotonic() < deadline:
+                        time.sleep(0.05)
+                        after = runner.worker_pids()
+                    second = client.identify(small_wires, n_shards=2)
+                    stats = client.stats()
+        assert len(before) == 2
+        assert len(after) == 2 and after != before
+        assert len(before & after) == 1, "exactly one worker was replaced"
+        for reply in (first, second):
+            _assert_identical(reply, expected_identify)
+            assert reply.summary["transport"] == "shared-arena"
+        assert stats["pool_path_requests"] == 2
+        assert stats["errors"] == 0
 
 
 class TestTruncatedFrame:

@@ -8,6 +8,7 @@ the payload never materialises a raster server-side.
 """
 
 import asyncio
+import socket
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ def local_identify(basis, wires):
 
 def gather(coroutine):
     return asyncio.run(coroutine)
+
+
+def raw_stats(host, port, payload):
+    """The JSON reply to one STATS frame carrying ``payload``."""
+    wire = protocol.encode_frame(protocol.FRAME_STATS, 9, payload)
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(wire)
+        reader = protocol.FrameReader()
+        frames = []
+        while not frames:
+            frames = reader.feed(sock.recv(65536))
+    (frame,) = frames
+    assert frame.frame_type == protocol.FRAME_STATS_REPLY
+    return protocol.parse_json_frame(frame)
 
 
 class TestFastPath:
@@ -302,6 +317,12 @@ class TestStats:
                 client.identify(wires)
                 client.identify(wires, n_shards=2)
                 stats = client.stats()
+            # The payload is ignored: a scoped or undecodable STATS
+            # frame gets the same plain snapshot.
+            for payload in (b'{"scope":"cluster"}', b"\xffnot json"):
+                reply = raw_stats(handle.host, handle.port, payload)
+                assert reply == stats
+                assert not {"scope", "workers", "per_worker"} & set(reply)
         assert stats["requests_served"] == 2
         assert stats["fast_path_requests"] == 1
         assert stats["pool_path_requests"] == 1

@@ -22,7 +22,7 @@ import pytest
 from repro.backend.shared import HAVE_SHARED_MEMORY
 from repro.errors import ProtocolError, ServingError
 from repro.logic.correlator import CoincidenceCorrelator
-from repro.serving import protocol
+from repro.serving import dispatch, protocol
 from repro.serving.client import ServingClient
 from repro.serving.server import (
     ServerConfig,
@@ -435,6 +435,16 @@ class TestSharedRunnerEmbedding:
         assert reply.summary["transport"] == "shared-arena"
         assert reply.summary["n_shards"] == 2
         assert reply.elements.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+class TestUsesPool:
+    """``--jobs`` is the one compute knob: a pool only above one job."""
+
+    def test_one_job_serves_in_process(self):
+        assert dispatch.uses_pool(1) is False
+
+    def test_more_jobs_shard_over_a_pool_given_shared_memory(self):
+        assert dispatch.uses_pool(2) is HAVE_SHARED_MEMORY
 
 
 class TestGracefulShutdown:

@@ -55,8 +55,8 @@ PARSERS = {
     "membership": protocol.parse_request,
     "corpus": protocol.parse_corpus_query,
     "logicnet": protocol.parse_logicnet_query,
-    "stats": protocol.stats_scope,
-    "stats-scoped": protocol.stats_scope,
+    "stats": lambda frame: None,
+    "stats-scoped": lambda frame: None,
     "ping": lambda frame: None,
 }
 
@@ -86,7 +86,9 @@ def fuzz_server(tmp_path_factory):
             21, 0, 1, n_gates=2, depth=1, request_id=4
         ),
         "stats": protocol.encode_stats_request(5),
-        "stats-scoped": protocol.encode_stats_request(6, scope="local"),
+        "stats-scoped": protocol.encode_frame(
+            protocol.FRAME_STATS, 6, b'{"scope":"local"}'
+        ),
         "ping": protocol.encode_ping(7),
     }
     config = ServerConfig(

@@ -4,9 +4,9 @@ Round-trip tests cannot catch an encoder and a decoder drifting
 together; these pin the exact bytes each encoder emits, one case per
 frame kind a client or server puts on the wire: the request frames
 (IDENTIFY, MEMBERSHIP with a ``limit``, a request carrying
-``deadline_ms``, CORPUS_QUERY, LOGICNET, STATS empty and scoped,
-PING), the binary RESULT frame in each of its three modes, and the
-JSON DONE, PONG and request-scoped ERROR frames.
+``deadline_ms``, CORPUS_QUERY, LOGICNET, STATS, PING), the binary
+RESULT frame in each of its three modes, and the JSON DONE, PONG and
+request-scoped ERROR frames.
 
 Each pinned value is spelled field by field (``bytes.fromhex`` skips
 the spaces): the ``u32`` length prefix, then the 16-byte frame header
@@ -75,11 +75,6 @@ GOLDEN = {
         lambda: protocol.encode_stats_request(6),
         "10000000 52455042 05 10 0000 06000000 00000000",
         None,
-    ),
-    "stats-scoped": (
-        lambda: protocol.encode_stats_request(7, scope="local"),
-        "21000000 52455042 05 10 0000 07000000 00000000",
-        b'{"scope":"local"}',
     ),
     "ping": (
         lambda: protocol.encode_ping(8),

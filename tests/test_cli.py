@@ -106,6 +106,16 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--fast-path-bytes", "0"])
         assert args.fast_path_bytes == 0
 
+    def test_serve_scales_only_through_jobs(self, capsys):
+        """One server process per port: no flag forks more servers."""
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["serve", "--help"])
+        assert exited.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert usage.startswith("usage: repro serve")
+        assert "[--jobs JOBS]" in usage
+        assert "workers" not in usage.lower()
+
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nonsense"])
@@ -273,9 +283,7 @@ class TestServeCommand:
         else:
             assert captured["runner"] is None
 
-    @pytest.mark.parametrize(
-        "flags", [["--jobs", "1"], ["--jobs", "2", "--workers", "2"]]
-    )
+    @pytest.mark.parametrize("flags", [["--jobs", "1"]])
     def test_serve_without_a_pool_passes_no_runner(self, monkeypatch, flags):
         import repro.serving.server as server_mod
 
