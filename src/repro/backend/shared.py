@@ -50,7 +50,7 @@ needed.  Descriptor numbers are reused once an arena closes, so a spec
 also carries its segment's inode: an attach checks it, and a spec that
 outlived its arena raises :class:`FileNotFoundError` instead of
 mapping another arena's bytes.  A forked child (a pool worker
-respawned mid-request, say) closes its copy of every live arena, which
+replaced mid-request, say) closes its copy of every live arena, which
 it then holds closed, and releases the attachments it inherited, so it
 never pins pages its parent has let go of.
 """

@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-retries",
         type=_positive_int,
         default=2,
-        help="pool resubmit/restart attempts for a lost shard before "
-        "it runs in-process (default 2)",
+        help="pool resubmits of a lost shard before it runs "
+        "in-process (default 2)",
     )
 
     corpus = sub.add_parser(
@@ -432,9 +432,8 @@ def _run_serve(args, out) -> int:
     compute layer (:mod:`repro.serving.dispatch`) has loaded and before
     the front-end (asyncio, the wire protocol, the server, the corpus
     store) does, so the pool workers hold only the code they run.  The
-    server's start-up broadcast installs the basis in them.  A worker
-    that the pool respawns, or that a pool restart forks, forks from
-    the full server.
+    server's start-up broadcast installs the basis in them.  A
+    replacement for a dead or hung worker forks from the full server.
     """
     from .serving import dispatch
 

@@ -4,15 +4,17 @@ One :class:`Runner` drives every experiment through the same path:
 
 * resolve the spec from the registry, build its config (seed + typed
   overrides), execute, time, serialise, archive;
-* **persistent worker pool** — a Runner with ``jobs > 1`` forks its
-  pool once, lazily, and reuses it across every run it executes
-  (``close()`` or the context-manager exit tears it down; a finalizer
-  covers abandoned runners).  Workers are initialised once via the pool
-  initializer and attach shared-memory segments at most once each
+* **persistent workers** — a Runner with ``jobs > 1`` forks its
+  ``jobs`` worker processes once, lazily, and reuses them across every
+  run it executes (``close()`` or the context-manager exit kills them;
+  a finalizer covers abandoned runners).  Each worker owns one
+  ``socketpair``: tasks go out on it and replies come back on it, in
+  send order, as length-prefixed pickles.  Workers attach
+  shared-memory segments at most once each
   (:mod:`repro.backend.shared`), so per-run dispatch cost is a handful
   of metadata pickles — not process spawns;
 * **zero-copy shard dispatch** — running a single *shardable* spec with
-  ``jobs > 1`` maps its shard tasks over the pool.  Specs with a
+  ``jobs > 1`` fans its shard tasks out over the workers.  Specs with a
   ``shard_shared`` plan materialise their workload once, export it into
   a :class:`~repro.backend.shared.SharedArena`, and ship workers
   ``(handle, row_range)``-style tasks that attach instead of
@@ -25,26 +27,38 @@ One :class:`Runner` drives every experiment through the same path:
   serial, rebuild-sharded and shared-sharded runs are bit-identical by
   construction;
 * **experiment pool** — :meth:`Runner.run_many` with ``jobs > 1`` runs
-  whole experiments as pool tasks instead (each worker executes its
+  whole experiments as worker tasks instead (each worker executes its
   spec's shards serially).  Workers return plain :class:`RunRecord`
   objects — results are serialised *inside* the worker, so nothing
   fancier than JSON-ready data ever crosses the process boundary;
 * failures never abort a multi-experiment run: each report carries its
   own status and traceback, and the store archives error records too;
+* **supervision** — a worker that dies is EOF (or EPIPE) on its own
+  socket, seen at once: it is reaped and replaced by a fresh fork that
+  replays the sticky broadcasts.  A task past its timeout SIGKILLs and
+  replaces only its own worker.  :meth:`Runner.gather` resubmits a lost
+  task, then runs it in-process;
 * **non-experiment dispatch** — :meth:`Runner.gather` (the one
   supervised fan-out), :meth:`Runner.submit` and
-  :meth:`Runner.broadcast` expose the persistent pool to callers with
-  their own task shapes.  The serving front-end (:mod:`repro.serving`)
-  drives per-request shard tasks and its basis install/discard
-  broadcasts through them, and ends each serving session with the
-  same end-of-run attachment release broadcast the shared-dispatch
-  experiments use.
+  :meth:`Runner.broadcast` expose the persistent workers to callers
+  with their own task shapes.  The serving front-end
+  (:mod:`repro.serving`) drives per-request shard tasks and its basis
+  install/discard broadcasts through them, and ends each serving
+  session with the same end-of-run attachment release broadcast the
+  shared-dispatch experiments use.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
-import multiprocessing
+import os
+import pickle
+import select
+import signal
+import socket
+import struct
 import threading
 import time
 import traceback
@@ -57,33 +71,37 @@ from ..errors import PipelineError
 from . import registry
 from .store import ArtifactStore, RunRecord
 
-__all__ = ["Runner", "RunReport", "SUPERVISED_TIMEOUT_S"]
+__all__ = ["Runner", "RunReport", "WorkerLost", "SUPERVISED_TIMEOUT_S"]
 
-#: Default per-attempt result timeout of :meth:`Runner.submit_supervised`
-#: (seconds).  Generous on purpose: it is the *backstop* for hung-alive
-#: workers — dead workers are caught within :data:`PROBE_INTERVAL_S` by
-#: the pid-set probe — so false positives under load matter more than
-#: detection latency.
+#: Default per-attempt result timeout of :meth:`Runner.gather`
+#: (seconds).  Generous on purpose: it only catches hung-alive workers —
+#: a dead worker is EOF on its socket, seen at once — so false
+#: positives under load matter more than detection latency.
 SUPERVISED_TIMEOUT_S = 120.0
-
-#: How often :meth:`Runner.await_result` wakes to probe worker
-#: liveness while a result is pending.
-PROBE_INTERVAL_S = 0.25
 
 #: Flipped when creating shared segments fails (e.g. the process is
 #: out of descriptors): the runner then stops retrying the shared path
 #: and uses the rebuild plan for the rest of the process lifetime.
 _SHARED_DISPATCH_BROKEN = False
 
-#: Worker-side copy of the release barrier (set by the pool
-#: initializer).  Broadcast tasks rendezvous on it so every worker of
-#: the pool runs exactly one task — a plain ``pool.map`` gives no
-#: distribution guarantee otherwise.
-_RELEASE_BARRIER = None
+#: Every message on a worker socket is this length prefix and a pickle.
+_LENGTH = struct.Struct("<Q")
 
-#: How long a broadcast task waits for its siblings before giving up
-#: (a dead worker must degrade the broadcast, not deadlock the run).
-_BARRIER_TIMEOUT_S = 30.0
+#: The reply of a task whose worker died, or was killed, first.
+_LOST = object()
+
+#: The parent ends of every worker socket in this process.  A forked
+#: worker closes them all, so its own socket has exactly one peer, and
+#: it sees EOF the moment this process closes that end or dies.
+_PARENT_ENDS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+#: Held from ``socketpair`` to fork, so no concurrent fork inherits the
+#: child end of another worker's pair.
+_FORK_LOCK = threading.Lock()
+
+
+class WorkerLost(PipelineError):
+    """A task's worker died, or outlived the task's timeout, first."""
 
 
 @dataclass
@@ -91,7 +109,7 @@ class RunReport:
     """What the caller gets back from one experiment execution.
 
     ``result`` is the live result object when the experiment ran in
-    this process, and None when it ran in a pool worker (the serialised
+    this process, and None when it ran in a worker (the serialised
     payload is in the archived record either way).
     """
 
@@ -112,14 +130,6 @@ class RunReport:
         return self.status == "ok"
 
 
-def _mp_context():
-    """Fork when available (cheap, inherits the loaded registry)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context()
-
-
 def _render(result: Any) -> str:
     """A result's text report (every driver result exposes render())."""
     if hasattr(result, "render"):
@@ -127,99 +137,229 @@ def _render(result: Any) -> str:
     return str(result)
 
 
-def _worker_init(release_barrier=None) -> None:
-    """Pool initializer: run once per worker at fork/spawn time.
+def _frame(message: Any) -> bytes:
+    """One message as it crosses a worker socket."""
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    return _LENGTH.pack(len(data)) + data
 
-    Stashes the runner's release barrier for end-of-run broadcasts and
-    loads nothing: a shard task resolves its spec through
-    :func:`~repro.pipeline.registry.get_spec`, which loads the registry
-    on first use, so serving workers never import an experiment module.
-    Shared-segment attachment is *lazy* too — the per-process cache in
-    :mod:`repro.backend.shared` attaches each segment on the worker's
-    first task that needs it and reuses the mapping for the rest of the
-    run.
+
+def _recv_exact(sock, size: int, poller=None, deadline=None) -> bytearray:
+    """Exactly ``size`` bytes from ``sock``.
+
+    Raises EOFError when the peer is gone and TimeoutError when
+    ``deadline`` (``time.monotonic()``; None waits for ever) passes
+    before the bytes arrive.
     """
-    global _RELEASE_BARRIER
-    _RELEASE_BARRIER = release_barrier
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    while view:
+        if deadline is not None and not poller.poll(
+            max(0.0, deadline - time.monotonic()) * 1000
+        ):
+            raise TimeoutError
+        received = sock.recv_into(view)
+        if not received:
+            raise EOFError
+        view = view[received:]
+    return buffer
 
 
-def _rendezvous() -> None:
-    """Block until every pool worker reached its broadcast task.
+def _read_frame(sock, poller=None, deadline=None) -> bytearray:
+    """The pickle of the next message on ``sock``."""
+    header = _recv_exact(sock, _LENGTH.size, poller, deadline)
+    return _recv_exact(sock, _LENGTH.unpack(header)[0], poller, deadline)
 
-    The barrier is what turns ``pool.map`` into a true broadcast: a
-    worker that finished its task early parks here instead of stealing
-    a sibling's, so all ``jobs`` tasks land on distinct workers.  A
-    broken or timed-out barrier (dead worker) is swallowed — the
-    broadcast then covers the workers that did run, and the per-task
-    arena-token eviction still covers the rest.
-    """
-    if _RELEASE_BARRIER is not None:
+
+def _work(sock: socket.socket) -> None:
+    """A worker's life: run each ``(fn, task)`` it is sent, reply, and
+    return on EOF (the parent closed its end or died)."""
+    while True:
         try:
-            _RELEASE_BARRIER.wait(timeout=_BARRIER_TIMEOUT_S)
-        except Exception:  # pragma: no cover - dead-worker degradation
-            pass
-
-
-def _broadcast_call(item: Tuple[Any, Any]) -> Any:
-    """Broadcast target: run one caller-supplied callable on this worker.
-
-    The generic counterpart of :func:`_release_worker`: rendezvous on
-    the barrier after the call so every worker of the pool executes the
-    payload exactly once.  Used by non-experiment dispatchers — the
-    serving front-end broadcasts its basis install and discard through
-    this.
-    """
-    fn, payload = item
-    result = fn(payload)
-    _rendezvous()
-    return result
-
-
-def _release_worker(_index: int) -> int:
-    """Broadcast target: drop this worker's shared-memory attachments.
-
-    Returns the number of mappings still held afterwards (0 unless a
-    view escaped a task), so the caller can observe worker residency.
-    """
-    cache = process_cache()
-    cache.release()
-    _rendezvous()
-    return len(cache)
-
-
-def _attachment_count_worker(_index: int) -> int:
-    """Broadcast target: report this worker's resident mapping count."""
-    count = len(process_cache())
-    _rendezvous()
-    return count
-
-
-def _broadcast_release(pool, n_workers: int, barrier) -> List[int]:
-    """Run :func:`_release_worker` once on every pool worker.
-
-    Called at the end of each shared-dispatch run: without it, workers
-    pin the finished run's attachments until a task from a *newer*
-    arena happens to arrive.  Returns the per-worker residual counts.
-    """
-    counts = pool.map(_release_worker, range(n_workers), chunksize=1)
-    if barrier is not None:
+            data = _read_frame(sock)
+        except (EOFError, OSError):
+            return
         try:
-            barrier.reset()
-        except Exception:  # pragma: no cover - broken-barrier cleanup
-            pass
-    return counts
+            fn, task = pickle.loads(data)
+            reply = (True, fn(task))
+        except Exception as exc:  # the task's outcome, sent back
+            reply = (False, exc)
+        try:
+            message = _frame(reply)
+        except Exception as exc:  # an unpicklable result or exception
+            message = _frame(
+                (False, PipelineError(f"cannot pickle the reply: {exc!r}"))
+            )
+        try:
+            sock.sendall(message)
+        except OSError:
+            return
+
+
+def _fork_worker() -> "_Worker":
+    """Fork one worker on a fresh socketpair; this process keeps one end."""
+    with _FORK_LOCK:
+        parent, child = socket.socketpair()
+        _PARENT_ENDS.add(parent)
+        try:
+            pid = os.fork()
+        except OSError:
+            parent.close()
+            child.close()
+            raise
+        if pid == 0:
+            try:
+                for sock in list(_PARENT_ENDS):
+                    sock.close()
+                # A replacement forks from the running server: its
+                # signal handlers must not run here, and Ctrl-C reaches
+                # the whole process group.  The parent alone ends us.
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                _work(child)
+            finally:
+                os._exit(0)
+        child.close()
+    return _Worker(pid, parent)
+
+
+class _Worker:
+    """One forked worker, seen through the parent's end of its socket.
+
+    ``pending`` holds the handles of the tasks sent and not yet
+    answered, in send order; the worker answers in that order, so each
+    reply belongs to the oldest pending handle, waited for or not.
+    """
+
+    def __init__(self, pid: int, sock: socket.socket) -> None:
+        self.pid = pid
+        self.sock = sock
+        self.pending: "collections.deque[_Handle]" = collections.deque()
+        self.dead = False
+        self.lock = threading.Lock()  # guards pending and dead
+        self.sending = threading.Lock()  # one message on the wire at a time
+        self.reading = threading.RLock()  # one reader; it may call stop()
+        self._poller = select.poll()
+        self._poller.register(sock, select.POLLIN)
+
+    def post(self, handle: "_Handle", message: bytes) -> bool:
+        """Send one task; False when the worker is dead."""
+        with self.sending:
+            with self.lock:
+                if self.dead:
+                    return False
+                self.pending.append(handle)
+            try:
+                self.sock.sendall(message)
+            except OSError:  # EPIPE: the worker died; stop() loses handle
+                return False
+        return True
+
+    def read_one(self, deadline: Optional[float]) -> bool:
+        """Read one reply into the oldest pending handle.
+
+        False when the worker is gone (EOF, reset) or sent nothing by
+        ``deadline``.  Call holding :attr:`reading`.
+        """
+        try:
+            data = _read_frame(self.sock, self._poller, deadline)
+        except (EOFError, OSError):
+            return False
+        try:
+            reply = pickle.loads(data)
+        except Exception as exc:  # e.g. an exception that cannot rebuild
+            reply = (False, exc)
+        with self.lock:
+            if self.pending:
+                self.pending.popleft().reply = reply
+        return True
+
+    def stop(self) -> None:
+        """SIGKILL and reap the worker; its pending tasks are lost.
+
+        Idempotent.  The shutdown wakes a thread blocked reading from or
+        sending to the worker before the socket closes under them.
+        """
+        with self.lock:
+            if self.dead:
+                return
+            self.dead = True
+            lost, self.pending = self.pending, collections.deque()
+        for handle in lost:
+            handle.reply = _LOST
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGKILL)  # unreaped, so still ours
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(self.pid, 0)
+        with self.sending, self.reading:
+            self.sock.close()
+
+
+class _Handle:
+    """One task sent to one worker: ``reply`` is None until a reader
+    fills in ``(ok, value)``, or :data:`_LOST` when the worker goes."""
+
+    __slots__ = ("runner", "worker", "reply")
+
+    def __init__(self, runner: Optional["Runner"], worker: _Worker) -> None:
+        self.runner = runner
+        self.worker = worker
+        self.reply: Any = None
+
+    def get(self, timeout: Optional[float] = None) -> Any:
+        """The task's result; the task's own exception is re-raised.
+
+        Whoever holds the worker's read lock reads replies until its own
+        arrives, filling in the handles ahead of it.  Raises
+        :class:`WorkerLost` when the worker died first (EOF), or when
+        ``timeout`` seconds pass without the reply (the worker hangs);
+        either way the worker is replaced.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        worker = self.worker
+        while self.reply is None:
+            now = time.monotonic()
+            wait = -1 if deadline is None else max(0.0, deadline - now)
+            if not worker.reading.acquire(timeout=wait):
+                self.runner._replace(worker)  # the task outlived its timeout
+                continue
+            try:
+                if self.reply is None and not worker.read_one(deadline):
+                    self.runner._replace(worker)
+            finally:
+                worker.reading.release()
+        if self.reply is _LOST:
+            raise WorkerLost(f"worker {worker.pid} was lost before replying")
+        ok, value = self.reply
+        if ok:
+            return value
+        raise value
+
+
+def _stop_all(workers: List[_Worker]) -> None:
+    """Kill and reap ``workers``, emptying the list first so that no
+    reader woken by a kill forks a replacement."""
+    stopping = list(workers)
+    workers.clear()
+    for worker in stopping:
+        worker.stop()
+
+
+def _release_worker(_payload=None) -> None:
+    """Broadcast target: drop this worker's shared-memory attachments."""
+    process_cache().release()
 
 
 def _shard_worker(task: Tuple[str, Any]) -> Any:
-    """Pool target: run one shard of one spec."""
+    """Worker target: run one shard of one spec."""
     name, shard = task
     return registry.get_spec(name).run_shard(shard)
 
 
 def _experiment_worker(task: Tuple[str, Optional[int], Dict[str, Any]]) -> RunRecord:
-    """Pool target: run one whole experiment, shards serial, record out."""
-    name, seed, overrides = task
-    record, _result = _execute_record(name, seed, overrides, jobs=1)
+    """Worker target: run one whole experiment, shards serial, record out."""
+    record, _result = _execute_record(*task)
     return record
 
 
@@ -227,29 +367,28 @@ def _execute_record(
     name: str,
     seed: Optional[int],
     overrides: Optional[Dict[str, Any]],
-    jobs: int,
-    pool_factory=None,
-    release=None,
+    runner: Optional["Runner"] = None,
 ) -> Tuple[RunRecord, Any]:
     """Execute one experiment and build its record.
 
-    Never raises on experiment failure — the record carries the
-    traceback instead, which is what lets ``run all`` continue past a
-    broken driver.  Config/spec resolution errors (unknown name or
-    override) do raise: those are caller bugs, not experiment failures.
+    Shards fan out over ``runner``'s workers when it has more than one
+    job; ``runner=None`` runs everything in-process.  Never raises on
+    experiment failure — the record carries the traceback instead,
+    which is what lets ``run all`` continue past a broken driver.
+    Config/spec resolution errors (unknown name or override) do raise:
+    those are caller bugs, not experiment failures.
     """
     # Imported here: it loads repro.analysis, which serving never needs.
     from .serialize import to_jsonable
 
+    jobs = runner.jobs if runner is not None else 1
     spec = registry.get_spec(name)
     config = spec.make_config(seed=seed, overrides=overrides)
     config_payload = to_jsonable(config)
     used_seed = getattr(config, "seed", None)
     started = time.perf_counter()
     try:
-        result, n_shards = _execute_spec(
-            spec, config, jobs, pool_factory, release
-        )
+        result, n_shards = _execute_spec(spec, config, runner)
         wall = time.perf_counter() - started
         record = RunRecord(
             experiment=name,
@@ -306,19 +445,28 @@ def _shared_tasks(spec, config) -> Optional[Tuple[SharedArena, List[Any]]]:
     return arena, tasks
 
 
-def _execute_spec(
-    spec, config, jobs: int, pool_factory, release=None
-) -> Tuple[Any, int]:
-    """Run one spec, sharding across the pool when possible.
+def _run_shards(runner: "Runner", spec, tasks: List[Any]) -> List[Any]:
+    """Every shard's result, in task order, through :meth:`Runner.gather`.
+
+    No timeout: a long shard is never killed, and the shard of a killed
+    worker runs again instead of hanging the run.
+    """
+    getters = runner.gather(
+        _shard_worker, [(spec.name, task) for task in tasks], timeout=None
+    )
+    return [get() for get in getters]
+
+
+def _execute_spec(spec, config, runner: Optional["Runner"]) -> Tuple[Any, int]:
+    """Run one spec, sharding across ``runner``'s workers when possible.
 
     Returns ``(result, n_shards)`` with ``n_shards == 0`` for
-    unsharded execution.  ``pool_factory`` lazily yields the runner's
-    persistent worker pool; it is only invoked when a multi-task shard
-    plan actually dispatches, so unshardable and single-shard runs
-    never pay the fork (None forces in-process execution).  ``release``
-    is the runner's end-of-run broadcast: invoked after a
-    shared-dispatch run so workers drop their attachments immediately
-    instead of pinning them until the next run's tasks arrive.
+    unsharded execution.  Only a multi-task shard plan on a runner with
+    ``jobs > 1`` dispatches (forking the workers on first use), so
+    unshardable and single-shard runs never pay the fork.  A
+    shared-dispatch run ends with the runner's attachment release
+    broadcast, so workers drop their attachments immediately instead of
+    pinning them until the next run's tasks arrive.
 
     In-process execution goes through ``spec.run`` — the authoritative
     serial driver, free to share one workload across its shards (the
@@ -333,39 +481,22 @@ def _execute_spec(
     tasks = list(spec.shard(config))
     if not tasks:
         raise PipelineError(f"spec {spec.name!r} produced an empty shard plan")
-    pool = (
-        pool_factory()
-        if pool_factory is not None and jobs > 1 and len(tasks) > 1
-        else None
-    )
-    if pool is not None:
-        shared = _shared_tasks(spec, config)
-        if shared is not None:
-            arena, shared_tasks = shared
-            try:
-                parts = pool.map(
-                    _shard_worker,
-                    [(spec.name, task) for task in shared_tasks],
-                )
-            finally:
-                # Close on every exit path: a worker raising mid-shard
-                # must not leave segments open — then tell every
-                # worker to drop its attachments so the pages free now
-                # rather than at the next run's first task.
-                arena.close()
-                if release is not None:
-                    release()
-            return spec.merge(config, parts), len(shared_tasks)
-        parts = pool.map(_shard_worker, [(spec.name, task) for task in tasks])
-        return spec.merge(config, parts), len(tasks)
-    return spec.run(config), len(tasks)
-
-
-def _shutdown_pool(pool) -> None:
-    """Terminate a worker pool (finalizer-safe, idempotent)."""
-    if pool is not None:
-        pool.terminate()
-        pool.join()
+    if runner is None or runner.jobs < 2 or len(tasks) < 2:
+        return spec.run(config), len(tasks)
+    shared = _shared_tasks(spec, config)
+    if shared is None:
+        return spec.merge(config, _run_shards(runner, spec, tasks)), len(tasks)
+    arena, shared_tasks = shared
+    try:
+        parts = _run_shards(runner, spec, shared_tasks)
+    finally:
+        # Close on every exit path: a worker raising mid-shard must not
+        # leave segments open — then tell every worker to drop its
+        # attachments so the pages free now rather than at the next
+        # run's first task.
+        arena.close()
+        runner.release_worker_attachments()
+    return spec.merge(config, parts), len(shared_tasks)
 
 
 class Runner:
@@ -375,10 +506,10 @@ class Runner:
     ----------
     jobs:
         Worker processes.  1 (default) runs everything in-process; more
-        enables the persistent shard/experiment pool.  The pool is
-        created lazily on the first parallel run and reused until
+        enables the persistent shard/experiment workers.  They are
+        forked lazily on the first parallel run and reused until
         :meth:`close` (Runners also work as context managers, and a
-        finalizer reaps pools of abandoned instances).
+        finalizer kills the workers of abandoned instances).
     store:
         Optional :class:`~repro.pipeline.store.ArtifactStore`; when set,
         every run (including failures) is archived as JSON + text.
@@ -389,120 +520,133 @@ class Runner:
             raise PipelineError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.store = store
-        self._pool = None
-        self._pool_finalizer = None
-        self._release_barrier = None
-        # Supervision state: pool lifecycle is guarded by a reentrant
-        # lock (supervised getters run on many threads), the generation
-        # counter lets concurrent failures agree on one restart, and
-        # sticky broadcasts replay onto a respawned pool so it carries
-        # the same worker state (installed bases) the dead one did.
+        # Guards the worker slots and the sticky broadcasts, which every
+        # worker forked later (a replacement) replays first, in order,
+        # so it carries the same state (installed bases) as its siblings.
         self._lock = threading.RLock()
-        self._pool_generation = 0
-        self._sticky_broadcasts: List[Tuple[Any, Any]] = []
+        self._workers: List[_Worker] = []
+        self._sticky: List[bytes] = []
+        weakref.finalize(self, _stop_all, self._workers)
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-
-    def _ensure_pool(self):
-        """The persistent worker pool (created on first parallel run).
-
-        Forked workers inherit the modules this process has loaded.
-        Experiment runs resolve their specs before the first fork, so
-        their workers inherit the loaded registry; the serving tree
-        never loads it, so neither do its workers.
-        """
-        if self.jobs < 2:
-            return None
-        with self._lock:
-            if self._pool is None:
-                context = _mp_context()
-                self._release_barrier = context.Barrier(self.jobs)
-                self._pool = context.Pool(
-                    self.jobs,
-                    initializer=_worker_init,
-                    initargs=(self._release_barrier,),
-                )
-                self._pool_finalizer = weakref.finalize(
-                    self, _shutdown_pool, self._pool
-                )
-                self._pool_generation += 1
-            return self._pool
-
-    # ------------------------------------------------------------------
-    # Dispatch primitives for non-experiment callers
+    # Workers
     # ------------------------------------------------------------------
     #
-    # The registry/spec machinery above is the experiment pipeline's
-    # entry point; the methods below are the *pool's* public surface
-    # for callers with their own task shapes — the serving front-end
+    # The registry/spec machinery below is the experiment pipeline's
+    # entry point; the methods here are the workers' public surface for
+    # callers with their own task shapes — the serving front-end
     # (:mod:`repro.serving`) and the parallel kernel layer
     # (:mod:`repro.backend.parallel`) fan their shard tasks out through
     # :meth:`gather` and broadcast through :meth:`broadcast`, reusing the
-    # persistent workers, the attachment cache and the release barrier
-    # instead of growing a second pool implementation.
+    # persistent workers and their attachment caches instead of growing
+    # a second pool implementation.
 
-    def ensure_pool(self):
-        """The persistent worker pool (created now if needed).
+    def ensure_pool(self) -> None:
+        """Fork the workers now, if they are not running.
 
-        None when ``jobs == 1`` — callers run their tasks in-process
-        then.  The returned pool is owned by this Runner; never
-        terminate it directly (use :meth:`close`).
+        A no-op when ``jobs == 1`` — callers run their tasks in-process
+        then.  Forked workers inherit the modules this process has
+        loaded.  Experiment runs resolve their specs before the first
+        fork, so their workers inherit the loaded registry; the serving
+        tree never loads it, so neither do its workers.
         """
-        return self._ensure_pool()
+        if self.jobs < 2:
+            return
+        with self._lock:
+            while len(self._workers) < self.jobs:
+                self._workers.append(self._spawn())
 
-    def submit(self, fn, task):
-        """``apply_async`` one task onto the persistent pool.
+    def worker_pids(self) -> frozenset:
+        """The current workers' pids (empty before the first fork)."""
+        with self._lock:
+            return frozenset(worker.pid for worker in self._workers)
+
+    def _spawn(self) -> _Worker:
+        """Fork a worker and replay the sticky broadcasts onto it.
+
+        Nobody waits for a replay's reply: the next reader drops it.
+        """
+        worker = _fork_worker()
+        for message in self._sticky:
+            worker.post(_Handle(None, worker), message)
+        return worker
+
+    def _replace(self, worker: _Worker) -> None:
+        """Stop ``worker`` and fork its successor into its slot, once."""
+        worker.stop()
+        with self._lock:
+            if worker in self._workers:
+                self._workers[self._workers.index(worker)] = self._spawn()
+
+    def _send(self, message: bytes, slot: Optional[int] = None) -> _Handle:
+        """Send ``message`` to worker ``slot`` (default: the one with the
+        fewest pending tasks), replacing a dead one on the way."""
+        while True:
+            with self._lock:
+                self.ensure_pool()
+                worker = (
+                    self._workers[slot]
+                    if slot is not None
+                    else min(self._workers, key=lambda w: len(w.pending))
+                )
+            handle = _Handle(self, worker)
+            if worker.post(handle, message):
+                return handle
+            self._replace(worker)
+
+    def submit(self, fn, task) -> _Handle:
+        """Send ``fn(task)`` to the worker with the fewest pending tasks.
 
         ``fn`` must be a module-level callable (pickled by reference);
-        returns the pool's ``AsyncResult``.  Requires ``jobs >= 2`` —
-        a single-job Runner has no pool to submit to, and silently
-        running inline would hide the caller's dispatch bug.
+        returns a handle whose ``get(timeout=None)`` returns the result.
+        Unsupervised: a lost task raises :class:`WorkerLost` from
+        ``get`` (use :meth:`gather` to recover it).  Requires
+        ``jobs >= 2`` — a single-job Runner has no workers to submit
+        to, and silently running inline would hide the caller's
+        dispatch bug.
         """
-        pool = self._ensure_pool()
-        if pool is None:
+        if self.jobs < 2:
             raise PipelineError(
-                "submit() needs a worker pool; construct the Runner with "
+                "submit() needs worker processes; construct the Runner with "
                 "jobs >= 2 or run the task in-process"
             )
-        return pool.apply_async(fn, (task,))
+        return self._send(_frame((fn, task)))
 
     def gather(
         self,
         fn,
         tasks,
         *,
-        timeout: float = SUPERVISED_TIMEOUT_S,
+        timeout: Optional[float] = SUPERVISED_TIMEOUT_S,
         retries: int = 2,
     ) -> List[Callable[[], Any]]:
         """Fan ``fn`` out over ``tasks``; one supervised getter per task.
 
         The one supervised fan-out every pool caller shares (serving
-        shards, logicnet shards, the parallel kernel layer): every task
-        enters the pool before any result is awaited, so workers
-        overlap, and the worker-pid snapshot is taken once, right after
-        the last submit.  The getters come back in task order; calling
-        one blocks for its task's result (:meth:`await_result` against
-        that snapshot) and, when the task's worker was lost or the
-        result timed out, re-runs the task down the
-        :meth:`submit_supervised` ladder — so a caller that keeps the
-        task's operands alive until its getters return always gets the
-        undisturbed result.  Same contract as :meth:`submit`
-        (module-level ``fn``, ``jobs >= 2``).
+        shards, logicnet shards, the parallel kernel layer, sharded
+        experiments): every task is sent before any getter blocks, so
+        workers overlap, and the getters come back in task order.
+        Calling one blocks for its task's result.  A task whose worker
+        died (EOF on its socket) or outlived ``timeout`` seconds (its
+        worker is SIGKILLed and replaced; None waits for ever) is lost:
+        it is resubmitted up to ``retries`` times and then runs
+        in-process — so a caller that keeps the task's operands alive
+        until its getters return always gets the undisturbed result.
+        A task's own exception is re-raised unchanged.  Same contract as
+        :meth:`submit` (module-level ``fn``, ``jobs >= 2``).
         """
+        tasks = list(tasks)
         handles = [self.submit(fn, task) for task in tasks]
-        baseline = self.worker_pids()
 
         def get(handle, task):
-            try:
-                return self.await_result(
-                    handle, timeout=timeout, baseline=baseline
-                )
-            except (multiprocessing.TimeoutError, OSError, EOFError):
-                return self.submit_supervised(
-                    fn, task, timeout=timeout, retries=retries
-                )
+            for attempt in range(retries + 1):
+                try:
+                    if attempt:
+                        handle = self.submit(fn, task)
+                    return handle.get(timeout)
+                except WorkerLost:
+                    pass
+            return fn(task)
 
         return [
             functools.partial(get, handle, task)
@@ -510,236 +654,54 @@ class Runner:
         ]
 
     def broadcast(self, fn, payload=None, *, sticky: bool = True) -> Optional[List[Any]]:
-        """Run ``fn(payload)`` exactly once on every pool worker.
+        """Run ``fn(payload)`` once on every worker; results in slot order.
 
-        Barrier-distributed like the attachment release: each worker
-        parks on the rendezvous after its call, so no worker steals a
-        sibling's broadcast task.  Only call while the pool is quiet —
-        a worker busy with a long task would stall the barrier until
-        its timeout.  Returns the per-worker results, or None when
-        there is no pool (``jobs == 1``: callers apply the payload
-        in-process instead).
+        One send per worker, so no worker takes a sibling's share; a
+        busy worker runs it after the tasks queued before it.  A worker
+        found dead is replaced and the payload sent to its successor.
+        Returns None when there are no workers (``jobs == 1``: callers
+        apply the payload in-process instead).
 
-        ``sticky`` (the default) records the broadcast so
-        :meth:`restart_pool` can replay it, in order, onto a respawned
-        pool — worker state established by broadcast (installed serving
-        bases) survives pool loss that way.  Pass ``sticky=False`` for
-        broadcasts that only observe state.
+        ``sticky`` (the default) records the broadcast so every worker
+        forked later — a replacement — replays it first, in order:
+        worker state established by broadcast (installed serving bases)
+        survives worker loss that way.  A replacement may run a sticky
+        payload twice, so it must be idempotent.  Pass ``sticky=False``
+        for broadcasts that only observe state.
         """
-        pool = self._ensure_pool()
-        if pool is None:
+        if self.jobs < 2:
             return None
-        results = pool.map(
-            _broadcast_call, [(fn, payload)] * self.jobs, chunksize=1
-        )
-        if self._release_barrier is not None:
-            try:
-                self._release_barrier.reset()
-            except Exception:  # pragma: no cover - broken-barrier cleanup
-                pass
-        if sticky:
-            with self._lock:
-                self._sticky_broadcasts.append((fn, payload))
+        message = _frame((fn, payload))
+        with self._lock:
+            self.ensure_pool()
+            if sticky:
+                self._sticky.append(message)
+        handles = [self._send(message, slot) for slot in range(self.jobs)]
+        results = []
+        for slot, handle in enumerate(handles):
+            while True:
+                try:
+                    results.append(handle.get())
+                    break
+                except WorkerLost:
+                    handle = self._send(message, slot)
         return results
 
-    # ------------------------------------------------------------------
-    # Supervision: detect dead/hung workers, respawn, degrade gracefully
-    # ------------------------------------------------------------------
-
-    def probe_workers(self) -> List[int]:
-        """PIDs of pool workers that are no longer alive.
-
-        The liveness probe half of supervision: an empty list means
-        every forked worker currently holds a live process.  Note that
-        ``multiprocessing.Pool`` respawns crashed workers on its own —
-        what it can *not* do is recover their in-flight tasks, which is
-        what :meth:`submit_supervised` exists for — so a dead PID here
-        is a point-in-time observation, not a permanent state.
-        """
-        with self._lock:
-            if self._pool is None:
-                return []
-            try:
-                workers = list(self._pool._pool)
-            except Exception:  # pragma: no cover - pool mid-teardown
-                return []
-            return [
-                worker.pid
-                for worker in workers
-                if worker.pid is not None and not worker.is_alive()
-            ]
-
-    def worker_pids(self) -> frozenset:
-        """The current pool workers' PIDs (empty without a pool).
-
-        The loss-detection primitive: ``multiprocessing.Pool`` replaces
-        a crashed worker with a fresh fork, so a changed pid set means
-        some worker died since the snapshot — and any task that was in
-        flight on it will never complete.  Callers snapshot before
-        submitting and compare while awaiting
-        (:meth:`await_result` does both).
-        """
-        with self._lock:
-            if self._pool is None:
-                return frozenset()
-            try:
-                workers = list(self._pool._pool)
-            except Exception:  # pragma: no cover - pool mid-teardown
-                return frozenset()
-            return frozenset(
-                worker.pid for worker in workers if worker.pid is not None
-            )
-
-    def await_result(
-        self,
-        handle,
-        *,
-        timeout: float = SUPERVISED_TIMEOUT_S,
-        baseline: Optional[frozenset] = None,
-    ):
-        """``handle.get`` with early worker-loss detection.
-
-        Polls the result every :data:`PROBE_INTERVAL_S` and raises
-        :class:`multiprocessing.TimeoutError` *immediately* when the
-        pool's pid set no longer matches ``baseline`` (default: the set
-        at call time) — a replaced worker means the task may be lost,
-        and waiting out the full ``timeout`` for a result that can
-        never arrive is exactly the hang this layer exists to prevent.
-        The ``timeout`` backstop still catches hung-but-alive workers.
-        Exceptions raised by the task itself propagate unchanged.
-        """
-        if baseline is None:
-            baseline = self.worker_pids()
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise multiprocessing.TimeoutError(
-                    f"no result within {timeout} s"
-                )
-            try:
-                return handle.get(min(PROBE_INTERVAL_S, remaining))
-            except multiprocessing.TimeoutError:
-                if self.worker_pids() != baseline:
-                    raise multiprocessing.TimeoutError(
-                        "pool worker lost while awaiting result"
-                    ) from None
-
-    def restart_pool(self, *, expected_generation: Optional[int] = None):
-        """Tear down the worker pool and fork a fresh one.
-
-        Replays every sticky broadcast, in order, onto the new pool so
-        it carries the same worker state the old one did.  When
-        ``expected_generation`` is given and the pool was already
-        restarted past it (a concurrent supervisor got here first),
-        this is a no-op returning the current pool — N simultaneous
-        shard timeouts must agree on one restart, not thrash N.
-        """
-        with self._lock:
-            if (
-                expected_generation is not None
-                and self._pool_generation != expected_generation
-            ):
-                return self._pool
-            if self._pool_finalizer is not None:
-                self._pool_finalizer()
-                self._pool_finalizer = None
-            self._pool = None
-            self._release_barrier = None
-            pool = self._ensure_pool()
-            for fn, payload in list(self._sticky_broadcasts):
-                try:
-                    pool.map(
-                        _broadcast_call,
-                        [(fn, payload)] * self.jobs,
-                        chunksize=1,
-                    )
-                    if self._release_barrier is not None:
-                        self._release_barrier.reset()
-                except Exception:  # pragma: no cover - replay degradation
-                    # A failed replay degrades the new pool, it must not
-                    # abort the restart — tasks needing the state fail
-                    # and ride the supervision ladder to in-process.
-                    pass
-            return pool
-
-    def submit_supervised(
-        self,
-        fn,
-        task,
-        *,
-        timeout: float = SUPERVISED_TIMEOUT_S,
-        retries: int = 2,
-    ):
-        """Run ``fn(task)`` on the pool and *return the result*, surviving
-        dead and hung workers.
-
-        The supervision ladder, one rung per failed attempt:
-
-        1. resubmit to the pool — ``multiprocessing.Pool`` respawns a
-           crashed worker by itself (the fresh fork inherits the
-           parent's installed state); only the in-flight task is lost,
-           and resubmission is exactly its recovery;
-        2. :meth:`restart_pool` (sticky broadcasts replayed) and
-           resubmit — covers a hung worker or broken pool plumbing;
-        3. after ``retries`` failed pool attempts, run ``fn(task)``
-           in-process — the floor of the ladder, always available.
-
-        A failure is a result timeout (the signature of a worker lost
-        mid-task: its ``AsyncResult`` never completes) or a broken
-        result channel.  Exceptions *raised by* ``fn`` propagate
-        unchanged on the first attempt — they are the task's outcome,
-        not a worker loss.  Same ``jobs >= 2`` contract as
-        :meth:`submit`.
-        """
-        if timeout is not None and timeout <= 0:
-            raise PipelineError(f"timeout must be positive, got {timeout}")
-        for attempt in range(max(0, int(retries))):
-            with self._lock:
-                generation = self._pool_generation
-            try:
-                if attempt > 0:
-                    # Rung 2+: assume the pool itself is sick.  The
-                    # generation check makes concurrent failures share
-                    # one restart.
-                    self.restart_pool(expected_generation=generation)
-                handle = self.submit(fn, task)
-                return self.await_result(handle, timeout=timeout)
-            except PipelineError:
-                raise  # jobs < 2: caller bug, same contract as submit()
-            except multiprocessing.TimeoutError:
-                continue
-            except (OSError, EOFError) as exc:
-                # The result channel died with the worker; retryable.
-                del exc
-                continue
-        return fn(task)
-
     def release_worker_attachments(self) -> None:
-        """Broadcast an attachment release to every live pool worker.
+        """Broadcast an attachment release to every worker.
 
         Runs automatically at the end of each shared-dispatch run;
         callable directly after out-of-band shared work.  A no-op
-        without a live pool.  Best-effort: a broken pool must not turn
-        a finished run into a failure (the per-task arena-token
-        eviction still bounds worker memory if the broadcast degrades).
+        before the workers fork.
         """
-        if self._pool is None:
-            return
-        try:
-            _broadcast_release(self._pool, self.jobs, self._release_barrier)
-        except Exception:  # pragma: no cover - dying pool mid-teardown
-            pass
+        if self.worker_pids():
+            self.broadcast(_release_worker, sticky=False)
 
     def close(self) -> None:
-        """Tear down the worker pool (idempotent; runs stay archived)."""
+        """Kill and reap every worker (idempotent; runs stay archived)."""
         with self._lock:
-            if self._pool_finalizer is not None:
-                self._pool_finalizer()
-                self._pool_finalizer = None
-            self._pool = None
-            self._release_barrier = None
-            self._sticky_broadcasts.clear()
+            self._sticky.clear()
+        _stop_all(self._workers)
 
     def __enter__(self) -> "Runner":
         return self
@@ -757,15 +719,8 @@ class Runner:
         seed: Optional[int] = None,
         overrides: Optional[Dict[str, Any]] = None,
     ) -> RunReport:
-        """Run one experiment (sharded across the pool when it can be)."""
-        record, result = _execute_record(
-            name,
-            seed,
-            overrides,
-            self.jobs,
-            self._ensure_pool,
-            release=self.release_worker_attachments,
-        )
+        """Run one experiment (sharded across the workers when it can be)."""
+        record, result = _execute_record(name, seed, overrides, self)
         return self._finalize(record, result)
 
     def run_many(
@@ -775,27 +730,21 @@ class Runner:
     ) -> List[RunReport]:
         """Run several experiments (default: all), continuing past failures.
 
-        With ``jobs > 1`` the experiments themselves are the pool tasks;
-        a manifest summarising the whole run is written when a store is
-        attached.
+        With ``jobs > 1`` the experiments themselves are the worker
+        tasks, gathered with no timeout (an experiment of a killed
+        worker runs again); a manifest summarising the whole run is
+        written when a store is attached.
         """
         names = list(names) if names is not None else registry.spec_names()
         for name in names:
             registry.get_spec(name)  # fail fast on unknown names
         tasks = [(name, seed, {}) for name in names]
         if self.jobs > 1 and len(names) > 1:
-            records = self._ensure_pool().map(_experiment_worker, tasks)
+            getters = self.gather(_experiment_worker, tasks, timeout=None)
+            records = [get() for get in getters]
             reports = [self._finalize(record, None) for record in records]
         else:
-            pairs = [
-                _execute_record(
-                    *task,
-                    jobs=self.jobs,
-                    pool_factory=self._ensure_pool,
-                    release=self.release_worker_attachments,
-                )
-                for task in tasks
-            ]
+            pairs = [_execute_record(*task, self) for task in tasks]
             records = [record for record, _result in pairs]
             reports = [self._finalize(record, result) for record, result in pairs]
         if self.store is not None:

@@ -143,7 +143,7 @@ class LogicNetShardTask:
 
 #: token → installed basis, per process.  Populated in the server
 #: process at start-up and in every pool worker by the install
-#: broadcast, which a restarted pool replays.
+#: broadcast, which every replacement worker replays.
 _INSTALLED: Dict[str, HyperspaceBasis] = {}
 
 
@@ -266,8 +266,8 @@ def run_logicnet_shard(task: LogicNetShardTask) -> dict:
     """Pool target: rebuild the shard's networks and evaluate them.
 
     Fires the same ``serving.run_shard`` fault point as bitset shards,
-    so the supervision ladder (resubmit → respawn → inline) covers
-    logicnet traffic identically.
+    so the supervision ladder (resubmit → inline) covers logicnet
+    traffic identically.
     """
     faults.maybe_fire("serving.run_shard")
     return compute_logicnet_shard(

@@ -8,8 +8,7 @@ per-process discipline as syncopy's ``shared/log.py``.
 The level comes from the ``REPRO_LOG_LEVEL`` environment variable
 (``DEBUG``/``INFO``/``WARNING``/``ERROR``, default ``INFO``), read at
 configure time so operators tune verbosity without touching flags.
-:func:`configure` is idempotent per process and fork-safe: a forked
-worker calls it again and gets a handler bound to its own pid.
+:func:`configure` is idempotent: calling it again replaces the handler.
 
 Lines a machine consumes stay machine-consumable: the CI smoke jobs
 parse the "listening on host:port" banner out of this logger's output,
@@ -34,8 +33,8 @@ _LOGGER_NAME = "repro.serving"
 #: Every record carries the emitting pid.
 _FORMAT = "[%(process)d] %(levelname)s %(name)s: %(message)s"
 
-#: The pid that last configured the logger (fork detection).
-_configured_pid: Optional[int] = None
+#: Whether :func:`configure` has run in this process.
+_configured = False
 
 
 def level_from_env(default: int = logging.INFO) -> int:
@@ -57,12 +56,11 @@ def configure(
 ) -> logging.Logger:
     """Attach the serving handler to ``stream`` (default: stdout).
 
-    Replaces any handler a previous :func:`configure` installed — on
-    this pid or a fork parent's — so re-configuring after ``fork()``
-    or pointing a test at its own buffer never double-logs.  Returns
-    the configured logger.
+    Replaces any handler a previous :func:`configure` installed, so
+    pointing a test at its own buffer never double-logs.  Returns the
+    configured logger.
     """
-    global _configured_pid
+    global _configured
     logger = logging.getLogger(_LOGGER_NAME)
     for handler in list(logger.handlers):
         logger.removeHandler(handler)
@@ -71,18 +69,18 @@ def configure(
     logger.addHandler(handler)
     logger.setLevel(level if level is not None else level_from_env())
     logger.propagate = False
-    _configured_pid = os.getpid()
+    _configured = True
     return logger
 
 
 def get_logger(child: Optional[str] = None) -> logging.Logger:
-    """The serving logger (configured on first use per process).
+    """The serving logger (configured on first use in this process).
 
     ``child`` scopes the name (``repro.serving.<child>``); the server
     passes ``"server"`` so origin is visible even before the pid prefix
     is correlated.
     """
-    if _configured_pid != os.getpid():
+    if not _configured:
         configure()
     name = _LOGGER_NAME if not child else f"{_LOGGER_NAME}.{child}"
     return logging.getLogger(name)

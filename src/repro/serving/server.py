@@ -170,13 +170,14 @@ class ServerConfig:
     #: request in flight before the server closes it (0: never) — a
     #: dead client must not pin receive buffers forever.
     idle_timeout: float = 0.0
-    #: Per-attempt timeout awaiting one pool shard's result.  The
-    #: backstop for a hung worker; a *dead* worker is detected within
-    #: a probe interval regardless (see
-    #: :meth:`repro.pipeline.runner.Runner.await_result`).
+    #: Per-attempt timeout awaiting one pool shard's result: past it,
+    #: the shard's worker is SIGKILLed and replaced, and the shard is
+    #: lost.  The backstop for a hung worker; a *dead* worker is EOF on
+    #: its socket, seen at once
+    #: (:meth:`repro.pipeline.runner.Runner.gather`).
     shard_timeout: float = 120.0
-    #: Pool attempts for a lost shard before it degrades to in-process
-    #: execution (:meth:`repro.pipeline.runner.Runner.submit_supervised`).
+    #: Pool resubmits of a lost shard before it degrades to in-process
+    #: execution (:meth:`repro.pipeline.runner.Runner.gather`).
     shard_retries: int = 2
 
 
@@ -686,8 +687,8 @@ class SpikeServer:
     own a :class:`~repro.pipeline.runner.Runner` with ``config.jobs``
     workers when it will shard over a pool
     (:func:`~repro.serving.dispatch.uses_pool`), and close it on
-    shutdown; otherwise it runs every shard in-process and loads no
-    :mod:`multiprocessing`.  Passing a runner shares an existing pool
+    shutdown; otherwise it runs every shard in-process and forks no
+    worker.  Passing a runner shares an existing pool
     (the caller keeps ownership).
     """
 
@@ -752,8 +753,8 @@ class SpikeServer:
         dispatch.install_basis(table)
         # The broadcast installs the basis in the pool workers:
         # ``repro serve`` forks its pool before this runs, so they
-        # cannot inherit it.  It is sticky, so a restarted pool gets it
-        # too.
+        # cannot inherit it.  It is sticky, so every replacement worker
+        # gets it too.
         if self._use_pool():
             self._runner.broadcast(dispatch.install_basis, table)
         if self.config.corpus is not None:

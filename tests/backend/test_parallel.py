@@ -18,7 +18,7 @@ from repro.pipeline.runner import Runner
 from repro.units import SimulationGrid
 
 pytestmark = pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="no POSIX shared memory on this host"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 
 #: Ragged shapes: (n_rows, n_samples) pairs where neither the row axis

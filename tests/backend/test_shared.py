@@ -15,7 +15,6 @@ import pickle
 import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from repro.backend.shared import (
 from repro.pipeline.runner import Runner
 from repro.units import SimulationGrid
 
-from ..serving.live_server import arena_segments, wait_until
+from ..serving.live_server import arena_segments
 
 pytestmark = pytest.mark.skipif(
     not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
@@ -280,16 +279,6 @@ def _worker_pid(_payload=None):
     return os.getpid()
 
 
-def _report_pid_and_stay_busy(path):
-    """Pool task: write this worker's pid to ``path``, then block.
-
-    A busy worker is the one to kill: an idle one may hold the pool's
-    task-queue lock, and killing it would wedge the pool.
-    """
-    pathlib.Path(path).write_text(str(os.getpid()))
-    time.sleep(120)
-
-
 class TestForkedChildrenDropArenas:
     """Only the creator's descriptors and each process's own attachments
     keep a segment: a process forked while an arena lives lets go of
@@ -318,27 +307,21 @@ class TestForkedChildrenDropArenas:
             assert spec.inode in arena_segments()  # the parent keeps it
             assert AttachmentCache().attach(spec).tolist() == list(range(16))
 
-    def test_respawned_pool_worker_holds_no_arena_segment(self, tmp_path):
-        """``multiprocessing.Pool`` replaces a killed worker with a fork
-        of this process, taken while the arena is live."""
-        busy = tmp_path / "busy.pid"
+    def test_respawned_pool_worker_holds_no_arena_segment(self):
+        """A worker killed while an arena is live is replaced by a fork
+        of this process, which holds the arena."""
         with Runner(jobs=2) as runner:
             runner.ensure_pool()
             before = runner.worker_pids()
             assert len(before) == 2
             with SharedArena() as arena:
                 spec = arena.share_array(np.arange(1 << 12))
-                runner.submit(_report_pid_and_stay_busy, str(busy))
-                assert wait_until(
-                    lambda: busy.exists() and busy.read_text(), 30
-                )
-                os.kill(int(busy.read_text()), signal.SIGKILL)
-                assert wait_until(
-                    lambda: len(runner.worker_pids() - before) == 1, 30
-                ), "the pool did not respawn its killed worker"
+                os.kill(min(before), signal.SIGKILL)
+                # The broadcast finds the dead worker and forks its
+                # successor; a task returning proves the fresh worker is
+                # past its fork hooks.
+                pids = runner.broadcast(_worker_pid, sticky=False)
                 (fresh,) = runner.worker_pids() - before
-                # A task returning proves the fresh worker is past its
-                # fork hooks.
-                assert fresh in runner.broadcast(_worker_pid, sticky=False)
+                assert fresh in pids
                 assert spec.inode in arena_segments()
                 assert not arena_segments(fresh)

@@ -12,21 +12,14 @@ must also leave nothing behind.  After each case, and after a
   in-flight budget bytes still pinned or request tasks force-cancelled
   (the logger does not propagate, so the fixture attaches its own
   handler).
-
-Process-lifetime multiprocessing handles — the ``pym-*`` heap arenas
-backing pool barriers — open once per process and never close (arenas
-under 4 MiB are never returned); a session warm-up opens them so they
-belong to every case's baseline.
 """
 
 import gc
 import logging
-import multiprocessing
 import os
 
 import pytest
 
-from repro.pipeline.runner import Runner
 from repro.serving import log
 
 _SHM = "/dev/shm"
@@ -54,19 +47,13 @@ class _Recorder(logging.Handler):
 
 
 @pytest.fixture(scope="session")
-def _process_lifetime_handles():
-    """Open the handles a process keeps once it forked a pool."""
-    with Runner(jobs=2) as runner:
-        runner.ensure_pool()
-    # One large shared-ctypes block opens a heap arena with room for
-    # every later barrier and lock, then frees into it.
-    multiprocessing.RawArray("b", 1 << 20)
-    log.get_logger()  # configure now: a later first use would reset handlers
-    gc.collect()
+def _configured_logger():
+    """Configure now: a first use inside a case would drop the recorder."""
+    log.get_logger()
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_resources(_process_lifetime_handles):
+def _no_leaked_resources(_configured_logger):
     gc.collect()
     shm_before, fds_before = _shm_entries(), _fd_count()
     recorder = _Recorder()

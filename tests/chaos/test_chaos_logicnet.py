@@ -64,7 +64,7 @@ def _query(client, n_shards=2):
 
 
 @pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="no POSIX shared memory on this host"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 class TestLogicNetShardKill:
     """A pool worker SIGKILLed mid-LOGICNET shard: the reply is unaffected."""

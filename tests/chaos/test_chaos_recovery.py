@@ -7,7 +7,7 @@ clauses of the fault-tolerance contract:
 * eventual success is **bit-identical** to the undisturbed computation;
 * any client-visible error is **typed** — retryable or fatal, never a
   raw hang or an untyped disconnect;
-* recovery needs no operator action (supervision respawns pool
+* recovery needs no operator action (supervision replaces pool
   workers, the client retry policy reconnects and re-issues).
 
 Faults that reach forked children must be armed *before* the fork —
@@ -83,7 +83,7 @@ def _assert_identical(reply, expected):
 
 
 @pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="no POSIX shared memory on this host"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 class TestPoolWorkerKill:
     """A pool worker SIGKILLed mid-shard: supervision retries the shard."""
@@ -128,7 +128,7 @@ class TestPoolWorkerKill:
 
 
 @pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="no POSIX shared memory on this host"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 class TestServingShardKill:
     """A serving pool worker dies mid-shard: the reply is unaffected."""
@@ -160,7 +160,7 @@ class TestServingShardKill:
                 with ServingClient(handle.host, handle.port) as client:
                     first = client.identify(small_wires, n_shards=2)
                     assert claim.exists(), "the fault never fired"
-                    # The pool replaces the victim from its own thread.
+                    # The runner replaced the victim when a getter read EOF.
                     deadline = time.monotonic() + 30.0
                     after = runner.worker_pids()
                     while (
@@ -309,7 +309,7 @@ print("RESIDUE-TEST-OK")
 
 
 @pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="no POSIX shared memory on this host"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 @pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="no /dev/shm on this host"

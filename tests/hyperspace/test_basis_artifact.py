@@ -18,7 +18,7 @@ from repro.spikes.generators import poisson_train
 from repro.units import SimulationGrid
 
 pytestmark = pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="multiprocessing.shared_memory missing"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 
 

@@ -184,7 +184,7 @@ class TestShardedEqualsSerial:
         )
 
     @pytest.mark.skipif(
-        not HAVE_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
+        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
     )
     def test_shared_shards_merge_to_serial(self):
         spec = get_spec("logicnet")
@@ -201,7 +201,7 @@ class TestShardedEqualsSerial:
         )
 
     @pytest.mark.skipif(
-        not HAVE_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
+        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
     )
     def test_two_job_run_bit_identical(self):
         serial = Runner(jobs=1).run("logicnet", overrides=SMALL_SPEC)

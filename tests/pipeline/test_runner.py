@@ -1,6 +1,10 @@
 """Tests for the Runner: sharded == serial, failures don't abort runs."""
 
 import json
+import os
+import signal
+import threading
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -102,18 +106,18 @@ class TestPersistentPool:
     def test_pool_reused_across_runs(self):
         with Runner(jobs=2) as runner:
             first = runner.run("identify", overrides=SMALL_IDENTIFY)
-            pool = runner._pool
-            assert pool is not None
+            pids = runner.worker_pids()
+            assert len(pids) == 2
             second = runner.run("speed", overrides={"n_trials": 10})
-            assert runner._pool is pool  # same pool, no respawn
+            assert runner.worker_pids() == pids  # same workers, no respawn
         assert first.ok and second.ok
-        assert runner._pool is None  # context exit tears it down
+        assert not runner.worker_pids()  # context exit kills them
 
     def test_serial_runner_never_forks(self):
         runner = Runner(jobs=1)
         report = runner.run("identify", overrides=SMALL_IDENTIFY)
         assert report.ok
-        assert runner._pool is None
+        assert not runner.worker_pids()
 
     def test_serial_run_uses_the_spec_driver_once(self, monkeypatch):
         """In-process execution goes through spec.run (which may share
@@ -141,21 +145,28 @@ class TestPersistentPool:
             )
             assert report.ok
             assert report.n_shards == 1
-            assert runner._pool is None  # nothing to parallelise: no fork
+            assert not runner.worker_pids()  # nothing to parallelise: no fork
 
     def test_unshardable_spec_never_forks(self):
-        """jobs >= 2 on an unshardable spec must not pay pool startup."""
+        """jobs >= 2 on an unshardable spec must not pay worker startup."""
         with Runner(jobs=4) as runner:
             report = runner.run("energy")
             assert report.ok
-            assert runner._pool is None
+            assert not runner.worker_pids()
 
     def test_close_is_idempotent(self):
         runner = Runner(jobs=2)
         runner.run("identify", overrides=SMALL_IDENTIFY)
         runner.close()
         runner.close()
-        assert runner._pool is None
+        assert not runner.worker_pids()
+
+
+def _attachment_count(_payload):
+    """Broadcast target: this worker's resident mapping count."""
+    from repro.backend.shared import process_cache
+
+    return len(process_cache())
 
 
 class TestReleaseBroadcast:
@@ -166,62 +177,45 @@ class TestReleaseBroadcast:
 
         Without the broadcast, each worker would pin the attachments of
         the finished run's arena until a task from a *newer* arena
-        happened to arrive.  The inspection tasks rendezvous on the
-        pool barrier, so each of the two workers reports exactly once.
+        happened to arrive.  A broadcast reaches each of the two
+        workers exactly once.
         """
-        from repro.pipeline import runner as runner_mod
-
         with Runner(jobs=2) as runner:
             report = runner.run("identify", overrides=SMALL_IDENTIFY)
             assert report.ok, report.error
-            pool = runner._pool
-            assert pool is not None  # the shard plan actually dispatched
-            counts = pool.map(
-                runner_mod._attachment_count_worker, range(2), chunksize=1
-            )
+            assert runner.worker_pids()  # the shard plan actually dispatched
+            counts = runner.broadcast(_attachment_count, sticky=False)
             assert counts == [0, 0], (
                 f"workers still hold attachments after the run: {counts}"
             )
-            runner._release_barrier.reset()
 
-    def test_workers_pin_attachments_without_broadcast(self):
+    def test_workers_pin_attachments_without_broadcast(self, monkeypatch):
         """Control: with the broadcast disabled, mappings stay resident.
 
         Guards the regression test above against vacuous success (e.g.
         the run never attaching anything in the first place).
         """
-        from repro.pipeline import runner as runner_mod
-        from repro.pipeline.runner import _execute_record
-
         with Runner(jobs=2) as runner:
-            record, _result = _execute_record(
-                "identify", None, SMALL_IDENTIFY, runner.jobs,
-                runner._ensure_pool, release=None,
+            monkeypatch.setattr(
+                runner, "release_worker_attachments", lambda: None
             )
-            assert record.status == "ok", record.error
-            counts = runner._pool.map(
-                runner_mod._attachment_count_worker, range(2), chunksize=1
-            )
-            runner._release_barrier.reset()
+            report = runner.run("identify", overrides=SMALL_IDENTIFY)
+            assert report.ok, report.error
+            counts = runner.broadcast(_attachment_count, sticky=False)
             assert sum(counts) > 0, "expected resident attachments"
+            monkeypatch.undo()
             runner.release_worker_attachments()
-            counts = runner._pool.map(
-                runner_mod._attachment_count_worker, range(2), chunksize=1
-            )
-            runner._release_barrier.reset()
-            assert counts == [0, 0]
+            assert runner.broadcast(_attachment_count, sticky=False) == [0, 0]
 
     def test_release_without_pool_is_noop(self):
         Runner(jobs=1).release_worker_attachments()
         runner = Runner(jobs=4)
-        runner.release_worker_attachments()  # pool never created
-        assert runner._pool is None
+        runner.release_worker_attachments()  # workers never forked
+        assert not runner.worker_pids()
 
 
 def _pid_of_worker(_payload):
     """Broadcast target: identify the executing worker process."""
-    import os
-
     return os.getpid()
 
 
@@ -232,15 +226,50 @@ def _double(value):
 
 def _double_or_die_once(task):
     """Gather target: the first caller to claim the file SIGKILLs itself."""
-    import os
-    import signal
-
     claim, value = task
     try:
         os.close(os.open(claim, os.O_CREAT | os.O_EXCL))
     except FileExistsError:
         return value * 2
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _sleep_in_worker(parent_pid):
+    """Gather target: hang in a worker, answer at once in ``parent_pid``."""
+    if os.getpid() != parent_pid:
+        time.sleep(60)
+    return os.getpid()
+
+
+def _fail(value):
+    """Gather target: the task's own exception."""
+    raise KeyError(value)
+
+
+#: Worker state that only a sticky broadcast sets.
+_REMEMBERED = None
+
+
+def _remember(value):
+    """Sticky broadcast target."""
+    global _REMEMBERED
+    _REMEMBERED = value
+
+
+def _recall(_payload):
+    """Broadcast target: this worker and what it remembers."""
+    return os.getpid(), _REMEMBERED
+
+
+def _within(seconds, fn):
+    """``fn()``, failing instead of hanging when it blocks ``seconds``."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still blocked after {seconds} s"
+    assert out, "raised (see the thread's traceback)"
+    return out[0]
 
 
 class TestDispatchPrimitives:
@@ -282,15 +311,54 @@ class TestDispatchPrimitives:
         assert (tmp_path / "claim").exists(), "no worker was killed"
 
     def test_broadcast_reaches_every_worker_exactly_once(self):
-        import os
-
         with Runner(jobs=2) as runner:
             pids = runner.broadcast(_pid_of_worker)
             assert len(pids) == 2
             assert len(set(pids)) == 2  # two distinct workers, once each
             assert os.getpid() not in pids
-            # The barrier resets: a second broadcast works too.
+            # A second broadcast reaches the same two workers.
             assert set(runner.broadcast(_pid_of_worker)) == set(pids)
+
+    def test_gather_reraises_the_task_exception_unchanged(self):
+        with Runner(jobs=2) as runner:
+            runner.ensure_pool()
+            before = runner.worker_pids()
+            (get,) = runner.gather(_fail, ["tile 7"])
+            with pytest.raises(KeyError, match="tile 7"):
+                get()
+            assert runner.worker_pids() == before  # no worker was lost
+
+    def test_timed_out_task_kills_only_its_own_worker(self):
+        """Each timed-out attempt replaces its worker; then in-process."""
+        parent = os.getpid()
+        with Runner(jobs=2) as runner:
+            runner.ensure_pool()
+            before = runner.worker_pids()
+            (get,) = runner.gather(
+                _sleep_in_worker, [parent], timeout=0.3, retries=1
+            )
+            assert get() == parent  # both pool attempts timed out
+            after = runner.worker_pids()
+        assert len(after) == 2
+        assert len(before & after) == 1, "the idle sibling was killed too"
+
+    def test_killed_idle_workers_come_back_with_their_sticky_state(self):
+        """SIGKILL every idle worker from outside: the next broadcast and
+        gather fork successors, which replayed the sticky broadcasts."""
+        with Runner(jobs=2) as runner:
+            runner.broadcast(_remember, "basis-7")
+            before = runner.worker_pids()
+            for pid in before:
+                os.kill(pid, signal.SIGKILL)
+            recalled = _within(
+                30, lambda: runner.broadcast(_recall, sticky=False)
+            )
+            assert [value for _pid, value in recalled] == ["basis-7"] * 2
+            assert not {pid for pid, _value in recalled} & before
+            results = _within(
+                30, lambda: [get() for get in runner.gather(_double, range(4))]
+            )
+            assert results == [0, 2, 4, 6]
 
 
 class TestRunnerBasics:

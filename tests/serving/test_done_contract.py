@@ -184,7 +184,7 @@ def test_done_contract(
     server, request_, transport, ranges, keys, residency,
 ):
     if SERVERS[server]["jobs"] > 1 and not HAVE_SHARED_MEMORY:
-        pytest.skip("no multiprocessing.shared_memory")
+        pytest.skip("no memfd shared memory on this host")
     reply, expected = _serve_and_reference(
         request_, servers(server), basis, wires, corpus
     )

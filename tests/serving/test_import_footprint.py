@@ -4,11 +4,10 @@ SciPy is needed only by the IIR noise stream and the thermal-energy
 models, and it is by far the heaviest import in the package; the
 experiment modules and the layers only they use (simulator, search,
 baselines, energy, viz) are most of the rest.  Whatever a process has
-loaded when the serving pool forks, every worker inherits.  Shared
-arenas are anonymous memfds, so neither the server nor its workers
-load ``multiprocessing.shared_memory``, its resource tracker or
-``_posixshmem`` either, and a single-job server, which has no pool,
-loads no ``multiprocessing`` at all.  These guards run fresh
+loaded when the serving pool forks, every worker inherits.  The
+runner forks its own workers and shared arenas are anonymous memfds,
+so no serving process loads ``multiprocessing`` or ``_posixshmem``,
+pool or no pool.  These guards run fresh
 interpreters through the whole serving surface — the CLI module, the
 basis build, and one identify, one logicnet and one corpus query,
 served in-process and through a two-worker pool — and fail if any of
@@ -97,8 +96,9 @@ with Runner(jobs=2) as runner:
 print(json.dumps({"server": loaded(), "workers": workers}))
 """
 
-#: Packages only the experiments need, and the named-segment machinery
-#: that memfd arenas replaced; none may load when serving.
+#: Packages only the experiments need, the process pool the runner's
+#: own forked workers replaced, and the named-segment machinery that
+#: memfd arenas replaced; none may load when serving.
 _NOT_SERVING = (
     "repro.analysis",
     "repro.experiments",
@@ -108,8 +108,7 @@ _NOT_SERVING = (
     "repro.energy",
     "repro.viz",
     "scipy",
-    "multiprocessing.shared_memory",
-    "multiprocessing.resource_tracker",
+    "multiprocessing",
     "_posixshmem",
 )
 

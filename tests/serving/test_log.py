@@ -16,7 +16,7 @@ def _isolated_logger():
     logger = logging.getLogger("repro.serving")
     for handler in list(logger.handlers):
         logger.removeHandler(handler)
-    log._configured_pid = None
+    log._configured = False
 
 
 class TestLevelFromEnv:

@@ -117,7 +117,7 @@ class TestServedEqualsLocal:
         assert reply.popcounts.shape == (N_NETWORKS, FAMILY["n_gates"])
 
     @pytest.mark.skipif(
-        not HAVE_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
+        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
     )
     def test_pool_dispatch_bit_identical(self, expected):
         popcounts, checksums = expected
@@ -195,7 +195,7 @@ class TestLogicNetBudget:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_state_over_the_budget_is_overloaded(self, small_basis, jobs):
         if jobs > 1 and not HAVE_SHARED_MEMORY:
-            pytest.skip("no multiprocessing.shared_memory")
+            pytest.skip("no memfd shared memory on this host")
         inputs = small_basis.as_batch()
         shape = (inputs.n_trains, inputs.grid.n_samples)
         # 4096 gates fit; 16384 need more than the whole budget.

@@ -141,7 +141,7 @@ class TestInlineServing:
 
 
 @pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 class TestPooledServing:
     """The zero-copy path: shards attach the request arena's bitset."""
@@ -415,7 +415,7 @@ class TestInflightBudgetFairness:
 
 
 @pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 class TestSharedRunnerEmbedding:
     def test_default_shards_follow_the_dispatching_runner(self):
@@ -463,7 +463,7 @@ class TestGracefulShutdown:
             )
 
     @pytest.mark.skipif(
-        not HAVE_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
+        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
     )
     def test_pooled_shutdown_releases_worker_attachments(self):
         from repro.pipeline.runner import Runner
