@@ -4,7 +4,6 @@
 * :class:`TruthTableGate` + Boolean factories — elementary gates;
 * multi-valued families (:func:`min_gate`, :func:`max_gate`,
   :func:`mod_sum_gate`, :func:`literal_gate`, ...);
-* set operations on superposition wires (:func:`wire_union`, ...);
 * sequential logic on spike packages (:class:`PackageClock`,
   :class:`SymbolStream`, :class:`MooreMachine`);
 * netlists and synthesis (:class:`Circuit`, :func:`ripple_adder`,
@@ -44,16 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "mod_product_gate",
             "successor_gate",
             "literal_gate",
-        ),
-        "setops": (
-            "wire_union",
-            "wire_intersection",
-            "wire_difference",
-            "wire_complement",
-            "wire_membership",
-            "symbolic_union",
-            "symbolic_intersection",
-            "symbolic_difference",
         ),
         "sequential": (
             "PackageClock",

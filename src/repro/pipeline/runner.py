@@ -58,6 +58,7 @@ import pickle
 import select
 import signal
 import socket
+import stat
 import struct
 import threading
 import time
@@ -89,15 +90,6 @@ _LENGTH = struct.Struct("<Q")
 
 #: The reply of a task whose worker died, or was killed, first.
 _LOST = object()
-
-#: The parent ends of every worker socket in this process.  A forked
-#: worker closes them all, so its own socket has exactly one peer, and
-#: it sees EOF the moment this process closes that end or dies.
-_PARENT_ENDS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
-
-#: Held from ``socketpair`` to fork, so no concurrent fork inherits the
-#: child end of another worker's pair.
-_FORK_LOCK = threading.Lock()
 
 
 class WorkerLost(PipelineError):
@@ -195,30 +187,52 @@ def _work(sock: socket.socket) -> None:
             return
 
 
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every socket this fresh fork inherited, but ``keep``, at
+    ``/dev/null``.
+
+    A replacement forks from the running server, so it inherits the
+    listener, the client connections and the other workers' socket
+    ends.  Holding them would keep a connection the server closed from
+    ever reading EOF, and keep a worker from seeing EOF when its parent
+    end closes.  The descriptor numbers stay taken (``dup2``, not
+    ``close``): a Python object still wrapping one may close it later,
+    and must close ``/dev/null`` then, not a descriptor opened since.
+    """
+    with os.scandir("/dev/fd") as entries:
+        sockets = [
+            int(entry.name)
+            for entry in entries
+            if stat.S_ISSOCK(entry.stat().st_mode)
+        ]
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in sockets:
+        if fd != keep:
+            os.dup2(null, fd)
+    os.close(null)
+
+
 def _fork_worker() -> "_Worker":
     """Fork one worker on a fresh socketpair; this process keeps one end."""
-    with _FORK_LOCK:
-        parent, child = socket.socketpair()
-        _PARENT_ENDS.add(parent)
-        try:
-            pid = os.fork()
-        except OSError:
-            parent.close()
-            child.close()
-            raise
-        if pid == 0:
-            try:
-                for sock in list(_PARENT_ENDS):
-                    sock.close()
-                # A replacement forks from the running server: its
-                # signal handlers must not run here, and Ctrl-C reaches
-                # the whole process group.  The parent alone ends us.
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                signal.signal(signal.SIGTERM, signal.SIG_DFL)
-                _work(child)
-            finally:
-                os._exit(0)
+    parent, child = socket.socketpair()
+    try:
+        pid = os.fork()
+    except OSError:
+        parent.close()
         child.close()
+        raise
+    if pid == 0:
+        try:
+            _drop_inherited_sockets(keep=child.fileno())
+            # A replacement forks from the running server: its signal
+            # handlers must not run here, and Ctrl-C reaches the whole
+            # process group.  The parent alone ends us.
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            _work(child)
+        finally:
+            os._exit(0)
+    child.close()
     return _Worker(pid, parent)
 
 

@@ -174,55 +174,35 @@ def _server_error(frame: protocol.Frame) -> ServingError:
     )
 
 
-def _merged(shards: List[dict], key: str) -> np.ndarray:
-    """Concatenate one per-shard array field in row order."""
-    if not shards:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(
-        [np.asarray(shard[key], dtype=np.int64) for shard in shards]
-    )
+def _reply_builder(reply_type, mode: str):
+    """The ``finish`` of ``mode``: each of its result arrays concatenated
+    over the shards in row order, wrapped in ``reply_type``."""
 
-
-def _identify_reply(shards: List[dict], summary: dict) -> IdentifyReply:
-    return IdentifyReply(
-        elements=_merged(shards, "elements"),
-        decision_slots=_merged(shards, "decision_slots"),
-        spikes_inspected=_merged(shards, "spikes_inspected"),
-        labels=list(summary.get("labels", [])),
-        shards=shards,
-        summary=summary,
-    )
-
-
-def _membership_reply(shards: List[dict], summary: dict) -> MembershipReply:
-    return MembershipReply(
-        membership=_merged(shards, "membership").astype(bool),
-        first_slots=_merged(shards, "first_slots"),
-        labels=list(summary.get("labels", [])),
-        shards=shards,
-        summary=summary,
-    )
-
-
-def _logicnet_reply(shards: List[dict], summary: dict) -> LogicNetReply:
-    n_gates = int(summary.get("n_gates", 0))
-    if shards:
-        popcounts = np.concatenate(
-            [np.asarray(s["popcounts"], dtype=np.int64) for s in shards]
+    def finish(shards: List[dict], summary: dict):
+        # A DONE after no RESULT frame still gets arrays of the right
+        # rank and dtype (a logicnet DONE names its column count).
+        n_cols = int(summary.get("n_gates", 0))
+        arrays = {}
+        for field, wire, ndim in protocol.RESULT_ARRAYS[mode]:
+            dtype = protocol.result_dtype(wire)
+            arrays[field] = (
+                np.concatenate([np.asarray(s[field], dtype) for s in shards])
+                if shards
+                else np.empty((0, n_cols)[:ndim], dtype)
+            )
+        return reply_type(
+            **arrays,
+            labels=list(summary.get("labels", [])),
+            shards=shards,
+            summary=summary,
         )
-        checksums = np.concatenate(
-            [np.asarray(s["checksums"], dtype=np.uint64) for s in shards]
-        )
-    else:
-        popcounts = np.empty((0, n_gates), dtype=np.int64)
-        checksums = np.empty(0, dtype=np.uint64)
-    return LogicNetReply(
-        popcounts=popcounts,
-        checksums=checksums,
-        labels=list(summary.get("labels", [])),
-        shards=shards,
-        summary=summary,
-    )
+
+    return finish
+
+
+_identify_reply = _reply_builder(IdentifyReply, "identify")
+_membership_reply = _reply_builder(MembershipReply, "membership")
+_logicnet_reply = _reply_builder(LogicNetReply, "logicnet")
 
 
 def _summary_only(_shards: List[dict], summary: dict) -> dict:

@@ -21,7 +21,9 @@ request_id u32 | deadline_ms u32``.  Requests carry a fixed 28-byte
 request header (wire counts, grid geometry, scan options) followed by
 the bitset.  The byte-level layout, the version rule and the error
 codes are documented in ``docs/protocol.md`` — this module is their
-single executable source.
+single executable source: each fixed-size payload header is one
+field table that both its encoder and its parser read, and each
+result mode's arrays are one row set of :data:`RESULT_ARRAYS`.
 
 Shard results travel as binary ``FRAME_RESULT`` frames — a 24-byte
 result header followed by little-endian arrays (identify), the
@@ -59,6 +61,7 @@ mismatch is always reportable), and ``flags`` must be zero.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -100,6 +103,7 @@ __all__ = [
     "ERROR_NAMES",
     "RETRYABLE_CODES",
     "MAX_DEADLINE_MS",
+    "RESULT_ARRAYS",
     "Frame",
     "Request",
     "CorpusQuery",
@@ -121,6 +125,8 @@ __all__ = [
     "encode_stats_request",
     "encode_error",
     "request_nbytes",
+    "check_start_slot",
+    "result_dtype",
 ]
 
 #: First four bytes of every frame body ("REpro Packed Bitset").
@@ -146,16 +152,12 @@ FRAME_STATS_REPLY = 0x84
 FRAME_PONG = 0x85
 FRAME_ERROR = 0xFF
 
-_REQUEST_TYPES = (FRAME_IDENTIFY, FRAME_MEMBERSHIP)
 _JSON_RESPONSE_TYPES = (
     FRAME_DONE,
     FRAME_STATS_REPLY,
     FRAME_PONG,
     FRAME_ERROR,
 )
-
-_MODE_BY_TYPE = {FRAME_IDENTIFY: "identify", FRAME_MEMBERSHIP: "membership"}
-_TYPE_BY_MODE = {mode: ftype for ftype, mode in _MODE_BY_TYPE.items()}
 
 #: ``limit`` sentinel meaning "the whole grid" (membership requests).
 LIMIT_FULL = 0xFFFFFFFF
@@ -214,37 +216,207 @@ _LENGTH = struct.Struct("<I")
 #: Frame header: magic, version, type, flags, request_id, deadline_ms.
 _HEADER = struct.Struct("<4sBBHII")
 
-#: Request header: n_wires, n_samples, dt, start_slot, limit,
-#: n_shards, reserved.
-_REQUEST = struct.Struct("<IIdIIHH")
-
-#: Binary result header: mode, residency bits, reserved,
-#: row_start, row_stop, n_cols, wall_seconds.
-_RESULT = struct.Struct("<BBHIIId")
-
-#: Corpus-query header: mode, reserved, name_len,
-#: row_start, row_stop, start_slot, limit, n_shards, reserved —
-#: followed by ``name_len`` bytes of UTF-8 corpus name.  No bitset.
-_CORPUS_QUERY = struct.Struct("<BBHIIIIHH")
-
-#: Logicnet-query header: seed, net_start, net_stop,
-#: n_gates, depth, n_shards.  The whole payload — no bitset, no name;
-#: the family rebuilds from the seed and the server's basis lines.
-_LOGICNET_QUERY = struct.Struct("<IIIIHH")
-
 HEADER_BYTES = _HEADER.size  # 16
-REQUEST_HEADER_BYTES = _REQUEST.size  # 28
-RESULT_HEADER_BYTES = _RESULT.size  # 24
-CORPUS_QUERY_HEADER_BYTES = _CORPUS_QUERY.size  # 24
-LOGICNET_QUERY_BYTES = _LOGICNET_QUERY.size  # 20
 
-#: Residency bits of the binary result header.
-_RES_PACKED = 0x01
-_RES_CSR = 0x02
-_RES_RASTER = 0x04
+_U8, _U16, _U32 = (0, 2**8), (0, 2**16), (0, 2**32)
 
+#: The allowed range of a reserved field: zero only.
+_RESERVED = (0, 1)
+
+_FULL_RANGES = {"B": _U8, "H": _U16, "I": _U32}
+
+
+class _Layout:
+    """One fixed-size payload header, declared once as data.
+
+    ``fields`` are the header's ordered ``(field, struct code, allowed
+    range)`` rows; a range is a half-open ``(lo, hi)`` (a reserved
+    field admits only 0), or None for a float that its frame kind's own
+    rule checks.  :meth:`pack` checks every field before packing, and
+    :meth:`unpack` checks the frame type, the length and every range
+    narrower than its struct code after unpacking — so an encoder
+    cannot emit a header its parser rejects.  Range violations are
+    :data:`ERR_BAD_FRAME`.
+    """
+
+    def __init__(self, name: str, frame_types: tuple, fields: tuple) -> None:
+        self.name = name
+        self.frame_types = frame_types
+        self.fields = fields
+        self.ranges = {field: bounds for field, _code, bounds in fields}
+        self._struct = struct.Struct(
+            "<" + "".join(code for _field, code, _bounds in fields)
+        )
+        self.size = self._struct.size
+        self._checked = [
+            (index, field, bounds)
+            for index, (field, _code, bounds) in enumerate(fields)
+            if bounds is not None
+        ]
+        self._narrow = [
+            (index, field, bounds)
+            for index, field, bounds in self._checked
+            if bounds != _FULL_RANGES[fields[index][1]]
+        ]
+
+    def _check(self, bounded: list, values) -> None:
+        for index, field, (lo, hi) in bounded:
+            if not lo <= values[index] < hi:
+                raise ProtocolError(
+                    ERR_BAD_FRAME,
+                    f"{self.name} field {field} is {values[index]}, "
+                    f"outside [{lo}, {hi})",
+                )
+
+    def pack(self, *values) -> bytes:
+        """The header holding ``values`` (in field order), each checked."""
+        self._check(self._checked, values)
+        return self._struct.pack(*values)
+
+    def unpack(self, frame: Frame) -> tuple:
+        """The header fields at the start of ``frame``'s payload."""
+        if frame.frame_type not in self.frame_types:
+            raise ProtocolError(
+                ERR_BAD_TYPE,
+                f"frame type 0x{frame.frame_type:02x} is not a {self.name}",
+            )
+        if len(frame.payload) < self.size:
+            raise ProtocolError(
+                ERR_BAD_FRAME,
+                f"{self.name} payload truncated: {len(frame.payload)} "
+                f"bytes < {self.size}-byte header",
+            )
+        values = self._struct.unpack_from(frame.payload)
+        self._check(self._narrow, values)
+        return values
+
+    def check_length(self, frame: Frame, expected: int) -> None:
+        """The payload must be exactly the ``expected`` bytes its header
+        implies: truncation and trailing bytes are both malformed."""
+        if len(frame.payload) != expected:
+            raise ProtocolError(
+                ERR_BAD_FRAME,
+                f"{self.name} payload is {len(frame.payload)} bytes, "
+                f"expected {expected}",
+            )
+
+
+_MODE_BY_TYPE = {FRAME_IDENTIFY: "identify", FRAME_MEMBERSHIP: "membership"}
+_TYPE_BY_MODE = {mode: ftype for ftype, mode in _MODE_BY_TYPE.items()}
+
+#: The mode field's codes; each header's range admits its own subset.
 _MODE_CODES = {"identify": 1, "membership": 2, "logicnet": 3}
 _MODE_BY_CODE = {code: mode for mode, code in _MODE_CODES.items()}
+
+#: Request header, followed by ``n_wires`` rows of the bitset.
+_REQUEST = _Layout(
+    "request",
+    tuple(_MODE_BY_TYPE),
+    (
+        ("n_wires", "I", (1, 2**32)),
+        ("n_samples", "I", (1, 2**32)),
+        ("dt", "d", None),
+        ("start_slot", "I", _U32),
+        ("limit", "I", _U32),
+        ("n_shards", "H", _U16),
+        ("reserved", "H", _RESERVED),
+    ),
+)
+
+#: Corpus-query header, followed by ``name_len`` bytes of UTF-8 corpus
+#: name.  No bitset.
+_CORPUS_QUERY = _Layout(
+    "corpus query",
+    (FRAME_CORPUS_QUERY,),
+    (
+        ("mode", "B", (1, 3)),  # identify or membership
+        ("reserved", "B", _RESERVED),
+        ("name_len", "H", (1, 2**16)),
+        ("row_start", "I", _U32),
+        ("row_stop", "I", _U32),
+        ("start_slot", "I", _U32),
+        ("limit", "I", _U32),
+        ("n_shards", "H", _U16),
+        ("reserved", "H", _RESERVED),
+    ),
+)
+
+#: Logicnet query: the whole payload — no bitset, no name; the family
+#: rebuilds from the seed and the server's basis lines.
+_LOGICNET_QUERY = _Layout(
+    "logicnet query",
+    (FRAME_LOGICNET,),
+    (
+        ("seed", "I", _U32),
+        ("net_start", "I", _U32),
+        ("net_stop", "I", _U32),
+        ("n_gates", "I", (1, 2**32)),
+        ("depth", "H", (1, 2**16)),
+        ("n_shards", "H", _U16),
+    ),
+)
+
+#: Result header, followed by the mode's :data:`RESULT_ARRAYS`.
+_RESULT = _Layout(
+    "result",
+    (FRAME_RESULT,),
+    (
+        ("mode", "B", (1, 4)),  # identify, membership or logicnet
+        ("residency", "B", _U8),
+        ("reserved", "H", _RESERVED),
+        ("row_start", "I", _U32),
+        ("row_stop", "I", _U32),
+        ("n_cols", "I", _U32),
+        ("wall_seconds", "d", None),
+    ),
+)
+
+#: Residency bits of the result header.
+_RESIDENCY_BITS = (("packed", 0x01), ("csr", 0x02), ("raster", 0x04))
+
+#: Wire dtype of a result field that travels as the row-wise
+#: ``np.packbits`` of a boolean matrix.
+_BITS = "bits"
+
+#: Each result mode's arrays in wire order: ``(field, wire dtype,
+#: ndim)``, where ``ndim`` 1 is one entry per row and 2 an
+#: ``(n_rows, n_cols)`` matrix.  The result codecs, the server's
+#: coalescer split and the client's reply merge all read this table.
+RESULT_ARRAYS = {
+    "identify": (
+        ("elements", "<i4", 1),
+        ("decision_slots", "<i8", 1),
+        ("spikes_inspected", "<i8", 1),
+    ),
+    "membership": (("membership", _BITS, 2), ("first_slots", "<i8", 2)),
+    "logicnet": (("popcounts", "<i8", 2), ("checksums", "<u8", 1)),
+}
+
+
+def result_dtype(wire: str) -> np.dtype:
+    """The dtype a result field of wire dtype ``wire`` decodes to.
+
+    Bits decode to ``bool``; every integer widens to 64 bits of its
+    own kind.
+    """
+    return np.dtype(bool if wire == _BITS else wire[1] + "8")
+
+
+#: :data:`RESULT_ARRAYS` resolved once for the codecs: ``(field, dtype
+#: of the wire bytes, decoded dtype, ndim, packed bits?)``.
+_RESULT_FORMS = {
+    mode: tuple(
+        (
+            field,
+            np.dtype(np.uint8 if wire == _BITS else wire),
+            result_dtype(wire),
+            ndim,
+            wire == _BITS,
+        )
+        for field, wire, ndim in arrays
+    )
+    for mode, arrays in RESULT_ARRAYS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -361,7 +533,7 @@ def request_nbytes(n_wires: int, n_samples: int) -> int:
     """Total frame-body bytes of a request with the given dimensions."""
     return (
         HEADER_BYTES
-        + REQUEST_HEADER_BYTES
+        + _REQUEST.size
         + n_wires * packed_kernels.n_packed_bytes(n_samples)
     )
 
@@ -376,6 +548,60 @@ def _check_deadline_ms(deadline_ms: int) -> int:
     return deadline_ms
 
 
+def check_start_slot(start_slot: int, n_samples: int) -> None:
+    """Reject a scan window that starts past a grid of ``n_samples``.
+
+    The bitset request codecs and the server's corpus plan share this
+    check, so a corpus query is rejected exactly like a bitset request
+    shipping the same rows.
+    """
+    if start_slot > n_samples:
+        raise ProtocolError(
+            ERR_BAD_FRAME,
+            f"start_slot {start_slot} outside grid of {n_samples} samples",
+        )
+
+
+def _check_dt(dt: float) -> None:
+    """A grid's sample period must be finite and positive."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ProtocolError(ERR_BAD_FRAME, f"impossible grid: dt={dt}")
+
+
+def _check_range(layout: _Layout, start: int, stop: int) -> None:
+    """A query's ``[start, stop)`` range must hold at least one row."""
+    if stop <= start:
+        raise ProtocolError(
+            ERR_BAD_FRAME,
+            f"a {layout.name} needs a non-empty range, got [{start}, {stop})",
+        )
+
+
+def _mode_code(layout: _Layout, mode: str) -> int:
+    """``mode``'s wire code, if ``layout``'s mode field admits it."""
+    code = _MODE_CODES.get(mode, 0)
+    lo, hi = layout.ranges["mode"]
+    if not lo <= code < hi:
+        raise ProtocolError(
+            ERR_BAD_TYPE, f"unknown {layout.name} mode {mode!r}"
+        )
+    return code
+
+
+def _frame_head(
+    frame_type: int, request_id: int, n_payload: int, deadline_ms: int = 0
+) -> bytes:
+    """Length prefix and frame header of a frame with ``n_payload`` bytes."""
+    if not (0 <= request_id < 2**32):
+        raise ProtocolError(
+            ERR_BAD_FRAME, f"request_id {request_id} outside uint32"
+        )
+    deadline_ms = _check_deadline_ms(deadline_ms)
+    return _LENGTH.pack(HEADER_BYTES + n_payload) + _HEADER.pack(
+        MAGIC, PROTOCOL_VERSION, frame_type, 0, request_id, deadline_ms
+    )
+
+
 def encode_frame(
     frame_type: int,
     request_id: int,
@@ -384,15 +610,8 @@ def encode_frame(
     deadline_ms: int = 0,
 ) -> bytes:
     """Assemble one length-prefixed frame from its parts."""
-    if not (0 <= request_id < 2**32):
-        raise ProtocolError(
-            ERR_BAD_FRAME, f"request_id {request_id} outside uint32"
-        )
-    deadline_ms = _check_deadline_ms(deadline_ms)
-    header = _HEADER.pack(
-        MAGIC, PROTOCOL_VERSION, frame_type, 0, request_id, deadline_ms
-    )
-    return _LENGTH.pack(len(header) + len(payload)) + header + payload
+    head = _frame_head(frame_type, request_id, len(payload), deadline_ms)
+    return head + payload
 
 
 def encode_request_parts(
@@ -432,35 +651,18 @@ def encode_request_parts(
             f"packed shape {packed.shape} does not match "
             f"(N, {n_bytes}) for {n_samples} samples",
         )
-    if packed.shape[0] < 1:
-        raise ProtocolError(ERR_BAD_FRAME, "a request needs at least one wire")
-    if not (0 <= start_slot <= n_samples):
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"start_slot {start_slot} outside grid of {n_samples} samples",
-        )
-    wire_limit = LIMIT_FULL if limit is None else int(limit)
-    if not (0 <= wire_limit <= LIMIT_FULL):
-        raise ProtocolError(ERR_BAD_FRAME, f"limit {limit} outside uint32")
-    if not (0 <= n_shards < 2**16):
-        raise ProtocolError(ERR_BAD_FRAME, f"n_shards {n_shards} outside uint16")
-    if not (0 <= request_id < 2**32):
-        raise ProtocolError(
-            ERR_BAD_FRAME, f"request_id {request_id} outside uint32"
-        )
-    deadline_ms = _check_deadline_ms(deadline_ms)
+    dt = float(dt)
+    _check_dt(dt)
+    check_start_slot(start_slot, n_samples)
     body = _REQUEST.pack(
-        packed.shape[0], n_samples, float(dt), start_slot, wire_limit,
-        n_shards, 0,
+        packed.shape[0], n_samples, dt, start_slot,
+        LIMIT_FULL if limit is None else int(limit), n_shards, 0,
     )
-    header = _HEADER.pack(
-        MAGIC, PROTOCOL_VERSION, _TYPE_BY_MODE[mode], 0, request_id,
+    head = _frame_head(
+        _TYPE_BY_MODE[mode], request_id, len(body) + packed.nbytes,
         deadline_ms,
     )
-    length = _LENGTH.pack(len(header) + len(body) + packed.nbytes)
-    view = memoryview(packed).cast("B")
-    view = view.toreadonly() if hasattr(view, "toreadonly") else view
-    return [memoryview(length + header + body), view]
+    return [memoryview(head + body), memoryview(packed).cast("B").toreadonly()]
 
 
 def encode_request(
@@ -503,56 +705,25 @@ def parse_request(frame: Frame) -> Request:
     impossible grids — the exact payload length is implied by the
     request header, so any mismatch is :data:`ERR_BAD_FRAME`.
     """
-    if frame.frame_type not in _REQUEST_TYPES:
-        raise ProtocolError(
-            ERR_BAD_TYPE,
-            f"frame type 0x{frame.frame_type:02x} is not a request",
-        )
-    if len(frame.payload) < REQUEST_HEADER_BYTES:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"request payload truncated: {len(frame.payload)} bytes "
-            f"< {REQUEST_HEADER_BYTES}-byte request header",
-        )
-    n_wires, n_samples, dt, start_slot, limit, n_shards, reserved = (
-        _REQUEST.unpack_from(frame.payload)
+    n_wires, n_samples, dt, start_slot, limit, n_shards, _reserved = (
+        _REQUEST.unpack(frame)
     )
-    if reserved != 0:
-        raise ProtocolError(
-            ERR_BAD_FRAME, "reserved request-header field must be zero"
-        )
-    if n_wires < 1:
-        raise ProtocolError(ERR_BAD_FRAME, "a request needs at least one wire")
-    if n_samples < 1 or not (dt > 0.0) or not np.isfinite(dt):
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"impossible grid: n_samples={n_samples}, dt={dt}",
-        )
-    if start_slot > n_samples:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"start_slot {start_slot} outside grid of {n_samples} samples",
-        )
+    _check_dt(dt)
+    check_start_slot(start_slot, n_samples)
     n_bytes = packed_kernels.n_packed_bytes(n_samples)
-    expected = REQUEST_HEADER_BYTES + n_wires * n_bytes
-    if len(frame.payload) != expected:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"payload is {len(frame.payload)} bytes, expected {expected} "
-            f"for {n_wires} wires x {n_bytes} packed bytes",
-        )
+    _REQUEST.check_length(frame, _REQUEST.size + n_wires * n_bytes)
     packed = np.frombuffer(
-        frame.payload, dtype=np.uint8, offset=REQUEST_HEADER_BYTES
+        frame.payload, dtype=np.uint8, offset=_REQUEST.size
     ).reshape(n_wires, n_bytes)
     return Request(
         mode=_MODE_BY_TYPE[frame.frame_type],
         request_id=frame.request_id,
         packed=packed,
-        n_samples=int(n_samples),
-        dt=float(dt),
-        start_slot=int(start_slot),
-        limit=None if limit == LIMIT_FULL else int(limit),
-        n_shards=int(n_shards),
+        n_samples=n_samples,
+        dt=dt,
+        start_slot=start_slot,
+        limit=None if limit == LIMIT_FULL else limit,
+        n_shards=n_shards,
         deadline_ms=frame.deadline_ms,
     )
 
@@ -578,32 +749,13 @@ def encode_corpus_query(
     or a million.  ``n_shards`` 0 lets the server chunk by its own
     configured window; ``limit`` bounds a membership scan.
     """
-    if mode not in _MODE_CODES:
-        raise ProtocolError(ERR_BAD_TYPE, f"unknown request mode {mode!r}")
+    code = _mode_code(_CORPUS_QUERY, mode)
     name = str(corpus).encode("utf-8")
-    if not (0 < len(name) < 2**16):
-        raise ProtocolError(
-            ERR_BAD_FRAME, f"corpus name must be 1-65535 bytes, got {corpus!r}"
-        )
     row_start, row_stop = int(row_start), int(row_stop)
-    if not (0 <= row_start < row_stop < 2**32):
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"corpus row range [{row_start}, {row_stop}) is empty or "
-            f"outside uint32",
-        )
-    if not (0 <= start_slot < 2**32):
-        raise ProtocolError(
-            ERR_BAD_FRAME, f"start_slot {start_slot} outside uint32"
-        )
-    wire_limit = LIMIT_FULL if limit is None else int(limit)
-    if not (0 <= wire_limit <= LIMIT_FULL):
-        raise ProtocolError(ERR_BAD_FRAME, f"limit {limit} outside uint32")
-    if not (0 <= n_shards < 2**16):
-        raise ProtocolError(ERR_BAD_FRAME, f"n_shards {n_shards} outside uint16")
+    _check_range(_CORPUS_QUERY, row_start, row_stop)
     body = _CORPUS_QUERY.pack(
-        _MODE_CODES[mode], 0, len(name), row_start, row_stop,
-        start_slot, wire_limit, n_shards, 0,
+        code, 0, len(name), row_start, row_stop, start_slot,
+        LIMIT_FULL if limit is None else int(limit), n_shards, 0,
     )
     return encode_frame(
         FRAME_CORPUS_QUERY, request_id, body + name, deadline_ms=deadline_ms
@@ -618,62 +770,27 @@ def parse_corpus_query(frame: Frame) -> CorpusQuery:
     :data:`ERR_BAD_FRAME`; whether the named corpus exists (and whether
     the range fits it) is the server's call, not the parser's.
     """
-    if frame.frame_type != FRAME_CORPUS_QUERY:
-        raise ProtocolError(
-            ERR_BAD_TYPE,
-            f"frame type 0x{frame.frame_type:02x} is not a corpus query",
-        )
-    if len(frame.payload) < CORPUS_QUERY_HEADER_BYTES:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"corpus-query payload truncated: {len(frame.payload)} bytes "
-            f"< {CORPUS_QUERY_HEADER_BYTES}-byte query header",
-        )
     (
-        mode_code, reserved_a, name_len, row_start, row_stop,
-        start_slot, limit, n_shards, reserved_b,
-    ) = _CORPUS_QUERY.unpack_from(frame.payload)
-    if reserved_a != 0 or reserved_b != 0:
-        raise ProtocolError(
-            ERR_BAD_FRAME, "reserved corpus-query fields must be zero"
-        )
-    mode = _MODE_BY_CODE.get(mode_code)
-    if mode is None:
-        raise ProtocolError(
-            ERR_BAD_FRAME, f"unknown query mode code {mode_code}"
-        )
-    expected = CORPUS_QUERY_HEADER_BYTES + name_len
-    if len(frame.payload) != expected:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"corpus-query payload is {len(frame.payload)} bytes, expected "
-            f"{expected} for a {name_len}-byte name",
-        )
-    if name_len < 1:
-        raise ProtocolError(ERR_BAD_FRAME, "a corpus query needs a name")
-    if row_stop <= row_start:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"a corpus query needs at least one row: "
-            f"[{row_start}, {row_stop})",
-        )
+        code, _reserved, name_len, row_start, row_stop,
+        start_slot, limit, n_shards, _reserved,
+    ) = _CORPUS_QUERY.unpack(frame)
+    _CORPUS_QUERY.check_length(frame, _CORPUS_QUERY.size + name_len)
+    _check_range(_CORPUS_QUERY, row_start, row_stop)
     try:
-        corpus = bytes(
-            frame.payload[CORPUS_QUERY_HEADER_BYTES:]
-        ).decode("utf-8")
+        corpus = bytes(frame.payload[_CORPUS_QUERY.size :]).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(
             ERR_BAD_FRAME, f"undecodable corpus name: {exc}"
         ) from None
     return CorpusQuery(
-        mode=mode,
+        mode=_MODE_BY_CODE[code],
         request_id=frame.request_id,
         corpus=corpus,
-        row_start=int(row_start),
-        row_stop=int(row_stop),
-        start_slot=int(start_slot),
-        limit=None if limit == LIMIT_FULL else int(limit),
-        n_shards=int(n_shards),
+        row_start=row_start,
+        row_stop=row_stop,
+        start_slot=start_slot,
+        limit=None if limit == LIMIT_FULL else limit,
+        n_shards=n_shards,
         deadline_ms=frame.deadline_ms,
     )
 
@@ -697,24 +814,7 @@ def encode_logicnet_query(
     ``n_shards`` 0 lets the server pick its configured split.
     """
     net_start, net_stop = int(net_start), int(net_stop)
-    if not (0 <= net_start < net_stop < 2**32):
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"logicnet network range [{net_start}, {net_stop}) is empty "
-            f"or outside uint32",
-        )
-    if not (0 <= int(seed) < 2**32):
-        raise ProtocolError(ERR_BAD_FRAME, f"seed {seed} outside uint32")
-    if not (1 <= int(n_gates) < 2**32):
-        raise ProtocolError(
-            ERR_BAD_FRAME, f"n_gates {n_gates} must be in [1, 2**32)"
-        )
-    if not (1 <= int(depth) < 2**16):
-        raise ProtocolError(
-            ERR_BAD_FRAME, f"depth {depth} must be in [1, 65536)"
-        )
-    if not (0 <= n_shards < 2**16):
-        raise ProtocolError(ERR_BAD_FRAME, f"n_shards {n_shards} outside uint16")
+    _check_range(_LOGICNET_QUERY, net_start, net_stop)
     body = _LOGICNET_QUERY.pack(
         int(seed), net_start, net_stop, int(n_gates), int(depth), int(n_shards)
     )
@@ -730,40 +830,19 @@ def parse_logicnet_query(frame: Frame) -> LogicNetQuery:
     trailing bytes are both :data:`ERR_BAD_FRAME`.  Whether the range
     and shape fit the server's limits is the server's call.
     """
-    if frame.frame_type != FRAME_LOGICNET:
-        raise ProtocolError(
-            ERR_BAD_TYPE,
-            f"frame type 0x{frame.frame_type:02x} is not a logicnet query",
-        )
-    if len(frame.payload) != LOGICNET_QUERY_BYTES:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"logicnet-query payload is {len(frame.payload)} bytes, "
-            f"expected exactly {LOGICNET_QUERY_BYTES}",
-        )
     seed, net_start, net_stop, n_gates, depth, n_shards = (
-        _LOGICNET_QUERY.unpack_from(frame.payload)
+        _LOGICNET_QUERY.unpack(frame)
     )
-    if net_stop <= net_start:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"a logicnet query needs at least one network: "
-            f"[{net_start}, {net_stop})",
-        )
-    if n_gates < 1 or depth < 1:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"logicnet shape needs n_gates >= 1 and depth >= 1, "
-            f"got {n_gates} x {depth}",
-        )
+    _LOGICNET_QUERY.check_length(frame, _LOGICNET_QUERY.size)
+    _check_range(_LOGICNET_QUERY, net_start, net_stop)
     return LogicNetQuery(
         request_id=frame.request_id,
-        seed=int(seed),
-        net_start=int(net_start),
-        net_stop=int(net_stop),
-        n_gates=int(n_gates),
-        depth=int(depth),
-        n_shards=int(n_shards),
+        seed=seed,
+        net_start=net_start,
+        net_stop=net_stop,
+        n_gates=n_gates,
+        depth=depth,
+        n_shards=n_shards,
         deadline_ms=frame.deadline_ms,
     )
 
@@ -806,17 +885,6 @@ def parse_json_frame(frame: Frame) -> dict:
     return obj
 
 
-def _residency_bits(residency: dict) -> int:
-    bits = 0
-    if residency.get("packed"):
-        bits |= _RES_PACKED
-    if residency.get("csr"):
-        bits |= _RES_CSR
-    if residency.get("raster"):
-        bits |= _RES_RASTER
-    return bits
-
-
 def encode_result_frame(
     request_id: int,
     payload: dict,
@@ -827,83 +895,44 @@ def encode_result_frame(
 
     ``payload`` is a :func:`~repro.serving.dispatch.compute_shard`
     payload: ``row_start``/``row_stop``/``wall_seconds``/``residency``
-    plus the mode's arrays.  Identify results travel as little-endian
-    ``elements`` (i32), ``decision_slots`` (i64) and
-    ``spikes_inspected`` (i64), one entry per row; membership results
-    as the ``np.packbits`` bits of the ``(n_rows, M)`` membership
-    matrix followed by the ``first_slots`` i64 matrix; logicnet
-    results as the ``(n_rows, G)`` per-gate ``popcounts``
-    i64 matrix followed by the per-network ``checksums`` u64 vector,
-    with the row range counting networks and ``n_cols`` carrying G.
+    plus the mode's :data:`RESULT_ARRAYS`, which follow the result
+    header in table order as little-endian buffers (membership as the
+    ``np.packbits`` rows of the boolean matrix).  The row range counts
+    wires (logicnet: networks), and ``n_cols`` is the column count of
+    the mode's matrices (membership: M; logicnet: G; identify: 0).
     No JSON, no Python lists — the arrays' own buffers are the
     payload.
     """
-    if mode not in _MODE_CODES:
-        raise ProtocolError(ERR_BAD_TYPE, f"unknown result mode {mode!r}")
+    code = _mode_code(_RESULT, mode)
     row_start = int(payload["row_start"])
     row_stop = int(payload["row_stop"])
-    n_rows = row_stop - row_start
-    if mode == "identify":
-        elements = np.ascontiguousarray(payload["elements"], dtype="<i4")
-        slots = np.ascontiguousarray(payload["decision_slots"], dtype="<i8")
-        inspected = np.ascontiguousarray(
-            payload["spikes_inspected"], dtype="<i8"
-        )
-        if not (elements.size == slots.size == inspected.size == n_rows):
+    n_cols = None  # set by the mode's first matrix
+    blobs = []
+    for field, wire, decoded, ndim, bits in _RESULT_FORMS[mode]:
+        array = np.ascontiguousarray(payload[field], decoded if bits else wire)
+        if ndim == 2 and n_cols is None:
+            n_cols = array.shape[1] if array.ndim == 2 else 0
+        if array.shape != (row_stop - row_start, n_cols)[:ndim]:
             raise ProtocolError(
                 ERR_BAD_FRAME,
-                f"identify arrays sized {elements.size} do not match "
+                f"{mode} array {field} {array.shape} does not match "
                 f"rows [{row_start}, {row_stop})",
             )
-        n_cols = 0
-        blob = elements.tobytes() + slots.tobytes() + inspected.tobytes()
-    elif mode == "logicnet":
-        popcounts = np.ascontiguousarray(payload["popcounts"], dtype="<i8")
-        checksums = np.ascontiguousarray(payload["checksums"], dtype="<u8")
-        if (
-            popcounts.ndim != 2
-            or popcounts.shape[0] != n_rows
-            or checksums.shape != (n_rows,)
-        ):
-            raise ProtocolError(
-                ERR_BAD_FRAME,
-                f"logicnet arrays {popcounts.shape}/{checksums.shape} do "
-                f"not match networks [{row_start}, {row_stop})",
-            )
-        n_cols = popcounts.shape[1]
-        blob = popcounts.tobytes() + checksums.tobytes()
-    else:
-        membership = np.ascontiguousarray(
-            payload["membership"], dtype=np.bool_
-        )
-        first_slots = np.ascontiguousarray(
-            payload["first_slots"], dtype="<i8"
-        )
-        if (
-            membership.ndim != 2
-            or membership.shape[0] != n_rows
-            or first_slots.shape != membership.shape
-        ):
-            raise ProtocolError(
-                ERR_BAD_FRAME,
-                f"membership matrices {membership.shape} do not match "
-                f"rows [{row_start}, {row_stop})",
-            )
-        n_cols = membership.shape[1]
-        blob = (
-            np.packbits(membership, axis=1).tobytes()
-            + first_slots.tobytes()
-        )
+        blobs.append(np.packbits(array, axis=1) if bits else array)
+    residency = payload.get("residency", {})
     header = _RESULT.pack(
-        _MODE_CODES[mode],
-        _residency_bits(payload.get("residency", {})),
+        code,
+        sum(bit for name, bit in _RESIDENCY_BITS if residency.get(name)),
         0,
         row_start,
         row_stop,
-        n_cols,
+        n_cols or 0,
         float(payload.get("wall_seconds", 0.0)),
     )
-    return encode_frame(FRAME_RESULT, request_id, header + blob)
+    n_payload = len(header) + sum(blob.nbytes for blob in blobs)
+    return b"".join(
+        [_frame_head(FRAME_RESULT, request_id, n_payload), header, *blobs]
+    )
 
 
 def parse_result_frame(frame: Frame) -> dict:
@@ -911,102 +940,47 @@ def parse_result_frame(frame: Frame) -> dict:
 
     The inverse of :func:`encode_result_frame`: the returned dict
     carries the :func:`~repro.serving.dispatch.compute_shard` payload
-    keys — array fields as NumPy arrays, ``membership`` as booleans.
+    keys — each of the mode's :data:`RESULT_ARRAYS` as a NumPy array
+    of its :func:`result_dtype`.
     """
-    if frame.frame_type != FRAME_RESULT:
-        raise ProtocolError(
-            ERR_BAD_TYPE,
-            f"frame type 0x{frame.frame_type:02x} is not a result frame",
-        )
-    if len(frame.payload) < RESULT_HEADER_BYTES:
-        raise ProtocolError(
-            ERR_BAD_FRAME,
-            f"result payload truncated: {len(frame.payload)} bytes "
-            f"< {RESULT_HEADER_BYTES}-byte result header",
-        )
-    mode_code, residency_bits, reserved, row_start, row_stop, n_cols, wall = (
-        _RESULT.unpack_from(frame.payload)
+    code, residency, _reserved, row_start, row_stop, n_cols, wall = (
+        _RESULT.unpack(frame)
     )
-    if reserved != 0:
-        raise ProtocolError(
-            ERR_BAD_FRAME, "reserved result-header field must be zero"
-        )
-    mode = _MODE_BY_CODE.get(mode_code)
-    if mode is None:
-        raise ProtocolError(
-            ERR_BAD_FRAME, f"unknown result mode code {mode_code}"
-        )
+    mode = _MODE_BY_CODE[code]
     if row_stop < row_start:
         raise ProtocolError(
             ERR_BAD_FRAME, f"impossible row range [{row_start}, {row_stop})"
         )
+    if mode == "identify" and n_cols != 0:
+        raise ProtocolError(
+            ERR_BAD_FRAME, "identify results carry no column count"
+        )
     n_rows = row_stop - row_start
-    body = memoryview(frame.payload)[RESULT_HEADER_BYTES:]
+    spans = []  # (field, wire dtype, decoded dtype, bits, shape, offset)
+    offset = _RESULT.size
+    for field, wire, decoded, ndim, bits in _RESULT_FORMS[mode]:
+        shape = (n_rows, -(-n_cols // 8)) if bits else (n_rows, n_cols)[:ndim]
+        spans.append((field, wire, decoded, bits, shape, offset))
+        offset += math.prod(shape) * wire.itemsize
+    _RESULT.check_length(frame, offset)
     payload = {
         "kind": "shard",
-        "row_start": int(row_start),
-        "row_stop": int(row_stop),
-        "wall_seconds": float(wall),
+        "row_start": row_start,
+        "row_stop": row_stop,
+        "wall_seconds": wall,
         "residency": {
-            "packed": bool(residency_bits & _RES_PACKED),
-            "csr": bool(residency_bits & _RES_CSR),
-            "raster": bool(residency_bits & _RES_RASTER),
+            name: bool(residency & bit) for name, bit in _RESIDENCY_BITS
         },
     }
-    if mode == "identify":
-        if n_cols != 0:
-            raise ProtocolError(
-                ERR_BAD_FRAME, "identify results carry no column count"
-            )
-        expected = n_rows * (4 + 8 + 8)
-        if len(body) != expected:
-            raise ProtocolError(
-                ERR_BAD_FRAME,
-                f"identify result payload is {len(body)} bytes, expected "
-                f"{expected} for {n_rows} rows",
-            )
-        payload["elements"] = np.frombuffer(
-            body, dtype="<i4", count=n_rows
-        ).astype(np.int64)
-        payload["decision_slots"] = np.frombuffer(
-            body, dtype="<i8", count=n_rows, offset=4 * n_rows
+    for field, wire, decoded, bits, shape, at in spans:
+        array = np.frombuffer(frame.payload, wire, math.prod(shape), at)
+        if len(shape) == 2:
+            array = array.reshape(shape)
+        payload[field] = (
+            np.unpackbits(array, axis=1, count=n_cols).astype(bool)
+            if bits
+            else array.astype(decoded, copy=False)
         )
-        payload["spikes_inspected"] = np.frombuffer(
-            body, dtype="<i8", count=n_rows, offset=12 * n_rows
-        )
-    elif mode == "logicnet":
-        expected = n_rows * n_cols * 8 + n_rows * 8
-        if len(body) != expected:
-            raise ProtocolError(
-                ERR_BAD_FRAME,
-                f"logicnet result payload is {len(body)} bytes, expected "
-                f"{expected} for {n_rows} networks x {n_cols} gates",
-            )
-        payload["popcounts"] = np.frombuffer(
-            body, dtype="<i8", count=n_rows * n_cols
-        ).reshape(n_rows, n_cols)
-        payload["checksums"] = np.frombuffer(
-            body, dtype="<u8", count=n_rows, offset=n_rows * n_cols * 8
-        )
-    else:
-        mask_bytes = n_rows * ((n_cols + 7) // 8)
-        expected = mask_bytes + n_rows * n_cols * 8
-        if len(body) != expected:
-            raise ProtocolError(
-                ERR_BAD_FRAME,
-                f"membership result payload is {len(body)} bytes, expected "
-                f"{expected} for {n_rows} rows x {n_cols} elements",
-            )
-        bits = np.frombuffer(body, dtype=np.uint8, count=mask_bytes)
-        if n_rows:
-            payload["membership"] = np.unpackbits(
-                bits.reshape(n_rows, -1), axis=1, count=n_cols
-            ).astype(bool)
-        else:
-            payload["membership"] = np.empty((0, n_cols), dtype=bool)
-        payload["first_slots"] = np.frombuffer(
-            body, dtype="<i8", offset=mask_bytes
-        ).reshape(n_rows, n_cols)
     return payload
 
 

@@ -401,12 +401,10 @@ class _Coalescer:
     @staticmethod
     def _slice(payload: dict, mode: str, lo: int, hi: int) -> dict:
         """One request's rows of the wide batch payload, re-rooted at 0."""
-        fields = (
-            ("elements", "decision_slots", "spikes_inspected")
-            if mode == "identify"
-            else ("membership", "first_slots")
-        )
-        sub = {field: payload[field][lo:hi] for field in fields}
+        sub = {
+            field: payload[field][lo:hi]
+            for field, _wire, _ndim in protocol.RESULT_ARRAYS[mode]
+        }
         sub.update(
             row_start=0,
             row_stop=hi - lo,
@@ -1248,15 +1246,7 @@ class SpikeServer:
                 f"row range [{query.row_start}, {query.row_stop}) outside "
                 f"corpus of {self._corpus.n_rows} rows",
             )
-        # The same check parse_request makes of a bitset request, so a
-        # corpus reply stays bit-identical to shipping the rows.
-        n_samples = self.basis.grid.n_samples
-        if query.start_slot > n_samples:
-            raise ServingError(
-                protocol.ERR_BAD_FRAME,
-                f"start_slot {query.start_slot} outside grid of "
-                f"{n_samples} samples",
-            )
+        protocol.check_start_slot(query.start_slot, self.basis.grid.n_samples)
         chunk_rows = max(1, self.config.corpus_chunk_rows)
         n_chunks = max(query.n_shards, -(-query.n_wires // chunk_rows))
         chunks = [

@@ -4,9 +4,12 @@ An idle worker waits on its own socket and holds nothing its siblings
 need, so killing it from outside wedges nothing: the server sees the
 death as EPIPE or EOF the next time it uses that worker, forks a
 successor (which replays the basis install) and serves the request
-bit-identically.  A worker is only ever a peer of the server's end of
-its socket, so when the server is SIGKILLed every idle worker reads
-EOF and exits, replacements forked from the running server included.
+bit-identically.  A forked worker points every socket it inherited but
+its own at ``/dev/null``, so it is only ever a peer of the server's end
+of its socket: when the server is SIGKILLed every idle worker reads EOF
+and exits, replacements forked from the running server included, and
+a client connection the server closes reads EOF although a successor
+forked while it was open.
 
 pytest-timeout is not installed: every wait below carries its own
 bound, so a regression fails instead of hanging the suite.
@@ -14,6 +17,7 @@ bound, so a regression fails instead of hanging the suite.
 
 import os
 import signal
+import socket
 
 import numpy as np
 import pytest
@@ -96,3 +100,38 @@ def test_killed_server_leaves_no_idle_worker(tmp_path, wires):
         assert wait_until(
             lambda: not any(alive(pid) for pid in idle), 1.0
         ), "idle workers outlived their server"
+
+
+def _socket_count(pid):
+    """How many sockets ``pid`` holds open."""
+    fd_dir = f"/proc/{pid}/fd"
+    links = []
+    for entry in os.listdir(fd_dir):
+        try:
+            links.append(os.readlink(os.path.join(fd_dir, entry)))
+        except OSError:  # closed while we looked
+            pass
+    return sum(link.startswith("socket:") for link in links)
+
+
+def test_successor_holds_only_its_own_socket(tmp_path, wires):
+    with LiveServer(
+        tmp_path, "--jobs", "2", "--fast-path-bytes", "0",
+        "--idle-timeout", "1",
+    ) as server:
+        _server_pid, *workers = server.tree()
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=CLIENT_TIMEOUT
+        ) as idle:
+            _kill_and_wait(workers[0])
+            with ServingClient(
+                "127.0.0.1", server.port, timeout=CLIENT_TIMEOUT
+            ) as client:
+                client.identify(wires, n_shards=2)
+            _server_pid, *pool = server.tree()
+            (successor,) = set(pool) - set(workers)
+            # The server closes the idle connection after 1 s; no copy
+            # of its end may outlive that in the successor.
+            idle.settimeout(5.0)
+            assert idle.recv(1) == b""
+            assert _socket_count(successor) == 1

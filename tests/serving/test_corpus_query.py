@@ -9,6 +9,7 @@ a typed error frame instead of dropping the connection.
 """
 
 import asyncio
+import socket
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ class TestCorpusErrors:
             edge.decision_slots, shipped.decision_slots
         )
 
+    def test_logicnet_mode_is_a_bad_frame(self, corpus_server):
+        """Mode 3 names logicnet results, not a corpus scan."""
+        wire = bytearray(protocol.encode_corpus_query("library", 0, 8))
+        wire[4 + protocol.HEADER_BYTES] = 3
+        address = (corpus_server.host, corpus_server.port)
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(wire)
+            reader, frames = protocol.FrameReader(), []
+            while not frames:
+                chunk = sock.recv(65536)
+                assert chunk, "closed without an answer"
+                frames = reader.feed(chunk)
+        (frame,) = frames
+        assert frame.frame_type == protocol.FRAME_ERROR
+        error = protocol.parse_json_frame(frame)
+        assert error["code"] == protocol.ERR_BAD_FRAME, error
+
     def test_server_survives_an_error(self, corpus_server):
         with ServingClient(corpus_server.host, corpus_server.port) as client:
             with pytest.raises(ServingError):
@@ -259,6 +277,17 @@ class TestCorpusFrameCodec:
             protocol.encode_corpus_query("c", 9, 3)
         with pytest.raises(ProtocolError):
             protocol.encode_corpus_query("", 0, 1)
+
+    def test_only_scan_modes(self):
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.encode_corpus_query("c", 0, 1, mode="logicnet")
+        assert excinfo.value.code == protocol.ERR_BAD_TYPE
+        wire = bytearray(protocol.encode_corpus_query("c", 0, 1))
+        wire[4 + protocol.HEADER_BYTES] = 3
+        (frame,) = protocol.FrameReader().feed(bytes(wire))
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.parse_corpus_query(frame)
+        assert excinfo.value.code == protocol.ERR_BAD_FRAME
 
     def test_truncated_payload_rejected(self):
         frame_bytes = protocol.encode_corpus_query("library", 0, 10)

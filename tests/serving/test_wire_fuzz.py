@@ -15,6 +15,10 @@ or 2**32-1.
 
 Afterwards the server still answers STATS and its in-flight byte
 budget is back at zero.
+
+The same mutations of the three golden RESULT frames (one per result
+mode, pinned in ``test_wire_golden.py``) must decode to a payload or
+raise :class:`~repro.errors.ProtocolError` in ``parse_result_frame``.
 """
 
 import socket
@@ -35,6 +39,8 @@ from repro.serving.server import (
     build_serving_basis,
 )
 from repro.units import paper_white_grid
+
+from .test_wire_golden import pinned
 
 SMALL = dict(n_samples=256, basis_size=8, source_isi_samples=16, seed=7)
 CORPUS_ROWS = 8
@@ -183,3 +189,28 @@ def test_mutated_frames_get_typed_answers(fuzz_server):
     while handle.server._budget.in_flight and time.monotonic() < deadline:
         time.sleep(0.01)
     assert handle.server._budget.in_flight == 0
+
+
+def test_mutated_result_frames_get_typed_answers():
+    results = {
+        name: pinned(name)
+        for name in ("result-identify", "result-membership", "result-logicnet")
+    }
+
+    @settings(
+        derandomize=True, database=None, max_examples=1000, deadline=None
+    )
+    @given(mutations(results))
+    def check(case):
+        _kind, wire = case
+        try:
+            frames = protocol.FrameReader().feed(wire)
+        except ProtocolError:
+            return
+        for frame in frames:
+            try:
+                protocol.parse_result_frame(frame)
+            except ProtocolError:
+                pass
+
+    check()
