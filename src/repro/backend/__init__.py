@@ -36,9 +36,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "shared": (
             "SharedArena",
             "SharedArraySpec",
-            "AttachmentCache",
             "attach_array",
-            "process_cache",
             "HAVE_SHARED_MEMORY",
         ),
         "core": (

@@ -504,9 +504,11 @@ class SpikeTrainBatch:
     ) -> "SpikeTrainBatch":
         """Rebuild a batch (or a row range of it) from a shared handle.
 
-        Attaches the segments through the process attachment cache —
-        the payload is mapped, never copied across the process boundary
-        — and wraps the requested rows.  ``rows=(lo, hi)``
+        Maps the segments read-only
+        (:func:`~repro.backend.shared.attach_array`) — the payload is
+        never copied across the process boundary — and wraps the
+        requested rows; the mappings last as long as the returned
+        batch's views.  ``rows=(lo, hi)``
         reconstructs exactly ``select_rows(range(lo, hi))`` of the
         shared batch, which is what shard workers use; ``None`` wraps
         all rows.  Bit-identical to the source batch by construction.

@@ -76,9 +76,9 @@ _KERNELS: Dict[str, Callable[..., Any]] = {
 class _RowTask:
     """One worker's slice: kernel name plus ``[row_start, row_stop)``.
 
-    Ships as a few hundred bytes of segment metadata; the operands live
-    in the dispatching arena and the worker attaches them read-only
-    (cached per process per arena, so N tasks cost one attach).
+    Ships as a few hundred bytes of segment metadata, its segments'
+    descriptors beside it; the operands live in the dispatching arena
+    and the worker maps them read-only for the task.
     """
 
     kernel: str
@@ -120,10 +120,9 @@ def _dispatch(
     (:func:`repro.backend.packed.row_chunk_bounds`), ships both
     operands through a per-call arena, and gathers the per-range
     results **in task order** — which is row order, the whole identity
-    argument.  The arena closes before returning: workers hold their
-    (read-only) mappings until the next differently-tokened attach
-    evicts them, the same bounded-staleness policy as the pipeline's
-    shared-dispatch runs.
+    argument.  The arena closes before returning, and no worker holds
+    a segment past its task, the same as the pipeline's shared-dispatch
+    runs.
     """
     bounds = packed.row_chunk_bounds(a.shape[0], runner.jobs)
     if len(bounds) < 2:

@@ -26,11 +26,11 @@ Shard plans split work along the *config*, typically the batch axis of
 a :class:`~repro.backend.batch.SpikeTrainBatch`, so a sharded run is
 bit-identical to a serial one no matter how many workers execute it.
 
-The runner's pool is not experiment-only: :meth:`Runner.submit` /
+The runner's pool is not experiment-only: :meth:`Runner.gather` /
 :meth:`Runner.broadcast` let other dispatchers reuse the persistent
 workers — the serving front-end (:mod:`repro.serving`) runs its
-per-request shard tasks, basis installs and end-of-session attachment
-release through exactly this machinery.
+per-request shard tasks and basis installs and discards through
+exactly this machinery.
 """
 
 from .._exports import lazy_exports

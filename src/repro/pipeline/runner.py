@@ -9,10 +9,12 @@ One :class:`Runner` drives every experiment through the same path:
   run it executes (``close()`` or the context-manager exit kills them;
   a finalizer covers abandoned runners).  Each worker owns one
   ``socketpair``: tasks go out on it and replies come back on it, in
-  send order, as length-prefixed pickles.  Workers attach
-  shared-memory segments at most once each
-  (:mod:`repro.backend.shared`), so per-run dispatch cost is a handful
-  of metadata pickles — not process spawns;
+  send order, as length-prefixed pickles.  Every
+  :class:`~repro.backend.shared.SharedArraySpec` in a task travels
+  beside it as its descriptor (``SCM_RIGHTS``); the worker maps what
+  the task touches and closes the descriptors when the task ends, so
+  per-run dispatch cost is a handful of metadata pickles — not process
+  spawns — and an idle worker holds no segment;
 * **zero-copy shard dispatch** — running a single *shardable* spec with
   ``jobs > 1`` fans its shard tasks out over the workers.  Specs with a
   ``shard_shared`` plan materialise their workload once, export it into
@@ -20,7 +22,7 @@ One :class:`Runner` drives every experiment through the same path:
   ``(handle, row_range)``-style tasks that attach instead of
   rebuilding; the arena closes every segment when the run finishes —
   including when a worker raises mid-shard.  Specs without a shared
-  plan (and hosts without ``os.memfd_create`` or ``/proc``) fall back
+  plan (and hosts without ``os.memfd_create``) fall back
   to the rebuild plan: tasks that reconstruct their inputs
   deterministically from the config.  The shard plan is a property of
   the config (never of the worker count or the dispatch mechanism), so
@@ -43,22 +45,21 @@ One :class:`Runner` drives every experiment through the same path:
   :meth:`Runner.broadcast` expose the persistent workers to callers
   with their own task shapes.  The serving front-end
   (:mod:`repro.serving`) drives per-request shard tasks and its basis
-  install/discard broadcasts through them, and ends each serving
-  session with the same end-of-run attachment release broadcast the
-  shared-dispatch experiments use.
+  install/discard broadcasts through them.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import dataclasses
 import functools
+import io
 import os
 import pickle
 import select
 import signal
 import socket
-import stat
 import struct
 import threading
 import time
@@ -67,7 +68,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena, process_cache
+from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena, SharedArraySpec
 from ..errors import PipelineError
 from . import registry
 from .store import ArtifactStore, RunRecord
@@ -88,8 +89,18 @@ _SHARED_DISPATCH_BROKEN = False
 #: Every message on a worker socket is this length prefix and a pickle.
 _LENGTH = struct.Struct("<Q")
 
+#: The most segments one task may carry: the kernel's own cap on the
+#: descriptors one message passes (``SCM_MAX_FD``).  A worker receives
+#: at most this many with a task, so a task carrying more is refused
+#: before it is sent.
+_MAX_SEGMENTS = 253
+
 #: The reply of a task whose worker died, or was killed, first.
 _LOST = object()
+
+#: A task as it crosses a worker socket: the framed pickle, and the
+#: segment descriptors sent beside it.
+_Message = Tuple[bytes, List[int]]
 
 
 class WorkerLost(PipelineError):
@@ -135,6 +146,37 @@ def _frame(message: Any) -> bytes:
     return _LENGTH.pack(len(data)) + data
 
 
+def _task_message(fn, task) -> _Message:
+    """``(fn, task)`` as it crosses a worker socket.
+
+    Each :class:`SharedArraySpec` pickles as a persistent id: the spec
+    with ``fd`` replaced by the index of its descriptor among those
+    sent beside the task, which the worker (:func:`_answer`) rebinds to
+    the descriptor it received.  The inode is checked first, so a spec
+    that outlived its arena raises FileNotFoundError here, in the
+    caller, and never reaches a send.
+    """
+    fds: Dict[int, int] = {}  # descriptor -> index
+
+    def persistent_id(obj: Any) -> Any:
+        if type(obj) is not SharedArraySpec:
+            return None
+        obj.stat()
+        return dataclasses.replace(obj, fd=fds.setdefault(obj.fd, len(fds)))
+
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = persistent_id
+    pickler.dump((fn, task))
+    if len(fds) > _MAX_SEGMENTS:
+        raise PipelineError(
+            f"a task carries {len(fds)} shared segments; a worker "
+            f"receives at most {_MAX_SEGMENTS}"
+        )
+    data = buffer.getvalue()
+    return _LENGTH.pack(len(data)) + data, list(fds)
+
+
 def _recv_exact(sock, size: int, poller=None, deadline=None) -> bytearray:
     """Exactly ``size`` bytes from ``sock``.
 
@@ -162,52 +204,92 @@ def _read_frame(sock, poller=None, deadline=None) -> bytearray:
     return _recv_exact(sock, _LENGTH.unpack(header)[0], poller, deadline)
 
 
+def _read_task(sock: socket.socket) -> Tuple[bytearray, List[int]]:
+    """The next task's pickle and the descriptors sent with it.
+
+    The descriptors ride on the first bytes of their message, so they
+    arrive with its length prefix.
+    """
+    header, fds, _flags, _address = socket.recv_fds(
+        sock, _LENGTH.size, _MAX_SEGMENTS
+    )
+    if not header:
+        raise EOFError
+    header += _recv_exact(sock, _LENGTH.size - len(header))
+    return _recv_exact(sock, _LENGTH.unpack(header)[0]), fds
+
+
+def _answer(data: bytearray, fds: List[int]) -> bytes:
+    """Run one task; its framed ``(ok, value)`` reply.
+
+    The task's specs are rebound to ``fds``, the descriptors that came
+    with it.  Its views (and so its mappings) die with this call's
+    locals, so the worker holds none while it waits for the next task.
+    A raised exception loses its traceback for the same reason: the
+    reply never carries it, and its frames would keep the views alive.
+    """
+    unpickler = pickle.Unpickler(io.BytesIO(data))
+    unpickler.persistent_load = lambda spec: dataclasses.replace(
+        spec, fd=fds[spec.fd]
+    )
+    try:
+        fn, task = unpickler.load()
+        reply = (True, fn(task))
+    except Exception as exc:  # the task's outcome, sent back
+        reply = (False, exc.with_traceback(None))
+    try:
+        return _frame(reply)
+    except Exception as exc:  # an unpicklable result or exception
+        return _frame(
+            (False, PipelineError(f"cannot pickle the reply: {exc!r}"))
+        )
+
+
 def _work(sock: socket.socket) -> None:
     """A worker's life: run each ``(fn, task)`` it is sent, reply, and
-    return on EOF (the parent closed its end or died)."""
+    return on EOF (the parent closed its end or died).
+
+    A task's descriptors close when it ends; its mappings go with its
+    last views, so an idle worker holds no segment.
+    """
     while True:
         try:
-            data = _read_frame(sock)
+            data, fds = _read_task(sock)
         except (EOFError, OSError):
             return
         try:
-            fn, task = pickle.loads(data)
-            reply = (True, fn(task))
-        except Exception as exc:  # the task's outcome, sent back
-            reply = (False, exc)
-        try:
-            message = _frame(reply)
-        except Exception as exc:  # an unpicklable result or exception
-            message = _frame(
-                (False, PipelineError(f"cannot pickle the reply: {exc!r}"))
-            )
+            message = _answer(data, fds)
+        finally:
+            for fd in fds:
+                os.close(fd)
         try:
             sock.sendall(message)
         except OSError:
             return
 
 
-def _drop_inherited_sockets(keep: int) -> None:
-    """Point every socket this fresh fork inherited, but ``keep``, at
-    ``/dev/null``.
+def _drop_inherited_descriptors(keep: int) -> None:
+    """Point every descriptor this fresh fork inherited, but stdio and
+    ``keep``, at ``/dev/null``.
 
     A replacement forks from the running server, so it inherits the
-    listener, the client connections and the other workers' socket
-    ends.  Holding them would keep a connection the server closed from
-    ever reading EOF, and keep a worker from seeing EOF when its parent
-    end closes.  The descriptor numbers stay taken (``dup2``, not
-    ``close``): a Python object still wrapping one may close it later,
-    and must close ``/dev/null`` then, not a descriptor opened since.
+    listener, the client connections, the other workers' socket ends
+    and every live arena's segments.  Holding them would keep a
+    connection the server closed from ever reading EOF, keep a worker
+    from seeing EOF when its parent end closes, and pin segments the
+    server has let go of.  The descriptor numbers stay taken (``dup2``,
+    not ``close``): a Python object still wrapping one may close it
+    later, and must close ``/dev/null`` then, not a descriptor opened
+    since.
     """
     with os.scandir("/dev/fd") as entries:
-        sockets = [
-            int(entry.name)
-            for entry in entries
-            if stat.S_ISSOCK(entry.stat().st_mode)
+        # A directory pins nothing, and one is the scan's own descriptor.
+        inherited = [
+            int(entry.name) for entry in entries if not entry.is_dir()
         ]
     null = os.open(os.devnull, os.O_RDWR)
-    for fd in sockets:
-        if fd != keep:
+    for fd in inherited:
+        if fd > 2 and fd != keep:
             os.dup2(null, fd)
     os.close(null)
 
@@ -223,7 +305,7 @@ def _fork_worker() -> "_Worker":
         raise
     if pid == 0:
         try:
-            _drop_inherited_sockets(keep=child.fileno())
+            _drop_inherited_descriptors(keep=child.fileno())
             # A replacement forks from the running server: its signal
             # handlers must not run here, and Ctrl-C reaches the whole
             # process group.  The parent alone ends us.
@@ -255,15 +337,19 @@ class _Worker:
         self._poller = select.poll()
         self._poller.register(sock, select.POLLIN)
 
-    def post(self, handle: "_Handle", message: bytes) -> bool:
-        """Send one task; False when the worker is dead."""
+    def post(self, handle: "_Handle", message: _Message) -> bool:
+        """Send one task and its descriptors; False when the worker is
+        dead."""
+        data, fds = message
         with self.sending:
             with self.lock:
                 if self.dead:
                     return False
                 self.pending.append(handle)
             try:
-                self.sock.sendall(message)
+                sent = socket.send_fds(self.sock, [data], fds) if fds else 0
+                if sent < len(data):
+                    self.sock.sendall(memoryview(data)[sent:])
             except OSError:  # EPIPE: the worker died; stop() loses handle
                 return False
         return True
@@ -358,11 +444,6 @@ def _stop_all(workers: List[_Worker]) -> None:
     workers.clear()
     for worker in stopping:
         worker.stop()
-
-
-def _release_worker(_payload=None) -> None:
-    """Broadcast target: drop this worker's shared-memory attachments."""
-    process_cache().release()
 
 
 def _shard_worker(task: Tuple[str, Any]) -> Any:
@@ -477,10 +558,7 @@ def _execute_spec(spec, config, runner: Optional["Runner"]) -> Tuple[Any, int]:
     Returns ``(result, n_shards)`` with ``n_shards == 0`` for
     unsharded execution.  Only a multi-task shard plan on a runner with
     ``jobs > 1`` dispatches (forking the workers on first use), so
-    unshardable and single-shard runs never pay the fork.  A
-    shared-dispatch run ends with the runner's attachment release
-    broadcast, so workers drop their attachments immediately instead of
-    pinning them until the next run's tasks arrive.
+    unshardable and single-shard runs never pay the fork.
 
     In-process execution goes through ``spec.run`` — the authoritative
     serial driver, free to share one workload across its shards (the
@@ -501,15 +579,8 @@ def _execute_spec(spec, config, runner: Optional["Runner"]) -> Tuple[Any, int]:
     if shared is None:
         return spec.merge(config, _run_shards(runner, spec, tasks)), len(tasks)
     arena, shared_tasks = shared
-    try:
+    with arena:  # closed on every exit path, a worker raising included
         parts = _run_shards(runner, spec, shared_tasks)
-    finally:
-        # Close on every exit path: a worker raising mid-shard must not
-        # leave segments open — then tell every worker to drop its
-        # attachments so the pages free now rather than at the next
-        # run's first task.
-        arena.close()
-        runner.release_worker_attachments()
     return spec.merge(config, parts), len(shared_tasks)
 
 
@@ -539,7 +610,7 @@ class Runner:
         # so it carries the same state (installed bases) as its siblings.
         self._lock = threading.RLock()
         self._workers: List[_Worker] = []
-        self._sticky: List[bytes] = []
+        self._sticky: List[_Message] = []
         weakref.finalize(self, _stop_all, self._workers)
 
     # ------------------------------------------------------------------
@@ -552,8 +623,8 @@ class Runner:
     # (:mod:`repro.serving`) and the parallel kernel layer
     # (:mod:`repro.backend.parallel`) fan their shard tasks out through
     # :meth:`gather` and broadcast through :meth:`broadcast`, reusing the
-    # persistent workers and their attachment caches instead of growing
-    # a second pool implementation.
+    # persistent workers instead of growing a second pool
+    # implementation.
 
     def ensure_pool(self) -> None:
         """Fork the workers now, if they are not running.
@@ -592,7 +663,7 @@ class Runner:
             if worker in self._workers:
                 self._workers[self._workers.index(worker)] = self._spawn()
 
-    def _send(self, message: bytes, slot: Optional[int] = None) -> _Handle:
+    def _send(self, message: _Message, slot: Optional[int] = None) -> _Handle:
         """Send ``message`` to worker ``slot`` (default: the one with the
         fewest pending tasks), replacing a dead one on the way."""
         while True:
@@ -613,8 +684,12 @@ class Runner:
 
         ``fn`` must be a module-level callable (pickled by reference);
         returns a handle whose ``get(timeout=None)`` returns the result.
-        Unsupervised: a lost task raises :class:`WorkerLost` from
-        ``get`` (use :meth:`gather` to recover it).  Requires
+        Every :class:`~repro.backend.shared.SharedArraySpec` in ``task``
+        goes to the worker as its descriptor, so its arena must stay
+        open until the task is sent; a spec whose arena has closed
+        raises FileNotFoundError here, and one task carries at most 253
+        segments.  Unsupervised: a lost task raises :class:`WorkerLost`
+        from ``get`` (use :meth:`gather` to recover it).  Requires
         ``jobs >= 2`` — a single-job Runner has no workers to submit
         to, and silently running inline would hide the caller's
         dispatch bug.
@@ -624,7 +699,7 @@ class Runner:
                 "submit() needs worker processes; construct the Runner with "
                 "jobs >= 2 or run the task in-process"
             )
-        return self._send(_frame((fn, task)))
+        return self._send(_task_message(fn, task))
 
     def gather(
         self,
@@ -680,12 +755,19 @@ class Runner:
         forked later — a replacement — replays it first, in order:
         worker state established by broadcast (installed serving bases)
         survives worker loss that way.  A replacement may run a sticky
-        payload twice, so it must be idempotent.  Pass ``sticky=False``
-        for broadcasts that only observe state.
+        payload twice, so it must be idempotent, and it may run it after
+        any arena has closed, so it must carry no shared segment
+        (PipelineError).  Pass ``sticky=False`` for broadcasts that only
+        observe state.
         """
         if self.jobs < 2:
             return None
-        message = _frame((fn, payload))
+        message = _task_message(fn, payload)
+        if sticky and message[1]:
+            raise PipelineError(
+                "a sticky broadcast cannot carry shared segments: it is "
+                "replayed after their arenas close"
+            )
         with self._lock:
             self.ensure_pool()
             if sticky:
@@ -700,16 +782,6 @@ class Runner:
                 except WorkerLost:
                     handle = self._send(message, slot)
         return results
-
-    def release_worker_attachments(self) -> None:
-        """Broadcast an attachment release to every worker.
-
-        Runs automatically at the end of each shared-dispatch run;
-        callable directly after out-of-band shared work.  A no-op
-        before the workers fork.
-        """
-        if self.worker_pids():
-            self.broadcast(_release_worker, sticky=False)
 
     def close(self) -> None:
         """Kill and reap every worker (idempotent; runs stay archived)."""

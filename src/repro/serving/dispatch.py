@@ -16,14 +16,16 @@ Two transport pieces make the pool path zero-copy:
   the pool workers by one
   :meth:`~repro.pipeline.runner.Runner.broadcast` at server start-up.
   Shard tasks then reference the basis by token, never re-shipping it.
-  A long-lived shared-memory export would fight the attachment cache's
-  per-arena eviction (each request uses a fresh short-lived arena), so
-  the basis deliberately travels by value, once.
+  The install is a sticky broadcast, which the runner replays onto
+  every replacement worker, possibly after any arena has closed, so it
+  may carry no shared segment: the basis deliberately travels by
+  value, once.
 * **:class:`ShardTask`** — the per-shard pool task: the request
   batch's :class:`~repro.backend.batch.SharedBatchHandle` plus a row
-  range and scan options.  Workers attach the request's shared segments
-  and wrap their row range as a *packed-primary view* of the mapped
-  bitset (:meth:`~repro.backend.batch.SpikeTrainBatch.from_shared`), so
+  range and scan options.  Its segments' descriptors travel beside
+  it; the worker maps them for the task and wraps its row range as a
+  *packed-primary view* of the mapped bitset
+  (:meth:`~repro.backend.batch.SpikeTrainBatch.from_shared`), so
   shard compute runs the packed kernels straight on the pages the
   server wrote — the payload is never unpacked to a raster anywhere,
   and every shard payload reports its batch's representation residency

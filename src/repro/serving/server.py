@@ -64,9 +64,9 @@ payloads (pinned in per-request arenas) and logicnet evaluation
 working sets admit only while the bytes charged stay under
 ``max_inflight_bytes``; later requests wait (the TCP receive window
 then pushes back on the client) instead of growing server memory.
-Graceful shutdown drains in-flight requests, then releases every
-worker's shared-memory attachments through the runner's end-of-run
-broadcast and discards the installed basis.
+Graceful shutdown drains in-flight requests, then discards the
+installed basis; a worker holds a request's segments only while its
+shard task runs, so nothing is left to release.
 
 Every server keeps a :class:`ServerStats` — request counts per path,
 coalesced batches, error count and a rolling latency window — served
@@ -802,17 +802,15 @@ class SpikeServer:
             await self._server.wait_closed()
 
     async def close(self, drain_timeout: float = 30.0) -> None:
-        """Graceful shutdown: drain, release worker attachments, stop.
+        """Graceful shutdown: drain, discard the basis, stop.
 
         Stops accepting, waits up to ``drain_timeout`` seconds for
         in-flight requests (their arenas) to finish — then **forcibly
         cancels** whatever is still running (logging a summary of what
         was cut down) rather than leaking stuck tasks: shutdown must
         terminate even when a request hangs.  Closes the remaining
-        connections, then broadcasts the basis discard and the
-        end-of-run attachment release over the pool so workers drop
-        every mapping of this serving session before the runner (if
-        owned) tears down.
+        connections, then broadcasts the basis discard over the pool
+        before the runner (if owned) tears down.
         """
         self._closing = True
         if self._server is not None:
@@ -855,7 +853,6 @@ class SpikeServer:
                     )
                 except Exception:  # pragma: no cover - dying pool
                     pass
-            self._runner.release_worker_attachments()
             if self._owns_runner:
                 self._runner.close()
         if self._basis_token is not None:

@@ -3,15 +3,14 @@
 ``to_shared``/``from_shared`` must be bit-identical to the in-process
 batch across densities (empty through full) and row ranges, and the
 arena must never leak segments — including when the guarded block
-raises.  A spec that outlived its arena must fail to attach, a view
-that outlived its attachment must stay readable, and a process forked
-while an arena lives must not hold its segments.
+raises.  A spec that outlived its arena must fail to attach, a mapping
+must last exactly as long as its views (even past its arena), and a
+pool worker forked while an arena lives must not hold its segments.
 """
 
 import dataclasses
 import os
 import pathlib
-import pickle
 import signal
 import subprocess
 import sys
@@ -22,28 +21,46 @@ import pytest
 from repro.backend import SpikeTrainBatch
 from repro.backend.shared import (
     HAVE_SHARED_MEMORY,
-    AttachmentCache,
     SharedArena,
     attach_array,
 )
 from repro.pipeline.runner import Runner
 from repro.units import SimulationGrid
 
-from ..serving.live_server import arena_segments
+from ..serving.live_server import arena_mappings, arena_segments
 
 pytestmark = pytest.mark.skipif(
     not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 
+_SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
-def _mapped_inodes():
-    """Inode numbers of the arena segments this process has mapped."""
-    with open("/proc/self/maps") as maps:
-        return {
-            int(line.split()[4])
-            for line in maps
-            if "/memfd:repro-arena" in line
-        }
+
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports ``repro``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+def _segment_fds(spec):
+    """How many descriptors of this process hold ``spec``'s segment."""
+    count = 0
+    for entry in os.listdir("/proc/self/fd"):
+        try:
+            stat = os.stat(f"/proc/self/fd/{entry}")
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        count += (stat.st_dev, stat.st_ino) == spec.inode
+    return count
 
 
 def _random_batch(rng, n_trains, n_samples, density):
@@ -93,63 +110,48 @@ class TestReadOnlyAttach:
 
     def test_attach_starts_no_resource_tracker(self):
         """Pool workers attach without starting a tracker of their own,
-        and without loading the named-segment machinery at all."""
+        and without loading the named-segment machinery at all.
+
+        A fresh interpreter, so that nothing this test process loaded
+        leaks into the worker it forks.
+        """
         script = (
-            "import pickle, sys\n"
-            "from repro.backend.shared import attach_array\n"
-            "spec = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
-            "total = int(attach_array(spec).sum())\n"
-            "tracker = sys.modules.get('multiprocessing.resource_tracker')\n"
-            "loaded = [name for name in ('multiprocessing.shared_memory',"
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from repro.backend.shared import SharedArena, attach_array\n"
+            "from repro.pipeline.runner import Runner\n"
+            "def report(spec):\n"
+            "    total = int(attach_array(spec).sum())\n"
+            "    tracker = sys.modules.get('multiprocessing.resource_tracker')\n"
+            "    loaded = [name for name in ('multiprocessing.shared_memory',"
             " 'multiprocessing.resource_tracker', '_posixshmem')"
             " if name in sys.modules]\n"
-            "print(total, tracker and tracker._resource_tracker._pid,"
-            " *loaded)\n"
+            "    return (os.getpid(), total,"
+            " tracker and tracker._resource_tracker._pid, *loaded)\n"
+            "with Runner(jobs=2) as runner, SharedArena() as arena:\n"
+            "    spec = arena.share_array(np.arange(16))\n"
+            "    pid, *seen = runner.submit(report, spec).get(60)\n"
+            "assert pid != os.getpid()\n"
+            "print(*seen)\n"
         )
-        src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        with SharedArena() as arena:
-            spec = arena.share_array(np.arange(16))
-            result = subprocess.run(
-                [sys.executable, "-c", script, pickle.dumps(spec).hex()],
-                capture_output=True,
-                text=True,
-                timeout=120,
-                env=env,
-            )
+        result = _run_fresh(script)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["120", "None"]
 
-    def test_view_outlives_release(self):
-        """A view that escaped its task keeps its mapping readable.
+    def test_view_outlives_its_arena(self):
+        """A view keeps its mapping readable after the arena closed.
 
         Run in a fresh interpreter: reading an unmapped view would
         kill the process rather than fail the test.
         """
         script = (
             "import numpy as np\n"
-            "from repro.backend.shared import AttachmentCache, SharedArena\n"
-            "cache = AttachmentCache()\n"
+            "from repro.backend.shared import SharedArena, attach_array\n"
             "with SharedArena() as arena:\n"
-            "    view = cache.attach(arena.share_array(np.arange(1 << 20)))\n"
-            "cache.release()\n"
+            "    view = attach_array(arena.share_array(np.arange(1 << 20)))\n"
             "print(int(view.sum()))\n"
         )
-        src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
+        result = _run_fresh(script)
         assert result.returncode == 0, (result.returncode, result.stderr)
         assert result.stdout.split() == [str((1 << 20) * ((1 << 20) - 1) // 2)]
 
@@ -157,10 +159,25 @@ class TestReadOnlyAttach:
         """The arena writes its segments without mapping them."""
         with SharedArena() as arena:
             spec = arena.share_array(np.arange(1 << 16))
-            assert spec.inode[1] not in _mapped_inodes()
-            view = AttachmentCache().attach(spec)
-            assert spec.inode[1] in _mapped_inodes()
+            assert spec.inode[1] not in arena_mappings()
+            view = attach_array(spec)
+            assert spec.inode[1] in arena_mappings()
             del view
+
+    def test_mapping_lasts_as_long_as_its_views(self):
+        """The last view of an attach unmaps it and closes the
+        descriptor the mapping kept."""
+        with SharedArena() as arena:
+            spec = arena.share_array(np.arange(1 << 16))
+            view = attach_array(spec)
+            rows = view.reshape(16, -1)[3:5]
+            del view
+            assert spec.inode[1] in arena_mappings()
+            assert _segment_fds(spec) == 2  # the arena's and the mapping's
+            assert int(rows[0, 0]) == 3 << 12
+            del rows
+            assert spec.inode[1] not in arena_mappings()
+            assert _segment_fds(spec) == 1
 
 
 class TestBatchSharedRoundTrip:
@@ -234,23 +251,21 @@ class TestArenaLifecycle:
         with SharedArena() as first:
             stale = first.share_array(np.arange(8))
         with pytest.raises(FileNotFoundError):
-            AttachmentCache().attach(stale)
+            attach_array(stale)
         with SharedArena() as second:
             fresh = second.share_array(np.arange(8) + 100)
             # The stale spec, its number now naming the next segment.
-            reused = dataclasses.replace(stale, path=fresh.path)
+            reused = dataclasses.replace(stale, fd=fresh.fd)
             with pytest.raises(FileNotFoundError):
-                AttachmentCache().attach(reused)
-            assert AttachmentCache().attach(fresh).tolist() == list(
-                range(100, 108)
-            )
+                attach_array(reused)
+            assert attach_array(fresh).tolist() == list(range(100, 108))
 
     def test_close_is_idempotent(self):
         arena = SharedArena()
-        arena.share_array(np.arange(5))
+        spec = arena.share_array(np.arange(5))
         arena.close()
         arena.close()
-        assert arena.segment_names == ()
+        assert spec.inode not in arena_segments()
 
     def test_share_array_after_close_refuses(self):
         """A segment created after close() would have no owner to
@@ -260,18 +275,6 @@ class TestArenaLifecycle:
         with pytest.raises(RuntimeError, match="closed SharedArena"):
             arena.share_array(np.arange(5))
 
-    def test_attachment_cache_evicts_on_new_arena(self):
-        cache = AttachmentCache()
-        with SharedArena() as first:
-            spec_a = first.share_array(np.arange(4))
-            cache.attach(spec_a)
-            assert len(cache) == 1
-            with SharedArena() as second:
-                spec_b = second.share_array(np.arange(8))
-                cache.attach(spec_b)  # new arena token evicts the old map
-                assert len(cache) == 1
-        cache.release()
-        assert len(cache) == 0
 
 
 def _worker_pid(_payload=None):
@@ -280,32 +283,9 @@ def _worker_pid(_payload=None):
 
 
 class TestForkedChildrenDropArenas:
-    """Only the creator's descriptors and each process's own attachments
-    keep a segment: a process forked while an arena lives lets go of
-    what it inherited, so it never pins pages its parent has released."""
-
-    def test_forked_child_holds_no_arena_segment(self):
-        with SharedArena() as arena:
-            spec = arena.share_array(np.arange(16))
-            assert int(attach_array(spec).sum()) == 120  # cached, no view
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: report, then leave at once
-                try:
-                    held = (
-                        spec.inode in arena_segments()
-                        or spec.inode[1] in _mapped_inodes()
-                    )
-                    os.write(write_end, b"held" if held else b"none")
-                finally:
-                    os._exit(0)
-            os.close(write_end)
-            with os.fdopen(read_end, "rb") as reader:
-                report = reader.read()
-            os.waitpid(pid, 0)
-            assert report == b"none"
-            assert spec.inode in arena_segments()  # the parent keeps it
-            assert AttachmentCache().attach(spec).tolist() == list(range(16))
+    """Only the creator's descriptors and the tasks that carry them keep
+    a segment: a pool worker forked while an arena lives lets go of what
+    it inherited, so it never pins pages its parent has released."""
 
     def test_respawned_pool_worker_holds_no_arena_segment(self):
         """A worker killed while an arena is live is replaced by a fork
@@ -318,8 +298,8 @@ class TestForkedChildrenDropArenas:
                 spec = arena.share_array(np.arange(1 << 12))
                 os.kill(min(before), signal.SIGKILL)
                 # The broadcast finds the dead worker and forks its
-                # successor; a task returning proves the fresh worker is
-                # past its fork hooks.
+                # successor; a task returning proves the fresh worker
+                # has dropped what it inherited.
                 pids = runner.broadcast(_worker_pid, sticky=False)
                 (fresh,) = runner.worker_pids() - before
                 assert fresh in pids

@@ -7,8 +7,11 @@ import threading
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from repro.backend import SpikeTrainBatch, packed
+from repro.backend.shared import HAVE_SHARED_MEMORY, SharedArena, attach_array
 from repro.errors import PipelineError
 from repro.pipeline import (
     ArtifactStore,
@@ -18,6 +21,10 @@ from repro.pipeline import (
     to_jsonable,
     unregister,
 )
+from repro.pipeline import runner as runner_module
+from repro.units import SimulationGrid
+
+from ..serving.live_server import arena_mappings, arena_segments
 
 #: A small sharded workload (2 shards of 8 wires, 2 observation starts).
 SMALL_IDENTIFY = {"n_wires": 16, "n_trials": 2, "n_shards": 2, "basis_size": 4}
@@ -162,56 +169,145 @@ class TestPersistentPool:
         assert not runner.worker_pids()
 
 
-def _attachment_count(_payload):
-    """Broadcast target: this worker's resident mapping count."""
-    from repro.backend.shared import process_cache
+def _row_popcounts(task):
+    """Gather target: one batch's row popcounts, computed on its segments."""
+    handle, rows = task
+    batch = SpikeTrainBatch.from_shared(handle, rows=rows)
+    return packed.row_popcounts(batch.packed_words())
 
-    return len(process_cache())
+
+def _wait_for(path):
+    """Submit target: keep a worker busy until ``path`` exists."""
+    deadline = time.monotonic() + 60
+    while not os.path.exists(path):
+        assert time.monotonic() < deadline, "never released"
+        time.sleep(0.01)
+    return os.getpid()
 
 
-class TestReleaseBroadcast:
-    """End-of-run release: workers must not pin a finished run's arena."""
+def _segment_sums(specs):
+    """Gather / broadcast target: the sum of every segment carried."""
+    return sum(int(attach_array(spec).sum()) for spec in specs)
 
-    def test_workers_drop_attachments_at_end_of_run(self):
-        """After a shared-dispatch run every worker holds zero mappings.
 
-        Without the broadcast, each worker would pin the attachments of
-        the finished run's arena until a task from a *newer* arena
-        happened to arrive.  A broadcast reaches each of the two
-        workers exactly once.
-        """
+def _attach_then_fail(spec):
+    """Gather target: raise while a view of ``spec`` is alive."""
+    view = attach_array(spec)
+    raise KeyError(int(view[-1]))
+
+
+def _holds_no_segment(pids):
+    """True when none of ``pids`` holds an arena descriptor or mapping."""
+    return not any(arena_segments(pid) or arena_mappings(pid) for pid in pids)
+
+
+@pytest.mark.skipif(
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
+)
+class TestSegmentsTravelWithTasks:
+    """Segments cross to a worker as descriptors beside the task that
+    carries them, and a worker holds them only while that task runs."""
+
+    def test_no_worker_holds_a_segment_after_a_shared_run(self):
+        """No broadcast is sent after the run, and none is needed."""
         with Runner(jobs=2) as runner:
             report = runner.run("identify", overrides=SMALL_IDENTIFY)
             assert report.ok, report.error
-            assert runner.worker_pids()  # the shard plan actually dispatched
-            counts = runner.broadcast(_attachment_count, sticky=False)
-            assert counts == [0, 0], (
-                f"workers still hold attachments after the run: {counts}"
+            pids = runner.worker_pids()
+            assert len(pids) == 2  # the shard plan actually dispatched
+            assert _holds_no_segment(pids)
+
+    def test_queued_tasks_each_compute_on_their_own_segments(self, tmp_path):
+        """Four tasks wait in two sockets before either worker reads;
+        each brings its own descriptors, bit-identical to in-process."""
+        rng = np.random.default_rng(11)
+        grid = SimulationGrid(n_samples=4096, dt=1e-9)
+        batches = [
+            SpikeTrainBatch.from_raster(rng.random((6, 4096)) < density, grid)
+            for density in (0.01, 0.1, 0.3, 0.6)
+        ]
+        release = tmp_path / "release"
+        with Runner(jobs=2) as runner, SharedArena() as arena:
+            blockers = [
+                runner.submit(_wait_for, str(release)) for _ in range(2)
+            ]
+            tasks = [(batch.to_shared(arena), (1, 5)) for batch in batches]
+            getters = runner.gather(_row_popcounts, tasks)
+            release.touch()
+            assert {blocker.get(60) for blocker in blockers} == (
+                runner.worker_pids()
             )
+            for get, task, batch in zip(getters, tasks, batches):
+                result = get()
+                assert np.array_equal(result, _row_popcounts(task))
+                assert np.array_equal(
+                    result,
+                    packed.row_popcounts(batch.packed_words()[1:5]),
+                )
+            assert _holds_no_segment(runner.worker_pids())
 
-    def test_workers_pin_attachments_without_broadcast(self, monkeypatch):
-        """Control: with the broadcast disabled, mappings stay resident.
-
-        Guards the regression test above against vacuous success (e.g.
-        the run never attaching anything in the first place).
-        """
+    def test_a_failed_task_leaves_no_segment_behind(self):
+        """The task's exception comes back, but its traceback, whose
+        frames hold the task's views, stays behind and dies."""
         with Runner(jobs=2) as runner:
-            monkeypatch.setattr(
-                runner, "release_worker_attachments", lambda: None
-            )
-            report = runner.run("identify", overrides=SMALL_IDENTIFY)
-            assert report.ok, report.error
-            counts = runner.broadcast(_attachment_count, sticky=False)
-            assert sum(counts) > 0, "expected resident attachments"
-            monkeypatch.undo()
-            runner.release_worker_attachments()
-            assert runner.broadcast(_attachment_count, sticky=False) == [0, 0]
+            runner.ensure_pool()  # so that no worker inherits the arena
+            with SharedArena() as arena:
+                spec = arena.share_array(np.arange(8))
+                (get,) = runner.gather(_attach_then_fail, [spec], retries=0)
+                with pytest.raises(KeyError, match="7"):
+                    get()
+                assert _holds_no_segment(runner.worker_pids())
 
-    def test_release_without_pool_is_noop(self):
-        Runner(jobs=1).release_worker_attachments()
-        runner = Runner(jobs=4)
-        runner.release_worker_attachments()  # workers never forked
-        assert not runner.worker_pids()
+    def test_stale_spec_raises_before_any_send(self):
+        """A spec that outlived its arena fails in the caller, and no
+        healthy worker is mistaken for a dead one."""
+        with Runner(jobs=2) as runner:
+            runner.ensure_pool()
+            before = runner.worker_pids()
+            with SharedArena() as arena:
+                stale = arena.share_array(np.arange(8))
+            with pytest.raises(FileNotFoundError):
+                runner.gather(_segment_sums, [[stale]])
+            assert runner.worker_pids() == before
+            (get,) = runner.gather(_double, [21])
+            assert get() == 42
+
+    def test_sticky_broadcast_with_a_segment_raises(self):
+        """Sticky broadcasts replay after their arenas close, so they
+        may not carry segments; a plain broadcast may.  The refused one
+        is neither run nor recorded for replacements."""
+        with Runner(jobs=2) as runner, SharedArena() as arena:
+            spec = arena.share_array(np.arange(16))
+            with pytest.raises(PipelineError, match="sticky"):
+                runner.broadcast(_remember, [spec])
+            sums = runner.broadcast(_segment_sums, [spec], sticky=False)
+            assert sums == [120] * 2
+            os.kill(min(runner.worker_pids()), signal.SIGKILL)
+            recalled = runner.broadcast(_recall, sticky=False)
+            assert [value for _pid, value in recalled] == [None] * 2
+
+    def test_task_at_the_segment_limit_is_received_whole(self):
+        """A worker receives every descriptor of the largest task."""
+        with Runner(jobs=2) as runner, SharedArena() as arena:
+            specs = [
+                arena.share_array(np.array([n]))
+                for n in range(runner_module._MAX_SEGMENTS)
+            ]
+            (get,) = runner.gather(_segment_sums, [specs], retries=0)
+            assert get() == sum(range(runner_module._MAX_SEGMENTS))
+
+    def test_task_over_the_segment_limit_is_refused_before_sending(self):
+        with Runner(jobs=2) as runner, SharedArena() as arena:
+            runner.ensure_pool()
+            before = runner.worker_pids()
+            specs = [
+                arena.share_array(np.array([n]))
+                for n in range(runner_module._MAX_SEGMENTS + 1)
+            ]
+            with pytest.raises(PipelineError, match="at most"):
+                runner.submit(_segment_sums, specs)
+            assert runner.worker_pids() == before
+            assert runner.broadcast(_double, 4, sticky=False) == [8, 8]
 
 
 def _pid_of_worker(_payload):

@@ -76,6 +76,20 @@ def arena_segments(pid="self"):
     return found
 
 
+def arena_mappings(pid="self"):
+    """Inode numbers of the ``SharedArena`` segments ``pid`` has mapped;
+    a gone ``pid`` maps none."""
+    try:
+        with open(f"/proc/{pid}/maps") as maps:
+            return {
+                int(line.split()[4])
+                for line in maps
+                if "/memfd:repro-arena" in line
+            }
+    except OSError:
+        return set()
+
+
 def dev_shm_entries():
     """Everything in ``/dev/shm``."""
     return set(os.listdir("/dev/shm"))

@@ -4,9 +4,10 @@ Whatever the traffic: LOGICNET (seed-rebuild shards), corpus queries
 (memory-mapped in-process) and ``shared-arena`` identifies alike.
 Arena segments are anonymous memfds that nothing has to unlink, so no
 multiprocessing resource tracker ever starts, and once a reply is in,
-the server holds no segment: only the workers' attachments do.  The
-pool forks before the server loads its front-end, so no worker maps
-the extensions only the front-end uses.
+no process holds a segment: the server closed its arena, and each
+worker let go of its task's descriptors and mappings.  The pool forks
+before the server loads its front-end, so no worker maps the
+extensions only the front-end uses.
 """
 
 import os
@@ -19,7 +20,7 @@ from repro.pipeline.corpus import CorpusStore
 from repro.serving.client import ServingClient
 from repro.serving.server import ServerConfig, build_serving_basis
 
-from .live_server import LiveServer, arena_segments
+from .live_server import LiveServer, arena_mappings, arena_segments
 
 #: Extension modules and libraries that only the asyncio front-end
 #: loads (asyncio imports ``ssl``).
@@ -100,6 +101,8 @@ def test_shared_arena_request_adds_no_process(tmp_path, batch):
         tree = server.tree()
         assert len(tree) == 3, tree  # the server and its two pool workers
         assert not arena_segments(server.proc.pid)  # closed before DONE
+        for pid in tree[1:]:  # released before each shard's reply
+            assert not arena_segments(pid) and not arena_mappings(pid), pid
         assert server.stop() == 0
         stderr = server.stderr()
     assert "resource_tracker" not in stderr, stderr

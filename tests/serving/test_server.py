@@ -465,28 +465,30 @@ class TestGracefulShutdown:
     @pytest.mark.skipif(
         not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
     )
-    def test_pooled_shutdown_releases_worker_attachments(self):
+    def test_idle_workers_hold_no_request_segment(self):
+        """Once a sharded reply is in, no worker holds the request's
+        segments: neither a descriptor nor a mapping, and no broadcast
+        or shutdown is needed to make it so."""
         from repro.pipeline.runner import Runner
+
+        from .live_server import arena_mappings, arena_segments
 
         runner = Runner(jobs=2)
         try:
-            with ServerThread(
-                ServerConfig(jobs=2, **SMALL), runner=runner
-            ) as handle:
+            config = ServerConfig(jobs=2, fast_path_bytes=0, **SMALL)
+            with ServerThread(config, runner=runner) as handle:
                 basis = build_serving_basis(ServerConfig(**SMALL))
                 wires = basis.as_batch().select_rows([0, 3, 5, 6])
                 with ServingClient(handle.host, handle.port) as client:
-                    client.identify(wires, n_shards=2)
-            # Shutdown broadcast the release: no worker still maps a
-            # serving arena segment.
-            counts = runner.broadcast(len_of_process_cache, None)
-            assert counts == [0, 0]
+                    reply = client.identify(wires, n_shards=2)
+                assert reply.summary["transport"] == "shared-arena"
+                assert reply.elements.tolist() == [0, 3, 5, 6]
+                workers = runner.worker_pids()
+                assert len(workers) == 2
+                held = {
+                    pid: (arena_segments(pid), arena_mappings(pid))
+                    for pid in workers
+                }
+                assert held == {pid: (set(), set()) for pid in workers}
         finally:
             runner.close()
-
-
-def len_of_process_cache(_payload):
-    """Broadcast target: this worker's resident attachment count."""
-    from repro.backend.shared import process_cache
-
-    return len(process_cache())
