@@ -20,7 +20,8 @@
   receivers by :meth:`SpikeTrainBatch.prefers_csr_walk` — packed
   attachments never unpack;
 * :mod:`~repro.backend.shared` — zero-copy shared-memory transport:
-  :class:`SharedArena` owns segment lifecycle for one sharded run,
+  :class:`SharedArena` owns segment lifecycle for one dispatch (a
+  served request or a pool-parallel kernel call),
   :meth:`SpikeTrainBatch.to_shared` / :meth:`SpikeTrainBatch.from_shared`
   move batches as metadata-only :class:`SharedBatchHandle` objects
   whose payload is the packed words — attached shard workers compute

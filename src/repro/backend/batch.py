@@ -17,7 +17,7 @@ Three representations are kept, each materialised lazily and cached:
   zero tail.  This is the *compute-primary* dense form: row-wise set
   algebra, popcount statistics and coincidence scoring run directly on
   it through :mod:`~repro.backend.packed` at 1/8 the raster's memory
-  traffic, and it is what :meth:`to_shared` ships — attached shard
+  traffic, and it is all :meth:`to_shared` ships — attached shard
   workers compute straight on the mapped words without ever unpacking.
   It is also the serving front-end's wire payload
   (:mod:`repro.serving.protocol`): an RPC request arrives as this
@@ -63,29 +63,22 @@ class SharedBatchHandle:
 
     Pickles as a few hundred bytes regardless of batch size: the
     payload is the word-aligned packed bitset (8× smaller than the
-    dense raster) plus the CSR row offsets, both living in
-    shared-memory segments described by their
+    dense raster) in one shared-memory segment, described by its
     :class:`~repro.backend.shared.SharedArraySpec`.
-    ``n_samples``/``dt`` rebuild the grid on the attaching side.
-
-    For sparse batches — where the CSR slot array is no bigger than the
-    bitset — ``values`` carries the CSR payload too, and attaching
-    consumers reconstruct rows as *views* into the segment.  Dense
-    batches drop it; attaching then yields a *packed-primary* batch
-    whose words are a view of the mapped segment, so shard workers
-    compute on the shared bitset directly (no unpack, no copy).
+    ``n_samples``/``dt`` rebuild the grid on the attaching side, which
+    gets a *packed-primary* batch whose words are a view of the mapped
+    segment, so shard workers compute on the shared bitset directly
+    (no unpack, no copy).
     """
 
     packed: SharedArraySpec
-    ptr: SharedArraySpec
     n_samples: int
     dt: float
-    values: Optional[SharedArraySpec] = None
 
     @property
     def n_trains(self) -> int:
         """Number of rows in the shared batch."""
-        return int(self.ptr.shape[0] - 1)
+        return int(self.packed.shape[0])
 
     def grid(self) -> SimulationGrid:
         """The grid the shared batch lives on."""
@@ -466,34 +459,15 @@ class SpikeTrainBatch:
     def to_shared(self, arena: SharedArena) -> SharedBatchHandle:
         """Place this batch into ``arena`` and return its picklable handle.
 
-        The word-aligned bitset travels (8× smaller than the raster,
-        size independent of the spike count) together with the CSR row
-        offsets, so attaching consumers can slice row ranges without
-        touching the payload.  Sparse batches (CSR resident and no
-        bigger than the bitset) also export the CSR slot array, giving
-        attachers a pure view-based reconstruction; dense or
-        packed-primary batches ship the bitset alone and attachers
-        compute straight on it.  The handle itself carries no array
-        data.
+        The word-aligned bitset travels alone, in one segment (8×
+        smaller than the raster, size independent of the spike count);
+        a row range is a slice of its words, so attachers compute
+        straight on it.  The handle itself carries no array data.
         """
-        words = self.packed_words()
-        if self._ptr is not None:
-            ptr = self._ptr
-        else:
-            ptr = np.concatenate(
-                [[0], np.cumsum(packed_kernels.row_popcounts(words))]
-            )
-        values_spec = (
-            arena.share_array(self._values)
-            if self._values is not None and self._values.nbytes <= words.nbytes
-            else None
-        )
         return SharedBatchHandle(
-            packed=arena.share_array(words),
-            ptr=arena.share_array(ptr),
+            packed=arena.share_array(self.packed_words()),
             n_samples=self._grid.n_samples,
             dt=self._grid.dt,
-            values=values_spec,
         )
 
     @classmethod
@@ -504,23 +478,20 @@ class SpikeTrainBatch:
     ) -> "SpikeTrainBatch":
         """Rebuild a batch (or a row range of it) from a shared handle.
 
-        Maps the segments read-only
+        Maps the segment read-only
         (:func:`~repro.backend.shared.attach_array`) — the payload is
         never copied across the process boundary — and wraps the
-        requested rows; the mappings last as long as the returned
+        requested rows; the mapping lasts as long as the returned
         batch's views.  ``rows=(lo, hi)``
         reconstructs exactly ``select_rows(range(lo, hi))`` of the
         shared batch, which is what shard workers use; ``None`` wraps
         all rows.  Bit-identical to the source batch by construction.
 
-        Sparse handles reconstruct as read-only *views* into the shared
-        CSR segment; bitset-only handles come back *packed-primary*,
-        their words a view of the mapped segment — workers run set
-        algebra and identification directly on the shared bitset and
-        decode nothing unless a consumer asks for indices.
+        The batch comes back *packed-primary*, its words a view of the
+        mapped segment — workers run set algebra and identification
+        directly on the shared bitset and decode nothing unless a
+        consumer asks for indices.
         """
-        ptr = attach_array(handle.ptr)
-        grid = handle.grid()
         n = handle.n_trains
         lo, hi = 0, n
         if rows is not None:
@@ -529,13 +500,10 @@ class SpikeTrainBatch:
                 raise SpikeTrainError(
                     f"row range [{lo}, {hi}) outside shared batch of {n} rows"
                 )
-        if handle.values is not None:
-            shared_values = attach_array(handle.values)
-            values = shared_values[ptr[lo] : ptr[hi]]
-            row_ptr = (ptr[lo : hi + 1] - ptr[lo]).astype(np.int64)
-            return cls(values, row_ptr, grid)
         words = attach_array(handle.packed)
-        return cls._from_packed_words(words[lo:hi], grid, validate=False)
+        return cls._from_packed_words(
+            words[lo:hi], handle.grid(), validate=False
+        )
 
     # ------------------------------------------------------------------
     # Memmap residency (disk-backed packed words)

@@ -4,9 +4,9 @@ The packed kernels (:mod:`repro.backend.packed`) are single-threaded:
 they chunk the row axis to bound their broadcast intermediates, but
 every chunk runs on one core.  This module splits that same row axis
 into ``(handle, row_range)`` tasks on an existing
-:class:`~repro.pipeline.runner.Runner` fork pool instead — the exact
-dispatch shape of the serving tier and the ``shard_shared`` experiment
-plans, applied one level down, to the kernels themselves.
+:class:`~repro.pipeline.runner.Runner` fork pool instead — the
+dispatch shape of the serving tier's ``shared-arena`` route, applied
+one level down, to the kernels themselves.
 
 The contract is the repo's standard one: **parallel ≡ serial,
 bit-identically**.  Each worker runs the unmodified serial kernel on a
@@ -28,8 +28,7 @@ parallel dispatch cannot help or cannot run:
 * creating or populating the arena fails at OS level.
 
 So callers can pass ``runner=`` unconditionally and let the layer
-decide — the same auto-fallback policy as the pipeline's shared
-dispatch.
+decide.
 """
 
 from __future__ import annotations
@@ -121,8 +120,7 @@ def _dispatch(
     operands through a per-call arena, and gathers the per-range
     results **in task order** — which is row order, the whole identity
     argument.  The arena closes before returning, and no worker holds
-    a segment past its task, the same as the pipeline's shared-dispatch
-    runs.
+    a segment past its task.
     """
     bounds = packed.row_chunk_bounds(a.shape[0], runner.jobs)
     if len(bounds) < 2:

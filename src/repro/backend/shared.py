@@ -1,19 +1,20 @@
-"""Zero-copy shared-memory transport for batch workloads.
+"""Zero-copy shared-memory transport for batch payloads.
 
-The sharded runner's original contract — *workers rebuild their inputs
-deterministically* — pays a per-shard rebuild (noise synthesis,
-orthogonator transform, basis construction) that swamps the win of
-parallelism for small shards.  This module replaces rebuilding with
-*attaching*: the parent materialises a workload once, writes its arrays
-into anonymous shared-memory segments (``memfd``), and ships workers a
+Experiment shards rebuild their inputs from the config where they run.
+Some payloads cannot be rebuilt: a served request's wire batch arrives
+over the network, and a pool-parallel kernel call gets its operands
+from its caller.  This module moves those to pool workers without
+copying them through a pipe: the parent writes the arrays once into
+anonymous shared-memory segments (``memfd``) and ships workers a
 handle that pickles as a few hundred bytes of metadata.  Workers map
 the same physical pages — the dispatch payload is independent of the
-workload size.
+payload size.
 
 Three pieces:
 
 * :class:`SharedArena` — a context manager owning the lifecycle of the
-  segments created for one sharded run.  ``share_array`` writes an
+  segments created for one dispatch (a served request or a
+  pool-parallel kernel call).  ``share_array`` writes an
   ndarray into a fresh segment and returns its :class:`SharedArraySpec`;
   leaving the ``with`` block (on success *or* failure) closes every
   segment's descriptor.
@@ -35,7 +36,8 @@ packed kernels (:mod:`repro.backend.packed`) directly on it, so a
 shard's compute never copies, unpacks, or re-rasters the payload.
 
 ``HAVE_SHARED_MEMORY`` is True where ``os.memfd_create`` exists
-(Linux); callers (the runner) fall back to the rebuild path elsewhere.
+(Linux); elsewhere the server computes requests in-process and the
+parallel kernels run serially.
 
 Lifetime note: a segment has no name anywhere.  The arena holds one
 descriptor per segment and never maps it.  The kernel frees the pages
@@ -115,7 +117,7 @@ def _close_segments(fds: List[int]) -> None:
 
 
 class SharedArena:
-    """Owns the shared-memory segments of one sharded run.
+    """Owns the shared-memory segments of one dispatch.
 
     Use as a context manager::
 
@@ -136,7 +138,7 @@ class SharedArena:
         if not HAVE_SHARED_MEMORY:
             raise RuntimeError(
                 "anonymous shared memory (os.memfd_create) is unavailable "
-                "on this host; use the rebuild shard path instead"
+                "on this host; compute in-process instead"
             )
         self._fds: List[int] = []
         self._finalizer = weakref.finalize(self, _close_segments, self._fds)

@@ -21,13 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..backend.shared import SharedArena
 from ..baselines.periodic import (
     DelaySweepPoint,
     misidentification_curve,
     periodic_spike_basis,
 )
-from ..hyperspace.basis import BasisArtifact, HyperspaceBasis
 from ..hyperspace.builders import build_demux_basis, paper_default_synthesizer
 from ..noise.synthesis import make_rng
 from ..pipeline.registry import register
@@ -102,21 +100,6 @@ class AliasingShard:
 
 
 @dataclass(frozen=True)
-class AliasingSharedShard:
-    """The random sweep with its demux basis already built and exported.
-
-    Building the random basis is the experiment's only synthesis cost;
-    the parent pays it once and ships the
-    :class:`~repro.hyperspace.basis.BasisArtifact` handle.  The cheap
-    periodic shard stays a rebuild :class:`AliasingShard` — a shared
-    plan may mix both task kinds.
-    """
-
-    config: AliasingConfig
-    basis: BasisArtifact
-
-
-@dataclass(frozen=True)
 class AliasingPart:
     """One basis kind's error-rate curve."""
 
@@ -148,47 +131,29 @@ def _shards(config: AliasingConfig) -> Tuple[AliasingShard, ...]:
     )
 
 
-def _run_shard(shard) -> AliasingPart:
-    """Sweep the delays over one basis kind (attached or rebuilt)."""
+def _run_shard(shard: AliasingShard) -> AliasingPart:
+    """Sweep the delays over one basis kind, building the basis."""
     config = shard.config
-    if isinstance(shard, AliasingSharedShard):
-        which = "random"
-        basis = HyperspaceBasis.from_artifact(shard.basis)
-    elif shard.which == "periodic":
-        which = "periodic"
+    if shard.which == "periodic":
         basis = periodic_spike_basis(
             config.n_elements,
             config.spacing_samples,
             paper_default_synthesizer().grid,
         )
     else:
-        which = "random"
         basis = build_demux_basis(
             config.n_elements,
             synthesizer=paper_default_synthesizer(),
             rng=make_rng(config.seed),
         )
     return AliasingPart(
-        which=which,
+        which=shard.which,
         points=misidentification_curve(
             basis,
             _delays(config),
             window=DETECTOR_WINDOW,
             min_confidence=config.min_confidence,
         ),
-    )
-
-
-def _shard_shared(config: AliasingConfig, arena: SharedArena) -> Tuple:
-    """Build the random basis once and ship it as an artifact handle."""
-    basis = build_demux_basis(
-        config.n_elements,
-        synthesizer=paper_default_synthesizer(),
-        rng=make_rng(config.seed),
-    )
-    return (
-        AliasingShard("periodic", config),
-        AliasingSharedShard(config, basis.to_artifact(arena)),
     )
 
 
@@ -241,7 +206,6 @@ register(
         shard=_shards,
         run_shard=_run_shard,
         merge=_merge,
-        shard_shared=_shard_shared,
     )
 )
 

@@ -14,11 +14,9 @@ traffic.  The workload exists for two reasons:
   merge is order-independent — so a sharded run is bit-identical to a
   serial one no matter how many workers execute it (the property
   ``benchmarks/bench_batch_throughput.py`` measures and
-  ``BENCH_batch.json`` records).  Dispatch is zero-copy where the host
-  allows: ``shard_shared`` materialises the workload once, exports it
-  into a :class:`~repro.backend.shared.SharedArena`, and workers attach
-  ``(handle, row_range)`` tasks; the rebuild shards remain as the
-  fallback when shared memory is unavailable.
+  ``BENCH_batch.json`` records).  A shard task is the config and a
+  row range; the worker rebuilds the workload from the seed, which is
+  cheaper than shipping it (``bench_batch_throughput.py`` times both).
 
 Run directly: ``python -m repro.experiments.identify``.
 """
@@ -31,9 +29,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..backend import packed
-from ..backend.batch import SharedBatchHandle, SpikeTrainBatch
-from ..backend.shared import SharedArena, SharedArraySpec, attach_array
-from ..hyperspace.basis import BasisArtifact, HyperspaceBasis
+from ..backend.batch import SpikeTrainBatch
+from ..hyperspace.basis import HyperspaceBasis
 from ..logic.correlator import CoincidenceCorrelator
 from ..noise.synthesis import make_rng
 from ..orthogonator.demux import DemuxOrthogonator
@@ -63,33 +60,15 @@ class IdentifyConfig:
 
 @dataclass(frozen=True)
 class IdentifyShard:
-    """One rebuild shard: the wire rows ``[row_start, row_stop)``.
+    """One shard: the wire rows ``[row_start, row_stop)``.
 
     Carries only the config — the worker reconstructs the workload
-    deterministically.  The fallback when shared memory is unavailable.
+    deterministically.
     """
 
     config: IdentifyConfig
     row_start: int
     row_stop: int
-
-
-@dataclass(frozen=True)
-class IdentifySharedShard:
-    """One zero-copy shard: ``(handles, row_range)`` instead of a rebuild.
-
-    The basis artifact, the wire batch and the truth vector live in
-    shared-memory segments owned by the dispatching runner's arena;
-    this task pickles as metadata only, and the worker attaches the
-    segments instead of re-running the workload synthesis.
-    """
-
-    row_start: int
-    row_stop: int
-    basis: BasisArtifact
-    wires: SharedBatchHandle
-    elements: SharedArraySpec
-    start_slots: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -176,8 +155,8 @@ def _identify_rows(
 ) -> IdentifyPart:
     """Identify one shard's wire rows from every observation start.
 
-    The common core of the rebuild and shared paths: given equal inputs
-    it produces equal parts, which is what makes the dispatch mechanism
+    The common core of the serial driver and the worker: given equal
+    inputs it produces equal parts, which is what makes the dispatch
     invisible in the merged result.
     """
     correlator = CoincidenceCorrelator(basis)
@@ -211,50 +190,17 @@ def _identify_rows(
     )
 
 
-def _run_shard(shard) -> IdentifyPart:
-    """Run one shard: attach a shared workload, or rebuild it locally."""
-    if isinstance(shard, IdentifySharedShard):
-        basis = HyperspaceBasis.from_artifact(shard.basis)
-        rows = SpikeTrainBatch.from_shared(
-            shard.wires, rows=(shard.row_start, shard.row_stop)
-        )
-        elements = attach_array(shard.elements)
-        expected = np.asarray(elements[shard.row_start : shard.row_stop])
-        start_slots = np.asarray(shard.start_slots, dtype=np.int64)
-    else:
-        config = shard.config
-        basis, wires, elements, start_slots = _workload(config)
-        rows = wires.select_rows(np.arange(shard.row_start, shard.row_stop))
-        expected = elements[shard.row_start : shard.row_stop]
+def _run_shard(shard: IdentifyShard) -> IdentifyPart:
+    """Run one shard, rebuilding the workload locally."""
+    basis, wires, elements, start_slots = _workload(shard.config)
+    rows = wires.select_rows(np.arange(shard.row_start, shard.row_stop))
     return _identify_rows(
-        basis, rows, expected, start_slots, shard.row_start, shard.row_stop
-    )
-
-
-def _shard_shared(
-    config: IdentifyConfig, arena: SharedArena
-) -> Tuple[IdentifySharedShard, ...]:
-    """Materialise the workload once, export it, ship handles.
-
-    The dense per-shard dispatch payload drops from the rebuilt
-    workload (or a pickled raster) to a few hundred bytes of segment
-    metadata; workers attach the same physical pages.
-    """
-    basis, wires, elements, start_slots = _workload(config)
-    artifact = basis.to_artifact(arena)
-    handle = wires.to_shared(arena)
-    elements_spec = arena.share_array(elements)
-    starts = tuple(int(s) for s in start_slots)
-    return tuple(
-        IdentifySharedShard(
-            row_start=shard.row_start,
-            row_stop=shard.row_stop,
-            basis=artifact,
-            wires=handle,
-            elements=elements_spec,
-            start_slots=starts,
-        )
-        for shard in _shards(config)
+        basis,
+        rows,
+        elements[shard.row_start : shard.row_stop],
+        start_slots,
+        shard.row_start,
+        shard.row_stop,
     )
 
 
@@ -292,9 +238,8 @@ def _merge(
 def _run(config: IdentifyConfig) -> IdentifyResult:
     """Serial driver: the same shards, executed in-process.
 
-    Builds the workload once and feeds every shard the same arrays —
-    the serial analogue of the shared-memory dispatch path, so the
-    serial baseline doesn't pay ``n_shards`` redundant rebuilds.
+    Builds the workload once and feeds every shard the same arrays, so
+    the serial baseline doesn't pay ``n_shards`` redundant rebuilds.
     """
     basis, wires, elements, start_slots = _workload(config)
     parts = [
@@ -342,7 +287,6 @@ register(
         shard=_shards,
         run_shard=_run_shard,
         merge=_merge,
-        shard_shared=_shard_shared,
     )
 )
 

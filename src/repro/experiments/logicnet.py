@@ -13,9 +13,7 @@ reference, but along a different axis: the shard plan splits the
 **network axis**, and because network ``i``'s tables are drawn from
 ``spawn_rng(seed, i)``, a rebuild shard reconstructs *only its own
 networks* — no shard ever draws another shard's stream, so sharded runs
-are bit-identical to serial ones by construction.  ``shard_shared``
-ships the tables once through the run arena instead
-(:meth:`~repro.logic.netbatch.LogicNetBatch.to_shared`).
+are bit-identical to serial ones by construction.
 
 Run directly: ``python -m repro.experiments.logicnet``.
 """
@@ -29,9 +27,8 @@ import numpy as np
 
 from ..backend import packed
 from ..backend.batch import SpikeTrainBatch
-from ..backend.shared import SharedArena
-from ..hyperspace.basis import BasisArtifact, HyperspaceBasis
-from ..logic.netbatch import LogicNetBatch, LogicNetHandle
+from ..hyperspace.basis import HyperspaceBasis
+from ..logic.netbatch import LogicNetBatch
 from ..noise.synthesis import make_rng
 from ..orthogonator.demux import DemuxOrthogonator
 from ..pipeline.registry import register
@@ -61,7 +58,7 @@ class LogicNetConfig:
 
 @dataclass(frozen=True)
 class LogicNetShard:
-    """One rebuild shard: networks ``[net_start, net_stop)``.
+    """One shard: networks ``[net_start, net_stop)``.
 
     Carries only the config — the worker rebuilds the basis inputs and
     *its own* networks (spawn keys) deterministically.
@@ -70,16 +67,6 @@ class LogicNetShard:
     config: LogicNetConfig
     net_start: int
     net_stop: int
-
-
-@dataclass(frozen=True)
-class LogicNetSharedShard:
-    """One zero-copy shard: arena handles instead of a rebuild."""
-
-    net_start: int
-    net_stop: int
-    basis: BasisArtifact
-    nets: LogicNetHandle
 
 
 @dataclass(frozen=True)
@@ -148,8 +135,8 @@ def _eval_part(
 ) -> LogicNetPart:
     """Evaluate one contiguous network range against the input lines.
 
-    The common core of the rebuild, shared and serial paths — equal
-    inputs produce equal parts, whatever dispatched them.  ``nets``
+    The common core of the worker and serial paths — equal inputs
+    produce equal parts, whatever dispatched them.  ``nets``
     holds exactly the range's networks already.
     """
     popcounts, checksums = nets.evaluate(
@@ -163,49 +150,19 @@ def _eval_part(
     )
 
 
-def _run_shard(shard) -> LogicNetPart:
-    """Run one shard: attach a shared workload, or rebuild it locally."""
-    if isinstance(shard, LogicNetSharedShard):
-        basis = HyperspaceBasis.from_artifact(shard.basis)
-        nets = LogicNetBatch.from_shared(
-            shard.nets, networks=(shard.net_start, shard.net_stop)
-        )
-    else:
-        config = shard.config
-        basis = _basis(config)
-        nets = LogicNetBatch.random(
-            shard.net_stop - shard.net_start,
-            config.n_gates,
-            config.depth,
-            config.basis_size,
-            config.seed,
-            net_start=shard.net_start,
-        )
-    return _eval_part(basis.as_batch(), nets, shard.net_start, shard.net_stop)
-
-
-def _shard_shared(
-    config: LogicNetConfig, arena: SharedArena
-) -> Tuple[LogicNetSharedShard, ...]:
-    """Materialise basis and tables once, export them, ship handles."""
-    basis = _basis(config)
+def _run_shard(shard: LogicNetShard) -> LogicNetPart:
+    """Run one shard, rebuilding the basis and its own networks."""
+    config = shard.config
     nets = LogicNetBatch.random(
-        config.n_networks,
+        shard.net_stop - shard.net_start,
         config.n_gates,
         config.depth,
         config.basis_size,
         config.seed,
+        net_start=shard.net_start,
     )
-    artifact = basis.to_artifact(arena)
-    handle = nets.to_shared(arena)
-    return tuple(
-        LogicNetSharedShard(
-            net_start=shard.net_start,
-            net_stop=shard.net_stop,
-            basis=artifact,
-            nets=handle,
-        )
-        for shard in _shards(config)
+    return _eval_part(
+        _basis(config).as_batch(), nets, shard.net_start, shard.net_stop
     )
 
 
@@ -238,7 +195,7 @@ def _run(config: LogicNetConfig) -> LogicNetResult:
     """Serial driver: the same shards, executed in-process.
 
     Builds the basis and the full network family once and slices per
-    shard — the serial analogue of the shared-memory dispatch path.
+    shard, so the serial baseline pays no per-shard rebuild.
     """
     inputs = _basis(config).as_batch()
     nets = LogicNetBatch.random(
@@ -293,7 +250,6 @@ register(
         shard=_shards,
         run_shard=_run_shard,
         merge=_merge,
-        shard_shared=_shard_shared,
     )
 )
 

@@ -17,10 +17,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..backend.shared import SharedArena, SharedArraySpec, attach_array
 from ..hyperspace.builders import (
     build_intersection_basis,
-    generate_basis_records,
     paper_default_synthesizer,
 )
 from ..noise.synthesis import make_rng
@@ -87,23 +85,6 @@ class ScalingShard:
     common_amplitude: float
 
 
-@dataclass(frozen=True)
-class ScalingSharedShard:
-    """One order whose N source records live in shared memory.
-
-    The parent draws each order's records (the synthesis half of the
-    build) and exports them; the worker attaches and pays only the
-    detection + intersection transform — which ``build_seconds`` then
-    measures, the field already excluded from identity comparisons as
-    the one intentionally non-deterministic value.
-    """
-
-    n_inputs: int
-    seed: int
-    common_amplitude: float
-    records: Tuple[SharedArraySpec, ...]
-
-
 def _shards(config: ScalingConfig) -> Tuple[ScalingShard, ...]:
     """One shard per basis order N = 2..max."""
     return tuple(
@@ -112,21 +93,15 @@ def _shards(config: ScalingConfig) -> Tuple[ScalingShard, ...]:
     )
 
 
-def _run_shard(shard) -> ScalingPoint:
+def _run_shard(shard: ScalingShard) -> ScalingPoint:
     """Build one order's intersection basis and record the costs."""
     synthesizer = paper_default_synthesizer()
-    records = (
-        [attach_array(spec) for spec in shard.records]
-        if isinstance(shard, ScalingSharedShard)
-        else None
-    )
     started = time.perf_counter()
     basis = build_intersection_basis(
         shard.n_inputs,
         synthesizer=synthesizer,
         common_amplitude=shard.common_amplitude,
         rng=make_rng(shard.seed + shard.n_inputs),
-        records=records,
     )
     elapsed = time.perf_counter() - started
     counts = [len(t) for t in basis.trains]
@@ -138,30 +113,6 @@ def _run_shard(shard) -> ScalingPoint:
         max_spikes=max(counts),
         nonempty_elements=sum(1 for c in counts if c > 0),
     )
-
-
-def _shard_shared(
-    config: ScalingConfig, arena: SharedArena
-) -> Tuple[ScalingSharedShard, ...]:
-    """Draw every order's source records once and ship segment handles."""
-    synthesizer = paper_default_synthesizer()
-    shards = []
-    for shard in _shards(config):
-        records = generate_basis_records(
-            shard.n_inputs,
-            synthesizer=synthesizer,
-            common_amplitude=shard.common_amplitude,
-            rng=make_rng(shard.seed + shard.n_inputs),
-        )
-        shards.append(
-            ScalingSharedShard(
-                n_inputs=shard.n_inputs,
-                seed=shard.seed,
-                common_amplitude=shard.common_amplitude,
-                records=tuple(arena.share_array(r) for r in records),
-            )
-        )
-    return tuple(shards)
 
 
 def _merge(
@@ -213,7 +164,6 @@ register(
         shard=_shards,
         run_shard=_run_shard,
         merge=_merge,
-        shard_shared=_shard_shared,
     )
 )
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..analysis.rice import rice_mean_isi
 from ..analysis.tables import StatsRow, StatsTable
-from ..backend.shared import SharedArena, SharedArraySpec, attach_array
 from ..noise.sources import NoiseSource, paper_pink_source, paper_white_source
 from ..orthogonator.demux import DemuxOrthogonator
 from ..pipeline.registry import register
@@ -57,17 +56,9 @@ class Table1Result:
         )
 
 
-def _pooled_output_stats(
-    source: NoiseSource, order: int, record=None
-) -> tuple:
-    """Source train stats and pooled per-wire output stats.
-
-    ``record`` short-circuits the synthesis: a shared-memory shard
-    passes the parent's record and only pays detection + transform.
-    """
-    if record is None:
-        record = source.record()
-    train = AllCrossingDetector().detect(record, source.grid)
+def _pooled_output_stats(source: NoiseSource, order: int) -> tuple:
+    """Source train stats and pooled per-wire output stats."""
+    train = AllCrossingDetector().detect(source.record(), source.grid)
     output = DemuxOrthogonator(order).transform(train)
     source_stats = isi_statistics(train)
     intervals = np.concatenate(
@@ -93,22 +84,6 @@ class Table1Shard:
 
 
 @dataclass(frozen=True)
-class Table1SharedShard:
-    """One configuration whose noise record lives in shared memory.
-
-    The parent synthesizes the record once and exports it; the worker
-    rebuilds only the (cheap) source object for its grid and spectrum
-    and attaches the record instead of re-running the synthesis.
-    """
-
-    variant: str
-    seed: int
-    n_samples: int
-    order: int
-    record: SharedArraySpec
-
-
-@dataclass(frozen=True)
 class Table1Part:
     """One configuration's table plus its Rice-formula source ISI."""
 
@@ -125,13 +100,8 @@ def _shards(config: Table1Config) -> Tuple[Table1Shard, ...]:
     )
 
 
-def _run_shard(shard) -> Table1Part:
-    """Measure one noise configuration (attached or rebuilt record)."""
-    record = (
-        attach_array(shard.record)
-        if isinstance(shard, Table1SharedShard)
-        else None
-    )
+def _run_shard(shard: Table1Shard) -> Table1Part:
+    """Measure one noise configuration, synthesizing its record."""
     if shard.variant == "white":
         source = paper_white_source(seed=shard.seed, n_samples=shard.n_samples)
         title = "Table 1 — white noise (5 MHz-10 GHz), demux M=3"
@@ -141,9 +111,7 @@ def _run_shard(shard) -> Table1Part:
         title = "Table 1 — 1/f noise (2.5 MHz-10 GHz), demux M=3"
         reference = TABLE1_PINK
     table = StatsTable(title)
-    source_stats, output_stats = _pooled_output_stats(
-        source, shard.order, record=record
-    )
+    source_stats, output_stats = _pooled_output_stats(source, shard.order)
     table.add(StatsRow("source", source_stats, reference["source"]))
     table.add(StatsRow("outputs", output_stats, reference["outputs"]))
     return Table1Part(
@@ -151,33 +119,6 @@ def _run_shard(shard) -> Table1Part:
         table=table,
         rice_isi=rice_mean_isi(source.spectrum),
     )
-
-
-def _shard_shared(
-    config: Table1Config, arena: SharedArena
-) -> Tuple[Table1SharedShard, ...]:
-    """Synthesize both records once and ship them as segment handles.
-
-    Generation order matches the rebuild path exactly — each variant's
-    source draws its first record from its own seed — so shared and
-    rebuild shards are bit-identical.
-    """
-    shards = []
-    for shard in _shards(config):
-        build = (
-            paper_white_source if shard.variant == "white" else paper_pink_source
-        )
-        source = build(seed=shard.seed, n_samples=shard.n_samples)
-        shards.append(
-            Table1SharedShard(
-                variant=shard.variant,
-                seed=shard.seed,
-                n_samples=shard.n_samples,
-                order=shard.order,
-                record=arena.share_array(source.record()),
-            )
-        )
-    return tuple(shards)
 
 
 def _merge(config: Table1Config, parts: Sequence[Table1Part]) -> Table1Result:
@@ -215,7 +156,6 @@ register(
         shard=_shards,
         run_shard=_run_shard,
         merge=_merge,
-        shard_shared=_shard_shared,
     )
 )
 

@@ -15,12 +15,11 @@ Run directly: ``python -m repro.experiments.table2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.tables import StatsRow, StatsTable
-from ..backend.shared import SharedArena, SharedArraySpec, attach_array
 from ..pipeline.registry import register
 from ..pipeline.spec import ExperimentSpec
 from ..noise.correlated import (
@@ -92,15 +91,10 @@ def _generate_records(
 
 
 def _run_configuration(
-    correlated: bool,
-    seed: int,
-    n_samples: int,
-    records: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    correlated: bool, seed: int, n_samples: int
 ) -> Tuple[StatsTable, float]:
     grid = paper_white_grid(n_samples=n_samples)
-    if records is None:
-        records = _generate_records(correlated, seed, n_samples)
-    record_a, record_b = records
+    record_a, record_b = _generate_records(correlated, seed, n_samples)
 
     detector = AllCrossingDetector()
     train_a = detector.detect(record_a, grid)
@@ -132,22 +126,6 @@ class Table2Shard:
 
 
 @dataclass(frozen=True)
-class Table2SharedShard:
-    """One configuration whose two source records live in shared memory.
-
-    The parent draws both records once (the expensive synthesis) and
-    exports them; the worker attaches and pays only detection and the
-    intersection transform.
-    """
-
-    correlated: bool
-    seed: int
-    n_samples: int
-    record_a: SharedArraySpec
-    record_b: SharedArraySpec
-
-
-@dataclass(frozen=True)
 class Table2Part:
     """One configuration's table plus its homogenization spread."""
 
@@ -164,38 +142,12 @@ def _shards(config: Table2Config) -> Tuple[Table2Shard, ...]:
     )
 
 
-def _run_shard(shard) -> Table2Part:
-    """Measure one source configuration (attached or rebuilt records)."""
-    records = (
-        (attach_array(shard.record_a), attach_array(shard.record_b))
-        if isinstance(shard, Table2SharedShard)
-        else None
-    )
+def _run_shard(shard: Table2Shard) -> Table2Part:
+    """Measure one source configuration, drawing its records."""
     table, spread = _run_configuration(
-        shard.correlated, shard.seed, shard.n_samples, records=records
+        shard.correlated, shard.seed, shard.n_samples
     )
     return Table2Part(correlated=shard.correlated, table=table, spread=spread)
-
-
-def _shard_shared(
-    config: Table2Config, arena: SharedArena
-) -> Tuple[Table2SharedShard, ...]:
-    """Draw both configurations' records once and ship segment handles."""
-    shards = []
-    for shard in _shards(config):
-        record_a, record_b = _generate_records(
-            shard.correlated, shard.seed, shard.n_samples
-        )
-        shards.append(
-            Table2SharedShard(
-                correlated=shard.correlated,
-                seed=shard.seed,
-                n_samples=shard.n_samples,
-                record_a=arena.share_array(record_a),
-                record_b=arena.share_array(record_b),
-            )
-        )
-    return tuple(shards)
 
 
 def _merge(config: Table2Config, parts: Sequence[Table2Part]) -> Table2Result:
@@ -229,7 +181,6 @@ register(
         shard=_shards,
         run_shard=_run_shard,
         merge=_merge,
-        shard_shared=_shard_shared,
     )
 )
 

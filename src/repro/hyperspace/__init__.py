@@ -1,8 +1,7 @@
 """Hyperspace layer: orthogonal bases, neuro-bit values, superpositions.
 
 * :class:`HyperspaceBasis` — M orthogonal reference trains with slot
-  classification; :class:`BasisArtifact` is its zero-copy shared-memory
-  export (pool workers attach instead of rebuilding);
+  classification;
 * :class:`Superposition` / :func:`decode_superposition` — several
   neuro-bits on a single wire;
 * :func:`build_demux_basis` / :func:`build_intersection_basis` —
@@ -14,7 +13,7 @@ from .._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "basis": ("HyperspaceBasis", "BasisArtifact"),
+        "basis": ("HyperspaceBasis",),
         "superposition": (
             "Superposition",
             "decode_superposition",

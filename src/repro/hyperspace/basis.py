@@ -24,49 +24,18 @@ projection and bumps the basis version.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..backend.batch import SpikeTrainBatch
-from ..backend.shared import SharedArena, SharedArraySpec, attach_array
 from ..errors import HyperspaceError
 from ..orthogonator.base import OrthogonatorOutput, verify_orthogonality
 from ..spikes.train import SpikeTrain
 from ..units import SimulationGrid
 
-__all__ = ["HyperspaceBasis", "BasisArtifact"]
+__all__ = ["HyperspaceBasis"]
 
-
-@dataclass(frozen=True)
-class BasisArtifact:
-    """Metadata-only handle to a basis exported into shared memory.
-
-    Carries the dense ``owner_vector`` (the projection every vectorised
-    identification path gathers through) and the element table — the
-    stacked element trains' CSR ``(values, ptr)`` — as
-    :class:`~repro.backend.shared.SharedArraySpec` references plus the
-    labels and grid scalars.  Pool workers attach instead of re-running
-    the orthogonator pipeline, which is the ~8 ms/shard rebuild the
-    shared execution layer eliminates.
-    """
-
-    owner: SharedArraySpec
-    values: SharedArraySpec
-    ptr: SharedArraySpec
-    labels: Tuple[str, ...]
-    n_samples: int
-    dt: float
-
-    @property
-    def size(self) -> int:
-        """Number of basis elements M."""
-        return len(self.labels)
-
-    def grid(self) -> SimulationGrid:
-        """The grid the exported basis lives on."""
-        return SimulationGrid(n_samples=self.n_samples, dt=self.dt)
 
 ElementKey = Union[int, str]
 
@@ -204,7 +173,7 @@ class HyperspaceBasis:
         """Initialise every cached/derived field from the core three.
 
         The single authoritative list of non-core attributes, shared by
-        ``__init__`` and :meth:`from_artifact` (which bypasses
+        ``__init__`` and :meth:`_from_table` (which bypasses
         ``__init__`` to skip orthogonality re-verification).
         """
         self._label_to_index = {label: i for i, label in enumerate(self._labels)}
@@ -241,48 +210,6 @@ class HyperspaceBasis:
         """Adopt an orthogonator's labelled outputs as a basis."""
         return cls(list(output.trains), list(output.labels))
 
-    # ------------------------------------------------------------------
-    # Shared-memory artifacts
-    # ------------------------------------------------------------------
-
-    def to_artifact(self, arena: SharedArena) -> BasisArtifact:
-        """Export this basis into ``arena`` as a picklable artifact.
-
-        Places the dense owner vector and the element batch's CSR into
-        shared segments; the returned handle is metadata only.  The
-        artifact captures the basis at its current :attr:`version` —
-        mutating this basis afterwards does not touch the export.
-        """
-        values, ptr = self.as_batch().csr()
-        return BasisArtifact(
-            owner=arena.share_array(self.owner_vector),
-            values=arena.share_array(values),
-            ptr=arena.share_array(ptr),
-            labels=self._labels,
-            n_samples=self._grid.n_samples,
-            dt=self._grid.dt,
-        )
-
-    @classmethod
-    def from_artifact(cls, artifact: BasisArtifact) -> "HyperspaceBasis":
-        """Rebuild a basis from a shared artifact by *attaching*.
-
-        Zero-copy on the hot projections: the owner vector is the
-        attached segment itself and every element train's index array
-        is a read-only view into the shared element table.
-        Orthogonality was verified when the exporting basis was
-        constructed, so this path skips re-verification — that is what
-        makes attaching cheap enough to run once per shard task.
-        """
-        basis = cls._from_table(
-            attach_array(artifact.values),
-            attach_array(artifact.ptr),
-            artifact.labels,
-            artifact.grid(),
-        )
-        basis._owner_vector = attach_array(artifact.owner)
-        return basis
-
     @classmethod
     def _from_table(
         cls,
@@ -293,8 +220,8 @@ class HyperspaceBasis:
     ) -> "HyperspaceBasis":
         """Adopt a pre-verified element table ``(values, ptr)`` as a basis.
 
-        The trusted fast path under :meth:`from_artifact` and the
-        serving dispatch layer (:mod:`repro.serving.dispatch`): element
+        The trusted fast path of the serving dispatch layer
+        (:func:`repro.serving.dispatch.install_basis`): element
         ``i``'s sorted slot indices are ``values[ptr[i]:ptr[i + 1]]``
         (views, never copies), and orthogonality is *not* re-verified —
         callers must only feed tables exported from an already-verified

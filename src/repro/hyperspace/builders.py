@@ -29,7 +29,6 @@ from .basis import HyperspaceBasis
 __all__ = [
     "build_demux_basis",
     "build_intersection_basis",
-    "generate_basis_records",
     "paper_default_synthesizer",
 ]
 
@@ -67,18 +66,22 @@ def build_demux_basis(
     return HyperspaceBasis.from_orthogonator(output)
 
 
-def generate_basis_records(
+def build_intersection_basis(
     n_inputs: int,
     synthesizer: Optional[NoiseSynthesizer] = None,
     common_amplitude: float = 0.0,
     rng: RngLike = None,
-) -> list:
-    """The N source records :func:`build_intersection_basis` detects.
+    input_names: Optional[Sequence[str]] = None,
+) -> HyperspaceBasis:
+    """Build a ``2^N − 1``-element basis with an intersection orthogonator.
 
-    Split out so a dispatching parent can draw the records once, export
-    them into shared memory, and hand workers the same arrays through
-    ``build_intersection_basis(..., records=...)`` — the draw order is
-    exactly the builder's, so both paths are bit-identical.
+    ``common_amplitude`` > 0 correlates the N source noises through a
+    common-mode component, homogenizing the output rates as in
+    Section 4.2.  Following the paper's convention the amplitudes add
+    *linearly* to one: the private amplitude is ``1 − common_amplitude``
+    (the paper's pair is 0.945 / 0.055, a source correlation of
+    ~0.9966).  With 0.945 the three outputs of an N = 2 device fire
+    within a factor ~1.3 of each other instead of ~25×.
     """
     if n_inputs < 1:
         raise ConfigurationError(f"n_inputs must be >= 1, got {n_inputs}")
@@ -95,55 +98,11 @@ def generate_basis_records(
             common_amplitude=common_amplitude,
             private_amplitude=1.0 - common_amplitude,
         )
-        return list(mixer.generate(n_inputs, rng=rng))
-    return [synthesizer.generate(rng) for _unused in range(n_inputs)]
+        records = mixer.generate(n_inputs, rng=rng)
+    else:
+        records = [synthesizer.generate(rng) for _unused in range(n_inputs)]
 
-
-def build_intersection_basis(
-    n_inputs: int,
-    synthesizer: Optional[NoiseSynthesizer] = None,
-    common_amplitude: float = 0.0,
-    rng: RngLike = None,
-    input_names: Optional[Sequence[str]] = None,
-    records: Optional[Sequence] = None,
-) -> HyperspaceBasis:
-    """Build a ``2^N − 1``-element basis with an intersection orthogonator.
-
-    ``common_amplitude`` > 0 correlates the N source noises through a
-    common-mode component, homogenizing the output rates as in
-    Section 4.2.  Following the paper's convention the amplitudes add
-    *linearly* to one: the private amplitude is ``1 − common_amplitude``
-    (the paper's pair is 0.945 / 0.055, a source correlation of
-    ~0.9966).  With 0.945 the three outputs of an N = 2 device fire
-    within a factor ~1.3 of each other instead of ~25×.
-
-    ``records`` supplies the N source records pre-drawn (see
-    :func:`generate_basis_records`), skipping the synthesis; ``rng`` is
-    then unused.
-    """
-    if n_inputs < 1:
-        raise ConfigurationError(f"n_inputs must be >= 1, got {n_inputs}")
-    if not (0.0 <= common_amplitude < 1.0):
-        raise ConfigurationError(
-            f"common_amplitude must lie in [0, 1), got {common_amplitude}"
-        )
-    if synthesizer is None:
-        synthesizer = paper_default_synthesizer()
-    grid = synthesizer.grid
     detector = AllCrossingDetector()
-
-    if records is None:
-        records = generate_basis_records(
-            n_inputs,
-            synthesizer=synthesizer,
-            common_amplitude=common_amplitude,
-            rng=rng,
-        )
-    elif len(records) != n_inputs:
-        raise ConfigurationError(
-            f"expected {n_inputs} records, got {len(records)}"
-        )
-
-    trains = [detector.detect(record, grid) for record in records]
+    trains = [detector.detect(record, synthesizer.grid) for record in records]
     device = IntersectionOrthogonator(n_inputs, input_names=input_names)
     return HyperspaceBasis.from_orthogonator(device.transform(*trains))

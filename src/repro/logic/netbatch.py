@@ -43,37 +43,19 @@ bit-identical to the obvious single-gate reference evaluator built on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
 
 from ..backend import packed
-from ..backend.shared import SharedArena, SharedArraySpec, attach_array
 from ..noise.synthesis import spawn_rng
 
 __all__ = [
     "LogicNetBatch",
-    "LogicNetHandle",
     "WorkingSet",
     "output_summary",
     "working_set",
 ]
-
-
-@dataclass(frozen=True)
-class LogicNetHandle:
-    """Picklable shared-memory locator of one exported batch.
-
-    The gate tables live in two arena segments; the handle carries
-    their specs plus the input arity.  Workers attach with
-    :meth:`LogicNetBatch.from_shared` — the networks are shipped once
-    through the run arena, never per shard.
-    """
-
-    op_ids: SharedArraySpec
-    wiring: SharedArraySpec
-    n_inputs: int
 
 
 class LogicNetBatch:
@@ -183,34 +165,6 @@ class LogicNetBatch:
         return LogicNetBatch(
             self.op_ids[start:stop], self.wiring[start:stop], self.n_inputs
         )
-
-    # ------------------------------------------------------------------
-    # Shared-memory transport
-    # ------------------------------------------------------------------
-
-    def to_shared(self, arena: SharedArena) -> LogicNetHandle:
-        """Export the gate tables into ``arena``; returns the handle."""
-        return LogicNetHandle(
-            op_ids=arena.share_array(self.op_ids),
-            wiring=arena.share_array(self.wiring),
-            n_inputs=self.n_inputs,
-        )
-
-    @classmethod
-    def from_shared(
-        cls,
-        handle: LogicNetHandle,
-        *,
-        networks: Optional[Tuple[int, int]] = None,
-    ) -> "LogicNetBatch":
-        """Attach an exported batch (optionally one network range)."""
-        op_ids = attach_array(handle.op_ids)
-        wiring = attach_array(handle.wiring)
-        if networks is not None:
-            start, stop = networks
-            op_ids = op_ids[start:stop]
-            wiring = wiring[start:stop]
-        return cls(op_ids, wiring, handle.n_inputs)
 
     # ------------------------------------------------------------------
     # Evaluation (phases 0-3)

@@ -10,9 +10,8 @@ through:
   populated by the experiment modules at import time;
 * :mod:`~repro.pipeline.runner` — :class:`Runner`, executing specs
   serially, sharded across a persistent worker pool (``jobs > 1`` on a
-  single spec, dispatching zero-copy shared-memory handles where the
-  spec and host support it) or with whole experiments as pool tasks
-  (``run_many``);
+  single spec; each shard task rebuilds its inputs from the config) or
+  with whole experiments as pool tasks (``run_many``);
 * :mod:`~repro.pipeline.store` — :class:`ArtifactStore`, persisting
   every run as a JSON + text artifact pair with run metadata;
 * :mod:`~repro.pipeline.corpus` — :class:`CorpusStore`, the indexed

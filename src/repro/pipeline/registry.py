@@ -66,6 +66,11 @@ def ensure_loaded() -> None:
     global _LOADED
     if not _LOADED:
         import repro.experiments  # noqa: F401  (registration side effect)
+        # np.unique loads numpy.ma on its first call (NumPy >= 2.3): a
+        # shard worker forked before that call would load it on its
+        # first shard (~25 ms on a 2-CPU host).  Loaded here, before any
+        # experiment forks its pool, it is inherited instead.
+        import numpy.ma  # noqa: F401
         _LOADED = True
 
 

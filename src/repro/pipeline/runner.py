@@ -15,19 +15,12 @@ One :class:`Runner` drives every experiment through the same path:
   the task touches and closes the descriptors when the task ends, so
   per-run dispatch cost is a handful of metadata pickles — not process
   spawns — and an idle worker holds no segment;
-* **zero-copy shard dispatch** — running a single *shardable* spec with
-  ``jobs > 1`` fans its shard tasks out over the workers.  Specs with a
-  ``shard_shared`` plan materialise their workload once, export it into
-  a :class:`~repro.backend.shared.SharedArena`, and ship workers
-  ``(handle, row_range)``-style tasks that attach instead of
-  rebuilding; the arena closes every segment when the run finishes —
-  including when a worker raises mid-shard.  Specs without a shared
-  plan (and hosts without ``os.memfd_create``) fall back
-  to the rebuild plan: tasks that reconstruct their inputs
-  deterministically from the config.  The shard plan is a property of
-  the config (never of the worker count or the dispatch mechanism), so
-  serial, rebuild-sharded and shared-sharded runs are bit-identical by
-  construction;
+* **shard dispatch** — running a single *shardable* spec with
+  ``jobs > 1`` fans its shard tasks out over the workers.  A shard task
+  is a few integers and the config; the worker rebuilds its inputs
+  deterministically from them, the same way on every host.  The shard
+  plan is a property of the config (never of the worker count), so
+  serial and sharded runs are bit-identical by construction;
 * **experiment pool** — :meth:`Runner.run_many` with ``jobs > 1`` runs
   whole experiments as worker tasks instead (each worker executes its
   spec's shards serially).  Workers return plain :class:`RunRecord`
@@ -68,7 +61,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena, SharedArraySpec
+from ..backend.shared import SharedArraySpec
 from ..errors import PipelineError
 from . import registry
 from .store import ArtifactStore, RunRecord
@@ -80,11 +73,6 @@ __all__ = ["Runner", "RunReport", "WorkerLost", "SUPERVISED_TIMEOUT_S"]
 #: a dead worker is EOF on its socket, seen at once — so false
 #: positives under load matter more than detection latency.
 SUPERVISED_TIMEOUT_S = 120.0
-
-#: Flipped when creating shared segments fails (e.g. the process is
-#: out of descriptors): the runner then stops retrying the shared path
-#: and uses the rebuild plan for the rest of the process lifetime.
-_SHARED_DISPATCH_BROKEN = False
 
 #: Every message on a worker socket is this length prefix and a pickle.
 _LENGTH = struct.Struct("<Q")
@@ -295,7 +283,13 @@ def _drop_inherited_descriptors(keep: int) -> None:
 
 
 def _fork_worker() -> "_Worker":
-    """Fork one worker on a fresh socketpair; this process keeps one end."""
+    """Fork one worker on a fresh socketpair; this process keeps one end.
+
+    Returns once the child has dropped what it inherited, which it
+    tells by sending one byte, so a fresh worker never holds the
+    listener or a live arena's segments.  A child that exits first
+    raises PipelineError.
+    """
     parent, child = socket.socketpair()
     try:
         pid = os.fork()
@@ -311,11 +305,18 @@ def _fork_worker() -> "_Worker":
             # process group.  The parent alone ends us.
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            child.sendall(b"\0")
             _work(child)
         finally:
             os._exit(0)
     child.close()
-    return _Worker(pid, parent)
+    worker = _Worker(pid, parent)
+    try:
+        _recv_exact(parent, 1)
+    except (EOFError, OSError):
+        worker.stop()
+        raise PipelineError(f"worker {pid} exited before it started") from None
+    return worker
 
 
 class _Worker:
@@ -512,46 +513,6 @@ def _execute_record(
         return record, None
 
 
-def _shared_tasks(spec, config) -> Optional[Tuple[SharedArena, List[Any]]]:
-    """Export the spec's workload into a fresh arena, if it can be.
-
-    Returns None — sending the caller to the rebuild plan — when the
-    spec has no shared plan, shared memory is unavailable, or creating
-    segments fails on this host (remembered for the process lifetime).
-    The caller owns the returned arena and must close it.
-    """
-    global _SHARED_DISPATCH_BROKEN
-    if (
-        spec.shard_shared is None
-        or not HAVE_SHARED_MEMORY
-        or _SHARED_DISPATCH_BROKEN
-    ):
-        return None
-    arena = SharedArena()
-    try:
-        tasks = list(spec.shard_shared(config, arena))
-    except OSError:  # pragma: no cover - out of memory or descriptors
-        arena.close()
-        _SHARED_DISPATCH_BROKEN = True
-        return None
-    except Exception:
-        arena.close()
-        raise
-    return arena, tasks
-
-
-def _run_shards(runner: "Runner", spec, tasks: List[Any]) -> List[Any]:
-    """Every shard's result, in task order, through :meth:`Runner.gather`.
-
-    No timeout: a long shard is never killed, and the shard of a killed
-    worker runs again instead of hanging the run.
-    """
-    getters = runner.gather(
-        _shard_worker, [(spec.name, task) for task in tasks], timeout=None
-    )
-    return [get() for get in getters]
-
-
 def _execute_spec(spec, config, runner: Optional["Runner"]) -> Tuple[Any, int]:
     """Run one spec, sharding across ``runner``'s workers when possible.
 
@@ -565,8 +526,9 @@ def _execute_spec(spec, config, runner: Optional["Runner"]) -> Tuple[Any, int]:
     identify driver builds once) — rather than mapping ``run_shard``
     task by task.  Both compose the same shards, so the result is
     bit-identical either way; single-task plans also stay in-process
-    (exporting a workload to shared memory to run one shard on one
-    worker is pure overhead).
+    (sending one shard to one worker is pure overhead).  Dispatched
+    shards take no timeout: a long shard is never killed, and the shard
+    of a killed worker runs again instead of hanging the run.
     """
     if not spec.shardable:
         return spec.run(config), 0
@@ -575,13 +537,10 @@ def _execute_spec(spec, config, runner: Optional["Runner"]) -> Tuple[Any, int]:
         raise PipelineError(f"spec {spec.name!r} produced an empty shard plan")
     if runner is None or runner.jobs < 2 or len(tasks) < 2:
         return spec.run(config), len(tasks)
-    shared = _shared_tasks(spec, config)
-    if shared is None:
-        return spec.merge(config, _run_shards(runner, spec, tasks)), len(tasks)
-    arena, shared_tasks = shared
-    with arena:  # closed on every exit path, a worker raising included
-        parts = _run_shards(runner, spec, shared_tasks)
-    return spec.merge(config, parts), len(shared_tasks)
+    getters = runner.gather(
+        _shard_worker, [(spec.name, task) for task in tasks], timeout=None
+    )
+    return spec.merge(config, [get() for get in getters]), len(tasks)
 
 
 class Runner:

@@ -19,15 +19,9 @@ need to know about one experiment:
   executes one, ``merge`` reassembles the full result.  The shard count
   is a property of the *config*, never of the worker count, so a
   sharded run is bit-identical to a serial one by construction — the
-  runner only decides *where* shards execute;
-* optionally a **shared-memory shard plan** (``shard_shared``): given a
-  config and a live :class:`~repro.backend.shared.SharedArena`, build
-  the workload *once*, export it into the arena, and return shard tasks
-  that carry metadata-only handles instead of rebuilding instructions.
-  ``run_shard`` must accept these tasks too (attach instead of
-  rebuild).  The runner uses this plan when worker pools and shared
-  memory are both available and falls back to ``shard`` otherwise —
-  both paths produce bit-identical results.
+  runner only decides *where* shards execute.  A shard task carries no
+  workload, only what rebuilds it, so a task pickles small and runs
+  the same on every host.
 
 Specs are registered in :mod:`repro.pipeline.registry` by the experiment
 modules themselves at import time.
@@ -73,12 +67,6 @@ class ExperimentSpec:
         ``run_shard(task)`` runs one anywhere (it rebuilds its inputs
         deterministically from the task), ``merge(config, parts)``
         reassembles the result.
-    shard_shared:
-        Optional zero-copy variant of ``shard``:
-        ``shard_shared(config, arena)`` materialises the workload once,
-        exports it into the arena's shared-memory segments, and returns
-        tasks carrying metadata-only handles; ``run_shard`` executes
-        them by attaching.  Requires the full shard plan.
     """
 
     name: str
@@ -90,7 +78,6 @@ class ExperimentSpec:
     shard: Optional[Callable[[Any], Sequence[Any]]] = None
     run_shard: Optional[Callable[[Any], Any]] = None
     merge: Optional[Callable[[Any, Sequence[Any]], Any]] = None
-    shard_shared: Optional[Callable[[Any, Any], Sequence[Any]]] = None
 
     def __post_init__(self) -> None:
         if self.tier not in TIERS:
@@ -116,11 +103,6 @@ class ExperimentSpec:
             raise PipelineError(
                 f"spec {self.name!r}: shard, run_shard and merge must be "
                 "given together"
-            )
-        if self.shard_shared is not None and self.shard is None:
-            raise PipelineError(
-                f"spec {self.name!r}: shard_shared requires the full "
-                "shard/run_shard/merge plan (it is the rebuild fallback)"
             )
         if self.seed_policy == "seeded" and "seed" not in self.field_names():
             raise PipelineError(

@@ -92,9 +92,9 @@ def uses_pool(jobs: int) -> bool:
 class BasisTable:
     """Picklable plain-array export of a verified basis.
 
-    Element ``i``'s sorted slots are ``values[ptr[i]:ptr[i + 1]]`` —
-    the same table :class:`~repro.hyperspace.basis.BasisArtifact` ships
-    through shared memory, but carried by value so it can be installed
+    Element ``i``'s sorted slots are ``values[ptr[i]:ptr[i + 1]]``,
+    the element table :meth:`~repro.hyperspace.basis.HyperspaceBasis.
+    _from_table` adopts.  It is carried by value so it can be installed
     once per process and outlive any request arena.  ``token``
     identifies the install; shard tasks carry the token only.
     """

@@ -11,8 +11,8 @@ four existing layers without the payload ever unpacking to a raster:
    no CSR decode, no raster);
 2. the batch exports into a per-request
    :class:`~repro.backend.shared.SharedArena`
-   (``to_shared`` ships the word-aligned bitset; the row offsets come
-   from a popcount pass, still no decode);
+   (``to_shared`` ships the word-aligned bitset alone, in one
+   segment: no popcount pass, no decode);
 3. contiguous row-range :class:`~repro.serving.dispatch.ShardTask`\\ s
    fan out over the :class:`~repro.pipeline.runner.Runner`'s
    persistent pool (``Runner.gather``, supervised), where workers
@@ -517,8 +517,7 @@ class _Connection(asyncio.BufferedProtocol):
 
     The object doubles as the writer handed to the request handlers:
     ``write``/``drain`` front the transport with its high-water flow
-    control, and ``close``/``wait_closed``/``get_extra_info`` mirror
-    the ``StreamWriter`` surface the shutdown path expects.
+    control, and ``close`` ends the connection.
     """
 
     def __init__(self, server: "SpikeServer") -> None:
@@ -528,7 +527,6 @@ class _Connection(asyncio.BufferedProtocol):
         self._tasks: Set[asyncio.Task] = set()
         self._can_write = asyncio.Event()
         self._can_write.set()
-        self._closed = asyncio.get_running_loop().create_future()
         self._poisoned = False
         self._idle_timer: Optional[asyncio.TimerHandle] = None
 
@@ -579,8 +577,6 @@ class _Connection(asyncio.BufferedProtocol):
             self._idle_timer = None
         self._server._writers.discard(self)
         self._can_write.set()  # unblock drains; they raise on the check
-        if not self._closed.done():
-            self._closed.set_result(None)
 
     # -- idle-connection reaping ---------------------------------------
 
@@ -667,14 +663,6 @@ class _Connection(asyncio.BufferedProtocol):
     def close(self) -> None:
         if self._transport is not None:
             self._transport.close()
-
-    async def wait_closed(self) -> None:
-        await self._closed
-
-    def get_extra_info(self, name: str, default=None):
-        if self._transport is None:
-            return default
-        return self._transport.get_extra_info(name, default)
 
 
 class SpikeServer:

@@ -4,7 +4,7 @@ The batched evaluator's contract has to hold at the edges of its shape
 space — 0 networks, single-gate networks, 1-slot grids, all-silent
 inputs — and the ``logicnet`` experiment's shard plan has to reassemble
 those edges bit-identically through every dispatch path (serial,
-rebuild shards, shared-arena shards), exactly as
+shards run in-process, shards run on a pool), exactly as
 ``tests/backend/test_degenerate.py`` demands of the bitset batches.
 """
 
@@ -15,7 +15,6 @@ import pytest
 
 from repro.backend import packed
 from repro.backend.batch import SpikeTrainBatch
-from repro.backend.shared import HAVE_SHARED_MEMORY, SharedArena
 from repro.logic.netbatch import LogicNetBatch, output_summary
 from repro.pipeline import Runner, get_spec, to_jsonable
 from repro.testing import differential
@@ -171,7 +170,7 @@ class TestWiringValidation:
 
 
 class TestShardedEqualsSerial:
-    """The spec's three dispatch paths serialise identically."""
+    """The spec's dispatch paths serialise identically."""
 
     def test_rebuild_shards_merge_to_serial(self):
         spec = get_spec("logicnet")
@@ -183,26 +182,6 @@ class TestShardedEqualsSerial:
             to_jsonable(serial)
         )
 
-    @pytest.mark.skipif(
-        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
-    )
-    def test_shared_shards_merge_to_serial(self):
-        spec = get_spec("logicnet")
-        config = spec.make_config(overrides=SMALL_SPEC)
-        serial = spec.run(config)
-        with SharedArena() as arena:
-            parts = [
-                spec.run_shard(shard)
-                for shard in spec.shard_shared(config, arena)
-            ]
-            merged = spec.merge(config, parts)
-        assert json.dumps(to_jsonable(merged)) == json.dumps(
-            to_jsonable(serial)
-        )
-
-    @pytest.mark.skipif(
-        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
-    )
     def test_two_job_run_bit_identical(self):
         serial = Runner(jobs=1).run("logicnet", overrides=SMALL_SPEC)
         with Runner(jobs=2) as runner:

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.backend import SpikeTrainBatch, packed
+from repro.backend import SpikeTrainBatch, packed, parallel
+from repro.backend import shared as shared_module
 from repro.backend.shared import HAVE_SHARED_MEMORY, SharedArena, attach_array
 from repro.errors import PipelineError
 from repro.pipeline import (
@@ -52,6 +54,19 @@ SHARDABLE_SMALL = {
 }
 
 
+def _without_wall_times(result):
+    """``result`` as JSON, without its ``build_seconds`` fields."""
+
+    def strip(value):
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items() if k != "build_seconds"}
+        if isinstance(value, list):
+            return [strip(v) for v in value]
+        return value
+
+    return json.dumps(strip(to_jsonable(result)))
+
+
 def _run_identify(tmp_path, jobs):
     store = ArtifactStore(tmp_path / f"jobs{jobs}")
     report = Runner(jobs=jobs, store=store).run(
@@ -86,26 +101,31 @@ class TestShardedEqualsSerial:
         _report, record = _run_identify(tmp_path, jobs=5)
         assert record["n_shards"] == SMALL_IDENTIFY["n_shards"]
 
-    @pytest.mark.parametrize(
-        "name",
-        [n for n in sorted(SHARDABLE_SMALL) if n != "scaling"],
-    )
-    def test_every_shardable_spec_bit_identical(self, name):
-        """Serial vs sharded, for every spec carrying a shard plan.
+    @pytest.mark.parametrize("name", sorted(SHARDABLE_SMALL))
+    def test_every_shardable_spec_bit_identical(self, name, monkeypatch):
+        """Serial vs sharded, for every spec carrying a shard plan, with
+        no shared memory: a shard rebuilds its inputs where it runs.
 
-        ``scaling`` is excluded: its result intentionally records
-        per-shard wall times.  Serialised JSON comparison (rather than
-        ``==``) keeps NaN payloads comparable.
+        ``scaling`` records per-shard wall times (``build_seconds``), so
+        those fields, and its rendering that prints them, are left out.
+        Serialised JSON comparison (rather than ``==``) keeps NaN
+        payloads comparable.
         """
+
+        def forbidden(self):
+            raise AssertionError("an experiment run created a SharedArena")
+
+        monkeypatch.setattr(shared_module.SharedArena, "__init__", forbidden)
         serial = Runner(jobs=1).run(name, overrides=SHARDABLE_SMALL[name])
         with Runner(jobs=2) as runner:
             sharded = runner.run(name, overrides=SHARDABLE_SMALL[name])
         assert serial.ok, serial.error
         assert sharded.ok, sharded.error
-        assert json.dumps(to_jsonable(serial.result)) == json.dumps(
-            to_jsonable(sharded.result)
+        assert _without_wall_times(serial.result) == _without_wall_times(
+            sharded.result
         )
-        assert serial.rendered == sharded.rendered
+        if name != "scaling":
+            assert serial.rendered == sharded.rendered
         assert sharded.n_shards >= 1
 
 
@@ -145,7 +165,7 @@ class TestPersistentPool:
         assert calls["workload"] == 1  # build-once serial driver
 
     def test_single_shard_plan_stays_in_process(self):
-        """One shard + many jobs must not export, fork, or round-trip."""
+        """One shard + many jobs must not fork or round-trip."""
         with Runner(jobs=2) as runner:
             report = runner.run(
                 "identify", overrides=dict(SMALL_IDENTIFY, n_shards=1)
@@ -167,6 +187,18 @@ class TestPersistentPool:
         runner.close()
         runner.close()
         assert not runner.worker_pids()
+
+    def test_worker_that_exits_before_starting_raises(self, monkeypatch):
+        """A child that dies before it is ready is EOF, not a worker."""
+
+        def crash(keep):
+            raise OSError("no descriptors left")
+
+        monkeypatch.setattr(runner_module, "_drop_inherited_descriptors", crash)
+        with Runner(jobs=2) as runner:
+            with pytest.raises(PipelineError, match="before it started"):
+                runner.ensure_pool()
+            assert not runner.worker_pids()
 
 
 def _row_popcounts(task):
@@ -208,14 +240,43 @@ class TestSegmentsTravelWithTasks:
     """Segments cross to a worker as descriptors beside the task that
     carries them, and a worker holds them only while that task runs."""
 
-    def test_no_worker_holds_a_segment_after_a_shared_run(self):
-        """No broadcast is sent after the run, and none is needed."""
+    def test_no_worker_holds_a_segment_after_a_parallel_call(self):
+        """A pool-parallel kernel ships its operands through an arena;
+        no broadcast is sent after the call, and none is needed."""
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 1 << 62, size=(8, 4), dtype=np.uint64)
+        b = rng.integers(0, 1 << 62, size=(3, 4), dtype=np.uint64)
         with Runner(jobs=2) as runner:
-            report = runner.run("identify", overrides=SMALL_IDENTIFY)
-            assert report.ok, report.error
+            counts = parallel.pairwise_counts(a, b, runner=runner, min_rows=2)
+            assert np.array_equal(counts, packed.pairwise_counts(a, b))
             pids = runner.worker_pids()
-            assert len(pids) == 2  # the shard plan actually dispatched
+            assert len(pids) == 2  # the call actually dispatched
             assert _holds_no_segment(pids)
+
+    def test_fresh_workers_hold_nothing_inherited_on_return(self):
+        """``ensure_pool`` returns only once each fresh worker has let go
+        of what it inherited: read at once, with no task round trip, no
+        worker holds the caller's listener or a live arena's segment."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        with listener, SharedArena() as arena:
+            arena.share_array(np.arange(8))
+            inherited = {
+                os.readlink(f"/proc/self/fd/{listener.fileno()}"),
+                "/memfd:repro-arena",
+            }
+            held = {}
+            for _round in range(20):
+                with Runner(jobs=2) as runner:
+                    runner.ensure_pool()
+                    for pid in runner.worker_pids():
+                        # A segment reads "/memfd:repro-arena (deleted)".
+                        links = {
+                            os.readlink(f"/proc/{pid}/fd/{fd}").split(" ")[0]
+                            for fd in os.listdir(f"/proc/{pid}/fd")
+                        }
+                        if links & inherited:
+                            held[pid] = sorted(links & inherited)
+            assert not held, held
 
     def test_queued_tasks_each_compute_on_their_own_segments(self, tmp_path):
         """Four tasks wait in two sockets before either worker reads;
