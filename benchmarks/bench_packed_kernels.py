@@ -20,15 +20,12 @@ recorded in ``BENCH_batch.json`` (bytes touched included) so
 ``compare_bench.py`` gates the trajectory.
 """
 
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.backend import SpikeTrainBatch, parallel
-from repro.backend import packed as packed_kernels
-from repro.pipeline.runner import Runner
+from repro.backend import SpikeTrainBatch
 from repro.hyperspace.basis import HyperspaceBasis
 from repro.logic.correlator import CoincidenceCorrelator
 from repro.orthogonator.demux import DemuxOrthogonator
@@ -44,15 +41,6 @@ SOURCE_ISI_SAMPLES = 28
 MIN_SPEEDUP = 4.0
 #: Required peak-working-set reduction of the packed path.
 MIN_MEMORY_RATIO = 8.0
-
-# Pool-parallel dispatch shape: enough wire rows that the per-call
-# arena + pickle overhead is small against the kernel it distributes.
-POOL_WIRES = 4096
-POOL_REFS = 64
-POOL_JOBS = 2
-#: Required pool speedup over the serial kernel — asserted only on
-#: hosts with a second core to run the second worker.
-MIN_POOL_SPEEDUP = 1.5
 
 
 def _peak_bytes(fn):
@@ -235,79 +223,3 @@ def test_packed_setops_throughput(workload, archive, bench_record, best_of):
         raster_s / packed_s,
     )
     assert packed_s < raster_s
-
-
-def test_pool_parallel_kernels(workload, archive, bench_record, best_of):
-    """Fork-pool dispatch of the chunked kernels over the row axis.
-
-    The pool path splits the wire rows into ``(handle, row_range)``
-    tasks on a warmed :class:`Runner` fork pool, ships the operands
-    once through a ``SharedArena``, and concatenates the slices in row
-    order — so identity with the serial kernel is asserted on every
-    host, while the ≥ ``MIN_POOL_SPEEDUP`` wall-time gate only fires
-    where a second core exists to run the second worker.
-    """
-    basis, _correlator, _words, _payload = workload
-    rng = np.random.default_rng(7)
-    wires = basis.as_batch().select_rows(
-        rng.integers(BASIS_SIZE, size=POOL_WIRES)
-    )
-    refs = basis.as_batch().select_rows(
-        rng.integers(BASIS_SIZE, size=POOL_REFS)
-    )
-    wire_words = np.ascontiguousarray(wires.packed_words())
-    ref_words = np.ascontiguousarray(refs.packed_words())
-
-    kernels = [
-        ("pairwise_counts", packed_kernels.pairwise_counts,
-         parallel.pairwise_counts),
-        ("first_slots", packed_kernels.first_coincident_slots,
-         parallel.first_coincident_slots),
-    ]
-    lines = [
-        f"Pool-parallel packed kernels ({POOL_WIRES} wires x {POOL_REFS} "
-        f"refs, T=65536, jobs={POOL_JOBS}, {os.cpu_count()} cpu(s))"
-    ]
-    with Runner(jobs=POOL_JOBS) as pool:
-        # Warm the pool outside the measured spans: fork the workers
-        # and prime the per-process attach cache.
-        parallel.pairwise_counts(wire_words, ref_words, runner=pool)
-        for name, serial_fn, pool_fn in kernels:
-            serial_out = serial_fn(wire_words, ref_words)
-            pool_out = pool_fn(wire_words, ref_words, runner=pool)
-            assert pool_out.dtype == serial_out.dtype
-            assert np.array_equal(pool_out, serial_out), (
-                f"pool-parallel {name} is not bit-identical to serial"
-            )
-
-            serial_s = best_of(
-                lambda: serial_fn(wire_words, ref_words), repeats=3
-            )
-            pool_s = best_of(
-                lambda: pool_fn(wire_words, ref_words, runner=pool),
-                repeats=3,
-            )
-            speedup = serial_s / pool_s
-            lines.append(
-                f"  {name:<16s}: serial {1e3 * serial_s:8.3f} ms, "
-                f"pool {1e3 * pool_s:8.3f} ms, speedup {speedup:6.2f}x"
-            )
-            bench_record(
-                f"{name}_pool_parallel",
-                {
-                    "n_wires": POOL_WIRES,
-                    "n_refs": POOL_REFS,
-                    "n_samples": 65536,
-                    "jobs": POOL_JOBS,
-                    "serial_seconds": round(serial_s, 6),
-                },
-                pool_s,
-                speedup,
-            )
-            if os.cpu_count() >= POOL_JOBS:
-                assert speedup >= MIN_POOL_SPEEDUP, (
-                    f"pool-parallel {name} only {speedup:.2f}x over serial "
-                    f"on {os.cpu_count()} cpus (required: "
-                    f"{MIN_POOL_SPEEDUP}x)"
-                )
-    archive("pool_parallel_kernels.txt", "\n".join(lines))

@@ -21,7 +21,7 @@
   attachments never unpack;
 * :mod:`~repro.backend.shared` — zero-copy shared-memory transport:
   :class:`SharedArena` owns segment lifecycle for one dispatch (a
-  served request or a pool-parallel kernel call),
+  served request),
   :meth:`SpikeTrainBatch.to_shared` / :meth:`SpikeTrainBatch.from_shared`
   move batches as metadata-only :class:`SharedBatchHandle` objects
   whose payload is the packed words — attached shard workers compute
@@ -50,5 +50,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "select_backend",
         ),
     },
-    modules=("mmapstore", "packed", "parallel"),
+    modules=("mmapstore", "packed"),
 )

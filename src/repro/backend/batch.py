@@ -699,21 +699,14 @@ class SpikeTrainBatch:
             self.packed_words(), other.packed_words()
         )
 
-    def pairwise_overlap_matrix(self, runner=None) -> np.ndarray:
+    def pairwise_overlap_matrix(self) -> np.ndarray:
         """``(N, N)`` matrix of shared-slot counts between all row pairs.
 
         Chunked popcounts over the packed words — 1/8 the memory
         traffic of the dense ``raster @ raster.T`` Gram matrix it
-        replaces, with no integer-matmul blowup.  Pass a multi-job
-        :class:`~repro.pipeline.runner.Runner` to split the row axis
-        across its fork pool (:mod:`repro.backend.parallel`) — the
-        result is bit-identical either way.
+        replaces, with no integer-matmul blowup.
         """
         words = self.packed_words()
-        if runner is not None:
-            from . import parallel
-
-            return parallel.pairwise_counts(words, words, runner=runner)
         return packed_kernels.pairwise_counts(words, words)
 
     def is_mutually_orthogonal(self) -> bool:

@@ -287,12 +287,12 @@ def row_chunk_bounds(n_rows: int, n_chunks: int) -> Tuple[Tuple[int, int], ...]:
     """Contiguous ``[lo, hi)`` row ranges splitting ``n_rows`` evenly.
 
     The only row-axis split in the repo (serving shards and corpus
-    chunks, logicnet network ranges, the pool-parallel kernel layer
-    and the experiments' shard plans all use it): ``linspace``-based
-    so ranges differ by at most one row, empty ranges dropped, and the
-    split is a pure function of ``(n_rows, n_chunks)`` — the property
-    that makes a parallel run's concatenated results bit-identical to
-    the serial kernel on the same rows.
+    chunks, logicnet network ranges and the experiments' shard plans
+    all use it): ``linspace``-based so ranges differ by at most one
+    row, empty ranges dropped, and the split is a pure function of
+    ``(n_rows, n_chunks)`` — the property that makes a parallel run's
+    concatenated results bit-identical to the serial kernel on the same
+    rows.
     """
     n_chunks = max(1, min(int(n_chunks), max(1, int(n_rows))))
     bounds = np.linspace(0, int(n_rows), n_chunks + 1).astype(np.int64)

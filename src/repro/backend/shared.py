@@ -1,10 +1,9 @@
 """Zero-copy shared-memory transport for batch payloads.
 
 Experiment shards rebuild their inputs from the config where they run.
-Some payloads cannot be rebuilt: a served request's wire batch arrives
-over the network, and a pool-parallel kernel call gets its operands
-from its caller.  This module moves those to pool workers without
-copying them through a pipe: the parent writes the arrays once into
+One payload cannot be rebuilt: a served request's wire batch arrives
+over the network.  This module moves it to pool workers without
+copying it through a pipe: the parent writes the arrays once into
 anonymous shared-memory segments (``memfd``) and ships workers a
 handle that pickles as a few hundred bytes of metadata.  Workers map
 the same physical pages — the dispatch payload is independent of the
@@ -13,11 +12,10 @@ payload size.
 Three pieces:
 
 * :class:`SharedArena` — a context manager owning the lifecycle of the
-  segments created for one dispatch (a served request or a
-  pool-parallel kernel call).  ``share_array`` writes an
-  ndarray into a fresh segment and returns its :class:`SharedArraySpec`;
-  leaving the ``with`` block (on success *or* failure) closes every
-  segment's descriptor.
+  segments created for one dispatch (a served request).  ``share_array``
+  writes an ndarray into a fresh segment and returns its
+  :class:`SharedArraySpec`; leaving the ``with`` block (on success *or*
+  failure) closes every segment's descriptor.
 * :class:`SharedArraySpec` — one shared array: the descriptor that
   holds its segment in this process, the segment's inode, shape and
   dtype.  A :class:`~repro.pipeline.runner.Runner` sends every spec in
@@ -36,8 +34,7 @@ packed kernels (:mod:`repro.backend.packed`) directly on it, so a
 shard's compute never copies, unpacks, or re-rasters the payload.
 
 ``HAVE_SHARED_MEMORY`` is True where ``os.memfd_create`` exists
-(Linux); elsewhere the server computes requests in-process and the
-parallel kernels run serially.
+(Linux); elsewhere the server computes requests in-process.
 
 Lifetime note: a segment has no name anywhere.  The arena holds one
 descriptor per segment and never maps it.  The kernel frees the pages

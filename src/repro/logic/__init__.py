@@ -69,7 +69,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "RoutingFabric",
             "FabricDelivery",
         ),
-        "fsm": ("FiniteStateMachine", "shift_register_fsm", "lfsr_fsm"),
         "set_gates": ("SetValuedGate", "SetTransmission"),
     },
 )

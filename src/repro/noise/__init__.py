@@ -55,10 +55,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "autocorrelation",
             "fit_spectral_slope",
         ),
-        "filters": (
-            "design_bandpass",
-            "IirNoiseShaper",
-            "StreamingNoiseSource",
-        ),
     },
 )

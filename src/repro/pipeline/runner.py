@@ -30,9 +30,12 @@ One :class:`Runner` drives every experiment through the same path:
   own status and traceback, and the store archives error records too;
 * **supervision** — a worker that dies is EOF (or EPIPE) on its own
   socket, seen at once: it is reaped and replaced by a fresh fork that
-  replays the sticky broadcasts.  A task past its timeout SIGKILLs and
+  replays the broadcasts.  A task past its timeout SIGKILLs and
   replaces only its own worker.  :meth:`Runner.gather` resubmits a lost
-  task, then runs it in-process;
+  task, then runs it in-process.  A target may name a fault point in
+  its ``fault_point`` attribute (:mod:`repro.testing.faults`): a worker
+  fires it before each task it runs, so the point kills workers only,
+  never the caller that runs a lost task in-process;
 * **non-experiment dispatch** — :meth:`Runner.gather` (the one
   supervised fan-out), :meth:`Runner.submit` and
   :meth:`Runner.broadcast` expose the persistent workers to callers
@@ -63,6 +66,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend.shared import SharedArraySpec
 from ..errors import PipelineError
+from ..testing import faults
 from . import registry
 from .store import ArtifactStore, RunRecord
 
@@ -211,7 +215,8 @@ def _answer(data: bytearray, fds: List[int]) -> bytes:
     """Run one task; its framed ``(ok, value)`` reply.
 
     The task's specs are rebound to ``fds``, the descriptors that came
-    with it.  Its views (and so its mappings) die with this call's
+    with it.  The fault point the task's target declares fires first.
+    The task's views (and so its mappings) die with this call's
     locals, so the worker holds none while it waits for the next task.
     A raised exception loses its traceback for the same reason: the
     reply never carries it, and its frames would keep the views alive.
@@ -222,6 +227,9 @@ def _answer(data: bytearray, fds: List[int]) -> bytes:
     )
     try:
         fn, task = unpickler.load()
+        point = getattr(fn, "fault_point", None)
+        if point is not None:
+            faults.maybe_fire(point)
         reply = (True, fn(task))
     except Exception as exc:  # the task's outcome, sent back
         reply = (False, exc.with_traceback(None))
@@ -564,12 +572,12 @@ class Runner:
             raise PipelineError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.store = store
-        # Guards the worker slots and the sticky broadcasts, which every
-        # worker forked later (a replacement) replays first, in order,
-        # so it carries the same state (installed bases) as its siblings.
+        # Guards the worker slots and the broadcasts, which every worker
+        # forked later (a replacement) replays first, in order, so it
+        # carries the same state (installed bases) as its siblings.
         self._lock = threading.RLock()
         self._workers: List[_Worker] = []
-        self._sticky: List[_Message] = []
+        self._broadcasts: List[_Message] = []
         weakref.finalize(self, _stop_all, self._workers)
 
     # ------------------------------------------------------------------
@@ -579,10 +587,9 @@ class Runner:
     # The registry/spec machinery below is the experiment pipeline's
     # entry point; the methods here are the workers' public surface for
     # callers with their own task shapes — the serving front-end
-    # (:mod:`repro.serving`) and the parallel kernel layer
-    # (:mod:`repro.backend.parallel`) fan their shard tasks out through
-    # :meth:`gather` and broadcast through :meth:`broadcast`, reusing the
-    # persistent workers instead of growing a second pool
+    # (:mod:`repro.serving`) fans its shard tasks out through
+    # :meth:`gather` and broadcasts through :meth:`broadcast`, reusing
+    # the persistent workers instead of growing a second pool
     # implementation.
 
     def ensure_pool(self) -> None:
@@ -606,12 +613,12 @@ class Runner:
             return frozenset(worker.pid for worker in self._workers)
 
     def _spawn(self) -> _Worker:
-        """Fork a worker and replay the sticky broadcasts onto it.
+        """Fork a worker and replay the broadcasts onto it.
 
         Nobody waits for a replay's reply: the next reader drops it.
         """
         worker = _fork_worker()
-        for message in self._sticky:
+        for message in self._broadcasts:
             worker.post(_Handle(None, worker), message)
         return worker
 
@@ -671,15 +678,16 @@ class Runner:
         """Fan ``fn`` out over ``tasks``; one supervised getter per task.
 
         The one supervised fan-out every pool caller shares (serving
-        shards, logicnet shards, the parallel kernel layer, sharded
-        experiments): every task is sent before any getter blocks, so
-        workers overlap, and the getters come back in task order.
+        shards, logicnet shards, sharded experiments): every task is
+        sent before any getter blocks, so workers overlap, and the
+        getters come back in task order.
         Calling one blocks for its task's result.  A task whose worker
         died (EOF on its socket) or outlived ``timeout`` seconds (its
         worker is SIGKILLed and replaced; None waits for ever) is lost:
         it is resubmitted up to ``retries`` times and then runs
-        in-process — so a caller that keeps the task's operands alive
-        until its getters return always gets the undisturbed result.
+        in-process, where ``fn``'s fault point does not fire — so a
+        caller that keeps the task's operands alive until its getters
+        return always gets the undisturbed result.
         A task's own exception is re-raised unchanged.  Same contract as
         :meth:`submit` (module-level ``fn``, ``jobs >= 2``).
         """
@@ -701,7 +709,7 @@ class Runner:
             for handle, task in zip(handles, tasks)
         ]
 
-    def broadcast(self, fn, payload=None, *, sticky: bool = True) -> Optional[List[Any]]:
+    def broadcast(self, fn, payload=None) -> Optional[List[Any]]:
         """Run ``fn(payload)`` once on every worker; results in slot order.
 
         One send per worker, so no worker takes a sibling's share; a
@@ -710,27 +718,25 @@ class Runner:
         Returns None when there are no workers (``jobs == 1``: callers
         apply the payload in-process instead).
 
-        ``sticky`` (the default) records the broadcast so every worker
-        forked later — a replacement — replays it first, in order:
-        worker state established by broadcast (installed serving bases)
-        survives worker loss that way.  A replacement may run a sticky
-        payload twice, so it must be idempotent, and it may run it after
-        any arena has closed, so it must carry no shared segment
-        (PipelineError).  Pass ``sticky=False`` for broadcasts that only
-        observe state.
+        Every broadcast is recorded, and every worker forked later — a
+        replacement — replays it first, in order: worker state
+        established by broadcast (installed serving bases) survives
+        worker loss that way.  A replacement may run a payload twice,
+        so it must be idempotent, and it may run it after any arena has
+        closed, so a broadcast may carry no shared segment
+        (PipelineError): send segments with :meth:`gather`.
         """
         if self.jobs < 2:
             return None
         message = _task_message(fn, payload)
-        if sticky and message[1]:
+        if message[1]:
             raise PipelineError(
-                "a sticky broadcast cannot carry shared segments: it is "
+                "a broadcast cannot carry shared segments: it is "
                 "replayed after their arenas close"
             )
         with self._lock:
             self.ensure_pool()
-            if sticky:
-                self._sticky.append(message)
+            self._broadcasts.append(message)
         handles = [self._send(message, slot) for slot in range(self.jobs)]
         results = []
         for slot, handle in enumerate(handles):
@@ -745,7 +751,7 @@ class Runner:
     def close(self) -> None:
         """Kill and reap every worker (idempotent; runs stay archived)."""
         with self._lock:
-            self._sticky.clear()
+            self._broadcasts.clear()
         _stop_all(self._workers)
 
     def __enter__(self) -> "Runner":

@@ -16,10 +16,9 @@ Two transport pieces make the pool path zero-copy:
   the pool workers by one
   :meth:`~repro.pipeline.runner.Runner.broadcast` at server start-up.
   Shard tasks then reference the basis by token, never re-shipping it.
-  The install is a sticky broadcast, which the runner replays onto
-  every replacement worker, possibly after any arena has closed, so it
-  may carry no shared segment: the basis deliberately travels by
-  value, once.
+  The runner replays every broadcast onto every replacement worker,
+  possibly after any arena has closed, so a broadcast may carry no
+  shared segment: the basis deliberately travels by value, once.
 * **:class:`ShardTask`** — the per-shard pool task: the request
   batch's :class:`~repro.backend.batch.SharedBatchHandle` plus a row
   range and scan options.  Its segments' descriptors travel beside
@@ -200,7 +199,6 @@ def installed_basis(token: str) -> HyperspaceBasis:
 
 def run_shard(task: ShardTask) -> dict:
     """Pool target: attach the shard's rows and compute its payload."""
-    faults.maybe_fire("serving.run_shard")
     rows = SpikeTrainBatch.from_shared(
         task.wires, rows=(task.row_start, task.row_stop)
     )
@@ -213,6 +211,12 @@ def run_shard(task: ShardTask) -> dict:
         start_slot=task.start_slot,
         limit=task.limit,
     )
+
+
+# The pool-death point: a worker fires it before each shard it runs
+# (:mod:`repro.pipeline.runner`), never the server running a lost shard
+# in-process.
+run_shard.fault_point = "serving.run_shard"
 
 
 def compute_shard(
@@ -265,13 +269,13 @@ def compute_shard(
 
 
 def run_logicnet_shard(task: LogicNetShardTask) -> dict:
-    """Pool target: rebuild the shard's networks and evaluate them.
+    """Pool and in-process target: rebuild the shard's networks and
+    evaluate them.
 
-    Fires the same ``serving.run_shard`` fault point as bitset shards,
-    so the supervision ladder (resubmit → inline) covers logicnet
-    traffic identically.
+    Declares the same ``serving.run_shard`` fault point as bitset
+    shards, so the supervision ladder (resubmit → in-process) covers
+    logicnet traffic identically.
     """
-    faults.maybe_fire("serving.run_shard")
     return compute_logicnet_shard(
         installed_basis(task.token),
         seed=task.seed,
@@ -280,6 +284,9 @@ def run_logicnet_shard(task: LogicNetShardTask) -> dict:
         net_start=task.net_start,
         net_stop=task.net_stop,
     )
+
+
+run_logicnet_shard.fault_point = "serving.run_shard"
 
 
 def compute_logicnet_shard(

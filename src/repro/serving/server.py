@@ -24,8 +24,9 @@ four existing layers without the payload ever unpacking to a raster:
    batch's representation residency.
 
 Single-job servers (or hosts without shared memory) run the same
-shards in-process on a worker thread — bit-identical results, one code
-path for the compute (:func:`~repro.serving.dispatch.compute_shard`).
+shards in-process on a worker thread, each a row view of the frame —
+bit-identical results, one code path for the compute
+(:func:`~repro.serving.dispatch.compute_shard`).
 
 Every compute frame — identify, membership, corpus query, logicnet
 query — takes that one path.  A frame-type table picks the parser and
@@ -739,8 +740,8 @@ class SpikeServer:
         dispatch.install_basis(table)
         # The broadcast installs the basis in the pool workers:
         # ``repro serve`` forks its pool before this runs, so they
-        # cannot inherit it.  It is sticky, so every replacement worker
-        # gets it too.
+        # cannot inherit it.  The runner replays it, so every
+        # replacement worker gets it too.
         if self._use_pool():
             self._runner.broadcast(dispatch.install_basis, table)
         if self.config.corpus is not None:
@@ -1186,6 +1187,8 @@ class SpikeServer:
                 "shared-arena", done, pool_shards,
                 budget=request.packed.nbytes, batch=batch,
             )
+        # A shard of some rows wraps its slice of the frame the way the
+        # whole batch does, so on a word-aligned grid it is a view.
         return _Plan(
             "in-process",
             done,
@@ -1195,7 +1198,9 @@ class SpikeServer:
                     self.basis,
                     batch
                     if (lo, hi) == (0, request.n_wires)
-                    else batch.select_rows(np.arange(lo, hi)),
+                    else SpikeTrainBatch.from_packed(
+                        request.packed[lo:hi], grid
+                    ),
                     lo, hi, **scan,
                 )
                 for lo, hi in ranges
@@ -1335,22 +1340,11 @@ class SpikeServer:
                 lambda _: self._gather(dispatch.run_logicnet_shard, tasks),
                 budget=budget,
             )
-        # In-process shards call the compute core directly: the pool
-        # entry point would fire the pool-only ``serving.run_shard``
-        # fault inside the server process.
         return _Plan(
             "in-process",
             done,
             lambda _: [
-                functools.partial(
-                    dispatch.compute_logicnet_shard,
-                    self.basis,
-                    seed=task.seed,
-                    n_gates=task.n_gates,
-                    depth=task.depth,
-                    net_start=task.net_start,
-                    net_stop=task.net_stop,
-                )
+                functools.partial(dispatch.run_logicnet_shard, task)
                 for task in tasks
             ],
             budget=budget,

@@ -6,6 +6,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "raster": ("render_raster", "render_labelled_rasters"),
-        "waveform": ("render_waveform", "render_waveform_with_crossings"),
     },
 )

@@ -268,6 +268,126 @@ class TestPairwiseKernels:
         assert np.array_equal(packed.coincidence_any(a, a), expected > 0)
 
 
+class TestRowChunkBounds:
+    """The one row-axis split every shard plan uses."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 7, 64, 97])
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3, 5, 16, 200])
+    def test_partition_properties(self, n_rows, n_chunks):
+        bounds = packed.row_chunk_bounds(n_rows, n_chunks)
+        # Contiguous cover of [0, n_rows), no empty ranges.
+        assert bounds[0][0] == 0
+        assert bounds[-1][1] == n_rows
+        for (lo, hi), (nlo, _unused) in zip(bounds, bounds[1:]):
+            assert hi == nlo
+        assert all(hi > lo for lo, hi in bounds)
+        assert len(bounds) <= min(n_chunks, n_rows)
+        # Even: ranges differ by at most one row.
+        sizes = [hi - lo for lo, hi in bounds]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_pure_function_of_inputs(self):
+        assert packed.row_chunk_bounds(97, 5) == packed.row_chunk_bounds(97, 5)
+
+
+#: (n_rows, n_samples) pairs where neither axis divides evenly: odd row
+#: splits over grids with partial tail words.
+RAGGED_SHAPES = [(5, 63), (17, 129), (33, 1000), (97, 257)]
+
+#: Slice counts of the row-split identity: even, odd, and more slices
+#: than the smallest shape has rows.
+N_SLICES = (2, 3, 7)
+
+
+class TestRowSliceIdentity:
+    """A kernel run on contiguous row slices, its results concatenated
+    in row order, equals one pass over every row.
+
+    Every row split in the repo (serving shards, corpus chunks, logicnet
+    network ranges) runs a kernel on row views taken by
+    :func:`packed.row_chunk_bounds` and concatenates what comes back, so
+    no kernel may depend on where a slice starts in its buffer.
+    """
+
+    @staticmethod
+    def _operands(rng, n_rows, n_samples, n_refs):
+        raster = rng.random((n_rows, n_samples)) < 0.15
+        refs = rng.random((n_refs, n_samples)) < 0.15
+        return raster, refs, _pack(raster), _pack(refs)
+
+    @staticmethod
+    def _sliced(kernel, words, *rest):
+        """Per slice count, the kernel's result on each row slice."""
+        for n_slices in N_SLICES:
+            bounds = packed.row_chunk_bounds(words.shape[0], n_slices)
+            yield [kernel(words[lo:hi], *rest) for lo, hi in bounds]
+
+    @pytest.mark.parametrize("shape", RAGGED_SHAPES)
+    def test_pairwise_counts(self, rng, shape):
+        raster, refs, a, b = self._operands(rng, *shape, n_refs=11)
+        expected = raster.astype(np.int64) @ refs.astype(np.int64).T
+        assert np.array_equal(packed.pairwise_counts(a, b), expected)
+        for parts in self._sliced(packed.pairwise_counts, a, b):
+            got = np.concatenate(parts)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("shape", RAGGED_SHAPES)
+    def test_coincidence_any(self, rng, shape):
+        raster, refs, a, b = self._operands(rng, *shape, n_refs=7)
+        expected = (raster.astype(np.int64) @ refs.astype(np.int64).T) > 0
+        assert np.array_equal(packed.coincidence_any(a, b), expected)
+        for parts in self._sliced(packed.coincidence_any, a, b):
+            got = np.concatenate(parts)
+            assert got.dtype == bool
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("shape", RAGGED_SHAPES)
+    def test_first_coincident_slots(self, rng, shape):
+        raster, refs, wires, table = self._operands(rng, *shape, n_refs=9)
+        expected = np.array(
+            [[_first_slots(row & ref[None])[0] for ref in refs] for row in raster]
+        )
+        assert np.array_equal(packed.first_coincident_slots(wires, table), expected)
+        for parts in self._sliced(packed.first_coincident_slots, wires, table):
+            got = np.concatenate(parts)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("shape", RAGGED_SHAPES)
+    def test_unpack_rows(self, rng, shape):
+        raster, _refs, words, _table = self._operands(rng, *shape, n_refs=1)
+        values, ptr = packed.unpack_rows(words)
+        assert np.array_equal(values, np.nonzero(raster)[1])
+        assert np.array_equal(np.diff(ptr), raster.sum(axis=1))
+        for parts in self._sliced(packed.unpack_rows, words):
+            # Each slice's offsets start at zero; its row counts follow
+            # the previous slice's.
+            assert all(part_ptr[0] == 0 for _part, part_ptr in parts)
+            assert np.array_equal(
+                np.concatenate([part for part, _ptr in parts]), values
+            )
+            counts = np.concatenate([np.diff(part_ptr) for _p, part_ptr in parts])
+            assert np.array_equal(np.concatenate([[0], np.cumsum(counts)]), ptr)
+
+    @pytest.mark.parametrize("n_slices", N_SLICES + (12,))
+    def test_unpack_rows_with_empty_rows(self, n_slices):
+        """Slices of nothing but empty rows decode to no values and
+        all-zero offsets, wherever the split falls."""
+        raster = np.zeros((12, 200), dtype=bool)
+        raster[3, 17] = True
+        raster[10, [5, 199]] = True
+        words = _pack(raster)
+        values, ptr = packed.unpack_rows(words)
+        assert values.tolist() == [17, 5, 199]
+        slices = packed.row_chunk_bounds(12, n_slices)
+        parts = [packed.unpack_rows(words[lo:hi]) for lo, hi in slices]
+        assert np.array_equal(np.concatenate([part for part, _ptr in parts]), values)
+        for (lo, hi), (part, part_ptr) in zip(slices, parts):
+            assert np.array_equal(part_ptr, ptr[lo : hi + 1] - ptr[lo])
+            assert part.size == ptr[hi] - ptr[lo]
+
+
 class TestRaggedScalarBackends:
     """The sorted and raster backends agree on ragged grids."""
 
@@ -357,6 +477,22 @@ class TestRaggedBatches:
         sub = primary.select_rows(rows)
         assert not sub.csr_materialised
         assert sub == batch.select_rows(rows)
+
+    @pytest.mark.parametrize("n_samples", RAGGED_LENGTHS)
+    def test_row_slice_of_a_frame(self, rng, n_samples):
+        """A batch over a row slice of a packbits frame, as an in-process
+        serving shard builds it, holds the slice's rows; on a
+        word-aligned grid it views the frame instead of copying it."""
+        batch, _ = _random_batch(rng, 9, n_samples, 0.3)
+        frame = np.ascontiguousarray(batch.packbits())
+        for lo, hi in packed.row_chunk_bounds(9, 4):
+            shard = SpikeTrainBatch.from_packed(frame[lo:hi], batch.grid)
+            assert not shard.csr_materialised
+            assert shard == batch.select_rows(np.arange(lo, hi))
+            assert np.shares_memory(shard.packed_words(), frame) == (
+                n_samples % 64 == 0
+            )
+            assert packed.check_tail_clean(shard.packed_words(), n_samples)
 
     def test_from_packed_masks_tail_bits(self):
         """Compatibility: tail garbage in the final byte is dropped, as

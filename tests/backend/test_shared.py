@@ -300,7 +300,7 @@ class TestForkedChildrenDropArenas:
                 # The broadcast finds the dead worker and forks its
                 # successor; a task returning proves the fresh worker
                 # has dropped what it inherited.
-                pids = runner.broadcast(_worker_pid, sticky=False)
+                pids = runner.broadcast(_worker_pid)
                 (fresh,) = runner.worker_pids() - before
                 assert fresh in pids
                 assert spec.inode in arena_segments()

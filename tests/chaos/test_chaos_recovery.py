@@ -24,10 +24,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.backend import SpikeTrainBatch, packed, parallel
-from repro.backend.shared import HAVE_SHARED_MEMORY
+from repro.backend import SpikeTrainBatch, packed
+from repro.backend.shared import HAVE_SHARED_MEMORY, SharedArena, attach_array
 from repro.errors import PipelineError, ServingError
 from repro.logic.correlator import CoincidenceCorrelator
+from repro.logic.netbatch import LogicNetBatch
 from repro.pipeline.corpus import CorpusStore
 from repro.pipeline.runner import Runner
 from repro.serving import protocol
@@ -39,6 +40,8 @@ from repro.serving.server import (
 )
 from repro.testing import faults
 from repro.units import SimulationGrid, paper_white_grid
+
+from ..serving.live_server import LiveServer
 
 SMALL = dict(n_samples=4096, basis_size=8, source_isi_samples=16, seed=7)
 
@@ -82,11 +85,39 @@ def _assert_identical(reply, expected):
     assert np.array_equal(reply.spikes_inspected, expected.spikes_inspected)
 
 
+def _kernel_rows(task):
+    """Gather target: one row range of a packed kernel over two operands
+    mapped from their arena."""
+    kernel, a, b, lo, hi = task
+    return getattr(packed, kernel)(attach_array(a)[lo:hi], attach_array(b))
+
+
+# A worker fires this before each task it runs; the caller running a
+# lost task in-process never does.
+_kernel_rows.fault_point = "chaos.kernel_rows"
+
+
+def _pooled(runner, kernel, a, b):
+    """``kernel(a, b)`` split over the pool by row range.
+
+    The operands' arena stays open until every getter has returned, so
+    a lost range re-runs on the same operands.
+    """
+    with SharedArena() as arena:
+        specs = arena.share_array(a), arena.share_array(b)
+        tasks = [
+            (kernel, *specs, lo, hi)
+            for lo, hi in packed.row_chunk_bounds(len(a), runner.jobs)
+        ]
+        getters = runner.gather(_kernel_rows, tasks)
+        return np.concatenate([get() for get in getters])
+
+
 @pytest.mark.skipif(
     not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 class TestPoolWorkerKill:
-    """A pool worker SIGKILLed mid-shard: supervision retries the shard."""
+    """A pool worker SIGKILLed mid-task: supervision retries the task."""
 
     def test_parallel_kernel_survives_worker_kill(self, tmp_path):
         claim = tmp_path / "claim"
@@ -101,9 +132,9 @@ class TestPoolWorkerKill:
         serial = packed.pairwise_counts(a, b)
         # Armed before the fork so workers inherit the fault; the claim
         # file admits exactly one kill across the whole pool.
-        faults.arm(f"parallel.run_row_task=kill@{claim}")
+        faults.arm(f"chaos.kernel_rows=kill@{claim}")
         with Runner(jobs=2) as runner:
-            out = parallel.pairwise_counts(a, b, runner=runner, min_rows=1)
+            out = _pooled(runner, "pairwise_counts", a, b)
         assert claim.exists(), "the fault never fired"
         assert np.array_equal(out, serial)
 
@@ -119,10 +150,11 @@ class TestPoolWorkerKill:
             rng.random((7, 257)) < 0.15, grid
         ).packed_words()
         serial = packed.coincidence_any(a, b)
-        faults.arm(f"parallel.run_row_task=kill@{claim}")
+        faults.arm(f"chaos.kernel_rows=kill@{claim}")
         with Runner(jobs=2) as runner:
-            first = parallel.coincidence_any(a, b, runner=runner, min_rows=1)
-            second = parallel.coincidence_any(a, b, runner=runner, min_rows=1)
+            first = _pooled(runner, "coincidence_any", a, b)
+            second = _pooled(runner, "coincidence_any", a, b)
+        assert claim.exists(), "the fault never fired"
         assert np.array_equal(first, serial)
         assert np.array_equal(second, serial)
 
@@ -176,6 +208,45 @@ class TestServingShardKill:
         for reply in (first, second):
             _assert_identical(reply, expected_identify)
             assert reply.summary["transport"] == "shared-arena"
+        assert stats["pool_path_requests"] == 2
+        assert stats["errors"] == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+@pytest.mark.skipif(
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
+)
+class TestEveryPoolAttemptKilled:
+    """Every shard attempt on a worker dies: after its retries each
+    shard runs in the server, where the pool-only fault never fires."""
+
+    def test_server_answers_in_process_and_exits_cleanly(self, tmp_path):
+        basis = build_serving_basis(ServerConfig(n_samples=4096, basis_size=8))
+        inputs = basis.as_batch()
+        wires = inputs.select_rows([5, 2, 7, 1])
+        expected = CoincidenceCorrelator(basis).identify_batch(
+            wires, missing="none"
+        )
+        popcounts, checksums = LogicNetBatch.random(
+            8, 6, 2, inputs.n_trains, 21
+        ).evaluate(inputs.packed_words(), inputs.grid.n_samples)
+        with LiveServer(
+            tmp_path, "--jobs", "2", fault="serving.run_shard=kill"
+        ) as server:
+            with ServingClient(
+                "127.0.0.1", server.port, timeout=60.0
+            ) as client:
+                reply = client.identify(wires, n_shards=2)
+                nets = client.logicnet(
+                    21, 0, 8, n_gates=6, depth=2, n_shards=2
+                )
+                stats = client.stats()
+            assert server.stop() == 0, server.stderr()
+        _assert_identical(reply, expected)
+        assert reply.summary["transport"] == "shared-arena"
+        np.testing.assert_array_equal(nets.popcounts, popcounts)
+        np.testing.assert_array_equal(nets.checksums, checksums)
+        assert nets.summary["transport"] == "seed-rebuild"
         assert stats["pool_path_requests"] == 2
         assert stats["errors"] == 0
 
@@ -285,10 +356,19 @@ import sys
 
 import numpy as np
 
-from repro.backend import SpikeTrainBatch, packed, parallel
+from repro.backend import SpikeTrainBatch, packed
+from repro.backend.shared import SharedArena, attach_array
 from repro.pipeline.runner import Runner
 from repro.testing import faults
 from repro.units import SimulationGrid
+
+
+def pair_counts_rows(task):
+    a, b, lo, hi = task
+    return packed.pairwise_counts(attach_array(a)[lo:hi], attach_array(b))
+
+
+pair_counts_rows.fault_point = "chaos.pair_counts_rows"
 
 claim = sys.argv[1]
 rng = np.random.default_rng(11)
@@ -300,9 +380,12 @@ b = SpikeTrainBatch.from_raster(
     rng.random((9, 1000)) < 0.15, grid
 ).packed_words()
 serial = packed.pairwise_counts(a, b)
-faults.arm("parallel.run_row_task=kill@" + claim)
-with Runner(jobs=2) as runner:
-    out = parallel.pairwise_counts(a, b, runner=runner, min_rows=1)
+faults.arm("chaos.pair_counts_rows=kill@" + claim)
+with Runner(jobs=2) as runner, SharedArena() as arena:
+    specs = arena.share_array(a), arena.share_array(b)
+    tasks = [(*specs, lo, hi) for lo, hi in packed.row_chunk_bounds(33, 2)]
+    getters = runner.gather(pair_counts_rows, tasks)
+    out = np.concatenate([get() for get in getters])
 assert np.array_equal(out, serial), "recovered result diverged"
 print("RESIDUE-TEST-OK")
 """

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.backend import SpikeTrainBatch, packed, parallel
+from repro.backend import SpikeTrainBatch, packed
 from repro.backend import shared as shared_module
 from repro.backend.shared import HAVE_SHARED_MEMORY, SharedArena, attach_array
 from repro.errors import PipelineError
@@ -24,6 +24,7 @@ from repro.pipeline import (
     unregister,
 )
 from repro.pipeline import runner as runner_module
+from repro.testing import faults
 from repro.units import SimulationGrid
 
 from ..serving.live_server import arena_mappings, arena_segments
@@ -218,8 +219,15 @@ def _wait_for(path):
 
 
 def _segment_sums(specs):
-    """Gather / broadcast target: the sum of every segment carried."""
+    """Gather target: the sum of every segment carried."""
     return sum(int(attach_array(spec).sum()) for spec in specs)
+
+
+def _pair_counts(task):
+    """Gather target: the pair counts of a row range of one mapped
+    operand against another."""
+    a, b, lo, hi = task
+    return packed.pairwise_counts(attach_array(a)[lo:hi], attach_array(b))
 
 
 def _attach_then_fail(spec):
@@ -241,13 +249,21 @@ class TestSegmentsTravelWithTasks:
     carries them, and a worker holds them only while that task runs."""
 
     def test_no_worker_holds_a_segment_after_a_parallel_call(self):
-        """A pool-parallel kernel ships its operands through an arena;
-        no broadcast is sent after the call, and none is needed."""
+        """A kernel split over the pool by row range ships its operands
+        through an arena; no broadcast is sent after the call, and none
+        is needed."""
         rng = np.random.default_rng(5)
         a = rng.integers(0, 1 << 62, size=(8, 4), dtype=np.uint64)
         b = rng.integers(0, 1 << 62, size=(3, 4), dtype=np.uint64)
         with Runner(jobs=2) as runner:
-            counts = parallel.pairwise_counts(a, b, runner=runner, min_rows=2)
+            with SharedArena() as arena:
+                specs = arena.share_array(a), arena.share_array(b)
+                tasks = [
+                    (*specs, lo, hi)
+                    for lo, hi in packed.row_chunk_bounds(len(a), 2)
+                ]
+                getters = runner.gather(_pair_counts, tasks)
+                counts = np.concatenate([get() for get in getters])
             assert np.array_equal(counts, packed.pairwise_counts(a, b))
             pids = runner.worker_pids()
             assert len(pids) == 2  # the call actually dispatched
@@ -334,17 +350,17 @@ class TestSegmentsTravelWithTasks:
             assert get() == 42
 
     def test_sticky_broadcast_with_a_segment_raises(self):
-        """Sticky broadcasts replay after their arenas close, so they
-        may not carry segments; a plain broadcast may.  The refused one
-        is neither run nor recorded for replacements."""
+        """Broadcasts replay after their arenas close, so they may not
+        carry segments; the tasks of a gather may.  The refused one is
+        neither run nor recorded for replacements."""
         with Runner(jobs=2) as runner, SharedArena() as arena:
             spec = arena.share_array(np.arange(16))
-            with pytest.raises(PipelineError, match="sticky"):
+            with pytest.raises(PipelineError, match="cannot carry shared"):
                 runner.broadcast(_remember, [spec])
-            sums = runner.broadcast(_segment_sums, [spec], sticky=False)
-            assert sums == [120] * 2
+            getters = runner.gather(_segment_sums, [[spec]] * 2)
+            assert [get() for get in getters] == [120] * 2
             os.kill(min(runner.worker_pids()), signal.SIGKILL)
-            recalled = runner.broadcast(_recall, sticky=False)
+            recalled = runner.broadcast(_recall)
             assert [value for _pid, value in recalled] == [None] * 2
 
     def test_task_at_the_segment_limit_is_received_whole(self):
@@ -368,7 +384,7 @@ class TestSegmentsTravelWithTasks:
             with pytest.raises(PipelineError, match="at most"):
                 runner.submit(_segment_sums, specs)
             assert runner.worker_pids() == before
-            assert runner.broadcast(_double, 4, sticky=False) == [8, 8]
+            assert runner.broadcast(_double, 4) == [8, 8]
 
 
 def _pid_of_worker(_payload):
@@ -403,7 +419,15 @@ def _fail(value):
     raise KeyError(value)
 
 
-#: Worker state that only a sticky broadcast sets.
+def _declared_triple(value):
+    """Gather target that declares a fault point for its workers."""
+    return value * 3
+
+
+_declared_triple.fault_point = "runner.declared"
+
+
+#: Worker state that only a broadcast sets.
 _REMEMBERED = None
 
 
@@ -499,16 +523,43 @@ class TestDispatchPrimitives:
         assert len(after) == 2
         assert len(before & after) == 1, "the idle sibling was killed too"
 
+    def test_declared_fault_point_fires_in_workers_only(self, monkeypatch):
+        """A target's declared point fires in the worker before each
+        attempt: an armed kill loses every pool attempt, and the
+        in-process last resort answers without reaching the point."""
+        monkeypatch.setenv(faults.ENV_VAR, "runner.declared=kill")
+        parent = os.getpid()
+        in_parent = []
+        fire = faults.maybe_fire
+        monkeypatch.setattr(
+            faults,
+            "maybe_fire",
+            lambda point: (
+                in_parent.append(point) if os.getpid() == parent else fire(point)
+            ),
+        )
+        with Runner(jobs=2) as runner:
+            runner.ensure_pool()
+            before = runner.worker_pids()
+            (get,) = runner.gather(_declared_triple, [7], retries=1)
+            assert _within(30, get) == 21
+            assert in_parent == []
+            # A target that declares no point runs untouched.
+            assert runner.broadcast(_double, 4) == [8, 8]
+            after = runner.worker_pids()
+        assert len(after) == 2
+        assert before - after, "no pool attempt fired the declared point"
+
     def test_killed_idle_workers_come_back_with_their_sticky_state(self):
         """SIGKILL every idle worker from outside: the next broadcast and
-        gather fork successors, which replayed the sticky broadcasts."""
+        gather fork successors, which replayed the broadcasts."""
         with Runner(jobs=2) as runner:
             runner.broadcast(_remember, "basis-7")
             before = runner.worker_pids()
             for pid in before:
                 os.kill(pid, signal.SIGKILL)
             recalled = _within(
-                30, lambda: runner.broadcast(_recall, sticky=False)
+                30, lambda: runner.broadcast(_recall)
             )
             assert [value for _pid, value in recalled] == ["basis-7"] * 2
             assert not {pid for pid, _value in recalled} & before

@@ -1,7 +1,7 @@
 """The serving process tree loads only the serving code.
 
-SciPy is needed only by the IIR noise stream and the thermal-energy
-models, and it is by far the heaviest import in the package; the
+SciPy is needed only by the thermal-energy models, and it is by far
+the heaviest import in the package; the
 experiment modules and the layers only they use (simulator, search,
 baselines, energy, viz) are most of the rest.  Whatever a process has
 loaded when the serving pool forks, every worker inherits.  The
@@ -92,7 +92,7 @@ with Runner(jobs=2) as runner:
             assert nets.summary["transport"] == "seed-rebuild"
             rows = client.corpus_identify("library", 0, 8)
             np.testing.assert_array_equal(rows.elements, np.arange(8))
-        workers = runner.broadcast(loaded, sticky=False)
+        workers = runner.broadcast(loaded)
 print(json.dumps({"server": loaded(), "workers": workers}))
 """
 

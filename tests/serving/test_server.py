@@ -19,6 +19,7 @@ import socket
 import numpy as np
 import pytest
 
+from repro.backend import SpikeTrainBatch
 from repro.backend.shared import HAVE_SHARED_MEMORY
 from repro.errors import ProtocolError, ServingError
 from repro.logic.correlator import CoincidenceCorrelator
@@ -47,6 +48,15 @@ def inline_server():
 def small_basis():
     """The basis the module's servers serve (rebuilt deterministically)."""
     return build_serving_basis(ServerConfig(**SMALL))
+
+
+@pytest.fixture(scope="module", params=[4096, 4001], ids=["aligned", "ragged"])
+def served_grid(request):
+    """An in-process server on a word-aligned grid and on a grid whose
+    byte rows are not whole words, with the basis it serves."""
+    config = dict(SMALL, n_samples=request.param)
+    with ServerThread(ServerConfig(jobs=1, **config)) as handle:
+        yield handle, build_serving_basis(ServerConfig(**config))
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +148,40 @@ class TestInlineServing:
             reply = client.identify(wire, n_shards=8)  # clamped to 1 wire
         assert reply.elements.tolist() == [2]
         assert reply.summary["n_shards"] == 1
+
+    @pytest.mark.parametrize("sizes", [(12, 13), (8, 8, 9)])
+    @pytest.mark.parametrize(
+        "mode, fields",
+        [
+            ("identify", ("elements", "decision_slots", "spikes_inspected")),
+            ("membership", ("membership", "first_slots")),
+        ],
+    )
+    def test_shards_are_row_views_equal_to_one_pass(
+        self, served_grid, mode, fields, sizes, monkeypatch
+    ):
+        """In-process shards wrap the frame's rows and copy none with
+        ``select_rows``: 25 wires split raggedly answer exactly as the
+        unsharded request, and identify names the elements sent."""
+        server, basis = served_grid
+        elements = np.random.default_rng(5).integers(basis.size, size=25)
+        wires = basis.as_batch().select_rows(elements)
+
+        def copy_rows(self, rows):
+            raise AssertionError("a served shard copied its rows")
+
+        monkeypatch.setattr(SpikeTrainBatch, "select_rows", copy_rows)
+        with ServingClient(server.host, server.port) as client:
+            whole = getattr(client, mode)(wires)
+            sharded = getattr(client, mode)(wires, n_shards=len(sizes))
+        assert sharded.summary["transport"] == "in-process"
+        assert tuple(
+            shard["row_stop"] - shard["row_start"] for shard in sharded.shards
+        ) == sizes
+        for name in fields:
+            assert np.array_equal(getattr(sharded, name), getattr(whole, name))
+        if mode == "identify":
+            assert sharded.elements.tolist() == elements.tolist()
 
 
 @pytest.mark.skipif(
