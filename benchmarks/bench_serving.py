@@ -22,8 +22,8 @@ path.  Three shapes are measured against one embedded
   overhead even at load — and the recorded req/s is the throughput
   floor ``compare_bench.py`` holds future runs to.
 * ``serving_identify_rpc_under_faults`` — sequential two-shard
-  requests against a ``jobs=2`` server while ~1% of shards SIGKILL
-  the pool worker computing them: supervision resubmits the lost
+  requests against a ``jobs=2`` server while ~1% of the shards its
+  pool worker computes SIGKILL it: supervision resubmits the lost
   shard, and the median request must not pay for it.
 
 The first two entries record ``seconds`` as the **best-of** request
@@ -305,9 +305,10 @@ def test_serving_identify_rpc_under_faults(archive, bench_record):
 
     The same sequential two-shard identify load is driven twice against
     one ``jobs=2`` server with the fast path off, so every request
-    takes the ``shared-arena`` route through the pool — once calm, once
-    with ``serving.run_shard=kill:p=0.01`` armed, so ~1% of shards
-    SIGKILL the pool worker computing them.  Supervision resubmits each
+    takes the ``shared-arena`` route, shard 0 in the server and shard 1
+    in its one pool worker — once calm, once with
+    ``serving.run_shard=kill:p=0.01`` armed, so ~1% of the pooled
+    shards SIGKILL the worker computing them.  Supervision resubmits each
     lost shard and the pool replaces the dead worker.  The gate: the
     p50 under faults stays within 2x the fault-free p50 (plus a small
     additive floor for sub-millisecond noise) — fault tolerance is
@@ -366,13 +367,14 @@ def test_serving_identify_rpc_under_faults(archive, bench_record):
     calm_p50 = float(np.percentile(calm, 50))
     p50 = float(np.percentile(faulted, 50))
     p99 = float(np.percentile(faulted, 99))
-    # Each replacement is a pid the pool did not start with.
-    replaced = len(pids) - FAULT_JOBS
+    # Each replacement is a pid the pool did not start with; the pool
+    # starts with one worker fewer than the jobs (the server computes).
+    replaced = len(pids) - (FAULT_JOBS - 1)
 
     text = "\n".join(
         [
             "Serving front-end, identify RPC under injected pool-worker "
-            f"kills ({FAULT_JOBS} pool workers, {FAULT_JOBS} shards per "
+            f"kills ({FAULT_JOBS - 1} pool worker(s), {FAULT_JOBS} shards per "
             f"request, {FAULT_REQUESTS} requests, "
             f"{100 * FAULT_KILL_RATE:.0f}% kill rate per shard, "
             f"M={FAULT_BASIS_SIZE}, T={FAULT_N_SAMPLES})",

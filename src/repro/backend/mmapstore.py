@@ -30,7 +30,8 @@ silently change geometry.
 from __future__ import annotations
 
 import pathlib
-from typing import Optional, Tuple, Union
+import zlib
+from typing import BinaryIO, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,9 +42,13 @@ __all__ = [
     "write_words",
     "open_words",
     "words_shape",
+    "words_crc32",
 ]
 
 PathLike = Union[str, pathlib.Path]
+
+#: The one read buffer of :func:`words_crc32` (bytes).
+_CRC_CHUNK_BYTES = 1 << 20
 
 
 def write_words(path: PathLike, words: np.ndarray) -> pathlib.Path:
@@ -82,6 +87,13 @@ def words_shape(path: PathLike) -> Tuple[int, int]:
     files without faulting anything in.
     """
     path = pathlib.Path(path)
+    with open(path, "rb") as stream:
+        return _read_header(stream, path)
+
+
+def _read_header(stream: BinaryIO, path: pathlib.Path) -> Tuple[int, int]:
+    """A words file's ``(n_rows, n_words)``; leaves ``stream`` at the
+    first payload byte."""
     readers = {
         (1, 0): np.lib.format.read_array_header_1_0,
         (2, 0): np.lib.format.read_array_header_2_0,
@@ -89,20 +101,58 @@ def words_shape(path: PathLike) -> Tuple[int, int]:
         # layout is the 2.0 one.
         (3, 0): np.lib.format.read_array_header_2_0,
     }
-    with open(path, "rb") as stream:
-        version = np.lib.format.read_magic(stream)
-        reader = readers.get(tuple(version))
-        if reader is None:
-            raise SpikeTrainError(
-                f"{path}: unsupported .npy format version {version}"
-            )
-        shape, fortran, dtype = reader(stream)
+    version = np.lib.format.read_magic(stream)
+    reader = readers.get(tuple(version))
+    if reader is None:
+        raise SpikeTrainError(
+            f"{path}: unsupported .npy format version {version}"
+        )
+    shape, fortran, dtype = reader(stream)
     if dtype != np.dtype(np.uint64) or len(shape) != 2 or fortran:
         raise SpikeTrainError(
             f"{path} is not a packed words file: "
             f"dtype={dtype}, shape={shape}, fortran={fortran}"
         )
     return int(shape[0]), int(shape[1])
+
+
+def _check_width(
+    path: pathlib.Path, n_words: int, n_samples: Optional[int]
+) -> None:
+    """Refuse a file whose rows are not ``n_samples`` wide (None: any)."""
+    if n_samples is not None:
+        expected = packed_kernels.n_packed_words(n_samples)
+        if n_words != expected:
+            raise SpikeTrainError(
+                f"{path} holds {n_words}-word rows, expected "
+                f"{expected} for a grid of {n_samples} samples"
+            )
+
+
+def words_crc32(path: PathLike, n_samples: Optional[int] = None) -> int:
+    """``zlib.crc32`` of a words file's packed words.
+
+    The payload is read through one bounded buffer, never mapped: a
+    mapping keeps every page it touched until it is dropped, so a
+    checksum pass over one would end up holding the whole file.  A
+    file shorter than its header says is checksummed as far as it goes,
+    which no intact payload's CRC matches.  ``n_samples`` (when given)
+    validates the word width as :func:`open_words` does.
+    """
+    path = pathlib.Path(path)
+    with open(path, "rb") as stream:
+        n_rows, n_words = _read_header(stream, path)
+        _check_width(path, n_words, n_samples)
+        remaining = n_rows * n_words * 8
+        buffer = memoryview(bytearray(min(remaining, _CRC_CHUNK_BYTES)))
+        crc = 0
+        while remaining:
+            got = stream.readinto(buffer[:remaining])
+            if not got:
+                break
+            crc = zlib.crc32(buffer[:got], crc)
+            remaining -= got
+    return crc
 
 
 def open_words(
@@ -129,13 +179,7 @@ def open_words(
             f"{path} is not a packed words file: "
             f"dtype={mapped.dtype}, ndim={mapped.ndim}"
         )
-    if n_samples is not None:
-        n_words = packed_kernels.n_packed_words(n_samples)
-        if mapped.shape[1] != n_words:
-            raise SpikeTrainError(
-                f"{path} holds {mapped.shape[1]}-word rows, expected "
-                f"{n_words} for a grid of {n_samples} samples"
-            )
+    _check_width(path, mapped.shape[1], n_samples)
     if rows is not None:
         lo, hi = int(rows[0]), int(rows[1])
         if not (0 <= lo <= hi <= mapped.shape[0]):

@@ -19,18 +19,20 @@ here.  Only those two sub-commands load the registry, the runner and
 the artifact store (and with them the experiment modules); ``serve``
 and ``corpus`` never do.  ``run``
 executes through :class:`~repro.pipeline.runner.Runner`: ``--jobs N``
-shards a single shardable experiment across N worker processes
-(bit-identical to the serial run) and runs whole experiments in
-parallel for ``run all``; ``--output-dir`` archives one JSON and one
-text artifact per experiment (plus a manifest for ``run all``) via the
+computes on N processes, this one and N - 1 forked workers, sharding
+a single shardable experiment across them (bit-identical to the serial
+run) and running whole experiments in parallel for ``run all``;
+``--output-dir`` archives one JSON and one text artifact per
+experiment (plus a manifest for ``run all``) via the
 :class:`~repro.pipeline.store.ArtifactStore`.  ``run all`` continues
 past failing experiments and ends with a per-experiment pass/fail
 summary, exiting non-zero when anything failed.  ``serve`` starts the
 packed-bitset RPC front-end (:mod:`repro.serving`): an asyncio server
 identifying client wire batches against a deterministic basis, sharded
-over the runner's worker pool — see ``docs/serving.md``.  ``serve``
-forks that pool before it imports the server, so the workers hold the
-compute layer and none of the front-end.
+over the server itself and the runner's worker pool — see
+``docs/serving.md``.  ``serve`` forks that pool before it imports the
+server, so the workers hold the compute layer and none of the
+front-end.
 
 ``corpus build`` streams a generated spike recording into an on-disk
 :class:`~repro.pipeline.corpus.CorpusStore` (packed segments + a
@@ -165,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes: shards one experiment, parallelises 'all' "
-        "(default 1)",
+        help="computing processes, this one included (N forks N-1 workers): "
+        "shards one experiment, parallelises 'all' (default 1)",
     )
     run.add_argument(
         "--output-dir",
@@ -192,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes for shard dispatch (default 1: in-process)",
+        help="computing processes for shard dispatch, the server included "
+        "(N forks N-1 pool workers; default 1: in-process)",
     )
     serve.add_argument(
         "--seed",

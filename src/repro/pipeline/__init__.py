@@ -9,9 +9,10 @@ through:
 * :mod:`~repro.pipeline.registry` — the central name → spec registry,
   populated by the experiment modules at import time;
 * :mod:`~repro.pipeline.runner` — :class:`Runner`, executing specs
-  serially, sharded across a persistent worker pool (``jobs > 1`` on a
-  single spec; each shard task rebuilds its inputs from the config) or
-  with whole experiments as pool tasks (``run_many``);
+  serially, sharded across the caller and a persistent pool of
+  ``jobs - 1`` workers (``jobs > 1`` on a single spec; each shard task
+  rebuilds its inputs from the config) or with whole experiments as
+  tasks (``run_many``);
 * :mod:`~repro.pipeline.store` — :class:`ArtifactStore`, persisting
   every run as a JSON + text artifact pair with run metadata;
 * :mod:`~repro.pipeline.corpus` — :class:`CorpusStore`, the indexed
@@ -23,7 +24,7 @@ through:
 
 Shard plans split work along the *config*, typically the batch axis of
 a :class:`~repro.backend.batch.SpikeTrainBatch`, so a sharded run is
-bit-identical to a serial one no matter how many workers execute it.
+bit-identical to a serial one no matter how many processes execute it.
 
 The runner's pool is not experiment-only: :meth:`Runner.gather` /
 :meth:`Runner.broadcast` let other dispatchers reuse the persistent

@@ -277,17 +277,15 @@ class CorpusStore:
     # ------------------------------------------------------------------
 
     def _segment_crc(self, entry: Dict[str, Any]) -> int:
-        """CRC32 of one segment's packed words, computed in bounded chunks."""
-        words = mmapstore.open_words(
+        """CRC32 of one segment's packed words.
+
+        Read through one bounded buffer, so the checksum pass holds one
+        buffer's worth of the segment at a time, matching the store's
+        O(window) rule.
+        """
+        return mmapstore.words_crc32(
             self.root / entry["file"], int(self._manifest["n_samples"])
         )
-        crc = 0
-        # ~4 MiB of rows at a time: the checksum pass never holds more
-        # than one chunk of pages, matching the store's O(window) rule.
-        step = max(1, (4 << 20) // max(1, words.shape[1] * 8))
-        for lo in range(0, words.shape[0], step):
-            crc = zlib.crc32(words[lo : lo + step], crc)
-        return crc & 0xFFFFFFFF
 
     def _verify_segment(self, entry: Dict[str, Any]) -> None:
         """Check one segment against its manifest CRC32 (cached per store)."""

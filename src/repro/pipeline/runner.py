@@ -4,27 +4,32 @@ One :class:`Runner` drives every experiment through the same path:
 
 * resolve the spec from the registry, build its config (seed + typed
   overrides), execute, time, serialise, archive;
-* **persistent workers** — a Runner with ``jobs > 1`` forks its
-  ``jobs`` worker processes once, lazily, and reuses them across every
-  run it executes (``close()`` or the context-manager exit kills them;
-  a finalizer covers abandoned runners).  Each worker owns one
-  ``socketpair``: tasks go out on it and replies come back on it, in
-  send order, as length-prefixed pickles.  Every
+* **fork-join** — ``jobs`` is the number of computing processes, and
+  the caller is one of them: a Runner with ``jobs > 1`` forks
+  ``jobs - 1`` worker processes, and every fan-out computes its share
+  of the tasks in the caller while the workers compute the rest;
+* **persistent workers** — the workers fork once, lazily, and are
+  reused across every run the Runner executes (``close()`` or the
+  context-manager exit kills them; a finalizer covers abandoned
+  runners).  Each worker owns one ``socketpair``: tasks go out on it
+  and replies come back on it, in send order, as length-prefixed
+  pickles.  Every
   :class:`~repro.backend.shared.SharedArraySpec` in a task travels
   beside it as its descriptor (``SCM_RIGHTS``); the worker maps what
   the task touches and closes the descriptors when the task ends, so
   per-run dispatch cost is a handful of metadata pickles — not process
   spawns — and an idle worker holds no segment;
 * **shard dispatch** — running a single *shardable* spec with
-  ``jobs > 1`` fans its shard tasks out over the workers.  A shard task
-  is a few integers and the config; the worker rebuilds its inputs
-  deterministically from them, the same way on every host.  The shard
-  plan is a property of the config (never of the worker count), so
-  serial and sharded runs are bit-identical by construction;
+  ``jobs > 1`` fans its shard tasks out over the caller and the
+  workers.  A shard task is a few integers and the config; the process
+  that runs it rebuilds its inputs deterministically from them, the
+  same way on every host.  The shard plan is a property of the config
+  (never of the worker count), so serial and sharded runs are
+  bit-identical by construction;
 * **experiment pool** — :meth:`Runner.run_many` with ``jobs > 1`` runs
-  whole experiments as worker tasks instead (each worker executes its
-  spec's shards serially).  Workers return plain :class:`RunRecord`
-  objects — results are serialised *inside* the worker, so nothing
+  whole experiments as tasks instead (each process executes its
+  spec's shards serially).  Tasks return plain :class:`RunRecord`
+  objects — results are serialised where they run, so nothing
   fancier than JSON-ready data ever crosses the process boundary;
 * failures never abort a multi-experiment run: each report carries its
   own status and traceback, and the store archives error records too;
@@ -35,7 +40,7 @@ One :class:`Runner` drives every experiment through the same path:
   task, then runs it in-process.  A target may name a fault point in
   its ``fault_point`` attribute (:mod:`repro.testing.faults`): a worker
   fires it before each task it runs, so the point kills workers only,
-  never the caller that runs a lost task in-process;
+  never the caller computing its own share or a lost task;
 * **non-experiment dispatch** — :meth:`Runner.gather` (the one
   supervised fan-out), :meth:`Runner.submit` and
   :meth:`Runner.broadcast` expose the persistent workers to callers
@@ -522,7 +527,8 @@ def _execute_record(
 
 
 def _execute_spec(spec, config, runner: Optional["Runner"]) -> Tuple[Any, int]:
-    """Run one spec, sharding across ``runner``'s workers when possible.
+    """Run one spec, sharding across this process and ``runner``'s
+    workers when possible.
 
     Returns ``(result, n_shards)`` with ``n_shards == 0`` for
     unsharded execution.  Only a multi-task shard plan on a runner with
@@ -557,11 +563,13 @@ class Runner:
     Parameters
     ----------
     jobs:
-        Worker processes.  1 (default) runs everything in-process; more
-        enables the persistent shard/experiment workers.  They are
-        forked lazily on the first parallel run and reused until
-        :meth:`close` (Runners also work as context managers, and a
-        finalizer kills the workers of abandoned instances).
+        Computing processes, this one included.  1 (default) runs
+        everything in-process; ``N > 1`` forks ``N - 1`` persistent
+        shard/experiment workers, and each fan-out computes one task in
+        ``N`` in this process.  The workers are forked lazily on the
+        first parallel run and reused until :meth:`close` (Runners also
+        work as context managers, and a finalizer kills the workers of
+        abandoned instances).
     store:
         Optional :class:`~repro.pipeline.store.ArtifactStore`; when set,
         every run (including failures) is archived as JSON + text.
@@ -593,7 +601,7 @@ class Runner:
     # implementation.
 
     def ensure_pool(self) -> None:
-        """Fork the workers now, if they are not running.
+        """Fork the ``jobs - 1`` workers now, if they are not running.
 
         A no-op when ``jobs == 1`` — callers run their tasks in-process
         then.  Forked workers inherit the modules this process has
@@ -604,7 +612,7 @@ class Runner:
         if self.jobs < 2:
             return
         with self._lock:
-            while len(self._workers) < self.jobs:
+            while len(self._workers) < self.jobs - 1:
                 self._workers.append(self._spawn())
 
     def worker_pids(self) -> frozenset:
@@ -660,12 +668,16 @@ class Runner:
         to, and silently running inline would hide the caller's
         dispatch bug.
         """
+        self._require_pool()
+        return self._send(_task_message(fn, task))
+
+    def _require_pool(self) -> None:
+        """Refuse pool dispatch on a single-job Runner."""
         if self.jobs < 2:
             raise PipelineError(
-                "submit() needs worker processes; construct the Runner with "
-                "jobs >= 2 or run the task in-process"
+                "submit() and gather() need worker processes; construct the "
+                "Runner with jobs >= 2 or run the task in-process"
             )
-        return self._send(_task_message(fn, task))
 
     def gather(
         self,
@@ -678,8 +690,12 @@ class Runner:
         """Fan ``fn`` out over ``tasks``; one supervised getter per task.
 
         The one supervised fan-out every pool caller shares (serving
-        shards, logicnet shards, sharded experiments): every task is
-        sent before any getter blocks, so workers overlap, and the
+        shards, logicnet shards, sharded experiments).  The caller is
+        one of the ``jobs``: the tasks with ``index % jobs == 0`` stay
+        here, and each runs as ``fn(task)`` when its getter is called —
+        the in-process last resort's call, so no fault point fires and
+        no timeout applies.  Every other task is sent before any getter
+        blocks, so the workers overlap the caller's share, and the
         getters come back in task order.
         Calling one blocks for its task's result.  A task whose worker
         died (EOF on its socket) or outlived ``timeout`` seconds (its
@@ -691,17 +707,22 @@ class Runner:
         A task's own exception is re-raised unchanged.  Same contract as
         :meth:`submit` (module-level ``fn``, ``jobs >= 2``).
         """
+        self._require_pool()
         tasks = list(tasks)
-        handles = [self.submit(fn, task) for task in tasks]
+        handles = [
+            None if index % self.jobs == 0 else self.submit(fn, task)
+            for index, task in enumerate(tasks)
+        ]
 
         def get(handle, task):
-            for attempt in range(retries + 1):
-                try:
-                    if attempt:
-                        handle = self.submit(fn, task)
-                    return handle.get(timeout)
-                except WorkerLost:
-                    pass
+            if handle is not None:
+                for attempt in range(retries + 1):
+                    try:
+                        if attempt:
+                            handle = self.submit(fn, task)
+                        return handle.get(timeout)
+                    except WorkerLost:
+                        pass
             return fn(task)
 
         return [
@@ -709,11 +730,14 @@ class Runner:
             for handle, task in zip(handles, tasks)
         ]
 
-    def broadcast(self, fn, payload=None) -> Optional[List[Any]]:
+    def broadcast(
+        self, fn, payload=None, *, retires: Optional[Tuple[Any, Any]] = None
+    ) -> Optional[List[Any]]:
         """Run ``fn(payload)`` once on every worker; results in slot order.
 
-        One send per worker, so no worker takes a sibling's share; a
-        busy worker runs it after the tasks queued before it.  A worker
+        The ``jobs - 1`` workers only: the caller applies its own state
+        itself.  One send per worker, so no worker takes a sibling's
+        share; a busy worker runs it after the tasks queued before it.  A worker
         found dead is replaced and the payload sent to its successor.
         Returns None when there are no workers (``jobs == 1``: callers
         apply the payload in-process instead).
@@ -725,6 +749,10 @@ class Runner:
         so it must be idempotent, and it may run it after any arena has
         closed, so a broadcast may carry no shared segment
         (PipelineError): send segments with :meth:`gather`.
+        ``retires`` names the ``(fn, payload)`` of an earlier broadcast
+        that this one undoes (a basis discard retiring its install):
+        that one leaves the record and this one never enters it, so a
+        later replacement replays neither.
         """
         if self.jobs < 2:
             return None
@@ -736,8 +764,11 @@ class Runner:
             )
         with self._lock:
             self.ensure_pool()
-            self._broadcasts.append(message)
-        handles = [self._send(message, slot) for slot in range(self.jobs)]
+            if retires is None:
+                self._broadcasts.append(message)
+            elif (retired := _task_message(*retires)) in self._broadcasts:
+                self._broadcasts.remove(retired)
+        handles = [self._send(message, slot) for slot in range(self.jobs - 1)]
         results = []
         for slot, handle in enumerate(handles):
             while True:

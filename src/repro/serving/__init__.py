@@ -5,8 +5,8 @@ The top of the stack documented in ``docs/architecture.md``:
 (protocol version 5, the only one served) whose request payload is
 the ``np.packbits`` bitset itself,
 :mod:`~repro.serving.server` accepts those frames over asyncio TCP and
-dispatches per-request ``(handle, row_range)`` shards onto the
-:class:`~repro.pipeline.runner.Runner`'s persistent pool through
+dispatches per-request ``(handle, row_range)`` shards over itself and
+the :class:`~repro.pipeline.runner.Runner`'s persistent pool through
 per-request :class:`~repro.backend.shared.SharedArena` exports,
 :mod:`~repro.serving.dispatch` executes each shard on the mapped
 bitset with the packed kernels, and :mod:`~repro.serving.client` is

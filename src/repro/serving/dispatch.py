@@ -76,7 +76,8 @@ ERR_INTERNAL = 8
 
 
 def uses_pool(jobs: int) -> bool:
-    """True when a server shards requests over a pool of ``jobs`` workers.
+    """True when a server shards requests over ``jobs`` processes: itself
+    and a pool of ``jobs - 1`` workers.
 
     The pool path needs more than one job and memfd shared memory for
     the request arenas.  ``repro serve`` asks this to fork the pool
@@ -214,8 +215,8 @@ def run_shard(task: ShardTask) -> dict:
 
 
 # The pool-death point: a worker fires it before each shard it runs
-# (:mod:`repro.pipeline.runner`), never the server running a lost shard
-# in-process.
+# (:mod:`repro.pipeline.runner`), never the server, which runs its own
+# share of the shards and any lost one in-process.
 run_shard.fault_point = "serving.run_shard"
 
 

@@ -17,6 +17,9 @@ four existing layers without the payload ever unpacking to a raster:
    fan out over the :class:`~repro.pipeline.runner.Runner`'s
    persistent pool (``Runner.gather``, supervised), where workers
    attach the mapped bitset and run the packed receiver kernels on it;
+   the server is one of the ``jobs`` and computes its own share (shard
+   0 of a request split ``jobs`` ways) the same way, on the thread that
+   waits for it;
 4. each shard's result streams back to the client as one binary
    ``RESULT`` frame, in shard order as results complete (a slow early
    shard delays the later shards' *frames*, never their compute),
@@ -672,7 +675,8 @@ class SpikeServer:
     Construct, ``await start()``, and either hold onto it (tests) or
     ``await`` :meth:`wait_closed`.  ``runner=None`` makes the server
     own a :class:`~repro.pipeline.runner.Runner` with ``config.jobs``
-    workers when it will shard over a pool
+    jobs (the server and ``config.jobs - 1`` workers) when it will
+    shard over a pool
     (:func:`~repro.serving.dispatch.uses_pool`), and close it on
     shutdown; otherwise it runs every shard in-process and forks no
     worker.  Passing a runner shares an existing pool
@@ -689,7 +693,7 @@ class SpikeServer:
         self._owns_runner = runner is None
         self._server: Optional[asyncio.AbstractServer] = None
         self._basis: Optional[HyperspaceBasis] = None
-        self._basis_token: Optional[str] = None
+        self._basis_table: Optional[dispatch.BasisTable] = None
         self._budget = _InflightBudget(self.config.max_inflight_bytes)
         self._writers: Set["_Connection"] = set()
         self._tasks: Set[asyncio.Task] = set()
@@ -736,7 +740,7 @@ class SpikeServer:
             self._runner = Runner(jobs=self.config.jobs)
         self._basis = build_serving_basis(self.config)
         table = dispatch.export_basis(self._basis)
-        self._basis_token = table.token
+        self._basis_table = table
         dispatch.install_basis(table)
         # The broadcast installs the basis in the pool workers:
         # ``repro serve`` forks its pool before this runs, so they
@@ -799,7 +803,10 @@ class SpikeServer:
         was cut down) rather than leaking stuck tasks: shutdown must
         terminate even when a request hangs.  Closes the remaining
         connections, then broadcasts the basis discard over the pool
-        before the runner (if owned) tears down.
+        before the runner (if owned) tears down.  The discard retires
+        the install from the runner's replay log, so a runner shared
+        with later servers never replays this one's basis onto a
+        replacement worker.
         """
         self._closing = True
         if self._server is not None:
@@ -835,17 +842,19 @@ class SpikeServer:
         for writer in list(self._writers):
             writer.close()
         if self._runner is not None:
-            if self._use_pool() and self._basis_token is not None:
+            if self._use_pool() and self._basis_table is not None:
                 try:
                     self._runner.broadcast(
-                        dispatch.discard_basis, self._basis_token
+                        dispatch.discard_basis,
+                        self._basis_table.token,
+                        retires=(dispatch.install_basis, self._basis_table),
                     )
                 except Exception:  # pragma: no cover - dying pool
                     pass
             if self._owns_runner:
                 self._runner.close()
-        if self._basis_token is not None:
-            dispatch.discard_basis(self._basis_token)
+        if self._basis_table is not None:
+            dispatch.discard_basis(self._basis_table.token)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -1016,17 +1025,19 @@ class SpikeServer:
         it has stopped waiting for.
         Result frames go out in shard order as results complete (a slow
         early shard delays the later shards' *frames*, never their
-        compute); the shard resources (a shared arena) close before the
-        DONE summary, which is counted in :attr:`stats` before it is
-        written — a client that holds the reply must find the request
-        in the counters.
+        compute); each payload is dropped once its frame is written, so
+        only its count and residency flags outlive it.  The shard
+        resources (a shared arena) close before the DONE summary, which
+        is counted in :attr:`stats` before it is written — a client that
+        holds the reply must find the request in the counters.
         """
         if plan.budget:
             await self._acquire_budget(plan.budget, deadline)
         try:
             loop = asyncio.get_running_loop()
             started = loop.time()
-            shards = []
+            n_shards = 0
+            residency = dict.fromkeys(("packed", "csr", "raster"), False)
             with contextlib.ExitStack() as resources:
                 for index, get in enumerate(plan.shards(resources)):
                     if deadline is not None and loop.time() >= deadline:
@@ -1040,7 +1051,9 @@ class SpikeServer:
                             payload = await payload
                     else:
                         payload = await asyncio.to_thread(get)
-                    shards.append(payload)
+                    n_shards += 1
+                    for key in residency:
+                        residency[key] |= payload["residency"][key]
                     frame = protocol.encode_result_frame(
                         request.request_id, payload, mode=request.mode
                     )
@@ -1049,21 +1062,21 @@ class SpikeServer:
                         writer.write(frame)
                     else:
                         await self._send(writer, frame)
+                    # Dropped before the next shard computes, so a
+                    # streamed scan holds one chunk's result at a time.
+                    del payload, frame
             summary = {
                 "kind": "done",
                 "mode": request.mode,
                 **plan.done,
-                "n_shards": len(shards),
+                "n_shards": n_shards,
                 "labels": list(self.basis.labels),
                 "transport": plan.transport,
                 "wall_seconds": loop.time() - started,
                 "server_residency": (
                     dispatch.residency(plan.batch)
                     if plan.batch is not None
-                    else {
-                        key: any(s["residency"][key] for s in shards)
-                        for key in ("packed", "csr", "raster")
-                    }
+                    else residency
                 ),
             }
             self.stats.record(plan.transport, summary["wall_seconds"])
@@ -1117,8 +1130,9 @@ class SpikeServer:
         requests pin nothing beyond their own frame, and charging them
         would let a burst of tiny requests queue behind (or spuriously
         OVERLOAD) real arena work.  The default shard count is one
-        shard per worker of the runner *actually dispatching* — which
-        may be a shared runner with more jobs than the config names.
+        shard per job of the runner *actually dispatching* (the server
+        computes one of them) — which may be a shared runner with more
+        jobs than the config names.
         """
         grid = self.basis.grid
         if request.n_samples != grid.n_samples or request.dt != grid.dt:
@@ -1177,7 +1191,7 @@ class SpikeServer:
                     dispatch.run_shard,
                     [
                         dispatch.ShardTask(
-                            self._basis_token, handle, lo, hi, **scan
+                            self._basis_table.token, handle, lo, hi, **scan
                         )
                         for lo, hi in ranges
                     ],
@@ -1307,7 +1321,7 @@ class SpikeServer:
         )
         tasks = [
             dispatch.LogicNetShardTask(
-                token=self._basis_token,
+                token=self._basis_table.token,
                 seed=query.seed,
                 n_gates=query.n_gates,
                 depth=query.depth,

@@ -8,6 +8,8 @@ windows slice before any page is touched, geometry checks catch the
 wrong file, and the mapping is read-only.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,59 @@ class TestWordsRoundTrip:
         np.save(bad, np.zeros(16, dtype=np.uint64))
         with pytest.raises(SpikeTrainError):
             mmapstore.open_words(bad)
+
+
+#: Ragged ``(n_rows, n_samples)`` shapes: empty, sub-word, one bit
+#: either side of a word boundary, and rows that no chunk size divides.
+RAGGED = [(0, 64), (1, 1), (3, 63), (5, 65), (17, 1000), (33, 4001)]
+
+
+class TestWordsCrc32:
+    """The CRC of a words file is ``zlib.crc32`` of its words, read
+    through one bounded buffer of any size."""
+
+    @pytest.mark.parametrize("chunk_bytes", [8, 24, 1 << 20])
+    @pytest.mark.parametrize("n_rows, n_samples", RAGGED)
+    def test_equals_zlib_crc32_of_the_words(
+        self, tmp_path, monkeypatch, n_rows, n_samples, chunk_bytes
+    ):
+        monkeypatch.setattr(mmapstore, "_CRC_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(n_rows * 7919 + n_samples)
+        words = SpikeTrainBatch.from_raster(
+            rng.random((n_rows, n_samples)) < 0.1,
+            SimulationGrid(n_samples=n_samples, dt=1e-12),
+        ).packed_words()
+        path = mmapstore.write_words(tmp_path / "w.npy", words)
+        assert mmapstore.words_crc32(path, n_samples) == zlib.crc32(words)
+
+    def test_reads_without_mapping(self, tmp_path, monkeypatch, batch):
+        path = mmapstore.write_words(tmp_path / "b.npy", batch.packed_words())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the checksum pass mapped the file")
+
+        monkeypatch.setattr(np.lib.format, "open_memmap", forbidden)
+        monkeypatch.setattr(np, "memmap", forbidden)
+        assert mmapstore.words_crc32(path) == zlib.crc32(batch.packed_words())
+
+    def test_truncated_payload_checksums_what_is_there(self, tmp_path, batch):
+        path = mmapstore.write_words(tmp_path / "b.npy", batch.packed_words())
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        assert mmapstore.words_crc32(path) == zlib.crc32(
+            batch.packed_words().tobytes()[:-8]
+        )
+
+    def test_wrong_word_width_rejected(self, tmp_path, batch):
+        path = mmapstore.write_words(tmp_path / "b.npy", batch.packed_words())
+        with pytest.raises(SpikeTrainError, match="word"):
+            mmapstore.words_crc32(path, n_samples=GRID.n_samples * 2)
+
+    def test_wrong_dtype_rejected(self, tmp_path):
+        bad = tmp_path / "f.npy"
+        np.save(bad, np.zeros((3, 4), dtype=np.float64))
+        with pytest.raises(SpikeTrainError):
+            mmapstore.words_crc32(bad)
 
 
 class TestBatchAdoption:

@@ -293,7 +293,7 @@ class TestForkedChildrenDropArenas:
         with Runner(jobs=2) as runner:
             runner.ensure_pool()
             before = runner.worker_pids()
-            assert len(before) == 2
+            assert len(before) == 1
             with SharedArena() as arena:
                 spec = arena.share_array(np.arange(1 << 12))
                 os.kill(min(before), signal.SIGKILL)

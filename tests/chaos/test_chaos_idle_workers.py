@@ -65,7 +65,7 @@ def test_each_killed_idle_worker_is_replaced(tmp_path, basis, wires):
     expected = CoincidenceCorrelator(basis).identify_batch(
         wires, missing="none"
     )
-    with LiveServer(tmp_path, "--jobs", "2", "--fast-path-bytes", "0") as server:
+    with LiveServer(tmp_path, "--jobs", "3", "--fast-path-bytes", "0") as server:
         _server_pid, *workers = server.tree()
         assert len(workers) == 2, workers
         with ServingClient(
@@ -73,7 +73,8 @@ def test_each_killed_idle_worker_is_replaced(tmp_path, basis, wires):
         ) as client:
             for pid in workers:
                 _kill_and_wait(pid)
-                _assert_identical(client.identify(wires, n_shards=2), expected)
+                # Three shards: the server computes one, each worker one.
+                _assert_identical(client.identify(wires, n_shards=3), expected)
         _server_pid, *successors = server.tree()
         assert len(successors) == 2 and not set(successors) & set(workers)
         server.proc.send_signal(signal.SIGTERM)
@@ -84,7 +85,7 @@ def test_each_killed_idle_worker_is_replaced(tmp_path, basis, wires):
 
 
 def test_killed_server_leaves_no_idle_worker(tmp_path, wires):
-    with LiveServer(tmp_path, "--jobs", "2", "--fast-path-bytes", "0") as server:
+    with LiveServer(tmp_path, "--jobs", "3", "--fast-path-bytes", "0") as server:
         _server_pid, *workers = server.tree()
         # One worker forked before the front-end loaded, and one forked
         # by the running server to replace its killed sibling.

@@ -183,14 +183,15 @@ class TestServingShardKill:
         """The server process outlives the kill; its pool heals under it."""
         claim = tmp_path / "claim"
         faults.arm(f"serving.run_shard=kill@{claim}")
-        with Runner(jobs=2) as runner:
+        with Runner(jobs=3) as runner:
             runner.ensure_pool()
             before = runner.worker_pids()
             with ServerThread(
-                ServerConfig(jobs=2, **SMALL), runner=runner
+                ServerConfig(jobs=3, **SMALL), runner=runner
             ) as handle:
                 with ServingClient(handle.host, handle.port) as client:
-                    first = client.identify(small_wires, n_shards=2)
+                    # The server computes shard 0, each worker one other.
+                    first = client.identify(small_wires, n_shards=3)
                     assert claim.exists(), "the fault never fired"
                     # The runner replaced the victim when a getter read EOF.
                     deadline = time.monotonic() + 30.0
@@ -200,7 +201,7 @@ class TestServingShardKill:
                     ) and time.monotonic() < deadline:
                         time.sleep(0.05)
                         after = runner.worker_pids()
-                    second = client.identify(small_wires, n_shards=2)
+                    second = client.identify(small_wires, n_shards=3)
                     stats = client.stats()
         assert len(before) == 2
         assert len(after) == 2 and after != before

@@ -66,14 +66,14 @@ def test_killed_server_leaves_nothing_in_dev_shm(tmp_path):
                 "the request never exported its arena"
             )
             tree = server.tree()
-            assert len(tree) == 3, tree  # the server and its two workers
+            assert len(tree) == 2, tree  # the server and its one worker
             in_flight = sorted(dev_shm_entries() - before)
             workers = tree[1:]
             server.proc.kill()
             server.proc.wait(timeout=30)
             left = sorted(dev_shm_entries() - before)
             assert all(alive(pid) for pid in workers), (
-                "the shards should still be sleeping in the workers"
+                "the pooled shard should still be sleeping in its worker"
             )
         finally:
             server.proc.kill()

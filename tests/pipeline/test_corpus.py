@@ -8,11 +8,12 @@ published atomically so a reader never sees a half-written library.
 """
 
 import json
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.backend import SpikeTrainBatch
+from repro.backend import SpikeTrainBatch, mmapstore
 from repro.errors import PipelineError, SpikeTrainError
 from repro.pipeline.corpus import CORPUS_SCHEMA_VERSION, CorpusStore
 from repro.units import SimulationGrid, paper_white_grid
@@ -151,3 +152,40 @@ class TestWriter:
         assert manifest["schema"] == CORPUS_SCHEMA_VERSION
         assert manifest["kind"] == "corpus"
         assert manifest["n_rows"] == 20
+
+
+class TestSegmentChecksums:
+    """A segment's CRC, recomputed through one bounded read buffer,
+    equals the manifest's: ``zlib.crc32`` of the words written."""
+
+    @pytest.mark.parametrize("n_samples", [1, 63, 65, 1000, 4001])
+    def test_ragged_segments_verify_clean(
+        self, tmp_path, monkeypatch, n_samples
+    ):
+        monkeypatch.setattr(mmapstore, "_CRC_CHUNK_BYTES", 24)
+        grid = SimulationGrid(n_samples=n_samples, dt=1e-12)
+        batches = [
+            random_batch(seed, n_rows, grid, density=0.1)
+            for seed, n_rows in enumerate((1, 5, 9))
+        ]
+        store = CorpusStore.create(tmp_path / "corpus", grid)
+        with store.writer() as writer:
+            for batch in batches:
+                writer.append(batch)
+        store = CorpusStore(tmp_path / "corpus")
+        assert store.verify() == {
+            "segments_checked": 3,
+            "segments_unchecksummed": 0,
+        }
+        for entry, batch in zip(store.info()["segments"], batches):
+            crc = zlib.crc32(batch.packed_words())
+            assert store._segment_crc(entry) == entry["crc32"] == crc
+
+    def test_truncated_segment_is_reported_corrupt(self, store):
+        entry = store.info()["segments"][1]
+        path = store.root / entry["file"]
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(PipelineError, match="crc32 mismatch"):
+            CorpusStore(store.root).open_rows(10, 12)
+        with pytest.raises(PipelineError, match=entry["file"]):
+            CorpusStore(store.root, verify=False).verify()

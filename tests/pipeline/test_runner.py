@@ -33,7 +33,7 @@ from ..serving.live_server import arena_mappings, arena_segments
 SMALL_IDENTIFY = {"n_wires": 16, "n_trials": 2, "n_shards": 2, "basis_size": 4}
 
 #: Reduced configs for every shardable spec, used by the bit-identity
-#: sweep (serial vs 2-job sharded must serialise identically).
+#: sweep (serial vs 2- and 3-job sharded must serialise identically).
 SHARDABLE_SMALL = {
     "identify": SMALL_IDENTIFY,
     "speed": {"n_trials": 10},
@@ -53,6 +53,11 @@ SHARDABLE_SMALL = {
         "n_shards": 3,
     },
 }
+
+
+#: The bit-identity sweep: every shardable spec at 2 and 3 jobs (one
+#: and two workers beside the caller).
+_SWEEP = [(name, jobs) for jobs in (2, 3) for name in sorted(SHARDABLE_SMALL)]
 
 
 def _without_wall_times(result):
@@ -102,8 +107,12 @@ class TestShardedEqualsSerial:
         _report, record = _run_identify(tmp_path, jobs=5)
         assert record["n_shards"] == SMALL_IDENTIFY["n_shards"]
 
-    @pytest.mark.parametrize("name", sorted(SHARDABLE_SMALL))
-    def test_every_shardable_spec_bit_identical(self, name, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, jobs",
+        _SWEEP,
+        ids=[name if jobs == 2 else f"{name}-jobs3" for name, jobs in _SWEEP],
+    )
+    def test_every_shardable_spec_bit_identical(self, name, jobs, monkeypatch):
         """Serial vs sharded, for every spec carrying a shard plan, with
         no shared memory: a shard rebuilds its inputs where it runs.
 
@@ -118,7 +127,7 @@ class TestShardedEqualsSerial:
 
         monkeypatch.setattr(shared_module.SharedArena, "__init__", forbidden)
         serial = Runner(jobs=1).run(name, overrides=SHARDABLE_SMALL[name])
-        with Runner(jobs=2) as runner:
+        with Runner(jobs=jobs) as runner:
             sharded = runner.run(name, overrides=SHARDABLE_SMALL[name])
         assert serial.ok, serial.error
         assert sharded.ok, sharded.error
@@ -132,7 +141,7 @@ class TestShardedEqualsSerial:
 
 class TestPersistentPool:
     def test_pool_reused_across_runs(self):
-        with Runner(jobs=2) as runner:
+        with Runner(jobs=3) as runner:
             first = runner.run("identify", overrides=SMALL_IDENTIFY)
             pids = runner.worker_pids()
             assert len(pids) == 2
@@ -266,7 +275,7 @@ class TestSegmentsTravelWithTasks:
                 counts = np.concatenate([get() for get in getters])
             assert np.array_equal(counts, packed.pairwise_counts(a, b))
             pids = runner.worker_pids()
-            assert len(pids) == 2  # the call actually dispatched
+            assert len(pids) == 1  # the call actually dispatched
             assert _holds_no_segment(pids)
 
     def test_fresh_workers_hold_nothing_inherited_on_return(self):
@@ -295,16 +304,17 @@ class TestSegmentsTravelWithTasks:
             assert not held, held
 
     def test_queued_tasks_each_compute_on_their_own_segments(self, tmp_path):
-        """Four tasks wait in two sockets before either worker reads;
-        each brings its own descriptors, bit-identical to in-process."""
+        """Four tasks wait in two sockets before either worker reads
+        (the caller keeps the other two); each brings its own
+        descriptors, bit-identical to in-process."""
         rng = np.random.default_rng(11)
         grid = SimulationGrid(n_samples=4096, dt=1e-9)
         batches = [
             SpikeTrainBatch.from_raster(rng.random((6, 4096)) < density, grid)
-            for density in (0.01, 0.1, 0.3, 0.6)
+            for density in (0.01, 0.05, 0.1, 0.3, 0.45, 0.6)
         ]
         release = tmp_path / "release"
-        with Runner(jobs=2) as runner, SharedArena() as arena:
+        with Runner(jobs=3) as runner, SharedArena() as arena:
             blockers = [
                 runner.submit(_wait_for, str(release)) for _ in range(2)
             ]
@@ -330,9 +340,13 @@ class TestSegmentsTravelWithTasks:
             runner.ensure_pool()  # so that no worker inherits the arena
             with SharedArena() as arena:
                 spec = arena.share_array(np.arange(8))
-                (get,) = runner.gather(_attach_then_fail, [spec], retries=0)
-                with pytest.raises(KeyError, match="7"):
-                    get()
+                # The second task fails in the worker, the first here.
+                getters = runner.gather(
+                    _attach_then_fail, [spec] * 2, retries=0
+                )
+                for get in getters:
+                    with pytest.raises(KeyError, match="7"):
+                        get()
                 assert _holds_no_segment(runner.worker_pids())
 
     def test_stale_spec_raises_before_any_send(self):
@@ -344,16 +358,17 @@ class TestSegmentsTravelWithTasks:
             with SharedArena() as arena:
                 stale = arena.share_array(np.arange(8))
             with pytest.raises(FileNotFoundError):
-                runner.gather(_segment_sums, [[stale]])
+                # The caller keeps the first task; the second is sent.
+                runner.gather(_segment_sums, [[stale]] * 2)
             assert runner.worker_pids() == before
-            (get,) = runner.gather(_double, [21])
-            assert get() == 42
+            getters = runner.gather(_double, [21] * 2)
+            assert [get() for get in getters] == [42] * 2
 
     def test_sticky_broadcast_with_a_segment_raises(self):
         """Broadcasts replay after their arenas close, so they may not
         carry segments; the tasks of a gather may.  The refused one is
         neither run nor recorded for replacements."""
-        with Runner(jobs=2) as runner, SharedArena() as arena:
+        with Runner(jobs=3) as runner, SharedArena() as arena:
             spec = arena.share_array(np.arange(16))
             with pytest.raises(PipelineError, match="cannot carry shared"):
                 runner.broadcast(_remember, [spec])
@@ -370,11 +385,14 @@ class TestSegmentsTravelWithTasks:
                 arena.share_array(np.array([n]))
                 for n in range(runner_module._MAX_SEGMENTS)
             ]
-            (get,) = runner.gather(_segment_sums, [specs], retries=0)
-            assert get() == sum(range(runner_module._MAX_SEGMENTS))
+            # The caller keeps the first task; the worker gets the second.
+            getters = runner.gather(_segment_sums, [specs] * 2, retries=0)
+            assert [get() for get in getters] == (
+                [sum(range(runner_module._MAX_SEGMENTS))] * 2
+            )
 
     def test_task_over_the_segment_limit_is_refused_before_sending(self):
-        with Runner(jobs=2) as runner, SharedArena() as arena:
+        with Runner(jobs=3) as runner, SharedArena() as arena:
             runner.ensure_pool()
             before = runner.worker_pids()
             specs = [
@@ -398,8 +416,11 @@ def _double(value):
 
 
 def _double_or_die_once(task):
-    """Gather target: the first caller to claim the file SIGKILLs itself."""
-    claim, value = task
+    """Gather target: the first worker to claim the file SIGKILLs itself
+    (the caller ``parent`` never does)."""
+    claim, parent, value = task
+    if os.getpid() == parent:
+        return value * 2
     try:
         os.close(os.open(claim, os.O_CREAT | os.O_EXCL))
     except FileExistsError:
@@ -483,16 +504,18 @@ class TestDispatchPrimitives:
     def test_gather_recovers_the_task_of_a_killed_worker(self, tmp_path):
         """The lost task's getter re-runs it down the supervision ladder."""
         claim = str(tmp_path / "claim")
+        parent = os.getpid()
         with Runner(jobs=2) as runner:
             getters = runner.gather(
-                _double_or_die_once, [(claim, n) for n in range(4)],
+                _double_or_die_once, [(claim, parent, n) for n in range(4)],
                 timeout=30.0,
             )
             assert [get() for get in getters] == [0, 2, 4, 6]
+            assert len(runner.worker_pids()) == 1
         assert (tmp_path / "claim").exists(), "no worker was killed"
 
     def test_broadcast_reaches_every_worker_exactly_once(self):
-        with Runner(jobs=2) as runner:
+        with Runner(jobs=3) as runner:
             pids = runner.broadcast(_pid_of_worker)
             assert len(pids) == 2
             assert len(set(pids)) == 2  # two distinct workers, once each
@@ -504,21 +527,26 @@ class TestDispatchPrimitives:
         with Runner(jobs=2) as runner:
             runner.ensure_pool()
             before = runner.worker_pids()
-            (get,) = runner.gather(_fail, ["tile 7"])
-            with pytest.raises(KeyError, match="tile 7"):
-                get()
+            # The first task fails here, the second in the worker.
+            getters = runner.gather(_fail, ["tile 7"] * 2)
+            for get in getters:
+                with pytest.raises(KeyError, match="tile 7"):
+                    get()
             assert runner.worker_pids() == before  # no worker was lost
 
     def test_timed_out_task_kills_only_its_own_worker(self):
         """Each timed-out attempt replaces its worker; then in-process."""
         parent = os.getpid()
-        with Runner(jobs=2) as runner:
+        with Runner(jobs=3) as runner:
             runner.ensure_pool()
             before = runner.worker_pids()
-            (get,) = runner.gather(
-                _sleep_in_worker, [parent], timeout=0.3, retries=1
+            # The caller answers the first task itself; the second goes
+            # to a worker.
+            getters = runner.gather(
+                _sleep_in_worker, [parent] * 2, timeout=0.3, retries=1
             )
-            assert get() == parent  # both pool attempts timed out
+            # both pool attempts of the second task timed out
+            assert [get() for get in getters] == [parent] * 2
             after = runner.worker_pids()
         assert len(after) == 2
         assert len(before & after) == 1, "the idle sibling was killed too"
@@ -538,11 +566,13 @@ class TestDispatchPrimitives:
                 in_parent.append(point) if os.getpid() == parent else fire(point)
             ),
         )
-        with Runner(jobs=2) as runner:
+        with Runner(jobs=3) as runner:
             runner.ensure_pool()
             before = runner.worker_pids()
-            (get,) = runner.gather(_declared_triple, [7], retries=1)
-            assert _within(30, get) == 21
+            # The caller's own share (the first task) and the last resort
+            # of the second both run here, and neither fires the point.
+            getters = runner.gather(_declared_triple, [7] * 2, retries=1)
+            assert _within(30, lambda: [get() for get in getters]) == [21] * 2
             assert in_parent == []
             # A target that declares no point runs untouched.
             assert runner.broadcast(_double, 4) == [8, 8]
@@ -550,10 +580,36 @@ class TestDispatchPrimitives:
         assert len(after) == 2
         assert before - after, "no pool attempt fired the declared point"
 
+    def test_a_retiring_broadcast_leaves_the_replay_log_with_its_target(
+        self,
+    ):
+        """A broadcast that retires an earlier one is not recorded, and
+        takes the earlier one out of the record: a successor replays
+        neither, while the others stay."""
+        with Runner(jobs=3) as runner:
+            runner.broadcast(_remember, "basis-7")
+            runner.broadcast(_remember, "basis-8")
+            assert runner.broadcast(
+                _remember, None, retires=(_remember, "basis-7")
+            ) == [None] * 2
+            assert runner._broadcasts == [
+                runner_module._task_message(_remember, "basis-8")
+            ]
+            # Retiring what is not recorded changes nothing.
+            runner.broadcast(_remember, None, retires=(_remember, "gone"))
+            assert len(runner._broadcasts) == 1
+            victim = min(runner.worker_pids())
+            os.kill(victim, signal.SIGKILL)
+            recalled = dict(_within(30, lambda: runner.broadcast(_recall)))
+            assert victim not in recalled
+            # The survivor ran every broadcast; the successor replayed
+            # only the one still recorded, then ran the recall.
+            assert sorted(recalled.values(), key=str) == [None, "basis-8"]
+
     def test_killed_idle_workers_come_back_with_their_sticky_state(self):
         """SIGKILL every idle worker from outside: the next broadcast and
         gather fork successors, which replayed the broadcasts."""
-        with Runner(jobs=2) as runner:
+        with Runner(jobs=3) as runner:
             runner.broadcast(_remember, "basis-7")
             before = runner.worker_pids()
             for pid in before:
@@ -567,6 +623,72 @@ class TestDispatchPrimitives:
                 30, lambda: [get() for get in runner.gather(_double, range(4))]
             )
             assert results == [0, 2, 4, 6]
+
+
+#: The tasks the caller ran itself, in the order their getters ran them.
+_RAN_HERE = []
+
+
+def _pid_and_value(task):
+    """Gather target: where the task ran, and the task; a task the
+    caller ``parent`` runs is also recorded in :data:`_RAN_HERE`."""
+    parent, value = task
+    if os.getpid() == parent:
+        _RAN_HERE.append(value)
+    return os.getpid(), value
+
+
+class TestForkJoin:
+    """The caller is one of the ``jobs``: it forks ``jobs - 1`` workers
+    and computes one task in ``jobs`` of every gather itself."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    def test_the_pool_is_one_worker_fewer_than_jobs(self, jobs):
+        with Runner(jobs=jobs) as runner:
+            runner.ensure_pool()
+            assert len(runner.worker_pids()) == jobs - 1
+            assert os.getpid() not in runner.worker_pids()
+            assert runner.jobs == jobs
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("n_tasks", [1, 2, 7])
+    def test_caller_runs_every_jobs_th_task_in_order(self, jobs, n_tasks):
+        parent = os.getpid()
+        _RAN_HERE.clear()
+        with Runner(jobs=jobs) as runner:
+            getters = runner.gather(
+                _pid_and_value, [(parent, n) for n in range(n_tasks)]
+            )
+            # Sent, not run: the caller's share waits for its getters.
+            assert _RAN_HERE == []
+            results = [get() for get in getters]
+            workers = runner.worker_pids()
+        assert [value for _pid, value in results] == list(range(n_tasks))
+        here = [n for n, (pid, _value) in enumerate(results) if pid == parent]
+        assert here == [n for n in range(n_tasks) if n % jobs == 0]
+        assert _RAN_HERE == here
+        assert {pid for pid, _value in results if pid != parent} <= workers
+
+    def test_getters_run_the_callers_share_when_called(self):
+        """A getter of the caller's share computes when it is called, in
+        whatever order the getters are called."""
+        parent = os.getpid()
+        _RAN_HERE.clear()
+        with Runner(jobs=2) as runner:
+            getters = runner.gather(
+                _pid_and_value, [(parent, n) for n in range(5)]
+            )
+            assert getters[4]() == (parent, 4)
+            assert _RAN_HERE == [4]
+            assert getters[0]() == (parent, 0)
+            assert _RAN_HERE == [4, 0]
+            assert getters[3]()[0] in runner.worker_pids()
+        assert _RAN_HERE == [4, 0]
+
+    def test_run_records_keep_the_knobs_value(self, tmp_path):
+        report, record = _run_identify(tmp_path, jobs=3)
+        assert report.jobs == 3 and record["jobs"] == 3
+        assert record["n_shards"] == SMALL_IDENTIFY["n_shards"]
 
 
 class TestRunnerBasics:

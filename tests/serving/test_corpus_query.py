@@ -10,6 +10,8 @@ a typed error frame instead of dropping the connection.
 
 import asyncio
 import socket
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.server import (
     ServerConfig,
     ServerThread,
+    SpikeServer,
     build_serving_basis,
 )
 from repro.units import paper_white_grid
@@ -179,6 +182,56 @@ class TestCorpusQueries:
         replies = asyncio.run(go())
         merged = np.concatenate([r.elements for r in replies])
         assert np.array_equal(merged, elements)
+
+
+class TestStreamedChunks:
+    """A corpus scan streams its chunks: the server keeps each one's
+    count and residency flags, never its payload."""
+
+    def test_each_chunk_is_freed_before_the_next_computes(
+        self, corpus_root, monkeypatch
+    ):
+        root, elements = corpus_root
+        compute = SpikeServer._compute_corpus_chunk
+        chunks, live = [], []
+
+        def chunk(self, query, lo, hi):
+            # The executor thread that computed the last chunk may still
+            # be returning from it; the serving loop must not hold it.
+            deadline = time.monotonic() + 2.0
+            while (
+                any(ref() is not None for ref in chunks)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
+            live.append([n for n, ref in enumerate(chunks) if ref() is not None])
+            payload = compute(self, query, lo, hi)
+            chunks.extend(
+                weakref.ref(payload[name])
+                for name in ("membership", "first_slots")
+            )
+            # Only the first chunk reports a CSR: DONE ORs the flags.
+            payload["residency"] = dict(payload["residency"], csr=lo == 0)
+            return payload
+
+        monkeypatch.setattr(SpikeServer, "_compute_corpus_chunk", chunk)
+        config = ServerConfig(
+            jobs=1, corpus=str(root), corpus_chunk_rows=CHUNK_ROWS, **SMALL
+        )
+        with ServerThread(config) as handle:
+            with ServingClient(handle.host, handle.port) as client:
+                reply = client.corpus_membership("library", 0, CORPUS_ROWS)
+        n_chunks = -(-CORPUS_ROWS // CHUNK_ROWS)
+        assert reply.summary["n_shards"] == len(reply.shards) == n_chunks
+        assert live == [[]] * n_chunks
+        assert reply.summary["server_residency"] == {
+            "packed": True, "csr": True, "raster": False,
+        }
+        assert [shard["residency"]["csr"] for shard in reply.shards] == (
+            [True] + [False] * (n_chunks - 1)
+        )
+        members = reply.membership
+        assert members[np.arange(CORPUS_ROWS), elements].all()
 
 
 class TestCorpusErrors:

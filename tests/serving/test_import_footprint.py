@@ -80,7 +80,8 @@ batch = basis.as_batch()
 store = CorpusStore.create(sys.argv[1], batch.grid)
 with store.writer() as writer:
     writer.append(batch)
-# No fast path: every identify and logicnet shard runs in a pool worker.
+# No fast path: every identify and logicnet request shards over the pool,
+# shard 0 in the server and shard 1 in the worker.
 config = ServerConfig(jobs=2, corpus=sys.argv[1], fast_path_bytes=0, **small)
 with Runner(jobs=2) as runner:
     with ServerThread(config, runner) as handle:
@@ -150,7 +151,7 @@ def test_pool_server_and_workers_load_only_serving_code(tmp_path):
     result = _run("-c", _POOL_SCRIPT, str(tmp_path / "library"))
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
-    assert len(report["workers"]) == 2
+    assert len(report["workers"]) == 1
     for where, modules in [("server", report["server"])] + [
         (f"worker {i}", worker) for i, worker in enumerate(report["workers"])
     ]:

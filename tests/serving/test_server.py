@@ -517,14 +517,15 @@ class TestGracefulShutdown:
 
         from .live_server import arena_mappings, arena_segments
 
-        runner = Runner(jobs=2)
+        runner = Runner(jobs=3)
         try:
-            config = ServerConfig(jobs=2, fast_path_bytes=0, **SMALL)
+            config = ServerConfig(jobs=3, fast_path_bytes=0, **SMALL)
             with ServerThread(config, runner=runner) as handle:
                 basis = build_serving_basis(ServerConfig(**SMALL))
                 wires = basis.as_batch().select_rows([0, 3, 5, 6])
                 with ServingClient(handle.host, handle.port) as client:
-                    reply = client.identify(wires, n_shards=2)
+                    # The server computes shard 0, each worker one other.
+                    reply = client.identify(wires, n_shards=3)
                 assert reply.summary["transport"] == "shared-arena"
                 assert reply.elements.tolist() == [0, 3, 5, 6]
                 workers = runner.worker_pids()
@@ -536,3 +537,59 @@ class TestGracefulShutdown:
                 assert held == {pid: (set(), set()) for pid in workers}
         finally:
             runner.close()
+
+
+def _installed_tokens(_payload=None):
+    """Broadcast target: the basis tokens this worker holds installed."""
+    return sorted(dispatch._INSTALLED)
+
+
+@pytest.mark.skipif(
+    not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
+)
+class TestSharedRunner:
+    """Servers that share one runner in turn: a stopped server's basis
+    install and discard leave the runner's replay log with it."""
+
+    def test_stopped_servers_leave_nothing_to_replay(self):
+        import os
+        import signal
+
+        from repro.pipeline.runner import Runner, _task_message
+
+        from .live_server import alive, wait_until
+
+        config = ServerConfig(jobs=3, fast_path_bytes=0, **SMALL)
+        basis = build_serving_basis(ServerConfig(**SMALL))
+        wires = basis.as_batch().select_rows([4, 1, 6])
+        stopped = []
+        with Runner(jobs=3) as runner:
+            for _cycle in range(3):
+                with ServerThread(config, runner=runner) as handle:
+                    stopped.append(handle.server._basis_table.token)
+                    with ServingClient(handle.host, handle.port) as client:
+                        reply = client.identify(wires, n_shards=3)
+                    assert reply.elements.tolist() == [4, 1, 6]
+                assert runner._broadcasts == []
+            with ServerThread(config, runner=runner) as handle:
+                table = handle.server._basis_table
+                assert runner._broadcasts == [
+                    _task_message(dispatch.install_basis, table)
+                ]
+                victim = min(runner.worker_pids())
+                os.kill(victim, signal.SIGKILL)
+                assert wait_until(lambda: not alive(victim), 10)
+                # The broadcast finds the dead worker and forks its
+                # successor, which replayed the log first.
+                installed = runner.broadcast(_installed_tokens)
+                assert victim not in runner.worker_pids()
+                # Bases this process installed for other servers reach
+                # a fork by inheritance; the stopped servers' never do.
+                assert len(installed) == 2
+                for tokens in installed:
+                    assert table.token in tokens
+                    assert not set(stopped) & set(tokens)
+                with ServingClient(handle.host, handle.port) as client:
+                    reply = client.identify(wires, n_shards=3)
+                assert reply.summary["transport"] == "shared-arena"
+                assert reply.elements.tolist() == [4, 1, 6]
