@@ -10,10 +10,10 @@ One :class:`Runner` drives every experiment through the same path:
   of the tasks in the caller while the workers compute the rest;
 * **persistent workers** — the workers fork once, lazily, and are
   reused across every run the Runner executes (``close()`` or the
-  context-manager exit kills them; a finalizer covers abandoned
-  runners).  Each worker owns one ``socketpair``: tasks go out on it
-  and replies come back on it, in send order, as length-prefixed
-  pickles.  Every
+  context-manager exit kills them for good, and a closed Runner forks
+  nothing more; a finalizer covers abandoned runners).  Each worker
+  owns one ``socketpair``: tasks go out on it and replies come back on
+  it, in send order, as length-prefixed pickles.  Every
   :class:`~repro.backend.shared.SharedArraySpec` in a task travels
   beside it as its descriptor (``SCM_RIGHTS``); the worker maps what
   the task touches and closes the descriptors when the task ends, so
@@ -586,6 +586,7 @@ class Runner:
         self._lock = threading.RLock()
         self._workers: List[_Worker] = []
         self._broadcasts: List[_Message] = []
+        self._closed = False
         weakref.finalize(self, _stop_all, self._workers)
 
     # ------------------------------------------------------------------
@@ -607,11 +608,11 @@ class Runner:
         then.  Forked workers inherit the modules this process has
         loaded.  Experiment runs resolve their specs before the first
         fork, so their workers inherit the loaded registry; the serving
-        tree never loads it, so neither do its workers.
+        tree never loads it, so neither do its workers.  Raises
+        PipelineError once the runner is closed.
         """
-        if self.jobs < 2:
-            return
         with self._lock:
+            self._require_open()
             while len(self._workers) < self.jobs - 1:
                 self._workers.append(self._spawn())
 
@@ -631,7 +632,10 @@ class Runner:
         return worker
 
     def _replace(self, worker: _Worker) -> None:
-        """Stop ``worker`` and fork its successor into its slot, once."""
+        """Stop ``worker`` and fork its successor into its slot, once.
+
+        A closed runner has emptied its slots, so nothing forks then.
+        """
         worker.stop()
         with self._lock:
             if worker in self._workers:
@@ -663,21 +667,27 @@ class Runner:
         open until the task is sent; a spec whose arena has closed
         raises FileNotFoundError here, and one task carries at most 253
         segments.  Unsupervised: a lost task raises :class:`WorkerLost`
-        from ``get`` (use :meth:`gather` to recover it).  Requires
-        ``jobs >= 2`` — a single-job Runner has no workers to submit
-        to, and silently running inline would hide the caller's
-        dispatch bug.
+        from ``get`` (use :meth:`gather` to recover it).  Requires an
+        open Runner with ``jobs >= 2`` — a single-job Runner has no
+        workers to submit to, and silently running inline would hide
+        the caller's dispatch bug.
         """
         self._require_pool()
         return self._send(_task_message(fn, task))
 
     def _require_pool(self) -> None:
-        """Refuse pool dispatch on a single-job Runner."""
+        """Refuse pool dispatch on a single-job or closed Runner."""
         if self.jobs < 2:
             raise PipelineError(
                 "submit() and gather() need worker processes; construct the "
                 "Runner with jobs >= 2 or run the task in-process"
             )
+        self._require_open()
+
+    def _require_open(self) -> None:
+        """Refuse dispatch once :meth:`close` ran: nothing forks after it."""
+        if self._closed:
+            raise PipelineError("the runner is closed")
 
     def gather(
         self,
@@ -703,9 +713,12 @@ class Runner:
         it is resubmitted up to ``retries`` times and then runs
         in-process, where ``fn``'s fault point does not fire — so a
         caller that keeps the task's operands alive until its getters
-        return always gets the undisturbed result.
+        return always gets the undisturbed result.  A task lost to
+        :meth:`close` runs in-process at once.
         A task's own exception is re-raised unchanged.  Same contract as
-        :meth:`submit` (module-level ``fn``, ``jobs >= 2``).
+        :meth:`submit` (module-level ``fn``, ``jobs >= 2``, open).
+        Call each getter once: it lets go of its task's reply as it
+        returns, so the reply lives only as long as the caller keeps it.
         """
         self._require_pool()
         tasks = list(tasks)
@@ -714,21 +727,21 @@ class Runner:
             for index, task in enumerate(tasks)
         ]
 
-        def get(handle, task):
-            if handle is not None:
-                for attempt in range(retries + 1):
-                    try:
-                        if attempt:
-                            handle = self.submit(fn, task)
-                        return handle.get(timeout)
-                    except WorkerLost:
-                        pass
+        def get(index):
+            handle, handles[index] = handles[index], None
+            task = tasks[index]
+            resubmits = retries
+            while handle is not None:
+                try:
+                    return handle.get(timeout)
+                except WorkerLost:
+                    if not resubmits or self._closed:
+                        break
+                    resubmits -= 1
+                    handle = self.submit(fn, task)
             return fn(task)
 
-        return [
-            functools.partial(get, handle, task)
-            for handle, task in zip(handles, tasks)
-        ]
+        return [functools.partial(get, index) for index in range(len(tasks))]
 
     def broadcast(
         self, fn, payload=None, *, retires: Optional[Tuple[Any, Any]] = None
@@ -752,8 +765,10 @@ class Runner:
         ``retires`` names the ``(fn, payload)`` of an earlier broadcast
         that this one undoes (a basis discard retiring its install):
         that one leaves the record and this one never enters it, so a
-        later replacement replays neither.
+        later replacement replays neither.  A closed runner raises
+        PipelineError.
         """
+        self._require_open()
         if self.jobs < 2:
             return None
         message = _task_message(fn, payload)
@@ -780,10 +795,22 @@ class Runner:
         return results
 
     def close(self) -> None:
-        """Kill and reap every worker (idempotent; runs stay archived)."""
+        """Kill and reap every worker, for good (idempotent; runs stay
+        archived).
+
+        Nothing forks after it: :meth:`ensure_pool`, :meth:`submit`,
+        :meth:`gather` and :meth:`broadcast` raise PipelineError, and a
+        getter whose worker this kills runs its task in-process.  The
+        slots empty under the lock that guards replacement, and the
+        kills happen outside it: a reader woken by a kill takes that
+        lock to replace its worker.
+        """
         with self._lock:
+            self._closed = True
             self._broadcasts.clear()
-        _stop_all(self._workers)
+            stopping = list(self._workers)
+            self._workers.clear()
+        _stop_all(stopping)
 
     def __enter__(self) -> "Runner":
         return self

@@ -18,8 +18,8 @@ four existing layers without the payload ever unpacking to a raster:
    persistent pool (``Runner.gather``, supervised), where workers
    attach the mapped bitset and run the packed receiver kernels on it;
    the server is one of the ``jobs`` and computes its own share (shard
-   0 of a request split ``jobs`` ways) the same way, on the thread that
-   waits for it;
+   0 of a request split ``jobs`` ways) the same way, on a compute
+   thread, where the request then waits for the workers' shards;
 4. each shard's result streams back to the client as one binary
    ``RESULT`` frame, in shard order as results complete (a slow early
    shard delays the later shards' *frames*, never their compute),
@@ -27,9 +27,14 @@ four existing layers without the payload ever unpacking to a raster:
    batch's representation residency.
 
 Single-job servers (or hosts without shared memory) run the same
-shards in-process on a worker thread, each a row view of the frame —
+shards in-process on a compute thread, each a row view of the frame —
 bit-identical results, one code path for the compute
-(:func:`~repro.serving.dispatch.compute_shard`).
+(:func:`~repro.serving.dispatch.compute_shard`).  The server owns its
+**compute threads**: every step run off the event loop (shard
+getters, corpus chunks, coalesced batches above ``fast_path_bytes``)
+takes an idle one, and a new one starts only when every one is busy,
+so sequential traffic runs on one thread and concurrent requests
+compute at once.
 
 Every compute frame — identify, membership, corpus query, logicnet
 query — takes that one path.  A frame-type table picks the parser and
@@ -86,8 +91,10 @@ behind ``repro serve``.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import functools
+import os
 import pathlib
 import socket
 import sys
@@ -284,10 +291,11 @@ class _Plan:
     ``inline`` plans call theirs on the event loop (a callable may
     return a coroutine: the coalescer's micro-batch slice) and write
     every result frame behind the DONE frame's single drain; the others
-    run each callable off-loop.  ``budget`` is the byte count charged to
-    the in-flight budget (0: not charged).  ``done`` holds the
-    workload's own DONE keys; the DONE residency is ``batch``'s, or the
-    union of the shard residencies when there is no server-side batch.
+    run each callable on a compute thread.  ``budget`` is the byte
+    count charged to the in-flight budget (0: not charged).
+    ``done`` holds the workload's own DONE keys; the DONE residency is
+    ``batch``'s, or the union of the shard residencies when there is no
+    server-side batch.
     """
 
     transport: str
@@ -321,10 +329,12 @@ class _Coalescer:
     the basis — until either ``window`` seconds pass since the bucket
     opened or ``max_wires`` rows accumulate.  A flush concatenates the
     buckets' packed payloads row-wise (still packed — no decode), runs
-    **one** ``compute_shard`` over the wide batch off-loop, and splits
-    the per-row result arrays back per request id.  Both receiver modes
-    are row-independent, so the split results are bit-identical to
-    per-request serial computes — the tests assert it.
+    **one** ``compute_shard`` over the wide batch, and splits the
+    per-row result arrays back per request id.  A batch within
+    ``fast_path_bytes`` computes inline on the loop; a larger one runs
+    on one of the server's compute threads, as a shard does.  Both
+    receiver modes are row-independent, so the split results are
+    bit-identical to per-request serial computes — the tests assert it.
     """
 
     def __init__(
@@ -389,7 +399,7 @@ class _Coalescer:
                 # inline on the loop.
                 payload = compute()
             else:
-                payload = await asyncio.to_thread(compute)
+                payload = await self._server._compute.run(compute)
             self._server.stats.coalesced_batches += 1
             lo = 0
             for request, future in bucket:
@@ -494,6 +504,67 @@ class _InflightBudget:
         """Block until no request bytes are in flight."""
         async with self._changed:
             await self._changed.wait_for(lambda: self.in_flight == 0)
+
+
+#: Most compute threads one server runs: the cap of the event loop's
+#: default executor, so concurrent requests compute as they did on it.
+_COMPUTE_THREADS = min(32, (os.cpu_count() or 1) + 4)
+
+
+class _ComputeThreads:
+    """The threads a server runs its off-loop steps on.
+
+    A step takes the thread that went idle last; a thread starts only
+    when a step finds every thread busy, and past ``limit`` threads a
+    step waits for one in arrival order.  So steps that follow one
+    another run on one thread however fast they come, and concurrent
+    requests still compute at once.  The event loop's default executor
+    instead starts a thread whenever a step arrives before the last
+    thread has marked itself idle, which a closed loop on one connection
+    does at almost every step, and glibc gives each thread its own
+    malloc arena, which keeps that thread's freed buffers resident.
+    A thread is busy until its step ends, even when the request that
+    awaited the step gave up first; a step that had not started by then
+    never starts.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self._slots = asyncio.Semaphore(limit)
+        self._idle: List[concurrent.futures.ThreadPoolExecutor] = []
+        self._threads: List[concurrent.futures.ThreadPoolExecutor] = []
+
+    async def run(self, step: Callable[[], Any]) -> Any:
+        """Run ``step`` on an idle compute thread; its result."""
+        await self._slots.acquire()
+        if self._idle:
+            thread = self._idle.pop()
+        else:
+            thread = concurrent.futures.ThreadPoolExecutor(
+                1, thread_name_prefix="repro-compute"
+            )
+            self._threads.append(thread)
+        loop = asyncio.get_running_loop()
+        future = thread.submit(step)
+        # Runs as the step ends (or is cancelled unstarted), and reaches
+        # the loop before the awaiting task resumes, so the next step of
+        # a sequential request finds this thread idle.
+        future.add_done_callback(
+            lambda _: loop.call_soon_threadsafe(self._done, thread)
+        )
+        return await asyncio.wrap_future(future)
+
+    def _done(self, thread: concurrent.futures.ThreadPoolExecutor) -> None:
+        self._idle.append(thread)
+        self._slots.release()
+
+    async def close(self) -> None:
+        """Wait for every step to end, then join the threads, without
+        blocking the loop: each thread runs its steps in order, so once
+        the no-op sent last has run, the thread is idle."""
+        for thread in self._threads:
+            await asyncio.wrap_future(thread.submit(lambda: None))
+            thread.shutdown()
+        self._threads.clear()
 
 
 class _Connection(asyncio.BufferedProtocol):
@@ -698,6 +769,7 @@ class SpikeServer:
         self._writers: Set["_Connection"] = set()
         self._tasks: Set[asyncio.Task] = set()
         self._coalescer: Optional[_Coalescer] = None
+        self._compute: Optional[_ComputeThreads] = None
         self._closing = False
         self.stats = ServerStats()
         self._corpus = None  # CorpusStore once start() opens config.corpus
@@ -733,33 +805,48 @@ class SpikeServer:
         )
 
     async def start(self) -> None:
-        """Build the basis, warm the pool, bind the socket."""
-        if self._runner is None and dispatch.uses_pool(self.config.jobs):
-            from ..pipeline.runner import Runner
+        """Build the basis, warm the pool, bind the socket.
 
-            self._runner = Runner(jobs=self.config.jobs)
-        self._basis = build_serving_basis(self.config)
-        table = dispatch.export_basis(self._basis)
-        self._basis_table = table
-        dispatch.install_basis(table)
-        # The broadcast installs the basis in the pool workers:
-        # ``repro serve`` forks its pool before this runs, so they
-        # cannot inherit it.  The runner replays it, so every
-        # replacement worker gets it too.
-        if self._use_pool():
-            self._runner.broadcast(dispatch.install_basis, table)
-        if self.config.corpus is not None:
-            self._open_corpus()
-        if self.config.coalesce_window > 0:
-            self._coalescer = _Coalescer(
-                self,
-                self.config.coalesce_window,
-                self.config.coalesce_max_wires,
+        A start that raises undoes what it did before it re-raises
+        (:meth:`_release`): the pool's basis install is retired, a
+        runner the server made is closed, and no compute thread is
+        left.
+        """
+        try:
+            if self._runner is None and dispatch.uses_pool(self.config.jobs):
+                from ..pipeline.runner import Runner
+
+                self._runner = Runner(jobs=self.config.jobs)
+            self._basis = build_serving_basis(self.config)
+            table = dispatch.export_basis(self._basis)
+            self._basis_table = table
+            dispatch.install_basis(table)
+            # The broadcast installs the basis in the pool workers:
+            # ``repro serve`` forks its pool before this runs, so they
+            # cannot inherit it.  The runner replays it, so every
+            # replacement worker gets it too.
+            if self._use_pool():
+                self._runner.broadcast(dispatch.install_basis, table)
+            if self.config.corpus is not None:
+                self._open_corpus()
+            if self.config.coalesce_window > 0:
+                self._coalescer = _Coalescer(
+                    self,
+                    self.config.coalesce_window,
+                    self.config.coalesce_max_wires,
+                )
+            # No thread starts, and the executor's module does not
+            # load, until the first off-loop step: loaded with this
+            # module's imports, it cost a server that never leaves the
+            # loop ~0.27 MB more memory.
+            self._compute = _ComputeThreads(_COMPUTE_THREADS)
+            loop = asyncio.get_running_loop()
+            self._server = await loop.create_server(
+                lambda: _Connection(self), self.config.host, self.config.port
             )
-        loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: _Connection(self), self.config.host, self.config.port
-        )
+        except BaseException:
+            await self._release()
+            raise
 
     def _open_corpus(self) -> None:
         """Open the configured corpus read-only and pin its identity.
@@ -802,11 +889,7 @@ class SpikeServer:
         cancels** whatever is still running (logging a summary of what
         was cut down) rather than leaking stuck tasks: shutdown must
         terminate even when a request hangs.  Closes the remaining
-        connections, then broadcasts the basis discard over the pool
-        before the runner (if owned) tears down.  The discard retires
-        the install from the runner's replay log, so a runner shared
-        with later servers never replays this one's basis onto a
-        replacement worker.
+        connections, then undoes :meth:`start` (:meth:`_release`).
         """
         self._closing = True
         if self._server is not None:
@@ -841,6 +924,23 @@ class SpikeServer:
             )
         for writer in list(self._writers):
             writer.close()
+        await self._release()
+
+    async def _release(self) -> None:
+        """Undo :meth:`start`, as far as it got: retire the pool's basis
+        install, close a runner the server made, stop the compute
+        threads, and drop the basis installed here.  Idempotent.
+
+        The discard broadcast retires the install from the runner's
+        replay log, so a runner shared with later servers never replays
+        this one's basis onto a replacement worker.  A runner the
+        server made closes before the compute threads stop, so a getter
+        still waiting there on one of its workers runs its shard
+        in-process and ends; on a shared runner, such a getter ends
+        with its worker's reply, or after at most
+        ``(shard_retries + 1) * shard_timeout``.  The threads stop
+        without blocking the loop (:meth:`_ComputeThreads.close`).
+        """
         if self._runner is not None:
             if self._use_pool() and self._basis_table is not None:
                 try:
@@ -853,6 +953,9 @@ class SpikeServer:
                     pass
             if self._owns_runner:
                 self._runner.close()
+        compute, self._compute = self._compute, None
+        if compute is not None:
+            await compute.close()
         if self._basis_table is not None:
             dispatch.discard_basis(self._basis_table.token)
 
@@ -1018,11 +1121,23 @@ class SpikeServer:
         Owns everything the workloads share.  A plan with a ``budget``
         is admitted through the in-flight byte budget (bounded by the
         deadline) and releases it after the DONE frame, on every exit
-        path.  The deadline is checked before each shard, never inside
-        a kernel: once it passes, no further shard is computed, awaited
-        or streamed, and the client gets the typed
+        path.  The deadline is checked before each shard and bounds the
+        wait for each off-loop one, never a kernel itself: once it
+        passes, no further shard is computed, awaited or streamed, and
+        the client gets the typed
         :data:`~repro.serving.protocol.ERR_DEADLINE` instead of a result
-        it has stopped waiting for.
+        it has stopped waiting for.  A shard still waiting for a compute
+        thread then never starts; one already running finishes on its
+        thread and is dropped.
+        A plan that is not ``inline`` calls each getter on a compute
+        thread (:class:`_ComputeThreads`): in-process shards and corpus
+        chunks compute there, and so does the server's own share of a
+        pool plan, whose other getters wait there for their workers'
+        replies (the runner sent those shards when the plan was built,
+        so the workers compute meanwhile).  A getter whose worker hangs
+        holds its thread through every supervised attempt, up to
+        ``(shard_retries + 1) * shard_timeout``; other requests' steps
+        take other threads meanwhile.
         Result frames go out in shard order as results complete (a slow
         early shard delays the later shards' *frames*, never their
         compute); each payload is dropped once its frame is written, so
@@ -1049,8 +1164,18 @@ class SpikeServer:
                         payload = get()
                         if asyncio.iscoroutine(payload):
                             payload = await payload
+                    elif deadline is None:
+                        payload = await self._compute.run(get)
                     else:
-                        payload = await asyncio.to_thread(get)
+                        try:
+                            payload = await asyncio.wait_for(
+                                self._compute.run(get), deadline - loop.time()
+                            )
+                        except asyncio.TimeoutError:
+                            raise ServingError(
+                                protocol.ERR_DEADLINE,
+                                f"request deadline expired in shard {index}",
+                            ) from None
                     n_shards += 1
                     for key in residency:
                         residency[key] |= payload["residency"][key]
@@ -1272,10 +1397,12 @@ class SpikeServer:
     ) -> dict:
         """Map one row window and run the receiver pass on it.
 
-        Runs off-loop: the kernels compute straight on the mapped
-        words, so this is where the file pages actually fault in — and
-        the mapping is dropped with the chunk batch, keeping the scan's
-        working set at one window.
+        Runs on a compute thread, one chunk of the scan at a time: the
+        kernels compute straight on the mapped words, so this is where
+        the file pages actually fault in — and the mapping is dropped
+        with the chunk batch, keeping the scan's working set at one
+        window.  A scan's chunks follow one another, so they run on one
+        thread; concurrent scans compute on threads of their own.
         """
         rows = self._corpus.open_rows(lo, hi)
         return dispatch.compute_shard(

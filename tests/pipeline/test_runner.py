@@ -27,7 +27,7 @@ from repro.pipeline import runner as runner_module
 from repro.testing import faults
 from repro.units import SimulationGrid
 
-from ..serving.live_server import arena_mappings, arena_segments
+from ..serving.live_server import arena_mappings, arena_segments, process_tree
 
 #: A small sharded workload (2 shards of 8 wires, 2 observation starts).
 SMALL_IDENTIFY = {"n_wires": 16, "n_trials": 2, "n_shards": 2, "basis_size": 4}
@@ -197,6 +197,35 @@ class TestPersistentPool:
         runner.close()
         runner.close()
         assert not runner.worker_pids()
+
+    def test_close_is_final(self):
+        """A getter whose worker close() killed runs its task here, and
+        nothing forks after close: dispatch raises instead."""
+        parent = os.getpid()
+        before = set(process_tree(parent))
+        runner = Runner(jobs=2)
+        # The second task hangs in its worker until close() kills it.
+        getters = runner.gather(_sleep_in_worker, [parent] * 2)
+        closer = threading.Timer(0.3, runner.close)
+        closer.start()
+        try:
+            assert _within(30, getters[1]) == parent
+        finally:
+            closer.join(30)
+        assert not closer.is_alive()
+        assert getters[0]() == parent
+        assert not runner.worker_pids()
+        assert set(process_tree(parent)) == before
+        for dispatch in (
+            runner.ensure_pool,
+            lambda: runner.submit(_double, 1),
+            lambda: runner.gather(_double, [1]),
+            lambda: runner.broadcast(_double, 1),
+        ):
+            with pytest.raises(PipelineError, match="closed"):
+                dispatch()
+        assert not runner.worker_pids()
+        assert set(process_tree(parent)) == before
 
     def test_worker_that_exits_before_starting_raises(self, monkeypatch):
         """A child that dies before it is ready is EOF, not a worker."""

@@ -11,6 +11,7 @@ error frame.
 
 import asyncio
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.server import (
     ServerConfig,
     ServerThread,
+    SpikeServer,
     build_serving_basis,
 )
 
@@ -127,6 +129,54 @@ class TestServedEqualsLocal:
         np.testing.assert_array_equal(reply.popcounts, popcounts)
         np.testing.assert_array_equal(reply.checksums, checksums)
         assert reply.summary["transport"] == "seed-rebuild"
+
+    @pytest.mark.skipif(
+        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
+    )
+    def test_pooled_replies_are_freed_shard_by_shard(
+        self, expected, monkeypatch
+    ):
+        """A 6-shard pooled request holds no earlier shard's payload
+        while it computes or awaits a later one, whether the server or
+        its worker computed the earlier shard."""
+        popcounts, checksums = expected
+        gather = SpikeServer._gather
+        payloads, live = [], []
+
+        def tracked(get):
+            def call():
+                # The compute thread may still be returning the last
+                # payload; the serving loop must not hold it.
+                deadline = time.monotonic() + 2.0
+                while (
+                    any(ref() is not None for ref in payloads)
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                live.append(
+                    [n for n, ref in enumerate(payloads) if ref() is not None]
+                )
+                payload = get()
+                payloads.append(weakref.ref(payload["popcounts"]))
+                return payload
+
+            return call
+
+        monkeypatch.setattr(
+            SpikeServer,
+            "_gather",
+            lambda self, fn, tasks: [
+                tracked(get) for get in gather(self, fn, tasks)
+            ],
+        )
+        with ServerThread(ServerConfig(jobs=2, **SMALL)) as handle:
+            with ServingClient(handle.host, handle.port) as client:
+                reply = _query(client, n_shards=6)
+        assert reply.summary["transport"] == "seed-rebuild"
+        assert reply.summary["n_shards"] == 6
+        assert live == [[]] * 6
+        np.testing.assert_array_equal(reply.popcounts, popcounts)
+        np.testing.assert_array_equal(reply.checksums, checksums)
 
     def test_async_pipelined_queries(self, inline_server, expected):
         popcounts, checksums = expected
