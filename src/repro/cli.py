@@ -438,9 +438,24 @@ def _run_serve(args, out) -> int:
     server's start-up broadcast installs the basis in them.  A
     replacement for a dead or hung worker forks from the full server.
     """
-    from .serving import dispatch
-
     with contextlib.ExitStack() as stack:
+        # REPB is plain TCP and nothing served hashes, yet two importers
+        # would load OpenSSL (libcrypto and libssl, ~4.5 MB resident in
+        # the server and in every worker it forks): asyncio imports
+        # ``ssl`` for its optional TLS support, and ``numpy.random``
+        # imports ``secrets``, whose ``hmac`` imports ``_hashlib``.
+        # ``None`` in ``sys.modules`` makes a module unimportable, so
+        # asyncio runs without TLS and ``hashlib`` uses CPython's
+        # builtin hashes.  The marks go when serving ends, so a process
+        # that calls ``main(["serve", ...])`` can import ``ssl`` again;
+        # asyncio or ``hashlib`` first imported while it served keeps
+        # its fallback.
+        for name in ("_ssl", "_hashlib"):
+            if name not in sys.modules:
+                sys.modules[name] = None
+                stack.callback(sys.modules.pop, name, None)
+        from .serving import dispatch
+
         runner = None
         if dispatch.uses_pool(args.jobs):
             from .pipeline.runner import Runner

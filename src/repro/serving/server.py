@@ -77,10 +77,10 @@ Graceful shutdown drains in-flight requests, then discards the
 installed basis; a worker holds a request's segments only while its
 shard task runs, so nothing is left to release.
 
-Every server keeps a :class:`ServerStats` — request counts per path,
-coalesced batches, error count and a rolling latency window — served
-to any client as a JSON ``STATS`` reply and printed as the
-``repro serve`` shutdown summary.
+Every server keeps a :class:`ServerStats` — request counts per path
+and per route, coalesced batches, error count and a rolling latency
+window — served to any client as a JSON ``STATS`` reply and printed as
+the ``repro serve`` shutdown summary.
 
 ``ServerThread`` runs the whole server on a private event loop in a
 daemon thread — the harness the tests, the benchmark, the example and
@@ -215,7 +215,9 @@ class ServerStats:
     one-line shutdown log.  Latency quantiles are computed over the
     last ``window`` request wall times (arrival to DONE frame written),
     so a long-running server reports current behaviour, not its whole
-    history.
+    history.  ``requests_by_route`` counts each route (the DONE frame's
+    ``transport``) on its own; ``pool_path_requests`` lumps every route
+    but ``fast-path`` and ``coalesced``.
     """
 
     def __init__(self, window: int = 1024) -> None:
@@ -225,6 +227,7 @@ class ServerStats:
         self.coalesced_requests = 0
         self.coalesced_batches = 0
         self.errors = 0
+        self.requests_by_route: Dict[str, int] = {}
         self._latencies: Deque[float] = deque(maxlen=int(window))
 
     def record(self, transport: str, seconds: float) -> None:
@@ -236,6 +239,9 @@ class ServerStats:
             self.coalesced_requests += 1
         else:
             self.pool_path_requests += 1
+        self.requests_by_route[transport] = (
+            self.requests_by_route.get(transport, 0) + 1
+        )
         self._latencies.append(float(seconds))
 
     def _quantile(self, q: float) -> Optional[float]:
@@ -252,6 +258,7 @@ class ServerStats:
             "pool_path_requests": self.pool_path_requests,
             "coalesced_requests": self.coalesced_requests,
             "coalesced_batches": self.coalesced_batches,
+            "requests_by_route": dict(self.requests_by_route),
             "errors": self.errors,
             "latency_window": len(self._latencies),
             "latency_p50_seconds": self._quantile(0.50),
@@ -268,12 +275,17 @@ class ServerStats:
             if p50 is not None
             else "no latency samples"
         )
+        routes = ", ".join(
+            f"{route} {count}"
+            for route, count in sorted(self.requests_by_route.items())
+        )
         return (
             f"served {self.requests_served} requests "
             f"({self.fast_path_requests} fast-path, "
             f"{self.pool_path_requests} pool, "
             f"{self.coalesced_requests} coalesced in "
-            f"{self.coalesced_batches} batches), "
+            f"{self.coalesced_batches} batches; "
+            f"by route: {routes or 'none'}), "
             f"{self.errors} errors, {latency}"
         )
 
@@ -533,8 +545,17 @@ class _ComputeThreads:
         self._idle: List[concurrent.futures.ThreadPoolExecutor] = []
         self._threads: List[concurrent.futures.ThreadPoolExecutor] = []
 
-    async def run(self, step: Callable[[], Any]) -> Any:
-        """Run ``step`` on an idle compute thread; its result."""
+    async def run(
+        self,
+        step: Callable[[], Any],
+        running: Optional[List[concurrent.futures.Future]] = None,
+    ) -> Any:
+        """Run ``step`` on an idle compute thread; its result.
+
+        ``running`` gets the step's future appended as the step reaches
+        its thread, so a caller that stops waiting can still see the
+        step end.
+        """
         await self._slots.acquire()
         if self._idle:
             thread = self._idle.pop()
@@ -544,18 +565,43 @@ class _ComputeThreads:
             )
             self._threads.append(thread)
         loop = asyncio.get_running_loop()
+        outcome = loop.create_future()
         future = thread.submit(step)
-        # Runs as the step ends (or is cancelled unstarted), and reaches
-        # the loop before the awaiting task resumes, so the next step of
-        # a sequential request finds this thread idle.
+        # One callback for the step's end (or its cancel before it
+        # started) returns the thread and then resumes the awaiting
+        # task, so the next step of a sequential request finds the
+        # thread idle.  A second callback, as ``asyncio.wrap_future``
+        # adds, can reach the loop first when the step ends while this
+        # method is still registering them.
         future.add_done_callback(
-            lambda _: loop.call_soon_threadsafe(self._done, thread)
+            lambda ended: loop.call_soon_threadsafe(
+                self._done, thread, ended, outcome
+            )
         )
-        return await asyncio.wrap_future(future)
+        # A caller that stops waiting cancels a step not yet started.
+        outcome.add_done_callback(
+            lambda _: future.cancel() if outcome.cancelled() else None
+        )
+        if running is not None:
+            running.append(future)
+        return await outcome
 
-    def _done(self, thread: concurrent.futures.ThreadPoolExecutor) -> None:
+    def _done(
+        self,
+        thread: concurrent.futures.ThreadPoolExecutor,
+        future: concurrent.futures.Future,
+        outcome: asyncio.Future,
+    ) -> None:
         self._idle.append(thread)
         self._slots.release()
+        if outcome.done():  # its caller stopped waiting
+            return
+        if future.cancelled():
+            outcome.cancel()
+        elif future.exception() is not None:
+            outcome.set_exception(future.exception())
+        else:
+            outcome.set_result(future.result())
 
     async def close(self) -> None:
         """Wait for every step to end, then join the threads, without
@@ -768,6 +814,8 @@ class SpikeServer:
         self._budget = _InflightBudget(self.config.max_inflight_bytes)
         self._writers: Set["_Connection"] = set()
         self._tasks: Set[asyncio.Task] = set()
+        #: Budget releases waiting for steps that outlived their request.
+        self._releases: Set[asyncio.Task] = set()
         self._coalescer: Optional[_Coalescer] = None
         self._compute: Optional[_ComputeThreads] = None
         self._closing = False
@@ -904,7 +952,8 @@ class SpikeServer:
             if stuck:
                 # Forced cancel: a request that did not finish inside
                 # the drain window is cut down so shutdown terminates;
-                # its budget bytes release through the cancel's finally.
+                # its budget bytes release through the cancel's finally,
+                # or once a step still running on a thread ends.
                 for task in stuck:
                     task.cancel()
                 await asyncio.gather(*stuck, return_exceptions=True)
@@ -1128,7 +1177,10 @@ class SpikeServer:
         :data:`~repro.serving.protocol.ERR_DEADLINE` instead of a result
         it has stopped waiting for.  A shard still waiting for a compute
         thread then never starts; one already running finishes on its
-        thread and is dropped.
+        thread and is dropped, and since it still holds the request's
+        frame or arena, the budget gets the bytes back only when it
+        ends (:meth:`_release_at_end`).  A forced-shutdown cancel takes
+        the same path.
         A plan that is not ``inline`` calls each getter on a compute
         thread (:class:`_ComputeThreads`): in-process shards and corpus
         chunks compute there, and so does the server's own share of a
@@ -1148,6 +1200,9 @@ class SpikeServer:
         """
         if plan.budget:
             await self._acquire_budget(plan.budget, deadline)
+        # The off-loop step in flight, kept only until it returns: a
+        # finished step's future holds its payload.
+        running: List[concurrent.futures.Future] = []
         try:
             loop = asyncio.get_running_loop()
             started = loop.time()
@@ -1165,17 +1220,19 @@ class SpikeServer:
                         if asyncio.iscoroutine(payload):
                             payload = await payload
                     elif deadline is None:
-                        payload = await self._compute.run(get)
+                        payload = await self._compute.run(get, running)
                     else:
                         try:
                             payload = await asyncio.wait_for(
-                                self._compute.run(get), deadline - loop.time()
+                                self._compute.run(get, running),
+                                deadline - loop.time(),
                             )
                         except asyncio.TimeoutError:
                             raise ServingError(
                                 protocol.ERR_DEADLINE,
                                 f"request deadline expired in shard {index}",
                             ) from None
+                    running.clear()
                     n_shards += 1
                     for key in residency:
                         residency[key] |= payload["residency"][key]
@@ -1213,7 +1270,30 @@ class SpikeServer:
             )
         finally:
             if plan.budget:
-                await self._budget.release(plan.budget)
+                if running and not running[0].done():
+                    self._release_at_end(running[0], plan.budget)
+                else:
+                    await self._budget.release(plan.budget)
+
+    def _release_at_end(
+        self, step: concurrent.futures.Future, nbytes: int
+    ) -> None:
+        """Return ``nbytes`` to the budget once ``step`` ends.
+
+        For a request that was answered (or cancelled) while its step
+        still runs on a compute thread: the step pins the request's
+        bytes until then.  :meth:`close` waits for these bytes with the
+        rest of the budget, and :meth:`_release` waits for every step,
+        so the loop outlives each callback.
+        """
+        loop = asyncio.get_running_loop()
+
+        def release() -> None:
+            task = loop.create_task(self._budget.release(nbytes))
+            self._releases.add(task)
+            task.add_done_callback(self._releases.discard)
+
+        step.add_done_callback(lambda _: loop.call_soon_threadsafe(release))
 
     def _gather(self, fn, tasks) -> List[Callable[[], dict]]:
         """Supervised pool getters for one request's shard tasks."""

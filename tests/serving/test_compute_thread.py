@@ -369,10 +369,37 @@ def test_compute_threads_under_load_and_cancellation():
     assert not any(thread.is_alive() for _, thread in sequential + burst)
 
 
+def test_a_step_that_ends_at_once_still_frees_its_thread_first():
+    """Steps that end while ``run`` is still handing them over (the
+    loop's debug mode widens that window) return their thread before
+    the caller resumes: 300 sequential steps run on one thread."""
+
+    async def main():
+        threads = server_module._ComputeThreads(3)
+        try:
+            return [
+                await threads.run(threading.current_thread)
+                for _ in range(300)
+            ]
+        finally:
+            await threads.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            assert len(set(asyncio.run(main(), debug=True))) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestDeadlineBoundsTheWait:
     """A deadline that passes while a request's step waits for a
     compute thread, or runs on one, answers DEADLINE at once; the slow
-    step is never awaited."""
+    step is never awaited.  A step that runs on still holds the
+    request's frame, so the request's bytes stay charged to the
+    in-flight budget until the step ends, after a forced-shutdown
+    cancel too."""
 
     def test_a_step_queued_for_a_thread_never_starts(
         self, monkeypatch, small_basis
@@ -425,16 +452,66 @@ class TestDeadlineBoundsTheWait:
         _before_compute(monkeypatch, hold)
         wires = small_basis.as_batch().select_rows([3, 1, 4, 1])
         with ServerThread(ServerConfig(jobs=1, **SMALL)) as handle:
+            budget = handle.server._budget
             try:
                 with ServingClient(
                     handle.host, handle.port, timeout=10, deadline_ms=200
                 ) as client:
                     with pytest.raises(ServingError) as info:
                         client.identify(wires, n_shards=2)
+                # Answered, but the held shard still views the frame.
+                held = budget.in_flight
             finally:
                 release.set()
+            _wait_for(lambda: budget.in_flight == 0)
         assert info.value.code == protocol.ERR_DEADLINE
+        assert held == 4 * ROW_BYTES
         # The running shard finished on its thread; the next never ran.
+        assert len(calls) == 1
+
+    def test_a_forced_shutdown_keeps_the_bytes_until_the_step_ends(
+        self, monkeypatch, small_basis
+    ):
+        release = threading.Event()
+        calls = []
+
+        def hold():
+            calls.append(threading.current_thread())
+            release.wait(30)
+
+        _before_compute(monkeypatch, hold)
+        wires = small_basis.as_batch().select_rows([3, 1, 4, 1])
+
+        async def until(predicate):
+            deadline = time.monotonic() + 30
+            while not predicate():
+                assert time.monotonic() < deadline, "timed out"
+                await asyncio.sleep(0.005)
+
+        async def main():
+            server = server_module.SpikeServer(ServerConfig(jobs=1, **SMALL))
+            await server.start()
+            client = await AsyncServingClient.open("127.0.0.1", server.port)
+            request = asyncio.ensure_future(client.identify(wires, n_shards=2))
+            try:
+                await until(lambda: calls)
+                closing = asyncio.ensure_future(server.close(drain_timeout=1.0))
+                # The drain window expires and the request is cancelled.
+                await until(lambda: not server._tasks)
+                held = server._budget.in_flight
+                release.set()
+                await asyncio.wait_for(closing, 30)
+                return held, server._budget.in_flight
+            finally:
+                release.set()
+                request.cancel()
+                await asyncio.gather(request, return_exceptions=True)
+                await client.aclose()
+
+        held, after_close = asyncio.run(main())
+        assert held == 4 * ROW_BYTES
+        # close() drained the bytes the step gave back as it ended.
+        assert after_close == 0
         assert len(calls) == 1
 
 

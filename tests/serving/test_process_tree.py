@@ -23,8 +23,10 @@ from repro.serving.server import ServerConfig, build_serving_basis
 
 from .live_server import LiveServer, arena_mappings, arena_segments
 
-#: Extension modules and libraries that only the asyncio front-end
-#: loads (asyncio imports ``ssl``).
+#: Extension modules and libraries that no pool worker may map.  Only
+#: the asyncio front-end loads ``_asyncio``; asyncio would load ``_ssl``
+#: and ``libssl`` too, but ``repro serve`` blocks OpenSSL, so the server
+#: maps neither (``test_no_openssl.py``).
 _FRONT_END_ONLY = ("_asyncio", "_ssl", "libssl")
 
 pytestmark = [

@@ -13,6 +13,8 @@ import socket
 
 import pytest
 
+from repro.backend.shared import HAVE_SHARED_MEMORY
+from repro.pipeline.corpus import CorpusStore
 from repro.serving import protocol
 from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.server import (
@@ -32,6 +34,7 @@ STATS_KEYS = {
     "pool_path_requests",
     "coalesced_requests",
     "coalesced_batches",
+    "requests_by_route",
     "errors",
     "latency_window",
     "latency_p50_seconds",
@@ -42,6 +45,16 @@ PATH_COUNTERS = (
     "fast_path_requests",
     "pool_path_requests",
     "coalesced_requests",
+)
+
+#: Every route a served request can take (the DONE frame's transport).
+ROUTES = (
+    "fast-path",
+    "coalesced",
+    "shared-arena",
+    "in-process",
+    "corpus-mmap",
+    "seed-rebuild",
 )
 
 
@@ -62,6 +75,7 @@ class TestServerStats:
         assert snapshot["latency_window"] == 0
         assert snapshot["latency_p50_seconds"] is None
         assert snapshot["latency_p99_seconds"] is None
+        assert snapshot["requests_by_route"] == {}
 
     def test_snapshot_keys_are_pinned(self):
         stats = ServerStats()
@@ -90,6 +104,25 @@ class TestServerStats:
         assert snapshot[counter] == 1
         assert sum(snapshot[key] for key in PATH_COUNTERS) == 1
         assert snapshot["latency_window"] == 1
+
+    def test_each_route_is_counted_on_its_own(self):
+        stats = ServerStats()
+        for count, route in enumerate(ROUTES, start=1):
+            for _ in range(count):
+                stats.record(route, 0.01)
+        snapshot = stats.snapshot()
+        assert snapshot["requests_by_route"] == {
+            route: count for count, route in enumerate(ROUTES, start=1)
+        }
+        assert sum(snapshot["requests_by_route"].values()) == (
+            snapshot["requests_served"]
+        )
+        # The lumped counter keeps its meaning: every route but the two
+        # loop-only ones.
+        assert snapshot["pool_path_requests"] == 3 + 4 + 5 + 6
+        # The snapshot is a copy: a later request does not change it.
+        stats.record("fast-path", 0.01)
+        assert snapshot["requests_by_route"]["fast-path"] == 1
 
     def test_counters_bumped_outside_record_reach_the_snapshot(self):
         # The server bumps these two directly, not through record().
@@ -123,6 +156,7 @@ class TestServerStats:
     def test_summary_without_samples(self):
         line = ServerStats().summary()
         assert line.startswith("served 0 requests")
+        assert "by route: none" in line
         assert "no latency samples" in line
 
     def test_summary_with_samples(self):
@@ -132,6 +166,7 @@ class TestServerStats:
         stats.errors += 1
         line = stats.summary()
         assert "served 2 requests (1 fast-path, 1 pool" in line
+        assert "by route: fast-path 1, shared-arena 1)" in line
         assert "1 errors" in line
         assert "p50=3.00ms" in line
         assert "over last 2" in line
@@ -188,6 +223,53 @@ class TestStatsOverTheWire:
         for reply in replies:
             assert reply.elements.tolist() == [1, 3, 5]
         assert stats["requests_served"] == blocking + pipelined
+
+    @pytest.mark.skipif(
+        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
+    )
+    def test_one_request_on_each_route(self, tmp_path, wires):
+        """Four routes on a one-job server, the two pool routes on a
+        two-job one: each request lands in its own route's count."""
+        store = CorpusStore.create(tmp_path / "library", wires.grid)
+        with store.writer() as writer:
+            writer.append(wires)
+        single = ServerConfig(
+            jobs=1,
+            corpus=str(tmp_path / "library"),
+            coalesce_window=0.005,
+            coalesce_max_wires=2,
+            **SMALL,
+        )
+        with ServerThread(single) as handle:
+            with ServingClient(handle.host, handle.port) as client:
+                replies = [
+                    client.identify(wires),  # 3 wires: over the bucket cap
+                    client.identify(wires.select_rows([0])),
+                    client.identify(wires, n_shards=2),
+                    client.corpus_identify("library", 0, 3),
+                ]
+                loop_stats = client.stats()
+        with ServerThread(ServerConfig(jobs=2, **SMALL)) as handle:
+            with ServingClient(handle.host, handle.port) as client:
+                replies += [
+                    client.identify(wires, n_shards=2),
+                    client.logicnet(5, 0, 4, n_gates=4, depth=2, n_shards=2),
+                ]
+                pool_stats = client.stats()
+        transports = [reply.summary["transport"] for reply in replies]
+        assert sorted(transports) == sorted(ROUTES)
+        assert loop_stats["requests_by_route"] == dict.fromkeys(
+            transports[:4], 1
+        )
+        assert pool_stats["requests_by_route"] == dict.fromkeys(
+            ("shared-arena", "seed-rebuild"), 1
+        )
+        for stats in (loop_stats, pool_stats):
+            assert sum(stats["requests_by_route"].values()) == (
+                stats["requests_served"]
+            )
+        assert loop_stats["pool_path_requests"] == 2
+        assert pool_stats["pool_path_requests"] == 2
 
     def test_stats_round_trips_are_not_counted(self):
         with ServerThread(ServerConfig(jobs=1, **SMALL)) as handle:

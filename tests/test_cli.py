@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -297,6 +298,46 @@ class TestServeCommand:
         monkeypatch.setattr(server_mod, "serve_forever", fake_serve)
         assert main(["serve", "--port", "0", *flags], out=io.StringIO()) == 0
         assert captured["runner"] is None
+
+    def _serve_seeing_openssl(self, monkeypatch):
+        """Run ``serve`` in-process; what ``sys.modules`` held for the
+        two OpenSSL extensions while it served."""
+        import repro.serving.server as server_mod
+
+        seen = {}
+
+        def fake_serve(config, out=None, runner=None):
+            for name in ("_ssl", "_hashlib"):
+                seen[name] = sys.modules.get(name, "absent")
+            return 0
+
+        monkeypatch.setattr(server_mod, "serve_forever", fake_serve)
+        assert main(["serve", "--port", "0"], out=io.StringIO()) == 0
+        return seen
+
+    def test_serve_blocks_openssl_only_while_it_serves(self, monkeypatch):
+        """``None`` marks each extension unimportable while ``serve``
+        runs; the marks go with it, so this process can load them
+        later."""
+        # Loaded first: its asyncio import would load ``_ssl`` again.
+        import repro.serving.server  # noqa: F401
+
+        for name in ("_ssl", "_hashlib"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        assert self._serve_seeing_openssl(monkeypatch) == {
+            "_ssl": None,
+            "_hashlib": None,
+        }
+        assert "_ssl" not in sys.modules
+        assert "_hashlib" not in sys.modules
+
+    def test_serve_leaves_loaded_openssl_alone(self, monkeypatch):
+        import hmac  # noqa: F401 - loads _hashlib
+        import ssl  # noqa: F401 - loads _ssl
+
+        loaded = {name: sys.modules[name] for name in ("_ssl", "_hashlib")}
+        assert self._serve_seeing_openssl(monkeypatch) == loaded
+        assert {name: sys.modules[name] for name in loaded} == loaded
 
 
 @dataclass(frozen=True)
