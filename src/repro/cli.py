@@ -432,10 +432,10 @@ def _run_serve(args, out) -> int:
     """The ``serve`` sub-command.
 
     A server that shards over a pool gets it forked here, once the
-    compute layer (:mod:`repro.serving.dispatch`) has loaded and before
-    the front-end (asyncio, the wire protocol, the server, the corpus
-    store) does, so the pool workers hold only the code they run.  The
-    server's start-up broadcast installs the basis in them.  A
+    compute layer (:mod:`repro.serving.dispatch`) has loaded and built
+    the basis, and before the front-end (asyncio, the wire protocol,
+    the server, the corpus store) loads, so the pool workers hold only
+    the code they run and inherit the basis they name by recipe.  A
     replacement for a dead or hung worker forks from the full server.
     """
     with contextlib.ExitStack() as stack:
@@ -460,6 +460,15 @@ def _run_serve(args, out) -> int:
         if dispatch.uses_pool(args.jobs):
             from .pipeline.runner import Runner
 
+            # The memo the server takes its basis from: every worker
+            # forked from here on inherits it, so none builds its own.
+            dispatch.serving_basis(
+                dispatch.BasisRecipe(
+                    seed=args.seed,
+                    basis_size=args.basis_size,
+                    n_samples=args.n_samples,
+                )
+            )
             runner = stack.enter_context(Runner(jobs=args.jobs))
             runner.ensure_pool()
         from .serving.server import ServerConfig, serve_forever

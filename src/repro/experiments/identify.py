@@ -33,10 +33,8 @@ from ..backend.batch import SpikeTrainBatch
 from ..hyperspace.basis import HyperspaceBasis
 from ..logic.correlator import CoincidenceCorrelator
 from ..noise.synthesis import make_rng
-from ..orthogonator.demux import DemuxOrthogonator
 from ..pipeline.registry import register
 from ..pipeline.spec import ExperimentSpec
-from ..spikes.generators import poisson_train
 from ..units import format_time, paper_white_grid
 
 __all__ = ["IdentifyConfig", "IdentifyResult", "run_identify"]
@@ -124,16 +122,15 @@ def _workload(
     Every rng draw happens in one fixed order from one seed, so every
     shard (in any process) rebuilds exactly the same arrays.
     """
-    grid = paper_white_grid()
     rng = make_rng(config.seed)
-    source = poisson_train(
-        rate_hz=1.0 / (config.source_isi_samples * grid.dt), grid=grid, rng=rng
+    basis = HyperspaceBasis.from_poisson_demux(
+        config.basis_size, config.source_isi_samples, paper_white_grid(), rng
     )
-    output = DemuxOrthogonator.with_outputs(config.basis_size).transform(source)
-    basis = HyperspaceBasis.from_orthogonator(output)
     elements = rng.integers(config.basis_size, size=config.n_wires)
     wires = basis.as_batch().select_rows(elements)
-    start_slots = rng.integers(0, grid.n_samples // 2, size=config.n_trials)
+    start_slots = rng.integers(
+        0, basis.grid.n_samples // 2, size=config.n_trials
+    )
     return basis, wires, elements, start_slots
 
 

@@ -30,10 +30,8 @@ from ..backend.batch import SpikeTrainBatch
 from ..hyperspace.basis import HyperspaceBasis
 from ..logic.netbatch import LogicNetBatch
 from ..noise.synthesis import make_rng
-from ..orthogonator.demux import DemuxOrthogonator
 from ..pipeline.registry import register
 from ..pipeline.spec import ExperimentSpec
-from ..spikes.generators import poisson_train
 from ..units import paper_white_grid
 
 __all__ = ["LogicNetConfig", "LogicNetResult", "run_logicnet"]
@@ -108,13 +106,12 @@ class LogicNetResult:
 
 def _basis(config: LogicNetConfig) -> HyperspaceBasis:
     """The shared input lines: the same demux recipe S1/serving use."""
-    grid = paper_white_grid()
-    rng = make_rng(config.seed)
-    source = poisson_train(
-        rate_hz=1.0 / (config.source_isi_samples * grid.dt), grid=grid, rng=rng
+    return HyperspaceBasis.from_poisson_demux(
+        config.basis_size,
+        config.source_isi_samples,
+        paper_white_grid(),
+        make_rng(config.seed),
     )
-    output = DemuxOrthogonator.with_outputs(config.basis_size).transform(source)
-    return HyperspaceBasis.from_orthogonator(output)
 
 
 def _shards(config: LogicNetConfig) -> Tuple[LogicNetShard, ...]:

@@ -10,15 +10,13 @@ Bases are typically built from an orthogonator output
 (:meth:`HyperspaceBasis.from_orthogonator`), but any collection of
 orthogonal trains qualifies.
 
-Derived projections are cached per basis: the dense ``owner_vector``
-(slot → owning element) and the stacked element batch build lazily and
-are reused, and :meth:`HyperspaceBasis.encode_set` /
-:meth:`HyperspaceBasis.encode_batch` memoise their outputs in an LRU so
-repeated decode/search experiments stop recomputing the same basis
-projections.  :meth:`HyperspaceBasis.cache_info` exposes hit/miss
-counters; mutating the basis (:meth:`HyperspaceBasis.replace_element`)
-or calling :meth:`HyperspaceBasis.invalidate_caches` drops every cached
-projection and bumps the basis version.
+A basis is immutable, so derived projections are cached per basis for
+its lifetime: the dense ``owner_vector`` (slot → owning element) and the
+stacked element batch build lazily and are reused, and
+:meth:`HyperspaceBasis.encode_set` / :meth:`HyperspaceBasis.encode_batch`
+memoise their outputs in an LRU so repeated decode/search experiments
+stop recomputing the same basis projections.
+:meth:`HyperspaceBasis.cache_info` exposes hit/miss counters.
 """
 
 from __future__ import annotations
@@ -31,6 +29,8 @@ import numpy as np
 from ..backend.batch import SpikeTrainBatch
 from ..errors import HyperspaceError
 from ..orthogonator.base import OrthogonatorOutput, verify_orthogonality
+from ..orthogonator.demux import DemuxOrthogonator
+from ..spikes.generators import poisson_train
 from ..spikes.train import SpikeTrain
 from ..units import SimulationGrid
 
@@ -74,9 +74,7 @@ class _LruCache:
 
     Values are weighed with :func:`_cache_cost`; inserting evicts
     oldest entries until both bounds hold, and a value bigger than the
-    whole byte budget is returned uncached.  ``clear()`` drops the
-    entries but keeps the cumulative hit/miss counters — cache
-    effectiveness stays observable across basis rebuilds.
+    whole byte budget is returned uncached.
     """
 
     __slots__ = ("maxsize", "max_bytes", "hits", "misses", "total_bytes",
@@ -116,10 +114,6 @@ class _LruCache:
             _key, (_value, evicted_cost) = self._data.popitem(last=False)
             self.total_bytes -= evicted_cost
         return value
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.total_bytes = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -165,17 +159,6 @@ class HyperspaceBasis:
         self._trains: Tuple[SpikeTrain, ...] = tuple(trains)
         self._labels: Tuple[str, ...] = tuple(labels)
         self._grid = grid
-        self._init_derived_state(encode_cache_size, encode_cache_bytes)
-
-    def _init_derived_state(
-        self, encode_cache_size: int, encode_cache_bytes: int
-    ) -> None:
-        """Initialise every cached/derived field from the core three.
-
-        The single authoritative list of non-core attributes, shared by
-        ``__init__`` and :meth:`_from_table` (which bypasses
-        ``__init__`` to skip orthogonality re-verification).
-        """
         self._label_to_index = {label: i for i, label in enumerate(self._labels)}
         # Cached projections: the owner vector, the element batch and
         # the owned-slot bitset build lazily on first use; encode
@@ -186,7 +169,6 @@ class HyperspaceBasis:
         self._batch: Optional[SpikeTrainBatch] = None
         self._owned_words: Optional[np.ndarray] = None
         self._encode_cache = _LruCache(encode_cache_size, encode_cache_bytes)
-        self._version = 0
 
     def _build_owner_vector(self) -> np.ndarray:
         """Dense slot → owning-element map (-1 for unowned slots).
@@ -211,36 +193,28 @@ class HyperspaceBasis:
         return cls(list(output.trains), list(output.labels))
 
     @classmethod
-    def _from_table(
+    def from_poisson_demux(
         cls,
-        values: np.ndarray,
-        ptr: np.ndarray,
-        labels: Sequence[str],
+        n_outputs: int,
+        source_isi_samples: float,
         grid: SimulationGrid,
+        rng: np.random.Generator,
     ) -> "HyperspaceBasis":
-        """Adopt a pre-verified element table ``(values, ptr)`` as a basis.
+        """Deal one Poisson source train cyclically over ``n_outputs``
+        elements.
 
-        The trusted fast path of the serving dispatch layer
-        (:func:`repro.serving.dispatch.install_basis`): element
-        ``i``'s sorted slot indices are ``values[ptr[i]:ptr[i + 1]]``
-        (views, never copies), and orthogonality is *not* re-verified —
-        callers must only feed tables exported from an already-verified
-        basis.
+        The source fires with a mean spacing of ``source_isi_samples``
+        slots on ``grid``, drawn from ``rng``, which is left where the
+        draw ended: a caller may go on drawing its workload from the
+        same stream.  The serving basis and the ``identify`` and
+        ``logicnet`` experiments share this recipe.
         """
-        trains = tuple(
-            SpikeTrain._from_sorted_unique(
-                values[ptr[i] : ptr[i + 1]], grid
-            )
-            for i in range(len(ptr) - 1)
+        source = poisson_train(
+            rate_hz=1.0 / (source_isi_samples * grid.dt), grid=grid, rng=rng
         )
-        basis = cls.__new__(cls)
-        basis._trains = trains
-        basis._labels = tuple(labels)
-        basis._grid = grid
-        basis._init_derived_state(
-            DEFAULT_ENCODE_CACHE_SIZE, DEFAULT_ENCODE_CACHE_BYTES
+        return cls.from_orthogonator(
+            DemuxOrthogonator.with_outputs(n_outputs).transform(source)
         )
-        return basis
 
     # ------------------------------------------------------------------
     # Accessors
@@ -272,7 +246,7 @@ class HyperspaceBasis:
 
         The vectorised identification paths gather through this array
         instead of walking a per-slot dictionary.  Built lazily on
-        first use and cached until the basis is mutated or rebuilt.
+        first use and cached for the basis's lifetime.
         """
         if self._owner_vector is None:
             self._owner_vector = self._build_owner_vector()
@@ -311,15 +285,6 @@ class HyperspaceBasis:
             merged.setflags(write=False)
             self._owned_words = merged
         return self._owned_words
-
-    @property
-    def version(self) -> int:
-        """Monotone counter, bumped on every mutation/invalidation.
-
-        Consumers holding derived state (external caches keyed on this
-        basis) compare versions instead of deep-comparing trains.
-        """
-        return self._version
 
     def __len__(self) -> int:
         return self.size
@@ -463,41 +428,8 @@ class HyperspaceBasis:
         return counts
 
     # ------------------------------------------------------------------
-    # Mutation and cache control
+    # Cache counters
     # ------------------------------------------------------------------
-
-    def replace_element(self, key: ElementKey, train: SpikeTrain) -> None:
-        """Swap one element's reference train, re-verifying orthogonality.
-
-        The supported mutation: rebuilding a degraded reference (e.g.
-        after re-running an orthogonator) in place.  Every cached
-        projection — owner vector, element batch, encode LRU — is
-        invalidated and the basis :attr:`version` bumps.
-        """
-        index = self.index_of(key)
-        if train.grid != self._grid:
-            raise HyperspaceError(
-                f"replacement train lives on {train.grid.describe()}, "
-                f"expected {self._grid.describe()}"
-            )
-        trains = list(self._trains)
-        trains[index] = train
-        verify_orthogonality(trains, self._labels)
-        self._trains = tuple(trains)
-        self.invalidate_caches()
-
-    def invalidate_caches(self) -> None:
-        """Drop every cached projection and bump the basis version.
-
-        Called automatically by :meth:`replace_element`; call directly
-        after out-of-band mutation (there should be none).  Hit/miss
-        counters are cumulative and survive invalidation.
-        """
-        self._owner_vector = None
-        self._batch = None
-        self._owned_words = None
-        self._encode_cache.clear()
-        self._version += 1
 
     def cache_info(self) -> Dict[str, int]:
         """Cache effectiveness counters for the basis's projections.
@@ -507,11 +439,9 @@ class HyperspaceBasis:
         ``encode_hits`` / ``encode_misses`` count the encode LRU
         (:meth:`encode_set` + :meth:`encode_batch`); ``encode_entries``
         / ``encode_bytes`` are its current fill, ``encode_maxsize`` /
-        ``encode_max_bytes`` its bounds; ``version`` counts
-        invalidations.
+        ``encode_max_bytes`` its bounds.
         """
         return {
-            "version": self._version,
             "owner_vector_builds": self._owner_builds,
             "owner_vector_hits": self._owner_hits,
             "owner_vector_cached": int(self._owner_vector is not None),

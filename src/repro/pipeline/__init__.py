@@ -26,11 +26,10 @@ Shard plans split work along the *config*, typically the batch axis of
 a :class:`~repro.backend.batch.SpikeTrainBatch`, so a sharded run is
 bit-identical to a serial one no matter how many processes execute it.
 
-The runner's pool is not experiment-only: :meth:`Runner.gather` /
-:meth:`Runner.broadcast` let other dispatchers reuse the persistent
-workers — the serving front-end (:mod:`repro.serving`) runs its
-per-request shard tasks and basis installs and discards through
-exactly this machinery.
+The runner's pool is not experiment-only: :meth:`Runner.gather` lets
+other dispatchers reuse the persistent workers — the serving front-end
+(:mod:`repro.serving`) runs its per-request shard tasks through exactly
+this machinery.
 """
 
 from .._exports import lazy_exports

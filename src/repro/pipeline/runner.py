@@ -34,19 +34,20 @@ One :class:`Runner` drives every experiment through the same path:
 * failures never abort a multi-experiment run: each report carries its
   own status and traceback, and the store archives error records too;
 * **supervision** — a worker that dies is EOF (or EPIPE) on its own
-  socket, seen at once: it is reaped and replaced by a fresh fork that
-  replays the broadcasts.  A task past its timeout SIGKILLs and
-  replaces only its own worker.  :meth:`Runner.gather` resubmits a lost
-  task, then runs it in-process.  A target may name a fault point in
-  its ``fault_point`` attribute (:mod:`repro.testing.faults`): a worker
-  fires it before each task it runs, so the point kills workers only,
-  never the caller computing its own share or a lost task;
+  socket, seen at once: it is reaped and replaced by a fresh fork.  A
+  task past its timeout SIGKILLs and replaces only its own worker.
+  :meth:`Runner.gather` resubmits a lost task, then runs it
+  in-process.  A target may name a fault point in its ``fault_point``
+  attribute (:mod:`repro.testing.faults`): a worker fires it before
+  each task it runs, so the point kills workers only, never the caller
+  computing its own share or a lost task;
 * **non-experiment dispatch** — :meth:`Runner.gather` (the one
-  supervised fan-out), :meth:`Runner.submit` and
-  :meth:`Runner.broadcast` expose the persistent workers to callers
-  with their own task shapes.  The serving front-end
-  (:mod:`repro.serving`) drives per-request shard tasks and its basis
-  install/discard broadcasts through them.
+  supervised fan-out) and :meth:`Runner.submit` expose the persistent
+  workers to callers with their own task shapes.  The serving
+  front-end (:mod:`repro.serving`) drives its per-request shard tasks
+  through them.  Workers keep no state between tasks that a
+  replacement would lack: a task carries what it needs, or names it by
+  what a fork inherits or rebuilds.
 """
 
 from __future__ import annotations
@@ -416,7 +417,7 @@ class _Handle:
 
     __slots__ = ("runner", "worker", "reply")
 
-    def __init__(self, runner: Optional["Runner"], worker: _Worker) -> None:
+    def __init__(self, runner: "Runner", worker: _Worker) -> None:
         self.runner = runner
         self.worker = worker
         self.reply: Any = None
@@ -580,12 +581,8 @@ class Runner:
             raise PipelineError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.store = store
-        # Guards the worker slots and the broadcasts, which every worker
-        # forked later (a replacement) replays first, in order, so it
-        # carries the same state (installed bases) as its siblings.
-        self._lock = threading.RLock()
+        self._lock = threading.RLock()  # guards the worker slots
         self._workers: List[_Worker] = []
-        self._broadcasts: List[_Message] = []
         self._closed = False
         weakref.finalize(self, _stop_all, self._workers)
 
@@ -597,9 +594,8 @@ class Runner:
     # entry point; the methods here are the workers' public surface for
     # callers with their own task shapes — the serving front-end
     # (:mod:`repro.serving`) fans its shard tasks out through
-    # :meth:`gather` and broadcasts through :meth:`broadcast`, reusing
-    # the persistent workers instead of growing a second pool
-    # implementation.
+    # :meth:`gather`, reusing the persistent workers instead of growing
+    # a second pool implementation.
 
     def ensure_pool(self) -> None:
         """Fork the ``jobs - 1`` workers now, if they are not running.
@@ -614,22 +610,12 @@ class Runner:
         with self._lock:
             self._require_open()
             while len(self._workers) < self.jobs - 1:
-                self._workers.append(self._spawn())
+                self._workers.append(_fork_worker())
 
     def worker_pids(self) -> frozenset:
         """The current workers' pids (empty before the first fork)."""
         with self._lock:
             return frozenset(worker.pid for worker in self._workers)
-
-    def _spawn(self) -> _Worker:
-        """Fork a worker and replay the broadcasts onto it.
-
-        Nobody waits for a replay's reply: the next reader drops it.
-        """
-        worker = _fork_worker()
-        for message in self._broadcasts:
-            worker.post(_Handle(None, worker), message)
-        return worker
 
     def _replace(self, worker: _Worker) -> None:
         """Stop ``worker`` and fork its successor into its slot, once.
@@ -639,19 +625,15 @@ class Runner:
         worker.stop()
         with self._lock:
             if worker in self._workers:
-                self._workers[self._workers.index(worker)] = self._spawn()
+                self._workers[self._workers.index(worker)] = _fork_worker()
 
-    def _send(self, message: _Message, slot: Optional[int] = None) -> _Handle:
-        """Send ``message`` to worker ``slot`` (default: the one with the
-        fewest pending tasks), replacing a dead one on the way."""
+    def _send(self, message: _Message) -> _Handle:
+        """Send ``message`` to the worker with the fewest pending tasks,
+        replacing a dead one on the way."""
         while True:
             with self._lock:
                 self.ensure_pool()
-                worker = (
-                    self._workers[slot]
-                    if slot is not None
-                    else min(self._workers, key=lambda w: len(w.pending))
-                )
+                worker = min(self._workers, key=lambda w: len(w.pending))
             handle = _Handle(self, worker)
             if worker.post(handle, message):
                 return handle
@@ -743,71 +725,19 @@ class Runner:
 
         return [functools.partial(get, index) for index in range(len(tasks))]
 
-    def broadcast(
-        self, fn, payload=None, *, retires: Optional[Tuple[Any, Any]] = None
-    ) -> Optional[List[Any]]:
-        """Run ``fn(payload)`` once on every worker; results in slot order.
-
-        The ``jobs - 1`` workers only: the caller applies its own state
-        itself.  One send per worker, so no worker takes a sibling's
-        share; a busy worker runs it after the tasks queued before it.  A worker
-        found dead is replaced and the payload sent to its successor.
-        Returns None when there are no workers (``jobs == 1``: callers
-        apply the payload in-process instead).
-
-        Every broadcast is recorded, and every worker forked later — a
-        replacement — replays it first, in order: worker state
-        established by broadcast (installed serving bases) survives
-        worker loss that way.  A replacement may run a payload twice,
-        so it must be idempotent, and it may run it after any arena has
-        closed, so a broadcast may carry no shared segment
-        (PipelineError): send segments with :meth:`gather`.
-        ``retires`` names the ``(fn, payload)`` of an earlier broadcast
-        that this one undoes (a basis discard retiring its install):
-        that one leaves the record and this one never enters it, so a
-        later replacement replays neither.  A closed runner raises
-        PipelineError.
-        """
-        self._require_open()
-        if self.jobs < 2:
-            return None
-        message = _task_message(fn, payload)
-        if message[1]:
-            raise PipelineError(
-                "a broadcast cannot carry shared segments: it is "
-                "replayed after their arenas close"
-            )
-        with self._lock:
-            self.ensure_pool()
-            if retires is None:
-                self._broadcasts.append(message)
-            elif (retired := _task_message(*retires)) in self._broadcasts:
-                self._broadcasts.remove(retired)
-        handles = [self._send(message, slot) for slot in range(self.jobs - 1)]
-        results = []
-        for slot, handle in enumerate(handles):
-            while True:
-                try:
-                    results.append(handle.get())
-                    break
-                except WorkerLost:
-                    handle = self._send(message, slot)
-        return results
-
     def close(self) -> None:
         """Kill and reap every worker, for good (idempotent; runs stay
         archived).
 
-        Nothing forks after it: :meth:`ensure_pool`, :meth:`submit`,
-        :meth:`gather` and :meth:`broadcast` raise PipelineError, and a
-        getter whose worker this kills runs its task in-process.  The
+        Nothing forks after it: :meth:`ensure_pool`, :meth:`submit` and
+        :meth:`gather` raise PipelineError, and a getter whose worker
+        this kills runs its task in-process.  The
         slots empty under the lock that guards replacement, and the
         kills happen outside it: a reader woken by a kill takes that
         lock to replace its worker.
         """
         with self._lock:
             self._closed = True
-            self._broadcasts.clear()
             stopping = list(self._workers)
             self._workers.clear()
         _stop_all(stopping)

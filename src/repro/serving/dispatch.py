@@ -8,17 +8,16 @@ dispatch mechanism is invisible in the response, exactly as the
 pipeline's shard plans make sharded experiment runs bit-identical to
 serial ones.
 
-Two transport pieces make the pool path zero-copy:
+Two pieces keep pool tasks small:
 
-* **basis install** — the serving basis is exported once as a
-  :class:`BasisTable` (plain picklable arrays, no shared segments) and
-  installed into a per-process registry, in the server directly and in
-  the pool workers by one
-  :meth:`~repro.pipeline.runner.Runner.broadcast` at server start-up.
-  Shard tasks then reference the basis by token, never re-shipping it.
-  The runner replays every broadcast onto every replacement worker,
-  possibly after any arena has closed, so a broadcast may carry no
-  shared segment: the basis deliberately travels by value, once.
+* **the basis recipe** — a task names its basis by the four numbers
+  that fix it (:class:`BasisRecipe`), never by value, and every process
+  takes the basis from one per-process memo over the recipe's builder
+  (:func:`serving_basis`).  The server fills the memo at start-up;
+  ``repro serve`` fills it before it forks the pool, so the workers and
+  every replacement inherit the basis and build nothing.  A worker
+  forked before a server's build (a runner shared by servers on other
+  recipes) builds that basis once, on its first task.
 * **:class:`ShardTask`** — the per-shard pool task: the request
   batch's :class:`~repro.backend.batch.SharedBatchHandle` plus a row
   range and scan options.  Its segments' descriptors travel beside
@@ -38,10 +37,10 @@ imports, every worker holds.
 
 from __future__ import annotations
 
+import functools
 import time
-import uuid
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -51,17 +50,15 @@ from ..errors import ServingError
 from ..hyperspace.basis import HyperspaceBasis
 from ..logic.correlator import CoincidenceCorrelator
 from ..logic.netbatch import LogicNetBatch
+from ..noise.synthesis import make_rng
 from ..testing import faults
-from ..units import SimulationGrid
+from ..units import paper_white_grid
 
 __all__ = [
-    "BasisTable",
+    "BasisRecipe",
     "ShardTask",
     "LogicNetShardTask",
-    "export_basis",
-    "install_basis",
-    "discard_basis",
-    "installed_basis",
+    "serving_basis",
     "run_shard",
     "compute_shard",
     "run_logicnet_shard",
@@ -89,22 +86,45 @@ def uses_pool(jobs: int) -> bool:
 
 
 @dataclass(frozen=True)
-class BasisTable:
-    """Picklable plain-array export of a verified basis.
+class BasisRecipe:
+    """The four numbers that fix a serving basis.
 
-    Element ``i``'s sorted slots are ``values[ptr[i]:ptr[i + 1]]``,
-    the element table :meth:`~repro.hyperspace.basis.HyperspaceBasis.
-    _from_table` adopts.  It is carried by value so it can be installed
-    once per process and outlive any request arena.  ``token``
-    identifies the install; shard tasks carry the token only.
+    The basis knobs of :class:`~repro.serving.server.ServerConfig`,
+    whose defaults these are, in a type this module owns: ``repro
+    serve`` builds one before it loads the front-end.  Pool tasks carry
+    it in place of the basis.
     """
 
-    token: str
-    labels: Tuple[str, ...]
-    values: np.ndarray
-    ptr: np.ndarray
-    n_samples: int
-    dt: float
+    seed: int = 2016
+    basis_size: int = 16
+    source_isi_samples: int = 28
+    n_samples: int = 65536
+
+    def build(self) -> HyperspaceBasis:
+        """A fresh basis from the recipe (:func:`serving_basis` memoises
+        it): the ``identify`` experiment's demux recipe on the paper's
+        grid, cut to ``n_samples`` slots."""
+        return HyperspaceBasis.from_poisson_demux(
+            self.basis_size,
+            self.source_isi_samples,
+            paper_white_grid(n_samples=self.n_samples),
+            make_rng(self.seed),
+        )
+
+
+@functools.lru_cache(maxsize=4)
+def serving_basis(recipe: BasisRecipe) -> HyperspaceBasis:
+    """This process's basis for ``recipe``, built on first use.
+
+    Every process takes its basis here: the server at start-up and for
+    its own shards, a pool worker for each task.  A process forked
+    after a build inherits the basis with the memo.  The memo holds a
+    few recipes, enough for the servers that share one runner; past
+    that the least recently used basis is dropped and rebuilt when
+    asked for again, bit-identical.  A basis is immutable, so sharing
+    one between a server, its threads and its tasks is safe.
+    """
+    return recipe.build()
 
 
 @dataclass(frozen=True)
@@ -113,10 +133,10 @@ class ShardTask:
 
     Pickles as metadata only — the wire payload stays in the server's
     per-request :class:`~repro.backend.shared.SharedArena` and the
-    worker attaches it.
+    worker attaches it, and the basis goes by its recipe.
     """
 
-    token: str
+    recipe: BasisRecipe
     wires: SharedBatchHandle
     row_start: int
     row_stop: int
@@ -130,72 +150,17 @@ class LogicNetShardTask:
     """One logicnet serving shard: a network range of a seeded family.
 
     Unlike :class:`ShardTask` there is no shared payload at all — the
-    input lines are the installed basis (referenced by token) and the
-    networks rebuild from ``spawn_rng(seed, i)`` spawn keys, so the
-    task pickles as a handful of integers.
+    input lines are the basis of ``recipe`` and the networks rebuild
+    from ``spawn_rng(seed, i)`` spawn keys, so the task pickles as a
+    handful of integers.
     """
 
-    token: str
+    recipe: BasisRecipe
     seed: int
     n_gates: int
     depth: int
     net_start: int
     net_stop: int
-
-
-#: token → installed basis, per process.  Populated in the server
-#: process at start-up and in every pool worker by the install
-#: broadcast, which every replacement worker replays.
-_INSTALLED: Dict[str, HyperspaceBasis] = {}
-
-
-def export_basis(basis: HyperspaceBasis, token: Optional[str] = None) -> BasisTable:
-    """Export ``basis`` as a :class:`BasisTable` (fresh token by default)."""
-    values, ptr = basis.as_batch().csr()
-    return BasisTable(
-        token=token if token is not None else uuid.uuid4().hex,
-        labels=basis.labels,
-        values=values,
-        ptr=ptr,
-        n_samples=basis.grid.n_samples,
-        dt=basis.grid.dt,
-    )
-
-
-def install_basis(table: BasisTable) -> str:
-    """Install ``table`` into this process's basis registry.
-
-    Reconstruction trusts the exporting basis's orthogonality check
-    (:meth:`~repro.hyperspace.basis.HyperspaceBasis._from_table`), so
-    installing is cheap enough to broadcast at server start-up.
-    Idempotent per token; returns the token.
-    """
-    if table.token not in _INSTALLED:
-        grid = SimulationGrid(n_samples=table.n_samples, dt=table.dt)
-        _INSTALLED[table.token] = HyperspaceBasis._from_table(
-            np.asarray(table.values, dtype=np.int64),
-            np.asarray(table.ptr, dtype=np.int64),
-            table.labels,
-            grid,
-        )
-    return table.token
-
-
-def discard_basis(token: str) -> bool:
-    """Drop one installed basis (graceful-shutdown broadcast target)."""
-    return _INSTALLED.pop(token, None) is not None
-
-
-def installed_basis(token: str) -> HyperspaceBasis:
-    """The basis installed under ``token`` in this process."""
-    basis = _INSTALLED.get(token)
-    if basis is None:
-        raise ServingError(
-            ERR_INTERNAL,
-            f"no basis installed under token {token!r} in this worker — "
-            "the server must broadcast install_basis before dispatching",
-        )
-    return basis
 
 
 def run_shard(task: ShardTask) -> dict:
@@ -204,7 +169,7 @@ def run_shard(task: ShardTask) -> dict:
         task.wires, rows=(task.row_start, task.row_stop)
     )
     return compute_shard(
-        installed_basis(task.token),
+        serving_basis(task.recipe),
         rows,
         task.row_start,
         task.row_stop,
@@ -278,7 +243,7 @@ def run_logicnet_shard(task: LogicNetShardTask) -> dict:
     logicnet traffic identically.
     """
     return compute_logicnet_shard(
-        installed_basis(task.token),
+        serving_basis(task.recipe),
         seed=task.seed,
         n_gates=task.n_gates,
         depth=task.depth,

@@ -73,9 +73,10 @@ payloads (pinned in per-request arenas) and logicnet evaluation
 working sets admit only while the bytes charged stay under
 ``max_inflight_bytes``; later requests wait (the TCP receive window
 then pushes back on the client) instead of growing server memory.
-Graceful shutdown drains in-flight requests, then discards the
-installed basis; a worker holds a request's segments only while its
-shard task runs, so nothing is left to release.
+Graceful shutdown drains in-flight requests and stops; a worker holds
+a request's segments only while its shard task runs, and names the
+basis by recipe (:class:`~repro.serving.dispatch.BasisRecipe`), so
+nothing is left to release in the pool.
 
 Every server keeps a :class:`ServerStats` — request counts per path
 and per route, coalesced batches, error count and a rolling latency
@@ -112,12 +113,8 @@ from ..backend.shared import SharedArena
 from ..errors import ProtocolError, ServingError
 from ..hyperspace.basis import HyperspaceBasis
 from ..logic.netbatch import working_set
-from ..noise.synthesis import make_rng
-from ..orthogonator.demux import DemuxOrthogonator
 from ..pipeline.corpus import CorpusStore
-from ..spikes.generators import poisson_train
 from ..testing import faults
-from ..units import paper_white_grid
 from . import dispatch, log, protocol
 
 if TYPE_CHECKING:
@@ -141,8 +138,10 @@ class ServerConfig:
     ``n_samples``) deterministically fix the hyperspace the server
     identifies against — the same synthesis path as the ``identify``
     experiment, so a client holding the same knobs can reproduce the
-    server's basis exactly.  ``port`` 0 binds an ephemeral port
-    (exposed as :attr:`SpikeServer.port` once started).
+    server's basis exactly.  They default to
+    :class:`~repro.serving.dispatch.BasisRecipe`'s.  ``port`` 0 binds
+    an ephemeral port (exposed as :attr:`SpikeServer.port` once
+    started).
 
     ``fast_path_bytes`` caps the payload size served inline without an
     arena or pool dispatch (0 disables the fast path entirely — every
@@ -164,10 +163,10 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    seed: int = 2016
-    basis_size: int = 16
-    source_isi_samples: int = 28
-    n_samples: int = 65536
+    seed: int = dispatch.BasisRecipe.seed
+    basis_size: int = dispatch.BasisRecipe.basis_size
+    source_isi_samples: int = dispatch.BasisRecipe.source_isi_samples
+    n_samples: int = dispatch.BasisRecipe.n_samples
     jobs: int = 1
     n_shards: int = 0  # per-request default: 0 → one shard per job
     max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES
@@ -192,19 +191,24 @@ class ServerConfig:
     shard_retries: int = 2
 
 
+def _recipe(config: ServerConfig) -> dispatch.BasisRecipe:
+    """The basis knobs of ``config``."""
+    return dispatch.BasisRecipe(
+        config.seed,
+        config.basis_size,
+        config.source_isi_samples,
+        config.n_samples,
+    )
+
+
 def build_serving_basis(config: ServerConfig) -> HyperspaceBasis:
-    """The server's reference basis, deterministic in the config knobs."""
-    grid = paper_white_grid(n_samples=config.n_samples)
-    rng = make_rng(config.seed)
-    source = poisson_train(
-        rate_hz=1.0 / (config.source_isi_samples * grid.dt),
-        grid=grid,
-        rng=rng,
-    )
-    output = DemuxOrthogonator.with_outputs(config.basis_size).transform(
-        source
-    )
-    return HyperspaceBasis.from_orthogonator(output)
+    """The server's reference basis, deterministic in the config knobs.
+
+    This process's memoised basis for them
+    (:func:`~repro.serving.dispatch.serving_basis`): a server on
+    ``config`` identifies against this very object.
+    """
+    return dispatch.serving_basis(_recipe(config))
 
 
 class ServerStats:
@@ -216,15 +220,12 @@ class ServerStats:
     last ``window`` request wall times (arrival to DONE frame written),
     so a long-running server reports current behaviour, not its whole
     history.  ``requests_by_route`` counts each route (the DONE frame's
-    ``transport``) on its own; ``pool_path_requests`` lumps every route
-    but ``fast-path`` and ``coalesced``.
+    ``transport``) on its own, and the request counts derive from it:
+    ``pool_path_requests`` lumps every route but ``fast-path`` and
+    ``coalesced``.
     """
 
     def __init__(self, window: int = 1024) -> None:
-        self.requests_served = 0
-        self.fast_path_requests = 0
-        self.pool_path_requests = 0
-        self.coalesced_requests = 0
         self.coalesced_batches = 0
         self.errors = 0
         self.requests_by_route: Dict[str, int] = {}
@@ -232,17 +233,25 @@ class ServerStats:
 
     def record(self, transport: str, seconds: float) -> None:
         """Count one served request and its wall time."""
-        self.requests_served += 1
-        if transport == "fast-path":
-            self.fast_path_requests += 1
-        elif transport == "coalesced":
-            self.coalesced_requests += 1
-        else:
-            self.pool_path_requests += 1
         self.requests_by_route[transport] = (
             self.requests_by_route.get(transport, 0) + 1
         )
         self._latencies.append(float(seconds))
+
+    @property
+    def requests_served(self) -> int:
+        """Requests answered successfully, every route."""
+        return sum(self.requests_by_route.values())
+
+    def _paths(self) -> Dict[str, int]:
+        """The per-path counts, from the per-route ones."""
+        fast = self.requests_by_route.get("fast-path", 0)
+        coalesced = self.requests_by_route.get("coalesced", 0)
+        return {
+            "fast_path_requests": fast,
+            "pool_path_requests": self.requests_served - fast - coalesced,
+            "coalesced_requests": coalesced,
+        }
 
     def _quantile(self, q: float) -> Optional[float]:
         if not self._latencies:
@@ -254,9 +263,7 @@ class ServerStats:
         return {
             "kind": "stats",
             "requests_served": self.requests_served,
-            "fast_path_requests": self.fast_path_requests,
-            "pool_path_requests": self.pool_path_requests,
-            "coalesced_requests": self.coalesced_requests,
+            **self._paths(),
             "coalesced_batches": self.coalesced_batches,
             "requests_by_route": dict(self.requests_by_route),
             "errors": self.errors,
@@ -279,11 +286,12 @@ class ServerStats:
             f"{route} {count}"
             for route, count in sorted(self.requests_by_route.items())
         )
+        paths = self._paths()
         return (
             f"served {self.requests_served} requests "
-            f"({self.fast_path_requests} fast-path, "
-            f"{self.pool_path_requests} pool, "
-            f"{self.coalesced_requests} coalesced in "
+            f"({paths['fast_path_requests']} fast-path, "
+            f"{paths['pool_path_requests']} pool, "
+            f"{paths['coalesced_requests']} coalesced in "
             f"{self.coalesced_batches} batches; "
             f"by route: {routes or 'none'}), "
             f"{self.errors} errors, {latency}"
@@ -809,8 +817,8 @@ class SpikeServer:
         self._runner = runner
         self._owns_runner = runner is None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._recipe = _recipe(self.config)
         self._basis: Optional[HyperspaceBasis] = None
-        self._basis_table: Optional[dispatch.BasisTable] = None
         self._budget = _InflightBudget(self.config.max_inflight_bytes)
         self._writers: Set["_Connection"] = set()
         self._tasks: Set[asyncio.Task] = set()
@@ -853,28 +861,22 @@ class SpikeServer:
         )
 
     async def start(self) -> None:
-        """Build the basis, warm the pool, bind the socket.
+        """Take the basis, warm the pool, bind the socket.
 
-        A start that raises undoes what it did before it re-raises
-        (:meth:`_release`): the pool's basis install is retired, a
-        runner the server made is closed, and no compute thread is
-        left.
+        The basis is this process's memoised one for the config's
+        recipe, taken before the pool forks, so workers forked here or
+        later inherit it.  A start that raises undoes what it did
+        before it re-raises (:meth:`_release`): a runner the server
+        made is closed, and no compute thread is left.
         """
         try:
             if self._runner is None and dispatch.uses_pool(self.config.jobs):
                 from ..pipeline.runner import Runner
 
                 self._runner = Runner(jobs=self.config.jobs)
-            self._basis = build_serving_basis(self.config)
-            table = dispatch.export_basis(self._basis)
-            self._basis_table = table
-            dispatch.install_basis(table)
-            # The broadcast installs the basis in the pool workers:
-            # ``repro serve`` forks its pool before this runs, so they
-            # cannot inherit it.  The runner replays it, so every
-            # replacement worker gets it too.
+            self._basis = dispatch.serving_basis(self._recipe)
             if self._use_pool():
-                self._runner.broadcast(dispatch.install_basis, table)
+                self._runner.ensure_pool()
             if self.config.corpus is not None:
                 self._open_corpus()
             if self.config.coalesce_window > 0:
@@ -930,7 +932,7 @@ class SpikeServer:
             await self._server.wait_closed()
 
     async def close(self, drain_timeout: float = 30.0) -> None:
-        """Graceful shutdown: drain, discard the basis, stop.
+        """Graceful shutdown: drain, then stop.
 
         Stops accepting, waits up to ``drain_timeout`` seconds for
         in-flight requests (their arenas) to finish — then **forcibly
@@ -976,37 +978,21 @@ class SpikeServer:
         await self._release()
 
     async def _release(self) -> None:
-        """Undo :meth:`start`, as far as it got: retire the pool's basis
-        install, close a runner the server made, stop the compute
-        threads, and drop the basis installed here.  Idempotent.
+        """Undo :meth:`start`, as far as it got: close a runner the
+        server made and stop the compute threads.  Idempotent.
 
-        The discard broadcast retires the install from the runner's
-        replay log, so a runner shared with later servers never replays
-        this one's basis onto a replacement worker.  A runner the
-        server made closes before the compute threads stop, so a getter
-        still waiting there on one of its workers runs its shard
-        in-process and ends; on a shared runner, such a getter ends
-        with its worker's reply, or after at most
+        A runner the server made closes before the compute threads
+        stop, so a getter still waiting there on one of its workers
+        runs its shard in-process and ends; on a shared runner, such a
+        getter ends with its worker's reply, or after at most
         ``(shard_retries + 1) * shard_timeout``.  The threads stop
         without blocking the loop (:meth:`_ComputeThreads.close`).
         """
-        if self._runner is not None:
-            if self._use_pool() and self._basis_table is not None:
-                try:
-                    self._runner.broadcast(
-                        dispatch.discard_basis,
-                        self._basis_table.token,
-                        retires=(dispatch.install_basis, self._basis_table),
-                    )
-                except Exception:  # pragma: no cover - dying pool
-                    pass
-            if self._owns_runner:
-                self._runner.close()
+        if self._runner is not None and self._owns_runner:
+            self._runner.close()
         compute, self._compute = self._compute, None
         if compute is not None:
             await compute.close()
-        if self._basis_table is not None:
-            dispatch.discard_basis(self._basis_table.token)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -1396,7 +1382,7 @@ class SpikeServer:
                     dispatch.run_shard,
                     [
                         dispatch.ShardTask(
-                            self._basis_table.token, handle, lo, hi, **scan
+                            self._recipe, handle, lo, hi, **scan
                         )
                         for lo, hi in ranges
                     ],
@@ -1505,7 +1491,7 @@ class SpikeServer:
 
         The request ships no payload and needs no arena: each shard
         task is a few integers, and pool workers rebuild their networks
-        from spawn keys against the basis they already hold installed.
+        from spawn keys against the basis of the task's recipe.
         Evaluation still allocates its block buffers, wiring tables
         and accumulators, so each shard's
         :func:`~repro.logic.netbatch.working_set` is charged to the
@@ -1528,7 +1514,7 @@ class SpikeServer:
         )
         tasks = [
             dispatch.LogicNetShardTask(
-                token=self._basis_table.token,
+                recipe=self._recipe,
                 seed=query.seed,
                 n_gates=query.n_gates,
                 depth=query.depth,

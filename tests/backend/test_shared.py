@@ -278,7 +278,7 @@ class TestArenaLifecycle:
 
 
 def _worker_pid(_payload=None):
-    """Broadcast target: the pid of the pool worker that ran it."""
+    """Gather target: the pid of the process that ran it."""
     return os.getpid()
 
 
@@ -297,11 +297,13 @@ class TestForkedChildrenDropArenas:
             with SharedArena() as arena:
                 spec = arena.share_array(np.arange(1 << 12))
                 os.kill(min(before), signal.SIGKILL)
-                # The broadcast finds the dead worker and forks its
-                # successor; a task returning proves the fresh worker
-                # has dropped what it inherited.
-                pids = runner.broadcast(_worker_pid)
+                # The gather finds the dead worker and forks its
+                # successor; the worker's task returning proves the
+                # fresh worker has dropped what it inherited.  The
+                # caller keeps the first task and sends the second.
+                getters = runner.gather(_worker_pid, [None] * 2)
+                pids = [get() for get in getters]
                 (fresh,) = runner.worker_pids() - before
-                assert fresh in pids
+                assert pids == [os.getpid(), fresh]
                 assert spec.inode in arena_segments()
                 assert not arena_segments(fresh)

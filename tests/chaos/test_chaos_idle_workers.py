@@ -3,7 +3,7 @@
 An idle worker waits on its own socket and holds nothing its siblings
 need, so killing it from outside wedges nothing: the server sees the
 death as EPIPE or EOF the next time it uses that worker, forks a
-successor (which replays the basis install) and serves the request
+successor (which inherits the server's basis) and serves the request
 bit-identically.  A forked worker points every socket it inherited but
 its own at ``/dev/null``, so it is only ever a peer of the server's end
 of its socket: when the server is SIGKILLed every idle worker reads EOF

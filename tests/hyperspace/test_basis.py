@@ -6,8 +6,9 @@ import pytest
 from repro.errors import HyperspaceError
 from repro.hyperspace.basis import HyperspaceBasis
 from repro.orthogonator.demux import DemuxOrthogonator
+from repro.spikes.generators import poisson_train
 from repro.spikes.train import SpikeTrain
-from repro.units import SimulationGrid
+from repro.units import SimulationGrid, paper_white_grid
 
 
 @pytest.fixture
@@ -63,6 +64,36 @@ class TestConstruction:
         basis = HyperspaceBasis.from_orthogonator(output)
         assert basis.size == 4
         assert basis.labels == ("W1", "W2", "W3", "W4")
+
+
+class TestPoissonDemux:
+    """The one demux recipe the serving basis and the experiments share."""
+
+    @pytest.mark.parametrize("n_samples", [4096, 4001, 65536])
+    def test_deals_one_source_cyclically(self, n_samples):
+        grid = paper_white_grid(n_samples=n_samples)
+        basis = HyperspaceBasis.from_poisson_demux(
+            5, 16, grid, np.random.default_rng(7)
+        )
+        source = poisson_train(
+            rate_hz=1.0 / (16 * grid.dt),
+            grid=grid,
+            rng=np.random.default_rng(7),
+        )
+        assert basis.size == 5
+        assert basis.grid == grid
+        for element, train in enumerate(basis.trains):
+            assert np.array_equal(train.indices, source.indices[element::5])
+
+    def test_leaves_the_generator_where_the_source_ended(self):
+        """A caller goes on drawing its workload from the same stream."""
+        grid = paper_white_grid(n_samples=4001)
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        HyperspaceBasis.from_poisson_demux(8, 28, grid, rng)
+        twin.random(grid.n_samples)
+        assert rng.integers(1 << 30, size=4).tolist() == (
+            twin.integers(1 << 30, size=4).tolist()
+        )
 
 
 class TestAccessors:

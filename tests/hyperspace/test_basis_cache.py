@@ -1,13 +1,11 @@
 """Tests for the HyperspaceBasis projection caches.
 
-Covers the owner-vector laziness, the encode LRU (hit/miss counters,
-eviction, shared immutable results) and invalidation on mutation.
+Covers the owner-vector laziness and the encode LRU (hit/miss
+counters, eviction, shared immutable results).
 """
 
 import numpy as np
-import pytest
 
-from repro.errors import HyperspaceError
 from repro.hyperspace.basis import HyperspaceBasis
 from repro.spikes.train import SpikeTrain
 from repro.units import SimulationGrid
@@ -105,49 +103,3 @@ class TestEncodeCache:
         wire = basis.encode_set([0, 1])
         again = basis.encode_set([0, 1])
         assert again.indices.tolist() == sorted([0, 8, 16, 1, 9, 17])
-
-
-class TestInvalidation:
-    def test_replace_element_invalidates_everything(self):
-        basis = _basis()
-        basis.owner_vector
-        basis.encode_set([0])
-        basis.as_batch()
-        version = basis.version
-
-        replacement = SpikeTrain([3, 11, 19], GRID)
-        basis.replace_element(0, replacement)
-
-        info = basis.cache_info()
-        assert basis.version == version + 1
-        assert not info["owner_vector_cached"]
-        assert info["encode_entries"] == 0
-        # The rebuilt projections see the new train.
-        assert basis.owner_of_slot(3) == 0
-        assert basis.owner_of_slot(0) is None
-        assert basis.encode_set([0]).indices.tolist() == [3, 11, 19]
-        assert basis.as_batch().row(0).indices.tolist() == [3, 11, 19]
-
-    def test_replace_element_requires_orthogonality(self):
-        basis = _basis()
-        clash = SpikeTrain([1, 30], GRID)  # slot 1 belongs to element 1
-        with pytest.raises(Exception):
-            basis.replace_element(0, clash)
-        # The failed mutation left the basis untouched.
-        assert basis.owner_of_slot(0) == 0
-
-    def test_replace_element_requires_same_grid(self):
-        basis = _basis()
-        other = SimulationGrid(n_samples=32, dt=1e-9)
-        with pytest.raises(HyperspaceError):
-            basis.replace_element(0, SpikeTrain([3], other))
-
-    def test_invalidate_keeps_cumulative_counters(self):
-        basis = _basis()
-        basis.encode_set([0])
-        basis.encode_set([0])
-        basis.invalidate_caches()
-        info = basis.cache_info()
-        assert info["encode_hits"] == 1
-        assert info["encode_misses"] == 1
-        assert info["encode_entries"] == 0

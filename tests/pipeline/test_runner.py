@@ -27,7 +27,13 @@ from repro.pipeline import runner as runner_module
 from repro.testing import faults
 from repro.units import SimulationGrid
 
-from ..serving.live_server import arena_mappings, arena_segments, process_tree
+from ..serving.live_server import (
+    alive,
+    arena_mappings,
+    arena_segments,
+    process_tree,
+    wait_until,
+)
 
 #: A small sharded workload (2 shards of 8 wires, 2 observation starts).
 SMALL_IDENTIFY = {"n_wires": 16, "n_trials": 2, "n_shards": 2, "basis_size": 4}
@@ -220,7 +226,6 @@ class TestPersistentPool:
             runner.ensure_pool,
             lambda: runner.submit(_double, 1),
             lambda: runner.gather(_double, [1]),
-            lambda: runner.broadcast(_double, 1),
         ):
             with pytest.raises(PipelineError, match="closed"):
                 dispatch()
@@ -288,8 +293,8 @@ class TestSegmentsTravelWithTasks:
 
     def test_no_worker_holds_a_segment_after_a_parallel_call(self):
         """A kernel split over the pool by row range ships its operands
-        through an arena; no broadcast is sent after the call, and none
-        is needed."""
+        through an arena; nothing is sent after the call, and nothing
+        needs to be."""
         rng = np.random.default_rng(5)
         a = rng.integers(0, 1 << 62, size=(8, 4), dtype=np.uint64)
         b = rng.integers(0, 1 << 62, size=(3, 4), dtype=np.uint64)
@@ -393,20 +398,6 @@ class TestSegmentsTravelWithTasks:
             getters = runner.gather(_double, [21] * 2)
             assert [get() for get in getters] == [42] * 2
 
-    def test_sticky_broadcast_with_a_segment_raises(self):
-        """Broadcasts replay after their arenas close, so they may not
-        carry segments; the tasks of a gather may.  The refused one is
-        neither run nor recorded for replacements."""
-        with Runner(jobs=3) as runner, SharedArena() as arena:
-            spec = arena.share_array(np.arange(16))
-            with pytest.raises(PipelineError, match="cannot carry shared"):
-                runner.broadcast(_remember, [spec])
-            getters = runner.gather(_segment_sums, [[spec]] * 2)
-            assert [get() for get in getters] == [120] * 2
-            os.kill(min(runner.worker_pids()), signal.SIGKILL)
-            recalled = runner.broadcast(_recall)
-            assert [value for _pid, value in recalled] == [None] * 2
-
     def test_task_at_the_segment_limit_is_received_whole(self):
         """A worker receives every descriptor of the largest task."""
         with Runner(jobs=2) as runner, SharedArena() as arena:
@@ -431,12 +422,22 @@ class TestSegmentsTravelWithTasks:
             with pytest.raises(PipelineError, match="at most"):
                 runner.submit(_segment_sums, specs)
             assert runner.worker_pids() == before
-            assert runner.broadcast(_double, 4) == [8, 8]
+            assert _on_each_worker(runner, _double, 4) == [8, 8]
+            assert runner.worker_pids() == before
 
 
 def _pid_of_worker(_payload):
-    """Broadcast target: identify the executing worker process."""
+    """Gather target: identify the executing process."""
     return os.getpid()
+
+
+def _on_each_worker(runner, fn, task):
+    """``fn(task)`` on each idle worker once, through one gather: the
+    caller keeps every ``jobs``-th task, and each other task goes to
+    the worker with the fewest pending.  The workers' results, in
+    order."""
+    getters = runner.gather(fn, [task] * runner.jobs)
+    return [get() for get in getters][1:]
 
 
 def _double(value):
@@ -477,21 +478,6 @@ def _declared_triple(value):
 _declared_triple.fault_point = "runner.declared"
 
 
-#: Worker state that only a broadcast sets.
-_REMEMBERED = None
-
-
-def _remember(value):
-    """Sticky broadcast target."""
-    global _REMEMBERED
-    _REMEMBERED = value
-
-
-def _recall(_payload):
-    """Broadcast target: this worker and what it remembers."""
-    return os.getpid(), _REMEMBERED
-
-
 def _within(seconds, fn):
     """``fn()``, failing instead of hanging when it blocks ``seconds``."""
     out = []
@@ -510,10 +496,6 @@ class TestDispatchPrimitives:
         with Runner(jobs=1) as runner:
             with pytest.raises(PipelineError):
                 runner.submit(_double, 21)
-
-    def test_broadcast_without_pool_returns_none(self):
-        with Runner(jobs=1) as runner:
-            assert runner.broadcast(_pid_of_worker) is None
 
     def test_submit_runs_on_the_persistent_pool(self):
         with Runner(jobs=2) as runner:
@@ -542,15 +524,6 @@ class TestDispatchPrimitives:
             assert [get() for get in getters] == [0, 2, 4, 6]
             assert len(runner.worker_pids()) == 1
         assert (tmp_path / "claim").exists(), "no worker was killed"
-
-    def test_broadcast_reaches_every_worker_exactly_once(self):
-        with Runner(jobs=3) as runner:
-            pids = runner.broadcast(_pid_of_worker)
-            assert len(pids) == 2
-            assert len(set(pids)) == 2  # two distinct workers, once each
-            assert os.getpid() not in pids
-            # A second broadcast reaches the same two workers.
-            assert set(runner.broadcast(_pid_of_worker)) == set(pids)
 
     def test_gather_reraises_the_task_exception_unchanged(self):
         with Runner(jobs=2) as runner:
@@ -604,50 +577,30 @@ class TestDispatchPrimitives:
             assert _within(30, lambda: [get() for get in getters]) == [21] * 2
             assert in_parent == []
             # A target that declares no point runs untouched.
-            assert runner.broadcast(_double, 4) == [8, 8]
+            assert _within(
+                30, lambda: _on_each_worker(runner, _double, 4)
+            ) == [8, 8]
             after = runner.worker_pids()
         assert len(after) == 2
         assert before - after, "no pool attempt fired the declared point"
 
-    def test_a_retiring_broadcast_leaves_the_replay_log_with_its_target(
-        self,
-    ):
-        """A broadcast that retires an earlier one is not recorded, and
-        takes the earlier one out of the record: a successor replays
-        neither, while the others stay."""
+    def test_killed_idle_workers_are_replaced_by_the_next_fan_out(self):
+        """SIGKILL every idle worker from outside: the next gather finds
+        each one dead, forks its successor and answers there."""
         with Runner(jobs=3) as runner:
-            runner.broadcast(_remember, "basis-7")
-            runner.broadcast(_remember, "basis-8")
-            assert runner.broadcast(
-                _remember, None, retires=(_remember, "basis-7")
-            ) == [None] * 2
-            assert runner._broadcasts == [
-                runner_module._task_message(_remember, "basis-8")
-            ]
-            # Retiring what is not recorded changes nothing.
-            runner.broadcast(_remember, None, retires=(_remember, "gone"))
-            assert len(runner._broadcasts) == 1
-            victim = min(runner.worker_pids())
-            os.kill(victim, signal.SIGKILL)
-            recalled = dict(_within(30, lambda: runner.broadcast(_recall)))
-            assert victim not in recalled
-            # The survivor ran every broadcast; the successor replayed
-            # only the one still recorded, then ran the recall.
-            assert sorted(recalled.values(), key=str) == [None, "basis-8"]
-
-    def test_killed_idle_workers_come_back_with_their_sticky_state(self):
-        """SIGKILL every idle worker from outside: the next broadcast and
-        gather fork successors, which replayed the broadcasts."""
-        with Runner(jobs=3) as runner:
-            runner.broadcast(_remember, "basis-7")
+            runner.ensure_pool()
             before = runner.worker_pids()
             for pid in before:
                 os.kill(pid, signal.SIGKILL)
-            recalled = _within(
-                30, lambda: runner.broadcast(_recall)
+            # Dead, not dying: a task sent to a dying worker is lost and
+            # resubmitted, possibly to a sibling's successor.
+            assert wait_until(lambda: not any(map(alive, before)), 10)
+            pids = _within(
+                30, lambda: _on_each_worker(runner, _pid_of_worker, None)
             )
-            assert [value for _pid, value in recalled] == ["basis-7"] * 2
-            assert not {pid for pid, _value in recalled} & before
+            assert len(set(pids)) == 2
+            assert not set(pids) & before
+            assert set(pids) == runner.worker_pids()
             results = _within(
                 30, lambda: [get() for get in runner.gather(_double, range(4))]
             )
@@ -697,6 +650,18 @@ class TestForkJoin:
         assert here == [n for n in range(n_tasks) if n % jobs == 0]
         assert _RAN_HERE == here
         assert {pid for pid, _value in results if pid != parent} <= workers
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_a_fan_out_of_jobs_tasks_reaches_each_idle_worker_once(
+        self, jobs
+    ):
+        """The caller keeps the first task and each other one goes to
+        the worker with the fewest pending, so idle workers get one
+        each."""
+        with Runner(jobs=jobs) as runner:
+            runner.ensure_pool()
+            pids = _on_each_worker(runner, _pid_of_worker, None)
+            assert sorted(pids) == sorted(runner.worker_pids())
 
     def test_getters_run_the_callers_share_when_called(self):
         """A getter of the caller's share computes when it is called, in

@@ -25,7 +25,6 @@ from repro.backend.shared import HAVE_SHARED_MEMORY
 from repro.errors import ServingError
 from repro.logic.correlator import CoincidenceCorrelator
 from repro.pipeline.corpus import CorpusStore
-from repro.pipeline.runner import Runner
 from repro.serving import dispatch, protocol
 from repro.serving import server as server_module
 from repro.serving.client import AsyncServingClient, ServingClient
@@ -523,16 +522,14 @@ def other_grid_corpus(tmp_path_factory):
     return root
 
 
-def _failing_start(root, runner=None):
-    """A ``jobs=2`` server whose start fails after the install broadcast.
+def _failing_start(root):
+    """A ``jobs=2`` server whose start fails after it took its basis.
 
     The handle is returned, not dropped: its startup error keeps the
     server reachable, so only the failed start itself can have cleaned
     up.
     """
-    thread = ServerThread(
-        ServerConfig(jobs=2, corpus=str(root), **SMALL), runner=runner
-    )
+    thread = ServerThread(ServerConfig(jobs=2, corpus=str(root), **SMALL))
     with pytest.raises(ServingError) as info:
         thread.start()
     assert info.value.code == protocol.ERR_BAD_GRID
@@ -543,17 +540,6 @@ def _failing_start(root, runner=None):
     not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 class TestFailedStart:
-    def test_shared_runner_keeps_no_install(self, other_grid_corpus):
-        with Runner(jobs=2) as runner:
-            runner.ensure_pool()
-            workers = runner.worker_pids()
-            handles = [
-                _failing_start(other_grid_corpus, runner) for _ in range(3)
-            ]
-            assert runner._broadcasts == []
-            assert runner.worker_pids() == workers
-        assert all(handle.server is None for handle in handles)
-
     def test_own_runner_leaves_no_process_or_thread(self, other_grid_corpus):
         parent = os.getpid()
         children = set(process_tree(parent))

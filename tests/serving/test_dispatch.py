@@ -6,10 +6,14 @@ rows, or on a pool worker through :func:`~repro.serving.dispatch.run_shard`,
 which maps the request arena first.  These tests hold that layer to
 the serving contract directly: shards of any split concatenate to one
 pass over the whole batch, on word-aligned and ragged grids; both
-entries agree; the scan options reach the receivers; and the pool
-entries declare the pool-death fault point instead of firing it, so a
-shard run in the server fires only ``serving.compute_shard``.
+entries agree; the scan options reach the receivers; the pool entries
+declare the pool-death fault point instead of firing it, so a shard
+run in the server fires only ``serving.compute_shard``; and a task's
+basis recipe names one memoised basis per process, the one a server
+on the same knobs holds.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +22,9 @@ from repro.backend import SpikeTrainBatch, packed
 from repro.backend.shared import HAVE_SHARED_MEMORY, SharedArena
 from repro.errors import ServingError
 from repro.logic.correlator import CoincidenceCorrelator
+from repro.experiments.identify import IdentifyConfig, _workload
 from repro.serving import dispatch
+from repro.serving import server as server_module
 from repro.serving.server import ServerConfig, build_serving_basis
 from repro.testing import faults
 
@@ -35,8 +41,14 @@ FIELDS = {
 
 
 @pytest.fixture(scope="module", params=[SMALL, RAGGED], ids=["aligned", "ragged"])
-def basis(request):
-    return build_serving_basis(ServerConfig(**request.param))
+def recipe(request):
+    """The universe as a pool task names its basis."""
+    return dispatch.BasisRecipe(**request.param)
+
+
+@pytest.fixture(scope="module")
+def basis(recipe):
+    return dispatch.serving_basis(recipe)
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +65,6 @@ def frame(basis, drawn):
     others = np.random.default_rng(4).integers(basis.size, size=len(wires))
     superposed = wires.union(basis.as_batch().select_rows(others))
     return np.ascontiguousarray(superposed.packbits())
-
-
-@pytest.fixture
-def token(basis):
-    """The basis installed in this process, as a pool worker holds it."""
-    table = dispatch.export_basis(basis)
-    dispatch.install_basis(table)
-    yield table.token
-    dispatch.discard_basis(table.token)
 
 
 def _shard_views(frame, grid, n_shards):
@@ -141,7 +144,7 @@ class TestComputeShard:
 )
 class TestRunShard:
     @pytest.mark.parametrize("mode", sorted(FIELDS))
-    def test_mapped_rows_equal_the_frame_rows(self, basis, frame, token, mode):
+    def test_mapped_rows_equal_the_frame_rows(self, basis, frame, recipe, mode):
         """The pool entry, run here on the request arena's mapping,
         answers as the in-process shard on the frame's rows."""
         batch = SpikeTrainBatch.from_packed(frame, basis.grid)
@@ -149,24 +152,13 @@ class TestRunShard:
             handle = batch.to_shared(arena)
             for rows, lo, hi in _shard_views(frame, basis.grid, 3):
                 mapped = dispatch.run_shard(
-                    dispatch.ShardTask(token, handle, lo, hi, mode=mode)
+                    dispatch.ShardTask(recipe, handle, lo, hi, mode=mode)
                 )
                 local = dispatch.compute_shard(basis, rows, lo, hi, mode=mode)
                 assert (mapped["row_start"], mapped["row_stop"]) == (lo, hi)
                 assert mapped["residency"]["raster"] is False
                 for name in FIELDS[mode]:
                     assert np.array_equal(mapped[name], local[name])
-
-    def test_uninstalled_token_is_an_internal_error(self, basis, frame):
-        batch = SpikeTrainBatch.from_packed(frame, basis.grid)
-        with SharedArena() as arena:
-            task = dispatch.ShardTask(
-                "never-installed", batch.to_shared(arena), 0, 1,
-                mode="identify",
-            )
-            with pytest.raises(ServingError, match="never-installed") as info:
-                dispatch.run_shard(task)
-        assert info.value.code == dispatch.ERR_INTERNAL
 
 
 class TestDeclaredFaultPoint:
@@ -178,7 +170,7 @@ class TestDeclaredFaultPoint:
         not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
     )
     def test_in_process_run_shard_fires_only_the_compute_point(
-        self, basis, frame, token, monkeypatch
+        self, basis, frame, recipe, monkeypatch
     ):
         fired = []
         monkeypatch.setattr(faults, "maybe_fire", fired.append)
@@ -186,20 +178,20 @@ class TestDeclaredFaultPoint:
         with SharedArena() as arena:
             dispatch.run_shard(
                 dispatch.ShardTask(
-                    token, batch.to_shared(arena), 0, len(frame),
+                    recipe, batch.to_shared(arena), 0, len(frame),
                     mode="membership",
                 )
             )
         assert fired == ["serving.compute_shard"]
 
     def test_in_process_logicnet_shard_fires_only_the_compute_point(
-        self, token, monkeypatch
+        self, recipe, monkeypatch
     ):
         fired = []
         monkeypatch.setattr(faults, "maybe_fire", fired.append)
         dispatch.run_logicnet_shard(
             dispatch.LogicNetShardTask(
-                token, seed=11, n_gates=6, depth=2, net_start=0, net_stop=4
+                recipe, seed=11, n_gates=6, depth=2, net_start=0, net_stop=4
             )
         )
         assert fired == ["serving.compute_shard"]
@@ -225,11 +217,77 @@ class TestLogicNetShards:
             got = np.concatenate([shard[name] for shard in shards])
             assert np.array_equal(got, whole[name])
 
-    def test_installed_basis_answers_as_its_source(self, basis, token):
+
+class TestBasisRecipe:
+    """A recipe names one basis per process: built once, then shared."""
+
+    def test_the_memo_hands_out_one_basis_per_recipe(self, recipe):
+        again = dispatch.BasisRecipe(**vars(recipe))
+        assert again is not recipe
+        basis = dispatch.serving_basis(recipe)
+        assert dispatch.serving_basis(again) is basis
+        config = ServerConfig(**vars(recipe))
+        assert build_serving_basis(config) is basis
+
+    def test_a_rebuild_equals_the_memoised_basis(self, recipe, basis):
+        fresh = recipe.build()
+        assert fresh is not basis
+        assert fresh.labels == basis.labels
+        assert fresh.grid == basis.grid
+        assert fresh.grid.n_samples == recipe.n_samples
+        for built, held in zip(fresh.trains, basis.trains):
+            assert built == held
+
+    def test_the_memo_rebuilds_a_dropped_recipe_bit_identically(self):
+        held = dispatch.serving_basis.cache_info().maxsize
+        recipes = [
+            dispatch.BasisRecipe(**dict(SMALL, seed=200 + i))
+            for i in range(held + 1)
+        ]
+        first = dispatch.serving_basis(recipes[0])
+        for recipe in recipes[1:]:
+            dispatch.serving_basis(recipe)
+        assert dispatch.serving_basis.cache_info().currsize == held
+        again = dispatch.serving_basis(recipes[0])
+        assert again is not first
+        for rebuilt, dropped in zip(again.trains, first.trains):
+            assert rebuilt == dropped
+
+    @pytest.mark.parametrize("n_samples", [4096, 65536])
+    def test_a_task_names_its_basis_in_a_few_integers(self, n_samples):
+        """A task's pickle does not grow with the basis it names."""
+        task = dispatch.LogicNetShardTask(
+            dispatch.BasisRecipe(n_samples=n_samples),
+            seed=5, n_gates=8, depth=3, net_start=0, net_stop=6,
+        )
+        size = len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL))
+        assert size < 512, size
+        assert pickle.loads(pickle.dumps(task)) == task
+
+    def test_server_config_defaults_are_the_recipe(self):
+        """``repro serve`` builds the default recipe before it loads the
+        server; the server's default knobs must name the same basis."""
+        assert server_module._recipe(ServerConfig()) == dispatch.BasisRecipe()
+
+    def test_identify_workload_draws_the_same_basis(self):
+        """The ``identify`` experiment and the server share one recipe:
+        on the same knobs, the experiment's basis is the server's."""
+        config = IdentifyConfig(seed=7, basis_size=8, source_isi_samples=16)
+        workload_basis = _workload(config)[0]
+        served = dispatch.BasisRecipe(
+            seed=7, basis_size=8, source_isi_samples=16
+        ).build()
+        assert workload_basis.labels == served.labels
+        for drawn, built in zip(workload_basis.trains, served.trains):
+            assert drawn == built
+
+    def test_logicnet_task_answers_as_the_recipes_basis(self, recipe):
+        """A task run in any process computes on its recipe's basis: the
+        memoised one answers as a fresh build."""
         spec = dict(seed=5, n_gates=8, depth=3, net_start=0, net_stop=6)
         served = dispatch.run_logicnet_shard(
-            dispatch.LogicNetShardTask(token, **spec)
+            dispatch.LogicNetShardTask(recipe, **spec)
         )
-        local = dispatch.compute_logicnet_shard(basis, **spec)
+        local = dispatch.compute_logicnet_shard(recipe.build(), **spec)
         for name in ("popcounts", "checksums"):
             assert np.array_equal(served[name], local[name])

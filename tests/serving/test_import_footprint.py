@@ -93,7 +93,8 @@ with Runner(jobs=2) as runner:
             assert nets.summary["transport"] == "seed-rebuild"
             rows = client.corpus_identify("library", 0, 8)
             np.testing.assert_array_equal(rows.elements, np.arange(8))
-        workers = runner.broadcast(loaded)
+        # One task per worker: the caller keeps the first.
+        workers = [get() for get in runner.gather(loaded, [None] * 2)][1:]
 print(json.dumps({"server": loaded(), "workers": workers}))
 """
 

@@ -14,6 +14,9 @@ The acceptance contract of the serving layer:
   codes, and overload answers OVERLOADED instead of growing memory.
 """
 
+import contextlib
+import os
+import signal
 import socket
 
 import numpy as np
@@ -23,7 +26,9 @@ from repro.backend import SpikeTrainBatch
 from repro.backend.shared import HAVE_SHARED_MEMORY
 from repro.errors import ProtocolError, ServingError
 from repro.logic.correlator import CoincidenceCorrelator
+from repro.pipeline.runner import Runner
 from repro.serving import dispatch, protocol
+from repro.serving import server as server_module
 from repro.serving.client import ServingClient
 from repro.serving.server import (
     ServerConfig,
@@ -46,7 +51,8 @@ def inline_server():
 
 @pytest.fixture(scope="module")
 def small_basis():
-    """The basis the module's servers serve (rebuilt deterministically)."""
+    """The basis the module's servers serve (this process's memoised
+    one, which the in-process servers hold)."""
     return build_serving_basis(ServerConfig(**SMALL))
 
 
@@ -511,10 +517,8 @@ class TestGracefulShutdown:
     )
     def test_idle_workers_hold_no_request_segment(self):
         """Once a sharded reply is in, no worker holds the request's
-        segments: neither a descriptor nor a mapping, and no broadcast
-        or shutdown is needed to make it so."""
-        from repro.pipeline.runner import Runner
-
+        segments: neither a descriptor nor a mapping, and no later
+        message or shutdown is needed to make it so."""
         from .live_server import arena_mappings, arena_segments
 
         runner = Runner(jobs=3)
@@ -539,57 +543,164 @@ class TestGracefulShutdown:
             runner.close()
 
 
-def _installed_tokens(_payload=None):
-    """Broadcast target: the basis tokens this worker holds installed."""
-    return sorted(dispatch._INSTALLED)
+def _worker_basis(recipe):
+    """Gather target: this process's pid, whether it built the basis of
+    ``recipe`` for this call, and that basis as plain data."""
+    misses = dispatch.serving_basis.cache_info().misses
+    basis = dispatch.serving_basis(recipe)
+    built = dispatch.serving_basis.cache_info().misses > misses
+    return (
+        os.getpid(),
+        built,
+        basis.labels,
+        basis.grid,
+        [train.indices for train in basis.trains],
+    )
+
+
+def _recipe_of(knobs):
+    """The basis recipe of a server on ``knobs``."""
+    return server_module._recipe(ServerConfig(**knobs))
+
+
+def _assert_serves(client, basis, rows, n_shards):
+    """One identify and one logicnet request, each answered on the pool
+    and bit-identical to a pass over ``basis`` in this process."""
+    wires = basis.as_batch().select_rows(rows)
+    reply = client.identify(wires, n_shards=n_shards)
+    assert reply.summary["transport"] == "shared-arena"
+    expected = dispatch.compute_shard(
+        basis, wires, 0, len(rows), mode="identify"
+    )
+    for name in ("elements", "decision_slots", "spikes_inspected"):
+        assert np.array_equal(getattr(reply, name), expected[name]), name
+    assert reply.elements.tolist() == list(rows)
+    nets = client.logicnet(13, 0, 6, n_gates=6, depth=3, n_shards=n_shards)
+    assert nets.summary["transport"] == "seed-rebuild"
+    expected = dispatch.compute_logicnet_shard(
+        basis, seed=13, n_gates=6, depth=3, net_start=0, net_stop=6
+    )
+    for name in ("popcounts", "checksums"):
+        assert np.array_equal(getattr(nets, name), expected[name]), name
 
 
 @pytest.mark.skipif(
     not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
 )
 class TestSharedRunner:
-    """Servers that share one runner in turn: a stopped server's basis
-    install and discard leave the runner's replay log with it."""
+    """Pool tasks name their basis by recipe: a worker takes the basis
+    from its own memo, inherited from the process it forked from or
+    built on first use, so servers on any recipes can share one
+    runner and a replacement worker needs nothing sent to it."""
 
-    def test_stopped_servers_leave_nothing_to_replay(self):
-        import os
-        import signal
+    @pytest.mark.parametrize(
+        "change",
+        [dict(seed=11), dict(basis_size=5), dict(n_samples=4001)],
+        ids=["seed", "basis-size", "ragged-grid"],
+    )
+    def test_a_pool_worker_builds_the_servers_basis(self, change):
+        knobs = dict(SMALL, **change)
+        recipe = _recipe_of(knobs)
+        # Forked before the server takes its basis, from an empty memo:
+        # the worker must build the basis itself.
+        dispatch.serving_basis.cache_clear()
+        with Runner(jobs=2) as runner:
+            runner.ensure_pool()
+            config = ServerConfig(jobs=2, **knobs)
+            with ServerThread(config, runner=runner) as handle:
+                basis = handle.server.basis
+                getters = runner.gather(_worker_basis, [recipe] * 2)
+                _here, (pid, built, labels, grid, trains) = [
+                    get() for get in getters
+                ]
+            assert pid in runner.worker_pids()
+        assert built
+        assert labels == basis.labels
+        assert grid == basis.grid
+        assert len(trains) == basis.size
+        for got, held in zip(trains, basis.trains):
+            assert np.array_equal(got, held.indices)
 
-        from repro.pipeline.runner import Runner, _task_message
-
+    def test_servers_on_two_recipes_share_one_runner(self):
+        """Interleaved requests to two servers on different recipes, on
+        one ``jobs=3`` runner, each answer on their own basis; so they
+        do after an idle worker is killed and replaced."""
         from .live_server import alive, wait_until
 
-        config = ServerConfig(jobs=3, fast_path_bytes=0, **SMALL)
-        basis = build_serving_basis(ServerConfig(**SMALL))
-        wires = basis.as_batch().select_rows([4, 1, 6])
-        stopped = []
-        with Runner(jobs=3) as runner:
-            for _cycle in range(3):
-                with ServerThread(config, runner=runner) as handle:
-                    stopped.append(handle.server._basis_table.token)
-                    with ServingClient(handle.host, handle.port) as client:
-                        reply = client.identify(wires, n_shards=3)
-                    assert reply.elements.tolist() == [4, 1, 6]
-                assert runner._broadcasts == []
-            with ServerThread(config, runner=runner) as handle:
-                table = handle.server._basis_table
-                assert runner._broadcasts == [
-                    _task_message(dispatch.install_basis, table)
-                ]
-                victim = min(runner.worker_pids())
-                os.kill(victim, signal.SIGKILL)
-                assert wait_until(lambda: not alive(victim), 10)
-                # The broadcast finds the dead worker and forks its
-                # successor, which replayed the log first.
-                installed = runner.broadcast(_installed_tokens)
-                assert victim not in runner.worker_pids()
-                # Bases this process installed for other servers reach
-                # a fork by inheritance; the stopped servers' never do.
-                assert len(installed) == 2
-                for tokens in installed:
-                    assert table.token in tokens
-                    assert not set(stopped) & set(tokens)
-                with ServingClient(handle.host, handle.port) as client:
-                    reply = client.identify(wires, n_shards=3)
-                assert reply.summary["transport"] == "shared-arena"
-                assert reply.elements.tolist() == [4, 1, 6]
+        universes = [SMALL, dict(SMALL, seed=11, basis_size=5, n_samples=4001)]
+        # Fresh builds, not the memo's objects the servers hold.
+        bases = [_recipe_of(knobs).build() for knobs in universes]
+        rows = [[4, 1, 6, 0, 7], [3, 0, 4, 2, 1]]
+        with Runner(jobs=3) as runner, contextlib.ExitStack() as stack:
+            clients = []
+            for knobs in universes:
+                config = ServerConfig(jobs=3, fast_path_bytes=0, **knobs)
+                handle = stack.enter_context(ServerThread(config, runner))
+                clients.append(
+                    stack.enter_context(
+                        ServingClient(handle.host, handle.port)
+                    )
+                )
+            for _round in range(2):
+                for client, basis, wanted in zip(clients, bases, rows):
+                    _assert_serves(client, basis, wanted, n_shards=3)
+            victim = min(runner.worker_pids())
+            os.kill(victim, signal.SIGKILL)
+            assert wait_until(lambda: not alive(victim), 10)
+            for client, basis, wanted in zip(clients, bases, rows):
+                _assert_serves(client, basis, wanted, n_shards=3)
+            assert victim not in runner.worker_pids()
+            assert len(runner.worker_pids()) == 2
+
+    def test_workers_forked_after_the_build_never_build(self, monkeypatch):
+        """A server's own runner forks its worker in ``start()``, after
+        the server took its basis, and every replacement forks later:
+        each inherits the basis and builds nothing.  After ``start()``
+        the builder refuses, and a replacement inherits the refusal."""
+        from .live_server import alive, wait_until
+
+        basis = _recipe_of(SMALL).build()
+
+        def refuse(recipe):
+            raise RuntimeError("a forked worker built its basis")
+
+        config = ServerConfig(jobs=2, fast_path_bytes=0, **SMALL)
+        with ServerThread(config) as handle:
+            runner = handle.server._runner
+            (first,) = runner.worker_pids()
+            getters = runner.gather(_worker_basis, [_recipe_of(SMALL)] * 2)
+            assert [get()[:2] for get in getters] == [
+                (os.getpid(), False),
+                (first, False),
+            ]
+            monkeypatch.setattr(dispatch.BasisRecipe, "build", refuse)
+            with ServingClient(handle.host, handle.port) as client:
+                _assert_serves(client, basis, [2, 5, 1], n_shards=2)
+                os.kill(first, signal.SIGKILL)
+                assert wait_until(lambda: not alive(first), 10)
+                _assert_serves(client, basis, [7, 0, 3], n_shards=2)
+                assert first not in runner.worker_pids()
+                assert len(runner.worker_pids()) == 1
+            assert handle.server.stats.errors == 0
+
+    def test_more_recipes_than_the_memo_holds_answer_bit_identically(self):
+        """One more server than the memo holds bases, on one runner:
+        every process drops and rebuilds bases as the requests cycle
+        through the recipes, and every answer stays bit-identical."""
+        held = dispatch.serving_basis.cache_info().maxsize
+        universes = [dict(SMALL, seed=100 + i) for i in range(held + 1)]
+        bases = [_recipe_of(knobs).build() for knobs in universes]
+        with Runner(jobs=2) as runner, contextlib.ExitStack() as stack:
+            clients = []
+            for knobs in universes:
+                config = ServerConfig(jobs=2, fast_path_bytes=0, **knobs)
+                handle = stack.enter_context(ServerThread(config, runner))
+                clients.append(
+                    stack.enter_context(
+                        ServingClient(handle.host, handle.port)
+                    )
+                )
+            for _round in range(2):
+                for client, basis in zip(clients, bases):
+                    _assert_serves(client, basis, [6, 3, 0, 5], n_shards=2)
+        assert dispatch.serving_basis.cache_info().currsize == held

@@ -243,6 +243,16 @@ class TestRun:
         }
 
 
+def _bases_built_for(recipe):
+    """Gather target: how many bases this process built to answer a
+    task on ``recipe``."""
+    from repro.serving import dispatch
+
+    before = dispatch.serving_basis.cache_info().misses
+    dispatch.serving_basis(recipe)
+    return dispatch.serving_basis.cache_info().misses - before
+
+
 class TestServeCommand:
     def test_serve_builds_config_and_delegates(self, monkeypatch):
         import repro.serving.server as server_mod
@@ -284,6 +294,33 @@ class TestServeCommand:
             assert len(captured["pool"]) == 1
         else:
             assert captured["runner"] is None
+
+    @pytest.mark.skipif(
+        not HAVE_SHARED_MEMORY, reason="no memfd shared memory on this host"
+    )
+    def test_serve_forks_its_pool_with_the_basis_built(self, monkeypatch):
+        """``serve`` builds the basis of its knobs before it forks the
+        pool: the worker answers a task on the server's recipe with the
+        basis it inherited, building none."""
+        import repro.serving.server as server_mod
+        from repro.serving import dispatch
+
+        built = {}
+
+        def fake_serve(config, out=None, runner=None):
+            recipe = server_mod._recipe(config)
+            getters = runner.gather(_bases_built_for, [recipe] * 2)
+            built["here"], built["worker"] = [get() for get in getters]
+            return 0
+
+        monkeypatch.setattr(server_mod, "serve_forever", fake_serve)
+        dispatch.serving_basis.cache_clear()
+        argv = [
+            "serve", "--port", "0", "--jobs", "2", "--seed", "7",
+            "--n-samples", "4096", "--basis-size", "8",
+        ]
+        assert main(argv, out=io.StringIO()) == 0
+        assert built == {"here": 0, "worker": 0}
 
     @pytest.mark.parametrize("flags", [["--jobs", "1"]])
     def test_serve_without_a_pool_passes_no_runner(self, monkeypatch, flags):
