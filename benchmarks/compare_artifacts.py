@@ -9,6 +9,9 @@ when any value drifts beyond tolerance.  Missing experiments, missing
 keys and shape mismatches are drift too: a result silently losing a
 field must not pass the gate.
 
+A NaN leaf matches a NaN at the same place (``json`` writes both as
+``NaN``), and drifts against any number.
+
 Volatile wall-time fields inside result payloads (``wall_seconds``,
 ``build_seconds`` — the fields the pipeline already documents as the
 intentionally non-deterministic ones) are skipped everywhere.
@@ -93,6 +96,11 @@ def _diff_values(
     numeric_old = isinstance(old, (int, float)) and not isinstance(old, bool)
     numeric_new = isinstance(new, (int, float)) and not isinstance(new, bool)
     if numeric_old and numeric_new:
+        # NaN on both sides is the same value (a mean over no samples,
+        # say); math.isclose would call it drift.  NaN against a number
+        # still is.
+        if math.isnan(old) and math.isnan(new):
+            return
         if not math.isclose(old, new, rel_tol=rtol, abs_tol=atol):
             drifts.append(f"{at}: {old!r} -> {new!r}")
         return

@@ -37,17 +37,18 @@ __all__ = [
 def verify_orthogonality(trains: Sequence[SpikeTrain], labels: Sequence[str]) -> None:
     """Raise :class:`OrthogonalityError` if any two trains share a slot.
 
-    The happy path is one vectorised occupancy count over the
-    concatenated slots (O(total spikes) instead of O(M²) pairwise
-    intersections); the pairwise walk only runs to name the offending
-    pair once a collision is known to exist.
+    The happy path sorts the concatenated slots once and looks for two
+    equal neighbours, a slot two trains share (O(S log S) for S spikes
+    instead of O(M²) pairwise intersections, and no ``np.unique``,
+    whose first call imports ``numpy.ma``); the pairwise walk only runs
+    to name the offending pair once a collision is known to exist.
     """
     occupied = [t.indices for t in trains if len(t)]
     if len(occupied) < 2:
         return
     all_slots = np.concatenate(occupied)
-    unique_slots = np.unique(all_slots)
-    if unique_slots.size == all_slots.size:
+    all_slots.sort()
+    if not np.any(all_slots[1:] == all_slots[:-1]):
         return
     for i in range(len(trains)):
         for j in range(i + 1, len(trains)):

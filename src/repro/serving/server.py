@@ -254,9 +254,25 @@ class ServerStats:
         }
 
     def _quantile(self, q: float) -> Optional[float]:
+        """``np.quantile(window, q)`` (its default ``linear`` method).
+
+        Computed on the sorted window here, because ``np.quantile``
+        imports ``numpy.ma`` on its first call, which nothing served
+        needs.  The two neighbours are interpolated with NumPy's own
+        formula, the ``t >= 0.5`` branch included, so the result is the
+        same float.
+        """
         if not self._latencies:
             return None
-        return float(np.quantile(np.asarray(self._latencies), q))
+        ordered = sorted(self._latencies)
+        position = (len(ordered) - 1) * q
+        below = int(position)
+        a = ordered[below]
+        b = ordered[min(below + 1, len(ordered) - 1)]
+        t = position - below
+        if t >= 0.5:
+            return b - (b - a) * (1 - t)
+        return a + (b - a) * t
 
     def snapshot(self) -> dict:
         """The JSON-ready stats payload served to STATS requests."""

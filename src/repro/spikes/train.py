@@ -57,7 +57,15 @@ class SpikeTrain:
             if not np.all(float_arr == np.round(float_arr)):
                 raise SpikeTrainError("spike indices must be integral")
             arr = float_arr.astype(np.int64)
-        arr = np.unique(arr.astype(np.int64, copy=False))
+        # Sort a flattened copy (never the caller's array) and drop
+        # adjacent repeats: np.unique's result without its first-call
+        # import of numpy.ma, which no serving process needs.
+        arr = np.sort(arr.astype(np.int64, copy=False), axis=None)
+        first = np.empty(arr.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(arr[1:], arr[:-1], out=first[1:])
+        if not first.all():
+            arr = arr[first]
         if arr.size:
             if arr[0] < 0:
                 raise SpikeTrainError(f"negative spike index: {arr[0]}")

@@ -92,6 +92,77 @@ def test_intersection_products_subset_semantics(xs, ys):
     assert b_only.is_subset_of(b) and b_only.is_orthogonal_to(a)
 
 
+def first_shared_pair(trains):
+    """The first ``(i, j)``, ``i < j``, whose trains share a slot, and
+    how many they share; ``None`` when all are pairwise disjoint."""
+    slots = [set(t.indices.tolist()) for t in trains]
+    for i in range(len(slots)):
+        for j in range(i + 1, len(slots)):
+            shared = len(slots[i] & slots[j])
+            if shared:
+                return i, j, shared
+    return None
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+        max_size=7,
+    )
+)
+def test_verify_orthogonality_names_the_first_shared_pair(slot_lists):
+    """On a 41-slot range collisions are common, and so are disjoint
+    sets; the check agrees with a brute-force pairwise reference."""
+    trains = [train(xs) for xs in slot_lists]
+    labels = [f"w{i}" for i in range(len(trains))]
+    expected = first_shared_pair(trains)
+    if expected is None:
+        verify_orthogonality(trains, labels)
+        return
+    i, j, shared = expected
+    with pytest.raises(OrthogonalityError) as raised:
+        verify_orthogonality(trains, labels)
+    assert str(raised.value) == (
+        f"outputs {labels[i]!r} and {labels[j]!r} share "
+        f"{shared} spike slot(s)"
+    )
+
+
+@given(
+    st.lists(
+        st.integers(min_value=0, max_value=GRID.n_samples - 1),
+        unique=True,
+        max_size=128,
+    ),
+    st.data(),
+)
+def test_verify_orthogonality_accepts_disjoint_trains(slots, data):
+    """Any partition of distinct slots over 1–8 trains (some or all of
+    them empty) passes."""
+    m = data.draw(st.integers(min_value=1, max_value=8))
+    owners = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=m - 1),
+            min_size=len(slots),
+            max_size=len(slots),
+        )
+    )
+    trains = [
+        train([s for s, owner in zip(slots, owners) if owner == k])
+        for k in range(m)
+    ]
+    verify_orthogonality(trains, [f"w{k}" for k in range(m)])
+
+
+@pytest.mark.parametrize(
+    "slot_lists",
+    [[], [[]], [[], []], [[5, 9]], [[], [5, 9], []]],
+)
+def test_verify_orthogonality_accepts_fewer_than_two_occupied(slot_lists):
+    trains = [train(xs) for xs in slot_lists]
+    verify_orthogonality(trains, [f"w{k}" for k in range(len(trains))])
+
+
 class TestOrthogonatorOutputValidation:
     def test_overlapping_outputs_rejected(self):
         with pytest.raises(OrthogonalityError):

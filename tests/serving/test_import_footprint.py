@@ -7,11 +7,14 @@ baselines, energy, viz) are most of the rest.  Whatever a process has
 loaded when the serving pool forks, every worker inherits.  The
 runner forks its own workers and shared arenas are anonymous memfds,
 so no serving process loads ``multiprocessing`` or ``_posixshmem``,
-pool or no pool.  These guards run fresh
+pool or no pool.  Nor ``numpy.ma``, which the first ``np.unique`` or
+``np.quantile`` call imports: the basis build and STATS use neither.
+These guards run fresh
 interpreters through the whole serving surface — the CLI module, the
-basis build, and one identify, one logicnet and one corpus query,
-served in-process and through a two-worker pool — and fail if any of
-those modules got loaded in the server or in a pool worker.
+basis build, one identify, one logicnet and one corpus query and a
+STATS request, served in-process and through a two-worker pool — and
+fail if any of those modules got loaded in the server or in a pool
+worker.
 ``repro serve`` forks its pool right after importing
 :mod:`repro.serving.dispatch`, so that module must load no front-end
 code.  A bare ``import repro`` must load nothing but the root package
@@ -49,9 +52,11 @@ with ServerThread(config) as handle:
         assert nets.popcounts.shape == (4, 6)
         rows = client.corpus_identify("library", 0, 8)
         np.testing.assert_array_equal(rows.elements, np.arange(8))
+        assert client.stats()["latency_p99_seconds"] > 0
 loaded = sorted(
     name for name in sys.modules
     if name.split(".")[0] in ("scipy", "multiprocessing")
+    or name == "numpy.ma" or name.startswith("numpy.ma.")
 )
 print("\\n".join(loaded))
 """
@@ -93,14 +98,18 @@ with Runner(jobs=2) as runner:
             assert nets.summary["transport"] == "seed-rebuild"
             rows = client.corpus_identify("library", 0, 8)
             np.testing.assert_array_equal(rows.elements, np.arange(8))
+            assert client.stats()["latency_p99_seconds"] > 0
         # One task per worker: the caller keeps the first.
         workers = [get() for get in runner.gather(loaded, [None] * 2)][1:]
 print(json.dumps({"server": loaded(), "workers": workers}))
 """
 
 #: Packages only the experiments need, the process pool the runner's
-#: own forked workers replaced, and the named-segment machinery that
-#: memfd arenas replaced; none may load when serving.
+#: own forked workers replaced, the named-segment machinery that memfd
+#: arenas replaced, and the masked arrays that ``np.unique`` and
+#: ``np.quantile`` import on their first call; none may load when
+#: serving.  (``numpy.matrixlib``, which ``import numpy`` loads, is not
+#: ``numpy.ma``: the match is on whole dotted names.)
 _NOT_SERVING = (
     "repro.analysis",
     "repro.experiments",
@@ -112,6 +121,7 @@ _NOT_SERVING = (
     "scipy",
     "multiprocessing",
     "_posixshmem",
+    "numpy.ma",
 )
 
 

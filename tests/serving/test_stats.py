@@ -11,7 +11,10 @@ import asyncio
 import json
 import socket
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.backend.shared import HAVE_SHARED_MEMORY
 from repro.pipeline.corpus import CorpusStore
@@ -185,6 +188,61 @@ class TestServerStats:
         stats.record("coalesced", 0.01)
         snapshot = stats.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
+
+
+def _window_samples(seed, count, ties):
+    """``count`` wall times: exponential, or drawn from five values."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        return rng.choice([1e-4, 2.5e-4, 2.5e-4, 1e-3, 0.0123], count).tolist()
+    return rng.exponential(2e-3, count).tolist()
+
+
+class TestQuantilesEqualNumpy:
+    """The window quantiles are ``np.quantile``'s, bit for bit."""
+
+    @given(
+        window=st.integers(min_value=1, max_value=1024),
+        recorded=st.integers(min_value=1, max_value=2100),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        ties=st.booleans(),
+    )
+    def test_p50_and_p99(self, window, recorded, seed, ties):
+        """Windows of 1–1024 samples, with and without ties, partly
+        filled, full, and wrapped (more samples recorded than kept)."""
+        samples = _window_samples(seed, recorded, ties)
+        stats = ServerStats(window=window)
+        for seconds in samples:
+            stats.record("fast-path", seconds)
+        kept = np.asarray(samples[-window:])
+        snapshot = stats.snapshot()
+        assert snapshot["latency_window"] == kept.size
+        assert snapshot["latency_p50_seconds"] == float(np.quantile(kept, 0.5))
+        assert snapshot["latency_p99_seconds"] == float(
+            np.quantile(kept, 0.99)
+        )
+
+    @given(
+        samples=st.lists(
+            st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=64
+        ),
+        q=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_any_quantile_of_small_windows(self, samples, q):
+        stats = ServerStats()
+        for seconds in samples:
+            stats.record("fast-path", seconds)
+        assert stats._quantile(q) == float(np.quantile(np.asarray(samples), q))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 1023, 1024])
+    def test_window_sizes_at_the_edges(self, count):
+        samples = _window_samples(count, count, ties=False)
+        stats = ServerStats()
+        for seconds in samples:
+            stats.record("fast-path", seconds)
+        for key, q in (("latency_p50_seconds", 0.5),
+                       ("latency_p99_seconds", 0.99)):
+            assert stats.snapshot()[key] == float(np.quantile(samples, q))
 
 
 def _identify_on_fresh_connections(handle, wires, count):

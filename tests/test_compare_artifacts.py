@@ -136,6 +136,28 @@ class TestCompareArtifacts:
         )
         assert compare_artifacts.main([str(old), str(new)]) == 0
 
+    def test_nan_on_both_sides_passes(self, tmp_path):
+        # json writes NaN for a mean over no samples; two identical runs
+        # must not read as drift.
+        result = {"sweep": [{"mean": 1.5}, {"mean": float("nan")}]}
+        old = _write_dir(tmp_path / "old", {"a": result})
+        new = _write_dir(tmp_path / "new", {"a": result})
+        assert compare_artifacts.main([str(old), str(new)]) == 0
+
+    @pytest.mark.parametrize("old_value, new_value", [
+        (float("nan"), 1.5),
+        (1.5, float("nan")),
+        (float("nan"), 0),
+        (0, float("nan")),
+    ])
+    def test_nan_against_a_number_fails(self, tmp_path, old_value, new_value):
+        old = _write_dir(tmp_path / "old", {"a": {"mean": old_value}})
+        new = _write_dir(tmp_path / "new", {"a": {"mean": new_value}})
+        assert compare_artifacts.main([str(old), str(new)]) == 1
+        assert compare_artifacts.main(
+            [str(old), str(new), "--rtol", "1", "--atol", "1e9"]
+        ) == 1
+
     def test_bool_compared_exactly_not_numerically(self, tmp_path):
         # bool is an int subclass; True must not match 1.0000001-style
         # tolerance, nor False match 0 silently changing type.
