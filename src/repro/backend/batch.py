@@ -679,9 +679,7 @@ class SpikeTrainBatch:
     def any_union(self) -> SpikeTrain:
         """OR across all rows: the superposition of the whole batch."""
         if self._values is not None:
-            return SpikeTrain._from_sorted_unique(
-                np.unique(self._values), self._grid
-            )
+            return SpikeTrain(self._values, self._grid)
         merged = np.bitwise_or.reduce(self._packed, axis=0)
         indices = packed_kernels.unpack_indices(merged.view(np.uint8))
         return SpikeTrain._from_sorted_unique(indices, self._grid)

@@ -18,7 +18,7 @@ import numpy as np
 from ..backend import packed as packed_kernels
 from ..backend.batch import SpikeTrainBatch
 from ..errors import HyperspaceError
-from ..spikes.train import SpikeTrain
+from ..spikes.train import SpikeTrain, first_of_runs
 from .basis import ElementKey, HyperspaceBasis
 
 __all__ = [
@@ -107,7 +107,8 @@ def decode_superposition(
             raise HyperspaceError(
                 f"wire carries {foreign} spike(s) in slots owned by no basis element"
             )
-    members = frozenset(np.unique(owners[owners >= 0]).tolist())
+    owned = np.sort(owners[owners >= 0])
+    members = frozenset(owned[first_of_runs(owned)].tolist())
     return Superposition(members)
 
 
@@ -176,7 +177,11 @@ def first_detection_slots(
     """
     owners = basis.owners_of(wire.indices)
     mask = owners >= 0
-    elements, first = np.unique(owners[mask], return_index=True)
+    owned = owners[mask]
+    # A stable sort keeps each element's earliest spike first in its run.
+    by_element = np.argsort(owned, kind="stable")
+    first = by_element[first_of_runs(owned[by_element])]
+    elements = owned[first]
     slots = wire.indices[mask][first]
     order = np.argsort(slots, kind="stable")
     return {int(elements[i]): int(slots[i]) for i in order}

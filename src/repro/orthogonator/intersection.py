@@ -27,7 +27,7 @@ import numpy as np
 
 from ..backend.batch import SpikeTrainBatch
 from ..errors import ConfigurationError, SpikeTrainError
-from ..spikes.train import SpikeTrain
+from ..spikes.train import SpikeTrain, first_of_runs
 from .base import BatchOrthogonatorOutput, Orthogonator, OrthogonatorOutput
 
 __all__ = [
@@ -179,7 +179,8 @@ class IntersectionOrthogonator(Orthogonator):
         all_slots = np.concatenate([t.indices for t in inputs])
         if all_slots.size == 0:
             return grid, all_slots.astype(np.int64), all_slots.astype(np.int64)
-        occupied = np.unique(all_slots)
+        occupied = np.sort(all_slots)
+        occupied = occupied[first_of_runs(occupied)]
         patterns = np.zeros(occupied.size, dtype=np.int64)
         for bit, train in enumerate(inputs):
             positions = np.searchsorted(occupied, train.indices)

@@ -549,19 +549,21 @@ class ServingClient(_ClientCore):
     def _next_frame(self, request_id: int) -> protocol.Frame:
         """Read from the socket until one complete frame arrives.
 
-        ``feed`` may complete several frames from one ``recv``; the
-        surplus queues in ``_pending`` for the following calls.  Only
-        this request's frames (or a connection-scope one, id 0) may
-        arrive on a blocking connection.
+        The socket reads straight into the frame reader's buffers, so a
+        reply larger than the reader's window lands in place in its own
+        buffer.  One read may complete several frames; the surplus
+        queues in ``_pending`` for the following calls.  Only this
+        request's frames (or a connection-scope one, id 0) may arrive
+        on a blocking connection.
         """
         while not self._pending:
-            data = self._sock.recv(1024 * 1024)
-            if not data:
+            nbytes = self._sock.recv_into(self._reader.get_buffer())
+            if not nbytes:
                 raise ConnectionLostError(
                     protocol.ERR_RETRYABLE,
                     "connection closed mid-response",
                 )
-            self._pending.extend(self._reader.feed(data))
+            self._pending.extend(self._reader.buffer_updated(nbytes))
         frame = self._pending.popleft()
         if frame.request_id not in (0, request_id):
             raise ProtocolError(

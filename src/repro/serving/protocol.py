@@ -63,9 +63,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -1019,25 +1018,29 @@ class FrameReader:
     the connection must be dropped, which is why these are errors and
     not skipped frames.
 
-    The reader is **zero-copy on the hot path**: fed chunks are held
-    by reference (never concatenated into a rolling buffer), each
-    complete frame's body is assembled with at most one join, and the
-    returned frame's payload is a read-only view of that body —
-    a multi-megabyte request costs one copy between the socket and
-    ``np.frombuffer``, not four.
+    Bytes arrive one way: the transport (``asyncio.BufferedProtocol``,
+    ``socket.recv_into``) reads into :meth:`get_buffer`'s memory and
+    reports the count to :meth:`buffer_updated`; :meth:`feed` is the
+    same pair with a copy loop in front.  Each reader owns one
+    ``_SCRATCH_BYTES`` (64 KiB) window, and apart from a partial
+    frame's move to the window's start, a frame is copied at most once
+    on its way in:
 
-    For transports that can read *into* caller memory
-    (``asyncio.BufferedProtocol``, ``socket.recv_into``) the
-    :meth:`get_buffer`/:meth:`buffer_updated` pair goes one better:
-    once a frame's length prefix declares a body larger than the
-    scratch window, an exact-size assembly buffer is allocated and the
-    transport lands the remaining bytes **directly in place** — a
-    large request reaches ``np.frombuffer`` with no user-space copy at
-    all, and the kernel drains in buffer-sized reads instead of the
-    transport's default small chunks.
+    * a frame that completes inside the window is cut out with one
+      exact-size copy, and its payload is a read-only view of that copy;
+    * a partial frame that fits the window moves to the window's start
+      and completes there;
+    * a partial frame larger than the window moves into its own
+      exact-size buffer, and :meth:`get_buffer` exposes that buffer's
+      unfilled tail, so the rest of the frame lands **in place** — a
+      large request reaches ``np.frombuffer`` with no user-space copy
+      beyond the window's first read, and the kernel drains it in
+      frame-sized reads.
+
+    A reader therefore holds at most its window plus one frame.
     """
 
-    _SCRATCH_BYTES = 256 * 1024
+    _SCRATCH_BYTES = 64 * 1024
 
     def __init__(self, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
         if max_frame_bytes < HEADER_BYTES:
@@ -1047,26 +1050,27 @@ class FrameReader:
                 f"got {max_frame_bytes}",
             )
         self.max_frame_bytes = int(max_frame_bytes)
-        self._chunks: Deque[bytes] = deque()
-        self._buffered = 0
         self._poisoned: Optional[ProtocolError] = None
-        self._scratch: Optional[bytearray] = None
+        self._window = bytearray(self._SCRATCH_BYTES)
+        #: The exact-size buffer of a frame larger than the window.
         self._assembly: Optional[bytearray] = None
+        #: Bytes of the pending partial frame in the current buffer.
         self._filled = 0
 
     @property
     def buffered_bytes(self) -> int:
         """Bytes held waiting for the rest of a frame."""
-        return self._buffered
+        return self._filled
 
     @property
     def pending_error(self) -> Optional["ProtocolError"]:
         """The deferred framing error, if the stream is poisoned.
 
-        Set when :meth:`feed` swallowed a violation to hand back the
-        frames completed before it; consumers that want to fail fast
-        (the server answers the error without waiting for more bytes)
-        check this after draining a chunk's frames.
+        Set when :meth:`feed` or :meth:`buffer_updated` swallowed a
+        violation to hand back the frames completed before it;
+        consumers that want to fail fast (the server answers the error
+        without waiting for more bytes) check this after draining a
+        chunk's frames.
         """
         return self._poisoned
 
@@ -1081,68 +1085,22 @@ class FrameReader:
         """
         if self._poisoned is not None:
             raise self._poisoned
-        if data:
-            # Held by reference: chunks are only stitched together once
-            # a frame completes, and only across its own boundary.
-            self._chunks.append(bytes(data))
-            self._buffered += len(data)
+        data = memoryview(data).cast("B")
         frames: List[Frame] = []
+        cursor = 0
         while True:
+            view = self.get_buffer()
+            n = min(len(view), len(data) - cursor)
+            view[:n] = data[cursor : cursor + n]
+            cursor += n
             try:
-                frame = self._next_frame()
+                frames.extend(self.buffer_updated(n))
             except ProtocolError as exc:
-                if frames:
-                    self._poisoned = exc
-                    return frames
-                raise
-            if frame is None:
+                if not frames:
+                    raise
+                self._poisoned = exc
+            if cursor == len(data) or self._poisoned is not None:
                 return frames
-            frames.append(frame)
-
-    def _take(self, n: int) -> bytes:
-        """Pop exactly ``n`` buffered bytes, joining chunks only as needed.
-
-        When the first chunk alone covers ``n`` bytes with nothing to
-        spare, it is returned as-is — zero copies; a chunk that
-        overshoots is split (the small remainder is the only copy).
-        """
-        pieces: List[bytes] = []
-        taken = 0
-        while taken < n:
-            chunk = self._chunks.popleft()
-            need = n - taken
-            if len(chunk) > need:
-                self._chunks.appendleft(chunk[need:])
-                chunk = chunk[:need]
-            pieces.append(chunk)
-            taken += len(chunk)
-        self._buffered -= n
-        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
-
-    def _next_frame(self) -> Optional[Frame]:
-        """Pop one complete frame off the buffer, or None to wait."""
-        if self._buffered < _LENGTH.size:
-            return None
-        if len(self._chunks[0]) < _LENGTH.size:
-            self._chunks.appendleft(self._take(_LENGTH.size))
-            self._buffered += _LENGTH.size
-        (length,) = _LENGTH.unpack_from(self._chunks[0])
-        if length < HEADER_BYTES:
-            raise ProtocolError(
-                ERR_BAD_FRAME,
-                f"declared frame length {length} is below the "
-                f"{HEADER_BYTES}-byte header",
-            )
-        if length > self.max_frame_bytes:
-            raise ProtocolError(
-                ERR_FRAME_TOO_LARGE,
-                f"declared frame length {length} exceeds the "
-                f"{self.max_frame_bytes}-byte cap",
-            )
-        if self._buffered < _LENGTH.size + length:
-            return None
-        body = memoryview(self._take(_LENGTH.size + length))
-        return self._frame_from_body(body)
 
     def _frame_from_body(self, body: memoryview) -> Frame:
         """Validate one complete prefix+header+payload body into a Frame."""
@@ -1169,66 +1127,77 @@ class FrameReader:
             deadline_ms=deadline_ms,
         )
 
-    # -- read-into ingestion (asyncio.BufferedProtocol shape) ----------
+    def _declared_total(self, held: memoryview) -> Optional[int]:
+        """Prefix plus declared length of the frame ``held`` starts, or
+        None while its length prefix is incomplete."""
+        if len(held) < _LENGTH.size:
+            return None
+        (length,) = _LENGTH.unpack_from(held)
+        if length < HEADER_BYTES:
+            raise ProtocolError(
+                ERR_BAD_FRAME,
+                f"declared frame length {length} is below the "
+                f"{HEADER_BYTES}-byte header",
+            )
+        if length > self.max_frame_bytes:
+            raise ProtocolError(
+                ERR_FRAME_TOO_LARGE,
+                f"declared frame length {length} exceeds the "
+                f"{self.max_frame_bytes}-byte cap",
+            )
+        return _LENGTH.size + length
 
     def get_buffer(self, sizehint: int = -1) -> memoryview:
         """Writable memory for the transport's next ``recv_into``.
 
-        Mid-assembly of a large frame this is the remaining slice of
-        that frame's exact-size buffer (the payload lands in place);
-        otherwise it is a reusable scratch window.
+        Mid-assembly of a large frame this is the unfilled tail of that
+        frame's exact-size buffer (the payload lands in place);
+        otherwise it is the window after the partial frame it holds.
         """
-        if self._assembly is not None:
-            return memoryview(self._assembly)[self._filled :]
-        if self._scratch is None:
-            self._scratch = bytearray(self._SCRATCH_BYTES)
-        return memoryview(self._scratch)
+        buffer = self._window if self._assembly is None else self._assembly
+        return memoryview(buffer)[self._filled :]
 
     def buffer_updated(self, nbytes: int) -> List[Frame]:
         """Account ``nbytes`` written into :meth:`get_buffer`'s memory.
 
-        Returns every frame completed, with :meth:`feed`'s exact
-        poison-and-defer semantics (the two modes share the decode and
-        validation path).
+        Returns every frame completed, with :meth:`feed`'s
+        poison-and-defer semantics: frames completed before a violation
+        are returned and the violation is raised by the next call.
         """
+        if self._poisoned is not None:
+            raise self._poisoned
+        self._filled += nbytes
         if self._assembly is not None:
-            self._filled += nbytes
             if self._filled < len(self._assembly):
                 return []
-            body = memoryview(self._assembly).toreadonly()
+            body = memoryview(self._assembly)
             self._assembly = None
             self._filled = 0
-            if self._poisoned is not None:  # pragma: no cover - defensive
-                raise self._poisoned
-            frame = self._frame_from_body(body)
-            return [frame]
-        frames = self.feed(
-            bytes(memoryview(self._scratch)[:nbytes]) if nbytes else b""
-        )
-        self._maybe_assemble_direct()
+            return [self._frame_from_body(body)]
+        window = memoryview(self._window)
+        frames: List[Frame] = []
+        start = 0
+        try:
+            while True:
+                total = self._declared_total(window[start : self._filled])
+                if total is None or start + total > self._filled:
+                    break
+                body = memoryview(bytes(window[start : start + total]))
+                frames.append(self._frame_from_body(body))
+                start += total
+        except ProtocolError as exc:
+            self._filled = 0  # past a violation no boundary is known
+            if not frames:
+                raise
+            self._poisoned = exc
+            return frames
+        held = self._filled - start
+        if total is not None and total > len(window):
+            # Copied view to view: a bytearray slice assignment would
+            # first copy the view into a temporary bytearray.
+            self._assembly = bytearray(total)
+            memoryview(self._assembly)[:held] = window[start : self._filled]
+        elif start:
+            window[:held] = window[start : self._filled]
+        self._filled = held
         return frames
-
-    def _maybe_assemble_direct(self) -> None:
-        """Switch to in-place assembly when a large frame is pending.
-
-        Called with a partial frame buffered: if its declared size is
-        known, exceeds the scratch window, and the remainder is still
-        in flight, the buffered prefix moves into an exact-size buffer
-        and :meth:`get_buffer` starts exposing the unfilled tail.
-        """
-        if self._poisoned is not None or self._buffered < _LENGTH.size:
-            return
-        if len(self._chunks[0]) < _LENGTH.size:
-            self._chunks.appendleft(self._take(_LENGTH.size))
-            self._buffered += _LENGTH.size
-        (length,) = _LENGTH.unpack_from(self._chunks[0])
-        # Bounds were validated by the feed() pass that left this
-        # partial frame buffered.
-        total = _LENGTH.size + length
-        if total <= self._SCRATCH_BYTES or self._buffered >= total:
-            return
-        have = self._buffered
-        assembly = bytearray(total)
-        assembly[:have] = self._take(have)
-        self._assembly = assembly
-        self._filled = have

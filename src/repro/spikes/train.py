@@ -29,6 +29,19 @@ from ..units import SimulationGrid
 __all__ = ["SpikeTrain"]
 
 
+def first_of_runs(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in sorted
+    ``values``: the positions ``np.unique`` keeps.
+
+    A sort and this mask replace ``np.unique``, whose hash path is far
+    slower on integer input and whose first call imports ``numpy.ma``.
+    """
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
 class SpikeTrain:
     """An immutable set of spike slots on a simulation grid.
 
@@ -61,9 +74,7 @@ class SpikeTrain:
         # adjacent repeats: np.unique's result without its first-call
         # import of numpy.ma, which no serving process needs.
         arr = np.sort(arr.astype(np.int64, copy=False), axis=None)
-        first = np.empty(arr.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(arr[1:], arr[:-1], out=first[1:])
+        first = first_of_runs(arr)
         if not first.all():
             arr = arr[first]
         if arr.size:

@@ -1,5 +1,7 @@
 """Tests for repro.backend.batch: the SpikeTrainBatch container."""
 
+from hypothesis import given
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -150,3 +152,21 @@ class TestSetAlgebra:
             [SpikeTrain([1, 2], GRID), SpikeTrain([2, 3], GRID)]
         )
         assert not overlapping.is_mutually_orthogonal()
+
+
+@given(
+    st.lists(
+        st.sets(st.integers(0, GRID.n_samples - 1), max_size=40),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_csr_any_union_equals_np_unique(rows):
+    batch = SpikeTrainBatch.from_trains(
+        [SpikeTrain(sorted(row), GRID) for row in rows]
+    )
+    union = batch.any_union().indices
+    want = np.unique(np.array([slot for row in rows for slot in row], np.int64))
+    assert union.dtype == want.dtype
+    assert np.array_equal(union, want)
+    assert not union.flags.writeable

@@ -1,5 +1,6 @@
 """Tests for repro.hyperspace.superposition: neuro-bits on one wire."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -95,3 +96,53 @@ class TestFirstDetection:
     def test_absent_members_missing(self, basis):
         earliest = first_detection_slots(basis, basis.encode_set([2]))
         assert set(earliest) == {2}
+
+
+@st.composite
+def basis_and_wire(draw):
+    """A basis of 1-6 elements owning drawn slots of GRID (element k
+    owns slot k at least; -1 leaves a slot unowned), and a wire over
+    any slots, foreign ones included."""
+    size = draw(st.integers(1, 6))
+    owner = draw(
+        st.lists(
+            st.integers(-1, size - 1),
+            min_size=GRID.n_samples,
+            max_size=GRID.n_samples,
+        )
+    )
+    owner[:size] = range(size)
+    owner = np.array(owner)
+    basis = HyperspaceBasis(
+        [SpikeTrain(np.flatnonzero(owner == k), GRID) for k in range(size)]
+    )
+    wire = SpikeTrain(
+        sorted(draw(st.sets(st.integers(0, GRID.n_samples - 1)))), GRID
+    )
+    return basis, wire
+
+
+class TestSortedDecodeEqualsNpUnique:
+    """The sort-based decoders against the ``np.unique`` code they
+    replaced."""
+
+    @given(basis_and_wire())
+    def test_decode_superposition(self, case):
+        basis, wire = case
+        owners = basis.owners_of(wire.indices)
+        want = frozenset(np.unique(owners[owners >= 0]).tolist())
+        got = decode_superposition(basis, wire, strict=False)
+        assert got.members == want
+
+    @given(basis_and_wire())
+    def test_first_detection_slots(self, case):
+        basis, wire = case
+        owners = basis.owners_of(wire.indices)
+        mask = owners >= 0
+        elements, first = np.unique(owners[mask], return_index=True)
+        slots = wire.indices[mask][first]
+        order = np.argsort(slots, kind="stable")
+        want = {int(elements[i]): int(slots[i]) for i in order}
+        got = first_detection_slots(basis, wire)
+        assert got == want
+        assert list(got.items()) == list(want.items())

@@ -199,3 +199,15 @@ class TestOrthogonatorOutputValidation:
             verify=False,
         )
         assert len(output) == 2
+
+
+@given(st.lists(indices, min_size=1, max_size=5))
+def test_occupancy_patterns_equal_np_unique(slot_lists):
+    inputs = [train(xs) for xs in slot_lists]
+    orthogonator = IntersectionOrthogonator(n_inputs=len(inputs))
+    _grid, occupied, patterns = orthogonator._occupancy_patterns(inputs)
+    want = np.unique(np.concatenate([t.indices for t in inputs]))
+    assert np.array_equal(occupied, want)
+    for bit, source in enumerate(inputs):
+        owned = occupied[(patterns >> bit) & 1 == 1]
+        assert np.array_equal(owned, source.indices)

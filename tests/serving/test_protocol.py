@@ -10,6 +10,8 @@ multiple of 8 or 64 — the ragged-tail shapes the packed kernels are
 property-tested over.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -423,8 +425,21 @@ def drive_buffered(reader, data, rng=None, step=None):
     return frames
 
 
+#: The reader's receive window.
+WINDOW = protocol.FrameReader._SCRATCH_BYTES
+
+
+def ping_frames(payload_sizes):
+    """One PING frame per payload size, request ids counting from 0."""
+    return [
+        protocol.encode_frame(protocol.FRAME_PING, i, bytes(size))
+        for i, size in enumerate(payload_sizes)
+    ]
+
+
 class TestBufferedIngestion:
-    """get_buffer/buffer_updated must match feed() frame for frame."""
+    """get_buffer/buffer_updated must match feed() frame for frame, and
+    a frame is copied at most once on its way in."""
 
     def test_large_frame_assembles_in_place(self):
         rng = np.random.default_rng(11)
@@ -461,6 +476,7 @@ class TestBufferedIngestion:
         tail[: len(tail)] = wire[first:]
         frames = reader.buffer_updated(len(tail))
         assert len(frames) == 1
+        assert frames[0].payload.obj is tail.obj  # landed in place
         assert np.array_equal(
             protocol.parse_request(frames[0]).packed, packed
         )
@@ -530,3 +546,54 @@ class TestBufferedIngestion:
         view[: len(prefix)] = prefix
         with pytest.raises(ProtocolError):
             reader.buffer_updated(len(prefix))
+
+    def test_a_frame_inside_the_window_gets_one_exact_size_copy(self):
+        # Several frames per read, and frames spanning two reads, each
+        # cut out of the window into a buffer of exactly its size.
+        head = 4 + protocol.HEADER_BYTES
+        wires = ping_frames(
+            [0, 100, WINDOW // 3, WINDOW // 2, WINDOW - head]
+        )
+        reader = protocol.FrameReader()
+        window = reader.get_buffer().obj
+        frames = drive_buffered(reader, b"".join(wires))
+        assert [frame.request_id for frame in frames] == list(range(5))
+        for frame, wire in zip(frames, wires):
+            assert frame.payload.obj is not window
+            assert len(frame.payload.obj) == len(wire)
+            assert bytes(frame.payload) == wire[head:]
+
+    def test_a_reader_holds_its_window_and_at_most_one_frame(self):
+        # Full-window reads of a stream with frames smaller and larger
+        # than the window: a read allocates only the frames it returns
+        # and the buffer of a frame it starts, and between reads the
+        # reader keeps its window plus at most one frame.
+        sizes = [3000, 12000, 500, 2 * WINDOW, 7000, 40000, 100] * 3
+        wires = ping_frames(sizes)
+        stream = memoryview(b"".join(wires))
+        slack = 4096
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reader = protocol.FrameReader()
+            window = reader.get_buffer().obj
+            cursor = 0
+            while cursor < len(stream):
+                view = reader.get_buffer()
+                n = min(len(view), len(stream) - cursor)
+                view[:n] = stream[cursor : cursor + n]
+                cursor += n
+                del view
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                frames = reader.buffer_updated(n)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                held = reader.get_buffer().obj
+                started = 0 if held is window else len(held)
+                returned = sum(len(frame.payload.obj) for frame in frames)
+                assert peak <= returned + started + slack * (1 + len(frames))
+                del frames, held
+                kept = tracemalloc.get_traced_memory()[0] - base
+                assert kept <= WINDOW + max(map(len, wires)) + slack
+        finally:
+            tracemalloc.stop()

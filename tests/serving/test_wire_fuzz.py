@@ -19,8 +19,14 @@ budget is back at zero.
 The same mutations of the three golden RESULT frames (one per result
 mode, pinned in ``test_wire_golden.py``) must decode to a payload or
 raise :class:`~repro.errors.ProtocolError` in ``parse_result_frame``.
+
+Streams of frames sized around the reader's window and cap, one of
+them possibly corrupt, fed in drawn chunkings through ``feed`` and
+through ``get_buffer``/``buffer_updated``, must split exactly as a slow
+reference that holds the whole stream in memory does.
 """
 
+import itertools
 import socket
 import time
 
@@ -214,3 +220,193 @@ def test_mutated_result_frames_get_typed_answers():
                 pass
 
     check()
+
+
+WINDOW = protocol.FrameReader._SCRATCH_BYTES
+#: The cap of the readers split against the reference: above twice the
+#: window, small enough to draw quickly.
+CAP = 3 * WINDOW
+#: Declared lengths (header plus payload) at the edges: a wire frame
+#: (length prefix included) one byte short of the window, equal to it,
+#: one byte over and twice it; an empty payload; the cap and one byte
+#: over it.
+EDGE_LENGTHS = (
+    WINDOW - 5,
+    WINDOW - 4,
+    WINDOW - 3,
+    2 * WINDOW - 4,
+    protocol.HEADER_BYTES,
+    CAP,
+    CAP + 1,
+)
+
+
+def wire_frame(length, frame_type, request_id, deadline_ms, seed):
+    """One frame of declared ``length`` with a seeded random payload."""
+    rng = np.random.default_rng(seed)
+    payload = rng.bytes(length - protocol.HEADER_BYTES)
+    return bytearray(
+        length.to_bytes(4, "little")
+        + protocol.MAGIC
+        + bytes([protocol.PROTOCOL_VERSION, frame_type, 0, 0])
+        + request_id.to_bytes(4, "little")
+        + deadline_ms.to_bytes(4, "little")
+        + payload
+    )
+
+
+#: One way to break each framing rule: the bytes it overwrites and a
+#: strategy for what it writes there.
+CORRUPTIONS = {
+    "short": (slice(0, 4), st.integers(0, protocol.HEADER_BYTES - 1).map(
+        lambda length: length.to_bytes(4, "little")
+    )),
+    "long": (slice(0, 4), st.integers(CAP + 1, 2**32 - 1).map(
+        lambda length: length.to_bytes(4, "little")
+    )),
+    "magic": (slice(4, 8), st.binary(min_size=4, max_size=4).filter(
+        lambda magic: magic != protocol.MAGIC
+    )),
+    "version": (slice(8, 9), st.integers(0, 255).filter(
+        lambda version: version != protocol.PROTOCOL_VERSION
+    ).map(lambda version: bytes([version]))),
+    "flags": (slice(10, 12), st.integers(1, 2**16 - 1).map(
+        lambda flags: flags.to_bytes(2, "little")
+    )),
+}
+
+
+@st.composite
+def stream_recipes(draw):
+    """``(frames, corruption, cut, points)``: 1-5 frames as
+    ``wire_frame`` arguments, at most one ``(frame, rule, bytes)``
+    corruption, the bytes cut off the stream's end (so it may stop
+    mid-frame), and chunk boundaries near frame edges and anywhere."""
+    frames = [
+        (
+            draw(st.sampled_from(EDGE_LENGTHS) | st.integers(
+                protocol.HEADER_BYTES, 300
+            )),
+            draw(st.integers(0, 255)),
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(0, 2**32 - 1)),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    corruption = None
+    if draw(st.booleans()):
+        rule = draw(st.sampled_from(sorted(CORRUPTIONS)))
+        corruption = (
+            draw(st.integers(0, len(frames) - 1)),
+            rule,
+            draw(CORRUPTIONS[rule][1]),
+        )
+    cut = draw(st.integers(0, 4 + frames[-1][0]))
+    ends = [0, *itertools.accumulate(4 + frame[0] for frame in frames)]
+    points = draw(st.lists(
+        st.integers(0, ends[-1]) | st.builds(
+            int.__add__, st.sampled_from(ends), st.integers(-5, 24)
+        ),
+        max_size=12,
+    ))
+    return frames, corruption, cut, points
+
+
+def build_stream(recipe):
+    """The stream a recipe describes, and its chunks."""
+    frames, corruption, cut, points = recipe
+    wires = [wire_frame(*frame) for frame in frames]
+    if corruption is not None:
+        index, rule, value = corruption
+        wires[index][CORRUPTIONS[rule][0]] = value
+    stream = b"".join(wires)
+    stream = stream[: len(stream) - cut]
+    cuts = sorted(
+        {0, len(stream), *(p for p in points if 0 < p < len(stream))}
+    )
+    return stream, [stream[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def split_reference(stream, cap):
+    """Split a whole stream held in memory, front to back.
+
+    Returns each frame as ``(type, id, flags, deadline, payload)``,
+    the code of the first framing violation (None without one) and
+    the bytes left over: a trailing partial frame's, or 0 after a
+    violation, past which no frame boundary is known.
+    """
+    frames, at = [], 0
+    while len(stream) - at >= 4:
+        length = int.from_bytes(stream[at : at + 4], "little")
+        if length < protocol.HEADER_BYTES:
+            return frames, protocol.ERR_BAD_FRAME, 0
+        if length > cap:
+            return frames, protocol.ERR_FRAME_TOO_LARGE, 0
+        if len(stream) - at - 4 < length:
+            break
+        header = stream[at + 4 : at + 4 + protocol.HEADER_BYTES]
+        if header[:4] != protocol.MAGIC:
+            return frames, protocol.ERR_BAD_MAGIC, 0
+        if header[4] != protocol.PROTOCOL_VERSION:
+            return frames, protocol.ERR_BAD_VERSION, 0
+        flags = int.from_bytes(header[6:8], "little")
+        if flags:
+            return frames, protocol.ERR_BAD_FRAME, 0
+        frames.append((
+            header[5],
+            int.from_bytes(header[8:12], "little"),
+            flags,
+            int.from_bytes(header[12:16], "little"),
+            stream[at + 4 + protocol.HEADER_BYTES : at + 4 + length],
+        ))
+        at += 4 + length
+    return frames, None, len(stream) - at
+
+
+def split_by_feed(chunks):
+    """``feed`` each chunk; a last empty feed raises a deferred error."""
+    reader, frames = protocol.FrameReader(CAP), []
+    try:
+        for chunk in [*chunks, b""]:
+            frames += reader.feed(chunk)
+    except ProtocolError as exc:
+        return frames, exc.code, reader
+    return frames, None, reader
+
+
+def split_by_buffers(chunks):
+    """Land each chunk in the reader's buffers, one ``recv_into`` per
+    buffer exposed, as a transport does."""
+    reader, frames = protocol.FrameReader(CAP), []
+    try:
+        for chunk in chunks:
+            at = 0
+            while at < len(chunk):
+                view = reader.get_buffer()
+                n = min(len(view), len(chunk) - at)
+                view[:n] = chunk[at : at + n]
+                at += n
+                frames += reader.buffer_updated(n)
+        frames += reader.buffer_updated(0)
+    except ProtocolError as exc:
+        return frames, exc.code, reader
+    return frames, None, reader
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(stream_recipes())
+def test_both_ingestion_paths_split_like_the_reference(recipe):
+    stream, chunks = build_stream(recipe)
+    want_frames, want_code, leftover = split_reference(stream, CAP)
+    for split in (split_by_feed, split_by_buffers):
+        frames, code, reader = split(chunks)
+        got = [
+            (f.frame_type, f.request_id, f.flags, f.deadline_ms,
+             bytes(f.payload))
+            for f in frames
+        ]
+        assert got == want_frames, split.__name__
+        assert code == want_code, split.__name__
+        assert reader.buffered_bytes == leftover, split.__name__
+
